@@ -10,7 +10,12 @@ equivalent bordered form
     [ B   U ] [psi]   [r]
     [ U^T -I ] [ y ] = [0],
 
-factorized once per patch and reused for all nbf right-hand sides.  Test
+factorized once per patch and reused for all nbf right-hand sides.  The
+bordered matrix is assembled directly, as one COO -> CSC matrix, from the
+patch rows and columns of B, the per-element S_e Phi_e blocks (placed by a
+fine node -> patch row map, which also places the right-hand sides) and the
+-I block; it is complex symmetric, so it goes to the symmetric-ordering LU
+of `kernels.factorize`, as does the sparse coarse system.  Test
 vectors are the conjugates of the trial vectors; the independent adjoint
 solve (same bordered form on conj(B)) is kept for cross-validation.
 
@@ -37,13 +42,14 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
+from . import kernels
 from .errors import (
     DimensionMismatch,
     SingularCoarseSystem,
     SingularGlobalSystem,
     SingularLocalSystem,
+    SingularMatrix,
 )
 from .grid import oversample
 from .spectral import pi_coeffs
@@ -71,30 +77,68 @@ def _border_columns(P, elements):
 
 def _bordered_solve(forms, P, idx, elements, rhs_cols, adjoint=False,
                     error=SingularLocalSystem, extra_rhs=None):
-    """Solve (B + U U^T) psi = r on the nodes `idx` for every rhs column."""
+    """Solve (B + U U^T) psi = r on the nodes `idx` for every rhs column.
+
+    U holds the S_e Phi_e columns of `elements`; the bordered matrix is
+    assembled directly (see the module docstring).
+    """
     n_free = idx.size
     if n_free == 0:
         raise error("patch has no unconstrained nodes")
-    B_loc = forms.B[idx][:, idx]
+    B = sp.csr_matrix(forms.B)
+    local = np.full(B.shape[0], -1)  # fine node -> row of the bordered system
+    local[idx] = np.arange(n_free)
+
+    # B block: the CSR rows idx, keeping the columns that map into idx
+    starts = B.indptr[idx]
+    counts = B.indptr[idx + 1] - starts
+    offsets = np.cumsum(counts) - counts
+    pos = np.repeat(starts - offsets, counts) + np.arange(counts.sum())
+    b_rows = np.repeat(np.arange(n_free), counts)
+    b_cols = local[B.indices[pos]]
+    keep = b_cols >= 0
+    b_rows, b_cols, b_vals = b_rows[keep], b_cols[keep], B.data[pos[keep]]
     if adjoint:
-        B_loc = B_loc.conj()
-    cols = _border_columns(P, elements)
-    U_loc = P.factor[:, cols].tocsr()[idx]
-    nb = cols.size
-    A = sp.bmat(
-        [[B_loc, U_loc], [U_loc.T, -sp.identity(nb, format="csr")]], format="csc"
-    ).astype(complex)
-    try:
-        lu = spla.splu(A)
-    except RuntimeError as exc:
-        raise error(f"constrained system is singular: {exc}") from exc
-    R = P.factor[:, rhs_cols].tocsr()[idx].toarray()
+        b_vals = b_vals.conj()
+
+    # U block: column k*nbf + i holds S_e phi_e^i for e = elements[k]
+    nbf = P.nbf
+    elements = np.asarray(elements)
+    nb = elements.size * nbf
+    u_vals = P.sphi[elements]  # (elements, p, nbf)
+    u_rows = local[P.coarse.element_nodes[elements]][:, :, None]
+    u_rows = np.broadcast_to(u_rows, u_vals.shape)
+    u_cols = np.broadcast_to(n_free + np.arange(nb).reshape(-1, 1, nbf), u_vals.shape)
+    on = u_rows >= 0
+    u_rows, u_cols, u_vals = u_rows[on], u_cols[on], u_vals[on]
+    border = n_free + np.arange(nb)
+
+    size = n_free + nb
+    A = sp.csc_matrix(
+        (
+            np.concatenate([b_vals, u_vals, u_vals, -np.ones(nb)]),
+            (
+                np.concatenate([b_rows, u_rows, u_cols, border]),
+                np.concatenate([b_cols, u_cols, u_rows, border]),
+            ),
+        ),
+        shape=(size, size),
+    )
+
+    # rhs column c: S_e phi_e^i for p = rhs_cols[c] = e*nbf + i, then extra_rhs
+    e, i = np.divmod(np.asarray(rhs_cols), nbf)
+    r_rows = local[P.coarse.element_nodes[e]]
+    r_cols = np.broadcast_to(np.arange(e.size)[:, None], r_rows.shape)
+    on = r_rows >= 0
+    n_extra = 0 if extra_rhs is None else extra_rhs.shape[1]
+    rhs = np.zeros((size, e.size + n_extra), dtype=complex)
+    rhs[r_rows[on], r_cols[on]] = P.sphi[e, :, i][on]
     if extra_rhs is not None:
-        R = np.hstack([R, extra_rhs])
-    rhs = np.vstack([R, np.zeros((nb, R.shape[1]))]).astype(complex)
-    sol = lu.solve(rhs)
-    if not np.all(np.isfinite(sol)):
-        raise error("constrained solve produced non-finite values")
+        rhs[:n_free, e.size:] = extra_rhs
+    try:
+        sol = kernels.factorize(A).solve(rhs)
+    except SingularMatrix as exc:
+        raise error(f"constrained system is singular: {exc}") from exc
     return sol[:n_free]
 
 
@@ -266,8 +310,8 @@ def solve_multiscale(system, space, forms=None, dense_limit=2000):
         if G.shape[0] <= dense_limit:
             c = np.linalg.solve(G.toarray(), b)
         else:
-            c = spla.splu(G.tocsc()).solve(b)
-    except (np.linalg.LinAlgError, RuntimeError) as exc:
+            c = kernels.factorize(G).solve(b)
+    except (np.linalg.LinAlgError, SingularMatrix) as exc:
         diag = ""
         if forms is not None:
             khe = forms.k * forms.coarse.H / forms.medium.epsilon

@@ -4,6 +4,16 @@ Sparse complex matrices are plain scipy CSR/CSC matrices; this module adds
 the two operations the rest of the package relies on: a reusable direct
 factorization for (complex symmetric, indefinite) sparse systems, and a
 dense generalized symmetric eigensolver for the small local problems.
+
+`factorize` is the package's only sparse LU.  Every matrix it receives (the
+fine system, the bordered patch systems, the coarse Petrov-Galerkin system)
+is complex symmetric, so it runs SuperLU in symmetric mode: a minimum-degree
+ordering of A^T + A applied to rows and columns alike, and a small diagonal
+pivot threshold (0.01) that keeps the diagonal pivots the ordering was
+chosen for unless one is below 1 % of its column's largest entry (zero and
+tiny diagonals still pivot off).  Against SuperLU's default column
+ordering (COLAMD on A^T A) this cuts fill and factorization time on all
+three systems.
 """
 
 import numpy as np
@@ -13,7 +23,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import DimensionMismatch, NotPositiveDefinite, SingularMatrix
 
-__all__ = ["Factorization", "factorize", "solve", "generalized_sym_eig", "submatrix"]
+__all__ = ["Factorization", "factorize", "generalized_sym_eig"]
 
 
 class Factorization:
@@ -37,18 +47,23 @@ class Factorization:
 
 
 def factorize(A):
-    """LU-factorize a square sparse matrix for repeated direct solves."""
+    """LU-factorize a square sparse matrix for repeated direct solves.
+
+    Tuned for structurally symmetric matrices (see the module docstring);
+    other square matrices are factorized too, with threshold pivoting.
+    """
     if A.shape[0] != A.shape[1]:
         raise DimensionMismatch(f"matrix is not square: {A.shape}")
     try:
-        lu = spla.splu(sp.csc_matrix(A))
+        lu = spla.splu(
+            sp.csc_matrix(A),
+            permc_spec="MMD_AT_PLUS_A",
+            diag_pivot_thresh=0.01,
+            options=dict(SymmetricMode=True),
+        )
     except RuntimeError as exc:  # SuperLU signals exact singularity this way
         raise SingularMatrix(str(exc)) from exc
     return Factorization(lu, A.shape, A.dtype)
-
-
-def solve(fact, b):
-    return fact.solve(b)
 
 
 def generalized_sym_eig(K, S, count):
@@ -71,8 +86,3 @@ def generalized_sym_eig(K, S, count):
     except sla.LinAlgError as exc:
         raise NotPositiveDefinite(str(exc)) from exc
     return values[:count], vectors[:, :count]
-
-
-def submatrix(A, indices):
-    """Rows and columns of a sparse matrix at `indices`, in the given order."""
-    return sp.csr_matrix(A)[indices][:, indices]

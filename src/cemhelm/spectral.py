@@ -90,13 +90,14 @@ class ProjectionOperator:
         self.s_locals = s_locals
         self.nbf = nbf
         self.n_nodes = coarse.fine.n_nodes
-        self.sphi = [s_locals[j] @ bases[j].vectors for j in range(len(bases))]
+        # (N, p, nbf): sphi[j] = S_j Phi_j on element j's p nodes
+        self.sphi = np.stack([s_locals[j] @ bases[j].vectors for j in range(len(bases))])
 
         n = self.n_nodes
         N = coarse.n_elements
         p = coarse.element_nodes.shape[1]
         rows = np.repeat(coarse.element_nodes, nbf, axis=0).reshape(N * nbf, p)
-        data = np.concatenate([m.T.ravel() for m in self.sphi])
+        data = self.sphi.transpose(0, 2, 1).ravel()
         indptr = np.arange(N * nbf + 1) * p
         self.factor = sp.csc_matrix((data, rows.ravel(), indptr), shape=(n, N * nbf))
 

@@ -34,6 +34,8 @@ from cemhelm.reference import (
     solve_fine,
 )
 
+pytestmark = pytest.mark.slow
+
 PUBLISHED_TABLE = {
     (10, 2): (1.32e-2, 1.30e-2),
     (20, 3): (1.25e-3, 1.54e-2),

@@ -4,7 +4,12 @@ import scipy.sparse as sp
 
 from cemhelm import cem, spectral
 from cemhelm.assembly import build_forms
-from cemhelm.errors import DimensionMismatch, SingularLocalSystem
+from cemhelm.errors import (
+    DimensionMismatch,
+    SingularCoarseSystem,
+    SingularGlobalSystem,
+    SingularLocalSystem,
+)
 from cemhelm.grid import build_coarse_grid, build_fine_grid, oversample
 from cemhelm.medium import constant_medium, synthesize_channels
 from cemhelm.metrics import a_norm, relative_errors
@@ -333,3 +338,90 @@ def test_petrov_galerkin_orthogonality_with_corrector(setup32):
     u_ms, _ = cem.solve_multiscale(system, space, forms=forms)
     resid = space.trial.T @ (forms.B @ (u_h - u_ms))
     assert np.abs(resid).max() <= 1e-8 * np.linalg.norm(loads)
+
+
+def _plane_wave_system(forms, P, m):
+    g = forms.grid
+    spec = ProblemSpec(
+        grid=g, medium=forms.medium, k=forms.k,
+        f=np.zeros(g.n_nodes, complex), g=robin_data_plane_wave(g, forms.k),
+    )
+    space = cem.build_space(forms, P, m)
+    return space, cem.assemble_coarse(space, forms, fine_load(spec))
+
+
+def test_sparse_coarse_branch_matches_dense(setup32):
+    g, c, forms, P = setup32
+    space, system = _plane_wave_system(forms, P, 2)
+    u_dense, c_dense = cem.solve_multiscale(system, space, forms=forms)
+    u_sparse, c_sparse = cem.solve_multiscale(system, space, forms=forms, dense_limit=0)
+    assert np.linalg.norm(c_sparse - c_dense) <= 1e-10 * np.linalg.norm(c_dense)
+    assert np.linalg.norm(u_sparse - u_dense) <= 1e-10 * np.linalg.norm(u_dense)
+
+
+@pytest.mark.parametrize("dense_limit", [2000, 0])
+def test_singular_coarse_system_raises(setup32, dense_limit):
+    g, c, forms, P = setup32
+    space, system = _plane_wave_system(forms, P, 1)
+    keep = np.ones(system.n)
+    keep[3] = 0.0  # coarse dof 3 decoupled: zero row and column
+    D = sp.diags(keep)
+    G = (D @ system.G @ D).tocsr()
+    G.eliminate_zeros()
+    singular = cem.CoarseSystem(G, system.b, system.nbf)
+    with pytest.raises(SingularCoarseSystem, match="k\\*H/eps"):
+        cem.solve_multiscale(singular, space, forms=forms, dense_limit=dense_limit)
+
+
+def _bmat_oracle(forms, P, idx, elements, rhs_cols, adjoint=False, extra_rhs=None):
+    """The bordered system stacked block by block with sp.bmat, solved densely."""
+    B_loc = forms.B[idx][:, idx]
+    if adjoint:
+        B_loc = B_loc.conj()
+    cols = (np.asarray(elements)[:, None] * P.nbf + np.arange(P.nbf)[None, :]).ravel()
+    U_loc = P.factor[:, cols].tocsr()[idx]
+    A = sp.bmat([[B_loc, U_loc], [U_loc.T, -sp.identity(cols.size)]]).toarray()
+    R = P.factor[:, rhs_cols].tocsr()[idx].toarray()
+    if extra_rhs is not None:
+        R = np.hstack([R, extra_rhs])
+    rhs = np.vstack([R, np.zeros((cols.size, R.shape[1]))])
+    return np.linalg.solve(A, rhs.astype(complex))[: idx.size]
+
+
+@pytest.fixture(scope="module")
+def channel_setup():
+    med = synthesize_channels(32, 32, seed=5, contrast=1e-3, channel_count=4)
+    return make_setup(nx=32, NH=4, nbf=3, k=6.0, medium=med)
+
+
+@pytest.mark.parametrize(
+    "j, strict, adjoint",
+    [(5, False, False), (0, False, False), (0, True, False), (10, False, True)],
+    ids=["interior", "corner", "strict-zero-trace", "adjoint"],
+)
+def test_bordered_assembly_matches_bmat_oracle(channel_setup, j, strict, adjoint):
+    g, c, forms, P = channel_setup
+    patch = oversample(c, j, 1)
+    idx = patch.free_nodes(strict)
+    rhs_cols = np.arange(j * P.nbf, (j + 1) * P.nbf)
+    rng = np.random.default_rng(j)
+    extra = rng.normal(size=(idx.size, 1)) + 1j * rng.normal(size=(idx.size, 1))
+    vals = cem._bordered_solve(
+        forms, P, idx, patch.elements, rhs_cols, adjoint=adjoint, extra_rhs=extra
+    )
+    ref = _bmat_oracle(forms, P, idx, patch.elements, rhs_cols, adjoint, extra)
+    assert np.abs(vals - ref).max() <= 1e-10 * np.abs(ref).max()
+
+
+def test_global_bordered_assembly_matches_bmat_oracle(channel_setup):
+    g, c, forms, P = channel_setup
+    idx = np.arange(g.n_nodes)
+    elements = np.arange(c.n_elements)
+    cols = np.arange(c.n_elements * P.nbf)
+    rng = np.random.default_rng(1)
+    corrector_rhs = rng.normal(size=(g.n_nodes, 1)) + 1j * rng.normal(size=(g.n_nodes, 1))
+    vals = cem._bordered_solve(
+        forms, P, idx, elements, cols, error=SingularGlobalSystem, extra_rhs=corrector_rhs
+    )
+    ref = _bmat_oracle(forms, P, idx, elements, cols, extra_rhs=corrector_rhs)
+    assert np.abs(vals - ref).max() <= 1e-10 * np.abs(ref).max()

@@ -4,10 +4,15 @@ import math
 import numpy as np
 import pytest
 
-from cemhelm import cli
+from cemhelm import cem, cli, spectral
+from cemhelm.assembly import build_forms, element_loads
 from cemhelm.cli import RunConfig, basis_decay, gen_medium, load_config, run, sweep, validate_resolution
 from cemhelm.errors import IndivisibleMesh
+from cemhelm.grid import build_coarse_grid
 from cemhelm.medium import load_raster
+from cemhelm.metrics import relative_errors
+from cemhelm.models import instantiate
+from cemhelm.reference import fine_load, solve_fine
 
 
 def small_config(**kw):
@@ -66,6 +71,23 @@ def test_run_report_and_json(tmp_path):
     assert set(report["timings"]) >= {"forms", "spectral", "basis", "coarse_solve"}
     on_disk = json.loads(out.read_text())
     assert on_disk["errors"] == report["errors"]
+
+
+def test_run_errors_are_against_fine_reference():
+    # model1 too: the errors are the multiscale errors, not the fine grid's
+    cfg = small_config()
+    report = run(cfg)
+    spec = instantiate("model1", nx=cfg.nx, k=cfg.k)
+    coarse = build_coarse_grid(spec.grid, cfg.NH)
+    forms = build_forms(spec.grid, coarse, spec.medium, spec.k)
+    P = spectral.build_projection(forms, cfg.nbf)
+    blocks = element_loads(spec.grid, coarse, spec.f, spec.g)
+    space = cem.build_space(forms, P, cfg.m, load_blocks=blocks)
+    system = cem.assemble_coarse(space, forms, fine_load(spec))
+    u_ms, _ = cem.solve_multiscale(system, space, forms=forms)
+    expected = relative_errors(solve_fine(spec, forms=forms).values, u_ms, forms)
+    assert report["errors"]["e_l2"] == pytest.approx(expected.e_l2, rel=1e-12)
+    assert report["errors"]["e_energy"] == pytest.approx(expected.e_energy, rel=1e-12)
 
 
 def test_run_invalid_NH():

@@ -51,8 +51,46 @@ def test_factorization_reusable_for_many_rhs():
     assert np.linalg.norm(A @ X - B) <= 1e-10 * np.linalg.norm(B)
 
 
+def _relative_residual(A, x, b):
+    return np.linalg.norm(A @ x - b) / np.linalg.norm(b)
+
+
+def test_zero_diagonal_symmetric_solve():
+    # every diagonal pivot of the symmetric ordering is zero
+    A = sp.csc_matrix(np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex))
+    b = np.array([1.0 + 2.0j, -3.0j])
+    x = kernels.factorize(A).solve(b)
+    assert _relative_residual(A, x, b) <= 1e-12
+
+
+def test_bordered_saddle_point_solve():
+    # [[B, U], [U^T, -I]] with B complex symmetric and indefinite, the form
+    # of the constrained patch systems
+    rng = np.random.default_rng(12)
+    n, nb = 60, 8
+    lap = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(n, n)) * n * n
+    B = lap.astype(complex) + sp.diags(-(30.0**2) + 5.0j * rng.random(n))
+    U = sp.random(n, nb, density=0.2, random_state=3)
+    A = sp.bmat([[B, U], [U.T, -sp.identity(nb)]], format="csc")
+    assert abs(A - A.T).max() == 0.0
+    rhs = rng.normal(size=(n + nb, 3)) + 1j * rng.normal(size=(n + nb, 3))
+    X = kernels.factorize(A).solve(rhs)
+    assert _relative_residual(A, X, rhs) <= 1e-12
+
+
 def test_singular_matrix_raises():
     A = sp.csc_matrix(np.array([[1.0, 0.0], [0.0, 0.0]]))
+    with pytest.raises(SingularMatrix):
+        kernels.factorize(A)
+
+
+@pytest.mark.parametrize(
+    "dense",
+    [[[1.0, 1.0], [1.0, 1.0]], [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]],
+    ids=["rank-one", "zero-diagonal-with-null-row"],
+)
+def test_singular_symmetric_matrix_raises(dense):
+    A = sp.csc_matrix(np.array(dense, dtype=complex))
     with pytest.raises(SingularMatrix):
         kernels.factorize(A)
 
