@@ -23,7 +23,9 @@ __all__ = [
     "assemble_B",
     "load_volume",
     "load_boundary",
-    "restrict",
+    "element_stencil",
+    "element_triplets",
+    "element_blocks",
     "DiscreteForms",
     "build_forms",
 ]
@@ -59,40 +61,34 @@ def element_boundary_matrix(h):
     return h / 6.0 * np.array([[2.0, 1.0], [1.0, 2.0]])
 
 
-def _scatter(grid, local, coeff, cells, nodes=None):
+def _scatter(grid, local, coeff, cells):
     conn = grid.cell_nodes if cells is None else grid.cell_nodes[cells]
     c = np.ones(conn.shape[0]) if coeff is None else np.asarray(coeff, dtype=float)
     if cells is not None and c.shape[0] == grid.n_cells:
         c = c[cells]
-    if nodes is None:
-        size = grid.n_nodes
-    else:
-        # renumber onto the (sorted) node subset, e.g. one coarse element
-        conn = np.searchsorted(nodes, conn)
-        size = len(nodes)
     vals = c[:, None, None] * local[None, :, :]
     rows = np.repeat(conn, 4, axis=1).ravel()
     cols = np.tile(conn, (1, 4)).ravel()
-    A = sp.coo_matrix((vals.ravel(), (rows, cols)), shape=(size, size))
+    A = sp.coo_matrix((vals.ravel(), (rows, cols)), shape=(grid.n_nodes, grid.n_nodes))
     return A.tocsr()
 
 
-def assemble_stiffness(grid, medium, cells=None, nodes=None):
+def assemble_stiffness(grid, medium, cells=None):
     """K = sum over (selected) cells of A_cell * Ke; symmetric, PSD."""
     a = np.asarray(getattr(medium, "values", medium), dtype=float)
     Ke, _ = _rect_element(grid.hx, grid.hy)
-    return _scatter(grid, Ke, a, cells, nodes)
+    return _scatter(grid, Ke, a, cells)
 
 
-def assemble_weighted_mass(grid, weights, cells=None, nodes=None):
+def assemble_weighted_mass(grid, weights, cells=None):
     w = np.asarray(getattr(weights, "values", weights), dtype=float)
     _, Me = _rect_element(grid.hx, grid.hy)
-    return _scatter(grid, Me, w, cells, nodes)
+    return _scatter(grid, Me, w, cells)
 
 
-def assemble_mass(grid, cells=None, nodes=None):
+def assemble_mass(grid, cells=None):
     _, Me = _rect_element(grid.hx, grid.hy)
-    return _scatter(grid, Me, None, cells, nodes)
+    return _scatter(grid, Me, None, cells)
 
 
 def assemble_boundary_mass(grid, coeff=None, cells=None, nodes=None):
@@ -101,7 +97,7 @@ def assemble_boundary_mass(grid, coeff=None, cells=None, nodes=None):
     With `coeff` (per fine cell) each edge is weighted by the value of the
     cell it borders, mirroring how the volume forms carry the coefficient.
     `cells` keeps only the edges owned by those cells (edge ownership
-    follows the adjacent cell), so the restrictions to the cells of each
+    follows the adjacent cell), so the parts kept for the cells of each
     coarse element add up to the full matrix; `nodes` renumbers onto a
     sorted node subset that holds every node of the kept edges.
     """
@@ -169,35 +165,55 @@ def load_boundary(grid, g_nodal):
     return Mb @ np.asarray(g_nodal)
 
 
-def restrict(obj, indices):
-    """Rows/columns (matrix) or entries (vector) at `indices`, in order."""
-    indices = np.asarray(indices)
-    if sp.issparse(obj):
-        return sp.csr_matrix(obj)[indices][:, indices]
-    return np.asarray(obj)[indices]
+def element_stencil(grid, coarse):
+    """(r^2, 4) cell -> node connectivity of a coarse element in the node
+    numbering of `coarse.element_nodes`; every element shares it."""
+    return np.searchsorted(coarse.element_nodes[0], grid.cell_nodes[coarse.element_cells[0]])
+
+
+def element_triplets(stencil, local, cell_coeffs):
+    """COO triplets of the forms  sum over element e's cells of coeff * local.
+
+    `cell_coeffs[e]` holds the coefficients of element e's cells, e.g.
+    `medium.values[coarse.element_cells]`.  Node a of element e is the broken
+    row e*p + a: the triplets make the block-diagonal matrix of the forms.
+    """
+    p = stencil.max() + 1
+    offsets = p * np.arange(cell_coeffs.shape[0])[:, None, None, None]
+    rows, cols = np.broadcast_arrays(
+        offsets + stencil[None, :, :, None], offsets + stencil[None, :, None, :]
+    )
+    vals = cell_coeffs[:, :, None, None] * local
+    return rows.ravel(), cols.ravel(), vals.ravel()
+
+
+def element_blocks(rows, cols, vals, n, p):
+    """(n, p, p) C-contiguous stack of the diagonal blocks of broken-numbering triplets."""
+    flat = rows * p + cols % p
+    return np.bincount(flat, weights=vals, minlength=n * p * p).reshape(n, p, p)
 
 
 def element_loads(grid, coarse, f_nodal, g_nodal):
-    """Per-coarse-element split of the load vector M f + Mb g.
+    """Per-coarse-element split of the load vector M f + Mb g, shape (N, p).
 
     Block j integrates the data over element j's cells and its share of the
     outer boundary (edge ownership follows the adjacent cell), so the
-    blocks scatter-add back to the full load vector exactly.
+    blocks scatter-add back to the full load vector exactly.  All elements
+    share one (p, p) mass M_loc, so the volume parts are the one product
+    f[element_nodes] @ M_loc; boundary elements add their edges' part.
     """
     f_nodal = np.asarray(f_nodal)
     g_nodal = np.asarray(g_nodal)
-    N = coarse.n_elements
     p = coarse.element_nodes.shape[1]
     dtype = np.result_type(f_nodal.dtype, g_nodal.dtype, float)
-    blocks = np.zeros((N, p), dtype=dtype)
+    stencil = element_stencil(grid, coarse)
     _, Me = _rect_element(grid.hx, grid.hy)
-    for j in range(N):
+    M_loc = element_blocks(*element_triplets(stencil, Me, np.ones((1, len(stencil)))), 1, p)[0]
+    blocks = f_nodal[coarse.element_nodes].astype(dtype, copy=False) @ M_loc
+    for j in np.flatnonzero(coarse.touches_boundary):
         nodes = coarse.element_nodes[j]
-        cells = coarse.element_cells[j]
-        blocks[j] = _scatter(grid, Me, None, cells, nodes) @ f_nodal[nodes]
-        if coarse.touches_boundary[j]:
-            Mbj = assemble_boundary_mass(grid, cells=cells, nodes=nodes)
-            blocks[j] += Mbj @ g_nodal[nodes]
+        Mbj = assemble_boundary_mass(grid, cells=coarse.element_cells[j], nodes=nodes)
+        blocks[j] += Mbj @ g_nodal[nodes]
     return blocks
 
 

@@ -56,6 +56,7 @@ from .spectral import pi_coeffs
 from .assembly import assemble_stiffness
 
 __all__ = [
+    "DENSE_LIMIT",
     "MultiscaleSpace",
     "CoarseSystem",
     "local_cem_solve",
@@ -68,6 +69,8 @@ __all__ = [
     "measure_decay",
     "dump_basis",
 ]
+
+DENSE_LIMIT = 2000  # larger coarse systems go to the sparse LU
 
 
 def _border_columns(P, elements):
@@ -303,11 +306,11 @@ def assemble_coarse(space, forms, loads):
     return CoarseSystem(G, np.asarray(b).ravel(), space.nbf)
 
 
-def solve_multiscale(system, space, forms=None, dense_limit=2000):
+def solve_multiscale(system, space, forms=None):
     """Coefficients and fine-grid expansion of the multiscale solution."""
     G, b = system.G, system.b
     try:
-        if G.shape[0] <= dense_limit:
+        if G.shape[0] <= DENSE_LIMIT:
             c = np.linalg.solve(G.toarray(), b)
         else:
             c = kernels.factorize(G).solve(b)

@@ -422,7 +422,7 @@ def main(argv=None):
             diag = validate_resolution(cfg)
             print(json.dumps(diag, indent=2, sort_keys=True))
             return 0
-    except CemhelmError as exc:
+    except (CemhelmError, ValueError) as exc:  # bad input: a message, not a traceback
         log.error("%s: %s", type(exc).__name__, exc)
         return 2
     return 0

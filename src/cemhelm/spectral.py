@@ -6,6 +6,13 @@ the element (a_j = coefficient stiffness over the element's cells, s_j the
 weighted mass).  Eigenvectors are s_j-orthonormal, so the projection onto
 their span needs no denominators.
 
+All N elements are the same r x r block of fine cells, so their forms share
+one stencil (`assembly.element_stencil`) and are assembled at once, as COO
+triplets in broken numbering (node a of element j is row j*p + a).  These
+give the dense (N, p, p) stacks the eigensolves read, freed on return, and
+the sparse block-diagonal S the projection keeps.  Everything else it holds
+is stacked by element, so applying it is one batched product.
+
 On request (trace_weight != 0) the s-form gains a trace term on elements
 touching the outer boundary, gamma * int_{dK_j ^ dOmega} A u v.  It is
 assembled from element j's own boundary edges only, with the edge ownership
@@ -32,15 +39,14 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import kernels
-from .assembly import assemble_boundary_mass, assemble_stiffness, assemble_weighted_mass
+from .assembly import assemble_boundary_mass, element_matrices
+from .assembly import element_blocks, element_stencil, element_triplets
 
 TRACE_WEIGHT_SCALE = 96.0  # default gamma = 96 / H^2, times the local coefficient
 
 __all__ = [
-    "AuxiliaryBasis",
     "ProjectionOperator",
     "BrokenField",
-    "local_eigenbasis",
     "build_projection",
     "pi_coeffs",
     "pi_apply",
@@ -51,62 +57,22 @@ __all__ = [
 ]
 
 
-class AuxiliaryBasis:
-    """Eigenpairs of one coarse element: ascending values, s-orthonormal vectors."""
-
-    def __init__(self, element, eigenvalues, vectors, nodes):
-        self.element = element
-        self.eigenvalues = eigenvalues  # (l,)
-        self.vectors = vectors          # (p, l), columns s_j-orthonormal
-        self.nodes = nodes              # (p,) global fine-node ids
-
-
-def local_forms(grid, medium, weights, coarse, j):
-    """Element stiffness/weighted-mass pair with local node numbering."""
-    cells = coarse.element_cells[j]
-    nodes = coarse.element_nodes[j]
-    Kj = assemble_stiffness(grid, medium, cells=cells, nodes=nodes)
-    Sj = assemble_weighted_mass(grid, weights, cells=cells, nodes=nodes)
-    return Kj, Sj, nodes
-
-
-def local_eigenbasis(j, K_loc, S_loc, count, nodes=None):
-    values, vectors = kernels.generalized_sym_eig(K_loc, S_loc, count)
-    return AuxiliaryBasis(j, values, vectors, nodes)
-
-
 class ProjectionOperator:
-    """All auxiliary bases plus the scattered S_j*Phi_j factor columns.
+    """Auxiliary eigenpairs of all N coarse elements, stacked by element.
 
-    `factor` is the (n_fine_nodes, N*nbf) sparse matrix whose column
-    p = j*nbf + i is the zero-extended vector S_j phi_j^i; the Gram
-    correction is factor @ factor.T and column p is also the right-hand
-    side of the constrained basis problem for (j, i).
+    eigenvalues (N, nbf) ascend per element; bases (N, p, nbf) holds the
+    s_j-orthonormal eigenvectors Phi_j on element j's nodes; sphi (N, p, nbf)
+    holds S_j Phi_j; S is the block-diagonal (N*p, N*p) CSR matrix of the
+    element forms S_j in broken numbering.
     """
 
-    def __init__(self, coarse, bases, s_locals, nbf):
+    def __init__(self, coarse, eigenvalues, bases, sphi, S):
         self.coarse = coarse
+        self.eigenvalues = eigenvalues
         self.bases = bases
-        self.s_locals = s_locals
-        self.nbf = nbf
-        self.n_nodes = coarse.fine.n_nodes
-        # (N, p, nbf): sphi[j] = S_j Phi_j on element j's p nodes
-        self.sphi = np.stack([s_locals[j] @ bases[j].vectors for j in range(len(bases))])
-
-        n = self.n_nodes
-        N = coarse.n_elements
-        p = coarse.element_nodes.shape[1]
-        rows = np.repeat(coarse.element_nodes, nbf, axis=0).reshape(N * nbf, p)
-        data = self.sphi.transpose(0, 2, 1).ravel()
-        indptr = np.arange(N * nbf + 1) * p
-        self.factor = sp.csc_matrix((data, rows.ravel(), indptr), shape=(n, N * nbf))
-
-    @property
-    def n_elements(self):
-        return self.coarse.n_elements
-
-    def eigenvalues(self):
-        return np.array([b.eigenvalues for b in self.bases])
+        self.sphi = sphi
+        self.S = S
+        self.nbf = bases.shape[2]
 
 
 def build_projection(forms, nbf, trace_weight=0.0):
@@ -117,21 +83,30 @@ def build_projection(forms, nbf, trace_weight=0.0):
     On a boundary element the term is gamma times the coefficient-weighted
     mass of the outer edges owned by the element's own cells.
     """
-    coarse = forms.coarse
+    grid, coarse = forms.grid, forms.coarse
     if trace_weight is None or trace_weight < 0.0:
         trace_weight = TRACE_WEIGHT_SCALE / coarse.H**2
-    bases = []
-    s_locals = []
-    for j in range(coarse.n_elements):
-        Kj, Sj, nodes = local_forms(forms.grid, forms.medium, forms.weights, coarse, j)
-        if trace_weight and coarse.touches_boundary[j]:
+    N, p = coarse.element_nodes.shape
+    cells = coarse.element_cells
+    stencil = element_stencil(grid, coarse)
+    Ke, Me = element_matrices(grid.h, 1.0)
+    K = element_blocks(*element_triplets(stencil, Ke, forms.medium.values[cells]), N, p)
+    parts = [element_triplets(stencil, Me, forms.weights.values[cells])]
+    if trace_weight:
+        for j in np.flatnonzero(coarse.touches_boundary):
             Mbj = assemble_boundary_mass(
-                forms.grid, forms.medium, cells=coarse.element_cells[j], nodes=nodes
-            )
-            Sj = (Sj + trace_weight * Mbj).tocsr()
-        bases.append(local_eigenbasis(j, Kj.toarray(), Sj.toarray(), nbf, nodes))
-        s_locals.append(Sj)
-    return ProjectionOperator(coarse, bases, s_locals, nbf)
+                grid, forms.medium, cells=cells[j], nodes=coarse.element_nodes[j]
+            ).tocoo()
+            parts.append((j * p + Mbj.row, j * p + Mbj.col, trace_weight * Mbj.data))
+    rows, cols, vals = (np.concatenate(t) for t in zip(*parts))
+    S_blocks = element_blocks(rows, cols, vals, N, p)
+    eigenvalues = np.empty((N, nbf))
+    bases = np.empty((N, p, nbf))
+    for j in range(N):
+        eigenvalues[j], bases[j] = kernels.generalized_sym_eig(K[j], S_blocks[j], nbf)
+    S = sp.csr_matrix((vals, (rows, cols)), shape=(N * p, N * p))
+    sphi = (S @ bases.reshape(N * p, nbf)).reshape(N, p, nbf)
+    return ProjectionOperator(coarse, eigenvalues, bases, sphi, S)
 
 
 class BrokenField:
@@ -168,48 +143,42 @@ def _blocks_of(P, v):
 def pi_coeffs(P, v):
     """Per-element expansion coefficients of the projection, shape (N, nbf)."""
     blocks = _blocks_of(P, v)
-    out = np.empty((P.n_elements, P.nbf), dtype=blocks.dtype)
-    for j in range(P.n_elements):
-        out[j] = P.sphi[j].T @ blocks[j]
-    return out
+    return (blocks[:, None, :] @ P.sphi)[:, 0, :]
 
 
 def pi_apply(P, v):
     """Projection onto the auxiliary space, returned as a broken field."""
     coeffs = pi_coeffs(P, v)
-    blocks = np.empty(P.coarse.element_nodes.shape, dtype=coeffs.dtype)
-    for j in range(P.n_elements):
-        blocks[j] = P.bases[j].vectors @ coeffs[j]
-    field = BrokenField(P.coarse, blocks)
+    field = BrokenField(P.coarse, (P.bases @ coeffs[:, :, None])[:, :, 0])
     field.coeffs = coeffs
     return field
 
 
 def pi_gram_correction(P):
     """Sparse C with v^T C w = s(pi v, pi w); rank = N*nbf."""
-    C = (P.factor @ P.factor.T).tocsr()
-    C.sum_duplicates()
-    return C
+    nodes = P.coarse.element_nodes
+    blocks = P.sphi @ P.sphi.transpose(0, 2, 1)  # S_j Phi_j Phi_j^T S_j
+    rows = np.broadcast_to(nodes[:, :, None], blocks.shape)
+    cols = np.broadcast_to(nodes[:, None, :], blocks.shape)
+    n = P.coarse.fine.n_nodes
+    return sp.csr_matrix((blocks.ravel(), (rows.ravel(), cols.ravel())), shape=(n, n))
 
 
 def pi_rhs(P, j, i):
     """Right-hand side functional of basis problem (j, i): S_j phi_j^i, zero-extended."""
-    return P.factor[:, [j * P.nbf + i]].toarray().ravel()
+    r = np.zeros(P.coarse.fine.n_nodes)
+    r[P.coarse.element_nodes[j]] = P.sphi[j, :, i]
+    return r
 
 
-def broken_s_norm_sq(P, v, elements=None):
-    """Sum of s_j-norms squared over (selected) elements.
+def broken_s_norm_sq(P, v):
+    """Sum of the s_j-norms squared over all elements.
 
     For a global nodal vector this equals the global s-norm squared; for a
     broken field the blocks are integrated element by element.
     """
-    blocks = _blocks_of(P, v)
-    idx = range(P.n_elements) if elements is None else elements
-    total = 0.0
-    for j in idx:
-        b = blocks[j]
-        total += float(np.real(np.vdot(b, P.s_locals[j] @ b)))
-    return total
+    b = _blocks_of(P, v).ravel()
+    return float(np.real(np.vdot(b, P.S @ b)))
 
 
 def dump_eigenvalues(P, path):
@@ -217,6 +186,6 @@ def dump_eigenvalues(P, path):
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["element", "index", "lambda"])
-        for b in P.bases:
-            for i, lam in enumerate(b.eigenvalues):
-                writer.writerow([b.element, i, repr(float(lam))])
+        for j, values in enumerate(P.eigenvalues):
+            for i, lam in enumerate(values):
+                writer.writerow([j, i, repr(float(lam))])

@@ -15,7 +15,6 @@ from cemhelm.assembly import (
     element_matrices,
     load_boundary,
     load_volume,
-    restrict,
 )
 from cemhelm.grid import build_coarse_grid, build_fine_grid, oversample
 from cemhelm.medium import constant_medium
@@ -225,22 +224,6 @@ def test_boundary_load_sparsity():
     assert np.abs(b[g.boundary_mask]).min() > 0.0
 
 
-def test_restrict_identity_and_projection():
-    g = build_fine_grid(4, 4)
-    med = constant_medium(4, 4, 1.0)
-    K = assemble_stiffness(g, med)
-    c = build_coarse_grid(g, 2)
-    full = oversample(c, 0, 2)
-    assert full.covers_domain
-    idx = full.free_nodes()
-    assert _maxabs(restrict(K, idx) - K) <= 1e-15
-
-    v = np.arange(g.n_nodes, dtype=float)
-    patch = oversample(c, 0, 0)
-    sub = restrict(v, patch.nodes)
-    assert np.array_equal(sub, v[patch.nodes])
-
-
 def test_restrict_single_element_stiffness():
     # index bookkeeping oracle: 2-cell-per-element grid, m=0 patch of K
     g = build_fine_grid(4, 4)
@@ -251,7 +234,7 @@ def test_restrict_single_element_stiffness():
     idx = patch.free_nodes(strict_zero_trace=True)
     # element 0 spans nodes (0..2) x (0..2); only node (1,1) is interior
     assert np.array_equal(idx, [g.node_index(1, 1)])
-    Kr = restrict(K, idx).toarray()
+    Kr = K[idx][:, idx].toarray()
     assert Kr.shape == (1, 1)
     assert Kr[0, 0] == pytest.approx(8.0 / 3.0)  # 4 cells x diagonal entry 2/3
 
@@ -295,3 +278,24 @@ def test_element_loads_interior_blocks_have_no_boundary_part():
     assert np.abs(blocks[center]).max() == 0.0
     corner = c.element_index(0, 0)
     assert np.abs(blocks[corner]).max() > 0.0
+
+
+def test_element_loads_match_per_element_assembly():
+    # oracle per element: the mass of its cells and the boundary mass of the
+    # outer edges it owns, sliced to its nodes (element_loads takes no medium)
+    from cemhelm.assembly import element_loads
+    from cemhelm.reference import robin_data_plane_wave
+
+    g = build_fine_grid(12, 12)
+    c = build_coarse_grid(g, 3)
+    rng = np.random.default_rng(5)
+    f = rng.normal(size=g.n_nodes) + 1j * rng.normal(size=g.n_nodes)
+    gd = robin_data_plane_wave(g, 3.0)
+    blocks = element_loads(g, c, f, gd)
+    assert blocks.shape == c.element_nodes.shape
+    for j in range(c.n_elements):
+        nodes, cells = c.element_nodes[j], c.element_cells[j]
+        expected = (assemble_mass(g, cells=cells) @ f)[nodes]
+        if c.touches_boundary[j]:
+            expected += assemble_boundary_mass(g, cells=cells, nodes=nodes) @ gd[nodes]
+        assert np.abs(blocks[j] - expected).max() <= 1e-14 * np.abs(expected).max()

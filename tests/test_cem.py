@@ -350,18 +350,20 @@ def _plane_wave_system(forms, P, m):
     return space, cem.assemble_coarse(space, forms, fine_load(spec))
 
 
-def test_sparse_coarse_branch_matches_dense(setup32):
+def test_sparse_coarse_branch_matches_dense(setup32, monkeypatch):
     g, c, forms, P = setup32
     space, system = _plane_wave_system(forms, P, 2)
     u_dense, c_dense = cem.solve_multiscale(system, space, forms=forms)
-    u_sparse, c_sparse = cem.solve_multiscale(system, space, forms=forms, dense_limit=0)
+    monkeypatch.setattr(cem, "DENSE_LIMIT", 0)
+    u_sparse, c_sparse = cem.solve_multiscale(system, space, forms=forms)
     assert np.linalg.norm(c_sparse - c_dense) <= 1e-10 * np.linalg.norm(c_dense)
     assert np.linalg.norm(u_sparse - u_dense) <= 1e-10 * np.linalg.norm(u_dense)
 
 
 @pytest.mark.parametrize("dense_limit", [2000, 0])
-def test_singular_coarse_system_raises(setup32, dense_limit):
+def test_singular_coarse_system_raises(setup32, dense_limit, monkeypatch):
     g, c, forms, P = setup32
+    monkeypatch.setattr(cem, "DENSE_LIMIT", dense_limit)
     space, system = _plane_wave_system(forms, P, 1)
     keep = np.ones(system.n)
     keep[3] = 0.0  # coarse dof 3 decoupled: zero row and column
@@ -370,7 +372,7 @@ def test_singular_coarse_system_raises(setup32, dense_limit):
     G.eliminate_zeros()
     singular = cem.CoarseSystem(G, system.b, system.nbf)
     with pytest.raises(SingularCoarseSystem, match="k\\*H/eps"):
-        cem.solve_multiscale(singular, space, forms=forms, dense_limit=dense_limit)
+        cem.solve_multiscale(singular, space, forms=forms)
 
 
 def _bmat_oracle(forms, P, idx, elements, rhs_cols, adjoint=False, extra_rhs=None):
@@ -379,9 +381,10 @@ def _bmat_oracle(forms, P, idx, elements, rhs_cols, adjoint=False, extra_rhs=Non
     if adjoint:
         B_loc = B_loc.conj()
     cols = (np.asarray(elements)[:, None] * P.nbf + np.arange(P.nbf)[None, :]).ravel()
-    U_loc = P.factor[:, cols].tocsr()[idx]
+    U = np.column_stack([spectral.pi_rhs(P, *divmod(q, P.nbf)) for q in cols])
+    U_loc = sp.csr_matrix(U[idx])
     A = sp.bmat([[B_loc, U_loc], [U_loc.T, -sp.identity(cols.size)]]).toarray()
-    R = P.factor[:, rhs_cols].tocsr()[idx].toarray()
+    R = np.column_stack([spectral.pi_rhs(P, *divmod(q, P.nbf)) for q in rhs_cols])[idx]
     if extra_rhs is not None:
         R = np.hstack([R, extra_rhs])
     rhs = np.vstack([R, np.zeros((cols.size, R.shape[1]))])

@@ -181,6 +181,14 @@ def test_main_error_exit_code(capsys):
     assert rc == 2
 
 
+def test_main_bad_input_exit_code(tmp_path, capsys):
+    # invalid values and config keys end with exit code 2, not a traceback
+    assert cli.main(["validate", "--m", "-1"]) == 2
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("bogus = 1\n")
+    assert cli.main(["run", "--config", str(cfg)]) == 2
+
+
 def test_main_gen_medium_and_reference(tmp_path, capsys):
     raster = tmp_path / "med.txt"
     rc = cli.main(

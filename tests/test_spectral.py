@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from cemhelm import spectral
-from cemhelm.assembly import assemble_boundary_mass, build_forms
+from cemhelm.assembly import (
+    assemble_boundary_mass,
+    assemble_stiffness,
+    assemble_weighted_mass,
+    build_forms,
+)
 from cemhelm.grid import build_coarse_grid, build_fine_grid
 from cemhelm.medium import constant_medium, synthesize_channels
 from cemhelm.metrics import s_norm
@@ -19,28 +25,42 @@ def make_setup(nx=8, NH=4, nbf=2, k=2.0, medium=None, trace_weight=0.0):
     return g, c, forms, P
 
 
+def _element_forms(g, medium, weights, c, j):
+    """Oracle element pair: global assembly over element j's cells, sliced to its nodes."""
+    nodes = c.element_nodes[j]
+    cells = c.element_cells[j]
+    K = assemble_stiffness(g, medium, cells=cells).toarray()[np.ix_(nodes, nodes)]
+    S = assemble_weighted_mass(g, weights, cells=cells).toarray()[np.ix_(nodes, nodes)]
+    return K, S, nodes
+
+
+def _s_block(P, j):
+    p = P.bases.shape[1]
+    return P.S[j * p:(j + 1) * p, j * p:(j + 1) * p].toarray()
+
+
 def test_constant_mode_has_zero_eigenvalue():
     _, c, _, P = make_setup()
-    for b in P.bases:
-        assert abs(b.eigenvalues[0]) <= 1e-10 * b.eigenvalues[1]
+    for lam, vectors in zip(P.eigenvalues, P.bases):
+        assert abs(lam[0]) <= 1e-10 * lam[1]
         # eigenvector of lambda=0 is the constant (up to sign and s-scaling)
-        v = b.vectors[:, 0]
+        v = vectors[:, 0]
         assert np.abs(v - v.mean()).max() <= 1e-9 * np.abs(v.mean())
 
 
 def test_constant_mode_high_contrast():
     med = synthesize_channels(16, 16, seed=3, contrast=1e-3, channel_count=4)
     _, _, _, P = make_setup(nx=16, NH=4, medium=med)
-    for b in P.bases:
-        assert abs(b.eigenvalues[0]) <= 1e-8
+    for lam in P.eigenvalues:
+        assert abs(lam[0]) <= 1e-8
 
 
 def test_requested_count_returned():
-    _, _, _, P = make_setup(nbf=4)
-    for b in P.bases:
-        assert b.eigenvalues.shape == (4,)
-        assert b.vectors.shape[1] == 4
-        assert np.all(np.diff(b.eigenvalues) >= -1e-12)
+    _, c, _, P = make_setup(nbf=4)
+    assert P.eigenvalues.shape == (c.n_elements, 4)
+    assert P.bases.shape == (c.n_elements, c.element_nodes.shape[1], 4)
+    for lam in P.eigenvalues:
+        assert np.all(np.diff(lam) >= -1e-12)
 
 
 def test_local_pairs_match_dense_full_spectrum_oracle():
@@ -48,15 +68,14 @@ def test_local_pairs_match_dense_full_spectrum_oracle():
     # Cholesky-reduction eigensolve (degenerate pairs compare as subspaces)
     g, c, forms, P = make_setup(nx=8, NH=4, nbf=3)
     for j in (0, 5, 15):
-        Kj, Sj, _ = spectral.local_forms(g, forms.medium, forms.weights, c, j)
-        K, S = Kj.toarray(), Sj.toarray()
+        K, S, _ = _element_forms(g, forms.medium, forms.weights, c, j)
         L = np.linalg.cholesky(S)
         Linv = np.linalg.inv(L)
         C = Linv @ K @ Linv.T
         w, Q = np.linalg.eigh((C + C.T) / 2.0)
         V = Linv.T @ Q
-        assert np.allclose(P.bases[j].eigenvalues, w[:3], atol=1e-10)
-        mine = P.bases[j].vectors
+        assert np.allclose(P.eigenvalues[j], w[:3], atol=1e-10)
+        mine = P.bases[j]
         proj_a = mine @ mine.T @ S
         proj_b = V[:, :3] @ V[:, :3].T @ S
         assert np.abs(proj_a - proj_b).max() <= 1e-9
@@ -64,15 +83,15 @@ def test_local_pairs_match_dense_full_spectrum_oracle():
 
 def test_s_orthonormality():
     _, _, _, P = make_setup(nbf=3)
-    for j, b in enumerate(P.bases):
-        G = b.vectors.T @ (P.s_locals[j] @ b.vectors)
+    for j, vectors in enumerate(P.bases):
+        G = vectors.T @ (_s_block(P, j) @ vectors)
         assert np.abs(G - np.eye(3)).max() <= 1e-10
 
 
 def test_pi_fixes_range():
     g, c, forms, P = make_setup()
     j = 5
-    v = spectral.BrokenField.zero_extension(c, j, P.bases[j].vectors[:, 1])
+    v = spectral.BrokenField.zero_extension(c, j, P.bases[j][:, 1])
     out = spectral.pi_apply(P, v)
     assert np.abs(out.blocks - v.blocks).max() <= 1e-10
 
@@ -117,9 +136,9 @@ def test_interpolation_bound():
     g, c, forms, P = make_setup(nx=8, NH=2, nbf=2)
     rng = np.random.default_rng(3)
     for j in range(c.n_elements):
-        Kj, Sj, nodes = spectral.local_forms(g, forms.medium, forms.weights, c, j)
-        lam_next = spectral.local_eigenbasis(j, Kj.toarray(), Sj.toarray(), 3).eigenvalues[2]
-        Phi = P.bases[j].vectors
+        Kj, Sj, nodes = _element_forms(g, forms.medium, forms.weights, c, j)
+        lam_next = sla.eigh(Kj, Sj, eigvals_only=True)[2]
+        Phi = P.bases[j]
         for _ in range(50):
             v = rng.normal(size=nodes.size)
             d = v - Phi @ (Phi.T @ (Sj @ v))
@@ -145,7 +164,7 @@ def test_gram_correction_zero_modes():
     P1 = spectral.build_projection(forms, 1)
     C = spectral.pi_gram_correction(P1)
     assert C.shape == (g.n_nodes, g.n_nodes)
-    F = P1.factor.toarray()
+    F = np.column_stack([spectral.pi_rhs(P1, j, 0) for j in range(c.n_elements)])
     assert np.abs(C.toarray() - F @ F.T).max() <= 1e-14
 
 
@@ -156,10 +175,10 @@ def test_pi_rhs_properties():
     outside = np.setdiff1d(np.arange(g.n_nodes), c.element_nodes[j])
     assert np.abs(r[outside]).max() == 0.0
     phi = np.zeros(g.n_nodes)
-    phi[c.element_nodes[j]] = P.bases[j].vectors[:, i]
+    phi[c.element_nodes[j]] = P.bases[j][:, i]
     assert r @ phi == pytest.approx(1.0, rel=1e-10)
     phi0 = np.zeros(g.n_nodes)
-    phi0[c.element_nodes[j]] = P.bases[j].vectors[:, 0]
+    phi0[c.element_nodes[j]] = P.bases[j][:, 0]
     assert abs(r @ phi0) <= 1e-10
 
 
@@ -167,8 +186,8 @@ def test_subspace_determinism_under_sign_flips():
     g, c, forms, P = make_setup(nbf=2)
     P2 = spectral.build_projection(forms, 2, trace_weight=0.0)
     for j in range(c.n_elements):
-        a, b = P.bases[j].vectors, P2.bases[j].vectors
-        S = P.s_locals[j].toarray()
+        a, b = P.bases[j], P2.bases[j]
+        S = _s_block(P, j)
         pa = a @ a.T @ S
         pb = b @ b.T @ S
         assert np.abs(pa - pb).max() <= 1e-9
@@ -187,7 +206,7 @@ def test_trace_weight_changes_only_boundary_elements():
     g, c, forms, P0 = make_setup(nx=16, NH=4, nbf=3)
     P1 = spectral.build_projection(forms, 3, trace_weight=-1.0)  # auto trace term
     for j in range(c.n_elements):
-        same = np.allclose(P1.bases[j].eigenvalues, P0.bases[j].eigenvalues, rtol=1e-12)
+        same = np.allclose(P1.eigenvalues[j], P0.eigenvalues[j], rtol=1e-12)
         if c.touches_boundary[j]:
             assert not same
         else:
@@ -213,15 +232,15 @@ def test_trace_weighted_projection_keeps_identities():
 def test_trace_weighted_constant_mode_still_zero():
     g, c, forms, _ = make_setup(nx=16, NH=4, nbf=2)
     P = spectral.build_projection(forms, 2, trace_weight=-1.0)
-    for b in P.bases:
-        assert abs(b.eigenvalues[0]) <= 1e-10 * max(b.eigenvalues[1], 1e-30)
+    for lam in P.eigenvalues:
+        assert abs(lam[0]) <= 1e-10 * max(lam[1], 1e-30)
 
 
 def _trace_blocks(forms, gamma):
     """Per-element trace term of the auxiliary form, (S_j(gamma) - S_j(0)) / gamma."""
     P0 = spectral.build_projection(forms, 2, trace_weight=0.0)
     P1 = spectral.build_projection(forms, 2, trace_weight=gamma)
-    return [(P1.s_locals[j] - P0.s_locals[j]).toarray() / gamma
+    return [(_s_block(P1, j) - _s_block(P0, j)) / gamma
             for j in range(forms.coarse.n_elements)]
 
 
@@ -248,3 +267,21 @@ def test_trace_block_weighs_own_boundary_length():
         I, J = c.element_ij(j)
         sides = (I == 0) + (I == c.NH - 1) + (J == 0) + (J == c.NH - 1)
         assert block.sum() == pytest.approx(sides * c.H, rel=1e-12, abs=1e-14)
+
+
+def test_stacked_projection_matches_per_element_oracle():
+    # stiff channels with the trace term: each element's eigenvalues and
+    # S_j Phi_j against a per-element assembly and eigensolve
+    med = synthesize_channels(16, 16, seed=3, contrast=1e-3, channel_count=4)
+    g, c, forms, P = make_setup(nx=16, NH=4, nbf=3, medium=med, trace_weight=-1.0)
+    gamma = spectral.TRACE_WEIGHT_SCALE / c.H**2
+    assert len(P.bases) == c.n_elements
+    for j in range(c.n_elements):
+        K, S, nodes = _element_forms(g, med, forms.weights, c, j)
+        if c.touches_boundary[j]:
+            Mb = assemble_boundary_mass(g, med, cells=c.element_cells[j], nodes=nodes)
+            S = S + gamma * Mb.toarray()
+        w, V = sla.eigh(K, S)
+        assert np.abs(P.eigenvalues[j] - w[:3]).max() <= 1e-12 * w[2]
+        ref = S @ V[:, :3]
+        assert np.abs(P.sphi[j] - ref).max() <= 1e-12 * np.abs(ref).max()
