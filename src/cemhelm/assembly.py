@@ -26,6 +26,7 @@ __all__ = [
     "element_stencil",
     "element_triplets",
     "element_blocks",
+    "element_boundary_triplets",
     "DiscreteForms",
     "build_forms",
 ]
@@ -101,46 +102,63 @@ def assemble_boundary_mass(grid, coeff=None, cells=None, nodes=None):
     coarse element add up to the full matrix; `nodes` renumbers onto a
     sorted node subset that holds every node of the kept edges.
     """
-    nx, ny = grid.nx, grid.ny
-    w = nx + 1
     c = None if coeff is None else np.asarray(getattr(coeff, "values", coeff), dtype=float)
-    bottom = (np.arange(nx), np.arange(nx))  # (edge start node, owning cell)
-    top = (ny * w + np.arange(nx), (ny - 1) * nx + np.arange(nx))
-    left = (np.arange(ny) * w, np.arange(ny) * nx)
-    right = (np.arange(ny) * w + nx, np.arange(ny) * nx + nx - 1)
-
-    rows, cols, vals = [], [], []
-    for (starts, owners), step, h in (
-        (bottom, 1, grid.hx),
-        (top, 1, grid.hx),
-        (left, w, grid.hy),
-        (right, w, grid.hy),
-    ):
-        if cells is not None:
-            keep = np.isin(owners, cells)
-            starts, owners = starts[keep], owners[keep]
-        n0, n1 = starts, starts + step
-        local = element_boundary_matrix(h)
-        weight = np.ones(starts.shape) if c is None else c[owners]
-        for a, b, v in (
-            (n0, n0, local[0, 0]),
-            (n0, n1, local[0, 1]),
-            (n1, n0, local[1, 0]),
-            (n1, n1, local[1, 1]),
-        ):
-            rows.append(a)
-            cols.append(b)
-            vals.append(weight * v)
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
+    n0, n1, owners, h = _outer_edges(grid)
+    if cells is not None:
+        keep = np.isin(owners, cells)
+        n0, n1, owners, h = n0[keep], n1[keep], owners[keep], h[keep]
+    rows, cols, vals = _edge_triplets(n0, n1, h, None if c is None else c[owners])
     if nodes is None:
         size = grid.n_nodes
     else:
         rows = np.searchsorted(nodes, rows)
         cols = np.searchsorted(nodes, cols)
         size = len(nodes)
-    A = sp.coo_matrix((np.concatenate(vals), (rows, cols)), shape=(size, size))
+    A = sp.coo_matrix((vals, (rows, cols)), shape=(size, size))
     return A.tocsr()
+
+
+def _outer_edges(grid):
+    """Start node, end node, owning cell and length of every outer edge
+    (bottom, top, left, right; an edge belongs to the cell it borders)."""
+    nx, ny = grid.nx, grid.ny
+    w = nx + 1
+    i, j = np.arange(nx), np.arange(ny)
+    starts = np.concatenate([i, ny * w + i, j * w, j * w + nx])
+    owners = np.concatenate([i, (ny - 1) * nx + i, j * nx, j * nx + nx - 1])
+    counts = [nx, nx, ny, ny]
+    step = np.repeat([1, 1, w, w], counts)
+    h = np.repeat([grid.hx, grid.hx, grid.hy, grid.hy], counts)
+    return starts, starts + step, owners, h
+
+
+def _edge_triplets(n0, n1, h, weight=None):
+    """COO triplets of the line-element masses (times `weight`) of edges n0 -> n1."""
+    d, o = h / 6.0 * 2.0, h / 6.0 * 1.0  # entries of element_boundary_matrix(h)
+    if weight is not None:
+        d, o = weight * d, weight * o
+    rows = np.concatenate([n0, n0, n1, n1])
+    cols = np.concatenate([n0, n1, n0, n1])
+    return rows, cols, np.concatenate([d, o, o, d])
+
+
+def element_boundary_triplets(grid, coarse, coeff=None):
+    """COO triplets, in broken numbering, of every coarse element's boundary mass.
+
+    Element e keeps the outer edges owned by its cells (the rule of
+    `assemble_boundary_mass(cells=...)`), weighted by `coeff` of the owning
+    cell when given; node a of element e is the broken row e*p + a.
+    """
+    n0, n1, owners, h = _outer_edges(grid)
+    c = None if coeff is None else np.asarray(getattr(coeff, "values", coeff), dtype=float)
+    r, w = coarse.ratio, grid.nx + 1
+    I, J = (owners % grid.nx) // r, (owners // grid.nx) // r
+    base = (J * coarse.NH + I) * (r + 1) ** 2
+
+    def broken(node):
+        return base + (node // w - J * r) * (r + 1) + node % w - I * r
+
+    return _edge_triplets(broken(n0), broken(n1), h, None if c is None else c[owners])
 
 
 def assemble_B(grid, medium, k, K=None, M=None, Mb=None):
@@ -200,7 +218,8 @@ def element_loads(grid, coarse, f_nodal, g_nodal):
     outer boundary (edge ownership follows the adjacent cell), so the
     blocks scatter-add back to the full load vector exactly.  All elements
     share one (p, p) mass M_loc, so the volume parts are the one product
-    f[element_nodes] @ M_loc; boundary elements add their edges' part.
+    f[element_nodes] @ M_loc; the boundary parts of all elements are one
+    product with the broken boundary mass of `element_boundary_triplets`.
     """
     f_nodal = np.asarray(f_nodal)
     g_nodal = np.asarray(g_nodal)
@@ -210,10 +229,9 @@ def element_loads(grid, coarse, f_nodal, g_nodal):
     _, Me = _rect_element(grid.hx, grid.hy)
     M_loc = element_blocks(*element_triplets(stencil, Me, np.ones((1, len(stencil)))), 1, p)[0]
     blocks = f_nodal[coarse.element_nodes].astype(dtype, copy=False) @ M_loc
-    for j in np.flatnonzero(coarse.touches_boundary):
-        nodes = coarse.element_nodes[j]
-        Mbj = assemble_boundary_mass(grid, cells=coarse.element_cells[j], nodes=nodes)
-        blocks[j] += Mbj @ g_nodal[nodes]
+    rows, cols, vals = element_boundary_triplets(grid, coarse)
+    Mb = sp.csr_matrix((vals, (rows, cols)), shape=(blocks.size, blocks.size))
+    blocks += (Mb @ g_nodal[coarse.element_nodes].ravel()).reshape(blocks.shape)
     return blocks
 
 

@@ -35,10 +35,24 @@ the patch-truncation level.  The published Model-1 error levels are met
 without q: the corrector-free solve with the trace-weighted auxiliary form
 (see spectral.build_projection) reproduces them, while the corrector lands
 far below them.
+
+The trial vectors depend on the medium, k, the coarse grid, the projection
+and m, never on the data, so `build_space` splits into an offline and an
+online part.  The first call for a key (the forms object by identity, m,
+strict_zero_trace) factorizes every patch once and solves its nbf trial
+columns and, with load blocks, its data column together; the trial matrix
+is then kept, read-only, in a single-entry cache on the projection P (it
+dies with P), and `assemble_coarse` adds G = Psi^T B Psi to the entry the
+first time it forms it.  Later calls for the same key solve no trial
+column: the corrector is solved only on the patches whose element load
+block has a nonzero entry, one factorization and one right-hand side each.
+Skipping the other patches is exact, as the data column of a zero block is
+exactly zero; `assemble_coarse` reuses G and forms only Psi^T (b - B q).
 """
 
 import csv
-from dataclasses import dataclass
+import weakref
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -145,17 +159,32 @@ def _bordered_solve(forms, P, idx, elements, rhs_cols, adjoint=False,
     return sol[:n_free]
 
 
-def local_cem_solve(j, m, forms, P, strict_zero_trace=False, adjoint=False):
-    """All nbf trial vectors of element j on its m-layer patch, zero-extended."""
+def _patch_solve(forms, P, j, m, strict_zero_trace, rhs_cols, block=None, adjoint=False):
+    """Bordered solve on element j's m-layer patch for the trial columns
+    `rhs_cols` and, with `block` (element j's load block), the data column
+    after them.  Returns the patch's free rows, its solutions and the patch."""
     patch = oversample(forms.coarse, j, m)
-    idx = patch.free_nodes(strict_zero_trace)
-    rhs_cols = _border_columns(P, [j])
+    rows = patch.free_nodes(strict_zero_trace)
+    extra = None
+    if block is not None:
+        extra = np.zeros(forms.grid.n_nodes, dtype=complex)
+        extra[forms.coarse.element_nodes[j]] = block
+        extra = extra[rows][:, None]
     try:
-        vals = _bordered_solve(forms, P, idx, patch.elements, rhs_cols, adjoint=adjoint)
+        vals = _bordered_solve(forms, P, rows, patch.elements, rhs_cols,
+                               adjoint=adjoint, extra_rhs=extra)
     except SingularLocalSystem as exc:
         raise SingularLocalSystem(f"element {j}, m={m}: {exc}") from exc
+    return rows, vals, patch
+
+
+def local_cem_solve(j, m, forms, P, strict_zero_trace=False, adjoint=False):
+    """All nbf trial vectors of element j on its m-layer patch, zero-extended."""
+    rows, vals, patch = _patch_solve(
+        forms, P, j, m, strict_zero_trace, _border_columns(P, [j]), adjoint=adjoint
+    )
     psi = np.zeros((forms.grid.n_nodes, P.nbf), dtype=complex)
-    psi[idx] = vals
+    psi[rows] = vals
     return psi, patch
 
 
@@ -170,7 +199,10 @@ class MultiscaleSpace:
     """Trial vectors as columns of a sparse matrix, column p = j*nbf + i.
 
     `corrector` is the summed localized data solve (None when the space was
-    built without load blocks)."""
+    built without load blocks).  Spaces that `build_space` returns for one
+    (forms, P, m, strict_zero_trace) share one read-only trial matrix; each
+    has its own corrector.
+    """
 
     trial: sp.csc_matrix
     coarse: object
@@ -178,6 +210,8 @@ class MultiscaleSpace:
     nbf: int
     strict_zero_trace: bool = False
     corrector: np.ndarray = None
+    # weak reference to the offline entry the trial came from (build_space)
+    _offline: object = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def test(self):
@@ -194,30 +228,45 @@ class MultiscaleSpace:
         return self.trial[:, [self.index(j, i)]].toarray().ravel()
 
 
-def build_space(forms, P, m, strict_zero_trace=False, load_blocks=None):
-    """Trial space of all N*nbf localized basis vectors (deterministic order).
+def _read_only(A):
+    """Freeze the arrays of a canonical CSR/CSC matrix; returns A."""
+    A.sum_duplicates()  # settles the format flags, so no later call sorts in place
+    for arr in (A.data, A.indices, A.indptr):
+        arr.flags.writeable = False
+    return A
 
-    With `load_blocks` (per-element data loads, see assembly.element_loads)
-    each patch factorization also solves that element's data problem; the
-    summed result becomes the space's localized corrector.
+
+class _Offline:
+    """The data-independent part of `build_space` for one key: the trial
+    matrix and, once `assemble_coarse` has formed it, G = Psi^T B Psi.
+
+    Key: the forms object (by identity, held weakly), m, strict_zero_trace.
     """
+
+    def __init__(self, forms, m, strict_zero_trace, trial):
+        self.forms = weakref.ref(forms)
+        self.m = m
+        self.strict_zero_trace = strict_zero_trace
+        self.trial = _read_only(trial)
+        self.G = None
+
+    def serves(self, forms, m, strict_zero_trace):
+        return (self.forms() is forms and self.m == m
+                and self.strict_zero_trace == strict_zero_trace)
+
+
+def _build_trial(forms, P, m, strict_zero_trace, load_blocks):
+    """Offline build: every patch's trial columns, and its data column when
+    `load_blocks` is given, from one factorization per patch."""
     coarse = forms.coarse
     n = forms.grid.n_nodes
     data, indices, indptr = [], [], [0]
     corrector = None if load_blocks is None else np.zeros(n, dtype=complex)
     for j in range(coarse.n_elements):
-        patch = oversample(coarse, j, m)
-        rows = patch.free_nodes(strict_zero_trace)
-        rhs_cols = _border_columns(P, [j])
-        extra = None
-        if load_blocks is not None:
-            extra = np.zeros(n, dtype=complex)
-            extra[coarse.element_nodes[j]] = load_blocks[j]
-            extra = extra[rows][:, None]
-        try:
-            vals = _bordered_solve(forms, P, rows, patch.elements, rhs_cols, extra_rhs=extra)
-        except SingularLocalSystem as exc:
-            raise SingularLocalSystem(f"element {j}, m={m}: {exc}") from exc
+        block = None if load_blocks is None else load_blocks[j]
+        rows, vals, _ = _patch_solve(
+            forms, P, j, m, strict_zero_trace, _border_columns(P, [j]), block
+        )
         for i in range(P.nbf):
             data.append(vals[:, i])
             indices.append(rows)
@@ -228,7 +277,43 @@ def build_space(forms, P, m, strict_zero_trace=False, load_blocks=None):
         (np.concatenate(data), np.concatenate(indices), np.array(indptr)),
         shape=(n, coarse.n_elements * P.nbf),
     )
-    return MultiscaleSpace(trial, coarse, m, P.nbf, strict_zero_trace, corrector)
+    return trial, corrector
+
+
+def _online_corrector(forms, P, m, strict_zero_trace, load_blocks):
+    """Online build: the data column alone, on the patches of the elements
+    whose load block has a nonzero entry (a zero block has a zero solution)."""
+    corrector = np.zeros(forms.grid.n_nodes, dtype=complex)
+    no_trial = np.zeros(0, dtype=int)
+    for j in np.flatnonzero(np.any(load_blocks != 0, axis=1)):
+        rows, vals, _ = _patch_solve(
+            forms, P, j, m, strict_zero_trace, no_trial, load_blocks[j]
+        )
+        corrector[rows] += vals[:, 0]
+    return corrector
+
+
+def build_space(forms, P, m, strict_zero_trace=False, load_blocks=None):
+    """Trial space of all N*nbf localized basis vectors (deterministic order).
+
+    With `load_blocks` (per-element data loads, see assembly.element_loads)
+    the space also carries the summed localized data solve as its
+    corrector.  The trial matrix does not depend on the data: it is built
+    once per (forms, P, m, strict_zero_trace) and kept on P, and later calls
+    solve only the loaded patches (see the module docstring).
+    """
+    entry = P.space_cache
+    if entry is not None and entry.serves(forms, m, strict_zero_trace):
+        corrector = None
+        if load_blocks is not None:
+            corrector = _online_corrector(forms, P, m, strict_zero_trace, np.asarray(load_blocks))
+    else:
+        P.space_cache = None  # free the previous entry before building the next
+        trial, corrector = _build_trial(forms, P, m, strict_zero_trace, load_blocks)
+        entry = P.space_cache = _Offline(forms, m, strict_zero_trace, trial)
+    space = MultiscaleSpace(entry.trial, forms.coarse, m, P.nbf, strict_zero_trace, corrector)
+    space._offline = weakref.ref(entry)
+    return space
 
 
 def _global_free_nodes(forms, strict_zero_trace):
@@ -291,7 +376,9 @@ def assemble_coarse(space, forms, loads):
 
     With psi*_p = conj(psi_p) the pairing collapses to psi_p^T B psi_q, so
     G = Psi^T B Psi is complex symmetric; the rhs is Psi^T (fine loads),
-    minus Psi^T B q when the space carries a data corrector q.
+    minus Psi^T B q when the space carries a data corrector q.  G depends on
+    the trial matrix and B alone, so it is formed once per offline entry of
+    `build_space` and shared, read-only, by the systems of later calls.
     """
     loads = np.asarray(loads)
     if loads.shape[0] != space.trial.shape[0]:
@@ -301,7 +388,14 @@ def assemble_coarse(space, forms, loads):
     rhs_fine = loads.astype(complex)
     if space.corrector is not None:
         rhs_fine = rhs_fine - forms.B @ space.corrector
-    G = (space.trial.T @ (forms.B @ space.trial)).tocsr()
+    entry = None if space._offline is None else space._offline()
+    shared = entry is not None and entry.trial is space.trial and entry.forms() is forms
+    if shared and entry.G is not None:
+        G = entry.G
+    else:
+        G = (space.trial.T @ (forms.B @ space.trial)).tocsr()
+        if shared:
+            entry.G = _read_only(G)
     b = space.trial.T @ rhs_fine
     return CoarseSystem(G, np.asarray(b).ravel(), space.nbf)
 

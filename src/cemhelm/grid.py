@@ -116,29 +116,27 @@ class Patch:
         self.J_range = (J_lo, J_hi)
 
         NH = coarse.NH
-        I, J = np.meshgrid(np.arange(I_lo, I_hi + 1), np.arange(J_lo, J_hi + 1))
-        self.elements = (J.ravel() * NH + I.ravel()).astype(np.int64)
+        self.elements = (
+            np.arange(J_lo, J_hi + 1)[:, None] * NH + np.arange(I_lo, I_hi + 1)[None, :]
+        ).ravel().astype(np.int64)
 
         r = coarse.ratio
         fine = coarse.fine
         ci = np.arange(I_lo * r, (I_hi + 1) * r)
         cj = np.arange(J_lo * r, (J_hi + 1) * r)
-        CI, CJ = np.meshgrid(ci, cj)
-        self.cells = (CJ.ravel() * fine.nx + CI.ravel()).astype(np.int64)
+        self.cells = (cj[:, None] * fine.nx + ci[None, :]).ravel().astype(np.int64)
 
         ni = np.arange(I_lo * r, (I_hi + 1) * r + 1)
         nj = np.arange(J_lo * r, (J_hi + 1) * r + 1)
-        NI, NJ = np.meshgrid(ni, nj)
-        self.nodes = (NJ.ravel() * (fine.nx + 1) + NI.ravel()).astype(np.int64)
+        self.nodes = (nj[:, None] * (fine.nx + 1) + ni[None, :]).ravel().astype(np.int64)
 
-        on_patch_bnd = (
-            (NI == ni[0]) | (NI == ni[-1]) | (NJ == nj[0]) | (NJ == nj[-1])
+        rim = np.zeros((nj.size, ni.size), dtype=bool)
+        rim[[0, -1], :] = True
+        rim[:, [0, -1]] = True
+        self.on_patch_boundary = rim.ravel()
+        self.on_domain_boundary = (
+            ((nj == 0) | (nj == fine.ny))[:, None] | ((ni == 0) | (ni == fine.nx))[None, :]
         ).ravel()
-        on_domain_bnd = (
-            (NI == 0) | (NI == fine.nx) | (NJ == 0) | (NJ == fine.ny)
-        ).ravel()
-        self.on_patch_boundary = on_patch_bnd
-        self.on_domain_boundary = on_domain_bnd
 
     def free_nodes(self, strict_zero_trace=False):
         if strict_zero_trace:

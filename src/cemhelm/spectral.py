@@ -39,8 +39,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import kernels
-from .assembly import assemble_boundary_mass, element_matrices
-from .assembly import element_blocks, element_stencil, element_triplets
+from .assembly import element_blocks, element_boundary_triplets, element_matrices
+from .assembly import element_stencil, element_triplets
 
 TRACE_WEIGHT_SCALE = 96.0  # default gamma = 96 / H^2, times the local coefficient
 
@@ -63,7 +63,8 @@ class ProjectionOperator:
     eigenvalues (N, nbf) ascend per element; bases (N, p, nbf) holds the
     s_j-orthonormal eigenvectors Phi_j on element j's nodes; sphi (N, p, nbf)
     holds S_j Phi_j; S is the block-diagonal (N*p, N*p) CSR matrix of the
-    element forms S_j in broken numbering.
+    element forms S_j in broken numbering.  space_cache holds the trial space
+    `cem.build_space` last built on this projection (single entry).
     """
 
     def __init__(self, coarse, eigenvalues, bases, sphi, S):
@@ -73,6 +74,7 @@ class ProjectionOperator:
         self.sphi = sphi
         self.S = S
         self.nbf = bases.shape[2]
+        self.space_cache = None
 
 
 def build_projection(forms, nbf, trace_weight=0.0):
@@ -93,11 +95,8 @@ def build_projection(forms, nbf, trace_weight=0.0):
     K = element_blocks(*element_triplets(stencil, Ke, forms.medium.values[cells]), N, p)
     parts = [element_triplets(stencil, Me, forms.weights.values[cells])]
     if trace_weight:
-        for j in np.flatnonzero(coarse.touches_boundary):
-            Mbj = assemble_boundary_mass(
-                grid, forms.medium, cells=cells[j], nodes=coarse.element_nodes[j]
-            ).tocoo()
-            parts.append((j * p + Mbj.row, j * p + Mbj.col, trace_weight * Mbj.data))
+        rows, cols, vals = element_boundary_triplets(grid, coarse, forms.medium)
+        parts.append((rows, cols, trace_weight * vals))
     rows, cols, vals = (np.concatenate(t) for t in zip(*parts))
     S_blocks = element_blocks(rows, cols, vals, N, p)
     eigenvalues = np.empty((N, nbf))

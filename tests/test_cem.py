@@ -1,9 +1,12 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from cemhelm import cem, spectral
-from cemhelm.assembly import build_forms
+from cemhelm import cem, kernels, spectral
+from cemhelm.assembly import build_forms, element_loads
 from cemhelm.errors import (
     DimensionMismatch,
     SingularCoarseSystem,
@@ -167,9 +170,12 @@ def test_global_basis_residual_identity():
 
 
 def test_space_rebuild_bitwise_identical(setup32):
+    # a second build on the same P shares the first one's trial, so the
+    # rebuild runs on a fresh projection of the same forms
     g, c, forms, P = setup32
     s1 = cem.build_space(forms, P, 2)
-    s2 = cem.build_space(forms, P, 2)
+    s2 = cem.build_space(forms, spectral.build_projection(forms, P.nbf), 2)
+    assert s1.trial is not s2.trial
     assert np.array_equal(s1.trial.data, s2.trial.data)
     assert np.array_equal(s1.trial.indices, s2.trial.indices)
 
@@ -428,3 +434,149 @@ def test_global_bordered_assembly_matches_bmat_oracle(channel_setup):
     )
     ref = _bmat_oracle(forms, P, idx, elements, cols, extra_rhs=corrector_rhs)
     assert np.abs(vals - ref).max() <= 1e-10 * np.abs(ref).max()
+
+
+# --- offline/online split: one trial space per (forms, P, m, strict_zero_trace)
+
+
+def _bump_source(g, center, width=0.08):
+    xy = g.node_coords
+    r2 = ((xy - np.asarray(center)) ** 2).sum(axis=1)
+    return np.where(r2 < width**2, 1.0 + 0.5j, 0.0).astype(complex)
+
+
+def _three_calls(forms, P, m, f, gd):
+    blocks = element_loads(forms.grid, forms.coarse, f, gd)
+    space = cem.build_space(forms, P, m, load_blocks=blocks)
+    system = cem.assemble_coarse(space, forms, forms.M @ f + forms.Mb @ gd)
+    u, _ = cem.solve_multiscale(system, space, forms=forms)
+    return space, system, u
+
+
+@pytest.fixture
+def counted_factorize(monkeypatch):
+    calls = []
+    factorize = kernels.factorize
+
+    def counting(A):
+        calls.append(A.shape[0])
+        return factorize(A)
+
+    monkeypatch.setattr(kernels, "factorize", counting)
+    return calls
+
+
+def _rel(a, b):
+    return np.abs(a - b).max() / np.abs(b).max()
+
+
+@pytest.mark.parametrize("second", ["bump", "plane-wave"])
+def test_cached_space_matches_fresh_projection(channel_setup, second):
+    g, c, forms, P = channel_setup
+    zero = np.zeros(g.n_nodes, dtype=complex)
+    _three_calls(forms, P, 1, _bump_source(g, (0.3, 0.6)), zero)  # fills the cache
+    f, gd = _bump_source(g, (0.7, 0.4)), zero
+    if second == "plane-wave":
+        f, gd = zero, robin_data_plane_wave(g, forms.k)
+    cached = _three_calls(forms, P, 1, f, gd)
+    fresh = _three_calls(forms, spectral.build_projection(forms, P.nbf), 1, f, gd)
+    assert cached[0].trial is P.space_cache.trial
+    assert _rel(cached[0].corrector, fresh[0].corrector) <= 1e-12
+    assert _rel(cached[1].G.toarray(), fresh[1].G.toarray()) <= 1e-12
+    assert _rel(cached[1].b, fresh[1].b) <= 1e-12
+    assert _rel(cached[2], fresh[2]) <= 1e-12
+
+
+def test_cached_call_factors_only_loaded_patches(counted_factorize):
+    g, c, forms, P = make_setup(nx=24, NH=6, nbf=3)
+    zero = np.zeros(g.n_nodes, dtype=complex)
+    _three_calls(forms, P, 1, _bump_source(g, (0.2, 0.2)), zero)
+    assert len(counted_factorize) == c.n_elements
+    f = _bump_source(g, (0.58, 0.41))
+    loaded = np.any(element_loads(g, c, f, zero) != 0, axis=1).sum()
+    assert 0 < loaded < c.n_elements
+    del counted_factorize[:]
+    space, _, _ = _three_calls(forms, P, 1, f, zero)
+    # the loaded patches only; the coarse system is small, so solved densely
+    assert len(counted_factorize) == loaded
+    assert np.abs(space.corrector).max() > 0.0
+
+
+def test_cached_zero_load_gives_zero_corrector_without_factorization(counted_factorize):
+    g, c, forms, P = make_setup(nx=16, NH=4, nbf=2)
+    blocks = np.zeros(c.element_nodes.shape, dtype=complex)
+    cem.build_space(forms, P, 1, load_blocks=blocks)
+    del counted_factorize[:]
+    space = cem.build_space(forms, P, 1, load_blocks=blocks)
+    assert counted_factorize == []
+    assert space.corrector.shape == (g.n_nodes,)
+    assert np.abs(space.corrector).max() == 0.0
+
+
+def test_changed_key_rebuilds_space(counted_factorize):
+    g, c, forms, P = make_setup(nx=16, NH=4, nbf=2)
+    first = cem.build_space(forms, P, 1)
+    same_inputs = build_forms(g, c, forms.medium, forms.k)
+    for forms_, m, strict in ((forms, 2, False), (forms, 2, True), (same_inputs, 2, True)):
+        del counted_factorize[:]
+        space = cem.build_space(forms_, P, m, strict)
+        assert len(counted_factorize) == c.n_elements
+        assert space.trial is not first.trial
+        assert P.space_cache.serves(forms_, m, strict)
+        first = space
+    del counted_factorize[:]
+    assert cem.build_space(same_inputs, P, 2, True).trial is first.trial
+    assert counted_factorize == []
+
+
+def test_kept_coarse_matrix_only_for_the_space_forms():
+    # G is kept for the forms the space was built with; other forms get their own
+    g, c, forms, P = make_setup(nx=16, NH=4, nbf=2)
+    other = build_forms(g, c, forms.medium, forms.k + 1.0)
+    space = cem.build_space(forms, P, 1)
+    loads = np.ones(g.n_nodes, dtype=complex)
+    kept = cem.assemble_coarse(space, forms, loads).G
+    G = cem.assemble_coarse(space, other, loads).G
+    ref = (space.trial.T @ (other.B @ space.trial)).toarray()
+    assert G is not kept
+    assert np.abs(G.toarray() - ref).max() <= 1e-12 * np.abs(ref).max()
+    assert cem.assemble_coarse(space, forms, loads).G is kept
+
+
+def test_spaces_from_one_cache_keep_independent_correctors():
+    g, c, forms, P = make_setup(nx=16, NH=4, nbf=2)
+    zero = np.zeros(g.n_nodes, dtype=complex)
+    s1, sys1, _ = _three_calls(forms, P, 1, _bump_source(g, (0.3, 0.3), 0.2), zero)
+    q1 = s1.corrector.copy()
+    s2, sys2, _ = _three_calls(forms, P, 1, _bump_source(g, (0.7, 0.7), 0.2), zero)
+    assert s1 is not s2 and s1.trial is s2.trial and sys1.G is sys2.G
+    assert s1.corrector is not s2.corrector
+    assert np.array_equal(s1.corrector, q1)
+    assert np.abs(s2.corrector - q1).max() > 0.0
+    s2.corrector[:] = 0.0
+    assert np.array_equal(s1.corrector, q1)
+
+
+def test_shared_trial_and_coarse_matrix_are_read_only(setup32):
+    g, c, forms, P = setup32
+    space = cem.build_space(forms, P, 1)
+    system = cem.assemble_coarse(space, forms, np.ones(g.n_nodes, dtype=complex))
+    for A in (space.trial, system.G):
+        for arr in (A.data, A.indices, A.indptr):
+            with pytest.raises(ValueError):
+                arr[0] = arr[0]
+    assert cem.build_space(forms, P, 1).trial is space.trial
+
+
+def test_cache_entry_released_with_projection():
+    g, c, forms, P = make_setup(nx=16, NH=4, nbf=2)
+    space = cem.build_space(forms, P, 1)
+    cem.assemble_coarse(space, forms, np.ones(g.n_nodes, dtype=complex))
+    entry = weakref.ref(P.space_cache)
+    G = weakref.ref(P.space_cache.G)
+    del P
+    gc.collect()
+    assert entry() is None and G() is None
+    # a space that outlives its projection still assembles its coarse system
+    system = cem.assemble_coarse(space, forms, np.ones(g.n_nodes, dtype=complex))
+    assert system.G.shape == (space.n_basis, space.n_basis)

@@ -146,3 +146,34 @@ def test_invalid_element():
         oversample(c, 99, 1)
     with pytest.raises(InvalidElement):
         oversample(c, 0, -1)
+
+
+def _meshgrid_patch(coarse, I_lo, I_hi, J_lo, J_hi):
+    # reference construction: index grids of elements, cells and nodes
+    r, fine = coarse.ratio, coarse.fine
+    I, J = np.meshgrid(np.arange(I_lo, I_hi + 1), np.arange(J_lo, J_hi + 1))
+    elements = J.ravel() * coarse.NH + I.ravel()
+    CI, CJ = np.meshgrid(np.arange(I_lo * r, (I_hi + 1) * r), np.arange(J_lo * r, (J_hi + 1) * r))
+    cells = CJ.ravel() * fine.nx + CI.ravel()
+    ni = np.arange(I_lo * r, (I_hi + 1) * r + 1)
+    nj = np.arange(J_lo * r, (J_hi + 1) * r + 1)
+    NI, NJ = np.meshgrid(ni, nj)
+    nodes = NJ.ravel() * (fine.nx + 1) + NI.ravel()
+    on_patch = ((NI == ni[0]) | (NI == ni[-1]) | (NJ == nj[0]) | (NJ == nj[-1])).ravel()
+    on_domain = ((NI == 0) | (NI == fine.nx) | (NJ == 0) | (NJ == fine.ny)).ravel()
+    return elements, cells, nodes, on_patch, on_domain
+
+
+@pytest.mark.parametrize("nx, NH, m", [(12, 1, 0), (12, 3, 1), (16, 4, 2), (20, 5, 1), (24, 6, 3)])
+def test_patch_fields_match_meshgrid_construction(nx, NH, m):
+    c = build_coarse_grid(build_fine_grid(nx, nx), NH)
+    for j in range(c.n_elements):
+        p = oversample(c, j, m)
+        ref = _meshgrid_patch(c, *p.I_range, *p.J_range)
+        for got, want in zip(
+            (p.elements, p.cells, p.nodes, p.on_patch_boundary, p.on_domain_boundary), ref
+        ):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        for strict in (False, True):
+            constrained = ref[3] if strict else ref[3] & ~ref[4]
+            assert np.array_equal(p.free_nodes(strict), ref[2][~constrained])
