@@ -246,7 +246,6 @@ class DiscreteForms:
     k: float
     K: sp.csr_matrix
     M: sp.csr_matrix
-    S: sp.csr_matrix
     Mb: sp.csr_matrix
     B: sp.csr_matrix
 
@@ -255,7 +254,6 @@ def build_forms(grid, coarse, medium, k, stilde_rule="simplified"):
     weights = stilde_weights(medium, coarse, rule=stilde_rule)
     K = assemble_stiffness(grid, medium)
     M = assemble_mass(grid)
-    S = assemble_weighted_mass(grid, weights)
     Mb = assemble_boundary_mass(grid)
     B = assemble_B(grid, medium, k, K=K, M=M, Mb=Mb)
-    return DiscreteForms(grid, coarse, medium, weights, float(k), K, M, S, Mb, B)
+    return DiscreteForms(grid, coarse, medium, weights, float(k), K, M, Mb, B)

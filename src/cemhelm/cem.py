@@ -37,22 +37,19 @@ without q: the corrector-free solve with the trace-weighted auxiliary form
 far below them.
 
 The trial vectors depend on the medium, k, the coarse grid, the projection
-and m, never on the data, so `build_space` splits into an offline and an
-online part.  The first call for a key (the forms object by identity, m,
-strict_zero_trace) factorizes every patch once and solves its nbf trial
-columns and, with load blocks, its data column together; the trial matrix
-is then kept, read-only, in a single-entry cache on the projection P (it
-dies with P), and `assemble_coarse` adds G = Psi^T B Psi to the entry the
-first time it forms it.  Later calls for the same key solve no trial
-column: the corrector is solved only on the patches whose element load
-block has a nonzero entry, one factorization and one right-hand side each.
-Skipping the other patches is exact, as the data column of a zero block is
-exactly zero; `assemble_coarse` reuses G and forms only Psi^T (b - B q).
+and m, never on the data.  A `MultiscaleSpace` therefore carries, besides
+its own data corrector, the read-only trial matrix and G = Psi^T B Psi,
+both formed once, when the trial matrix is built; `build_space` keeps the
+space it last built on the projection (`P.space`).  A later call for the
+same forms object, m and strict_zero_trace returns that space with a new
+corrector, solved only on the patches whose element load block has a
+nonzero entry, one factorization and one right-hand side each.  Skipping
+the other patches is exact, as the data column of a zero block is exactly
+zero.  `assemble_coarse` forms only Psi^T (b - B q).
 """
 
 import csv
-import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -198,24 +195,22 @@ def test_basis(trial):
 class MultiscaleSpace:
     """Trial vectors as columns of a sparse matrix, column p = j*nbf + i.
 
-    `corrector` is the summed localized data solve (None when the space was
-    built without load blocks).  Spaces that `build_space` returns for one
-    (forms, P, m, strict_zero_trace) share one read-only trial matrix; each
-    has its own corrector.
+    `G` is the coarse matrix Psi^T B Psi of `forms.B`; `trial` and `G` are
+    read-only, and the spaces `build_space` returns for one (forms, P, m,
+    strict_zero_trace) share them.  `corrector` is the space's own summed
+    localized data solve (None when it was built without load blocks).
     """
 
-    trial: sp.csc_matrix
-    coarse: object
+    forms: object
     m: int
-    nbf: int
-    strict_zero_trace: bool = False
+    strict_zero_trace: bool
+    trial: sp.csc_matrix
+    G: sp.csc_matrix
     corrector: np.ndarray = None
-    # weak reference to the offline entry the trial came from (build_space)
-    _offline: object = field(default=None, init=False, repr=False, compare=False)
 
     @property
-    def test(self):
-        return self.trial.conj()
+    def nbf(self):
+        return self.trial.shape[1] // self.forms.coarse.n_elements
 
     @property
     def n_basis(self):
@@ -236,84 +231,82 @@ def _read_only(A):
     return A
 
 
-class _Offline:
-    """The data-independent part of `build_space` for one key: the trial
-    matrix and, once `assemble_coarse` has formed it, G = Psi^T B Psi.
+def _new_space(forms, m, strict_zero_trace, trial, corrector):
+    """The space of a newly built trial matrix: freezes it and forms G.
 
-    Key: the forms object (by identity, held weakly), m, strict_zero_trace.
+    G is stored as CSC, the format the sparse coarse LU reads without a copy.
     """
-
-    def __init__(self, forms, m, strict_zero_trace, trial):
-        self.forms = weakref.ref(forms)
-        self.m = m
-        self.strict_zero_trace = strict_zero_trace
-        self.trial = _read_only(trial)
-        self.G = None
-
-    def serves(self, forms, m, strict_zero_trace):
-        return (self.forms() is forms and self.m == m
-                and self.strict_zero_trace == strict_zero_trace)
+    trial = _read_only(trial)
+    G = _read_only((trial.T @ (forms.B @ trial)).tocsc())
+    return MultiscaleSpace(forms, m, strict_zero_trace, trial, G, corrector)
 
 
-def _build_trial(forms, P, m, strict_zero_trace, load_blocks):
-    """Offline build: every patch's trial columns, and its data column when
-    `load_blocks` is given, from one factorization per patch."""
-    coarse = forms.coarse
+def _solve_patches(forms, P, m, strict_zero_trace, elements, load_blocks, with_trial):
+    """Bordered solves on the patches of `elements`, one factorization each.
+
+    With `with_trial`, each patch solves its nbf trial columns, returned as the
+    columns of the trial matrix (`elements` must then be every element); with
+    `load_blocks`, it also solves its data column, summed into the corrector.
+    Returns (trial matrix or None, corrector or None).
+    """
     n = forms.grid.n_nodes
+    nbf = P.nbf if with_trial else 0
     data, indices, indptr = [], [], [0]
     corrector = None if load_blocks is None else np.zeros(n, dtype=complex)
-    for j in range(coarse.n_elements):
+    for j in elements:
         block = None if load_blocks is None else load_blocks[j]
         rows, vals, _ = _patch_solve(
-            forms, P, j, m, strict_zero_trace, _border_columns(P, [j]), block
+            forms, P, j, m, strict_zero_trace, _border_columns(P, [j])[:nbf], block
         )
-        for i in range(P.nbf):
+        for i in range(nbf):
             data.append(vals[:, i])
             indices.append(rows)
             indptr.append(indptr[-1] + rows.size)
         if load_blocks is not None:
-            corrector[rows] += vals[:, P.nbf]
+            corrector[rows] += vals[:, nbf]
+    if not with_trial:
+        return None, corrector
     trial = sp.csc_matrix(
         (np.concatenate(data), np.concatenate(indices), np.array(indptr)),
-        shape=(n, coarse.n_elements * P.nbf),
+        shape=(n, forms.coarse.n_elements * P.nbf),
     )
     return trial, corrector
-
-
-def _online_corrector(forms, P, m, strict_zero_trace, load_blocks):
-    """Online build: the data column alone, on the patches of the elements
-    whose load block has a nonzero entry (a zero block has a zero solution)."""
-    corrector = np.zeros(forms.grid.n_nodes, dtype=complex)
-    no_trial = np.zeros(0, dtype=int)
-    for j in np.flatnonzero(np.any(load_blocks != 0, axis=1)):
-        rows, vals, _ = _patch_solve(
-            forms, P, j, m, strict_zero_trace, no_trial, load_blocks[j]
-        )
-        corrector[rows] += vals[:, 0]
-    return corrector
 
 
 def build_space(forms, P, m, strict_zero_trace=False, load_blocks=None):
     """Trial space of all N*nbf localized basis vectors (deterministic order).
 
-    With `load_blocks` (per-element data loads, see assembly.element_loads)
-    the space also carries the summed localized data solve as its
-    corrector.  The trial matrix does not depend on the data: it is built
-    once per (forms, P, m, strict_zero_trace) and kept on P, and later calls
-    solve only the loaded patches (see the module docstring).
+    With `load_blocks` (per-element data loads, shape (N, p), see
+    assembly.element_loads) the space also carries the summed localized
+    data solve as its corrector.  The trial matrix and G do not depend on
+    the data: P keeps the space it last built, and a call for the same
+    forms object, m and strict_zero_trace reuses its trial and G and solves
+    only the loaded patches (see the module docstring).
     """
-    entry = P.space_cache
-    if entry is not None and entry.serves(forms, m, strict_zero_trace):
-        corrector = None
+    coarse = forms.coarse
+    if load_blocks is not None:
+        load_blocks = np.asarray(load_blocks)
+        if load_blocks.shape != coarse.element_nodes.shape:
+            raise DimensionMismatch(
+                f"load blocks of shape {load_blocks.shape} against "
+                f"{coarse.element_nodes.shape} element nodes"
+            )
+    space = P.space
+    if (space is not None and space.forms is forms and space.m == m
+            and space.strict_zero_trace == strict_zero_trace):
+        loaded = []
         if load_blocks is not None:
-            corrector = _online_corrector(forms, P, m, strict_zero_trace, np.asarray(load_blocks))
-    else:
-        P.space_cache = None  # free the previous entry before building the next
-        trial, corrector = _build_trial(forms, P, m, strict_zero_trace, load_blocks)
-        entry = P.space_cache = _Offline(forms, m, strict_zero_trace, trial)
-    space = MultiscaleSpace(entry.trial, forms.coarse, m, P.nbf, strict_zero_trace, corrector)
-    space._offline = weakref.ref(entry)
-    return space
+            loaded = np.flatnonzero(np.any(load_blocks != 0, axis=1))
+        _, corrector = _solve_patches(
+            forms, P, m, strict_zero_trace, loaded, load_blocks, with_trial=False
+        )
+        return replace(space, corrector=corrector)
+    P.space = None  # free the previous trial and G before building the next
+    trial, corrector = _solve_patches(
+        forms, P, m, strict_zero_trace, range(coarse.n_elements), load_blocks, with_trial=True
+    )
+    P.space = _new_space(forms, m, strict_zero_trace, trial, corrector)
+    return P.space
 
 
 def _global_free_nodes(forms, strict_zero_trace):
@@ -343,8 +336,7 @@ def build_global_space(forms, P, loads=None, strict_zero_trace=False):
         vals = vals[:, :-1]
     full = np.zeros((n, vals.shape[1]), dtype=complex)
     full[idx] = vals
-    trial = sp.csc_matrix(full)
-    return MultiscaleSpace(trial, coarse, -1, P.nbf, strict_zero_trace, corrector)
+    return _new_space(forms, -1, strict_zero_trace, sp.csc_matrix(full), corrector)
 
 
 def global_basis(j, i, forms, P, strict_zero_trace=False):
@@ -362,7 +354,7 @@ def global_basis(j, i, forms, P, strict_zero_trace=False):
 
 @dataclass
 class CoarseSystem:
-    G: sp.csr_matrix
+    G: sp.csc_matrix
     b: np.ndarray
     nbf: int
 
@@ -375,11 +367,13 @@ def assemble_coarse(space, forms, loads):
     """Petrov-Galerkin system G c = b with G[p,q] = B(psi_q, psi*_p).
 
     With psi*_p = conj(psi_p) the pairing collapses to psi_p^T B psi_q, so
-    G = Psi^T B Psi is complex symmetric; the rhs is Psi^T (fine loads),
-    minus Psi^T B q when the space carries a data corrector q.  G depends on
-    the trial matrix and B alone, so it is formed once per offline entry of
-    `build_space` and shared, read-only, by the systems of later calls.
+    G = Psi^T B Psi is complex symmetric; it is the space's own (see
+    `build_space`).  The rhs is Psi^T (fine loads), minus Psi^T B q when the
+    space carries a data corrector q.  `forms` must be the object the space
+    was built from.
     """
+    if forms is not space.forms:
+        raise DimensionMismatch("forms differ from the forms the space was built from")
     loads = np.asarray(loads)
     if loads.shape[0] != space.trial.shape[0]:
         raise DimensionMismatch(
@@ -388,16 +382,8 @@ def assemble_coarse(space, forms, loads):
     rhs_fine = loads.astype(complex)
     if space.corrector is not None:
         rhs_fine = rhs_fine - forms.B @ space.corrector
-    entry = None if space._offline is None else space._offline()
-    shared = entry is not None and entry.trial is space.trial and entry.forms() is forms
-    if shared and entry.G is not None:
-        G = entry.G
-    else:
-        G = (space.trial.T @ (forms.B @ space.trial)).tocsr()
-        if shared:
-            entry.G = _read_only(G)
     b = space.trial.T @ rhs_fine
-    return CoarseSystem(G, np.asarray(b).ravel(), space.nbf)
+    return CoarseSystem(space.G, np.asarray(b).ravel(), space.nbf)
 
 
 def solve_multiscale(system, space, forms=None):

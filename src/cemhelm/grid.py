@@ -46,9 +46,6 @@ class FineGrid:
     def node_index(self, i, j):
         return j * (self.nx + 1) + i
 
-    def cell_index(self, i, j):
-        return j * self.nx + i
-
 
 def build_fine_grid(nx, ny):
     if nx < 1 or ny < 1:

@@ -63,8 +63,11 @@ class ProjectionOperator:
     eigenvalues (N, nbf) ascend per element; bases (N, p, nbf) holds the
     s_j-orthonormal eigenvectors Phi_j on element j's nodes; sphi (N, p, nbf)
     holds S_j Phi_j; S is the block-diagonal (N*p, N*p) CSR matrix of the
-    element forms S_j in broken numbering.  space_cache holds the trial space
-    `cem.build_space` last built on this projection (single entry).
+    element forms S_j in broken numbering.  `space` is the
+    `cem.MultiscaleSpace` that `cem.build_space` last built on this
+    projection (None before the first build); holding it is what lets later
+    calls for the same forms, m and strict_zero_trace reuse its trial matrix
+    and coarse matrix.
     """
 
     def __init__(self, coarse, eigenvalues, bases, sphi, S):
@@ -74,7 +77,7 @@ class ProjectionOperator:
         self.sphi = sphi
         self.S = S
         self.nbf = bases.shape[2]
-        self.space_cache = None
+        self.space = None
 
 
 def build_projection(forms, nbf, trace_weight=0.0):
@@ -125,12 +128,6 @@ class BrokenField:
         blocks = np.zeros(coarse.element_nodes.shape, dtype=np.asarray(local_values).dtype)
         blocks[j] = local_values
         return cls(coarse, blocks)
-
-    def scatter_sum(self):
-        """Global nodal vector summing all blocks (interface nodes add up)."""
-        out = np.zeros(self.coarse.fine.n_nodes, dtype=self.blocks.dtype)
-        np.add.at(out, self.coarse.element_nodes.ravel(), self.blocks.ravel())
-        return out
 
 
 def _blocks_of(P, v):

@@ -245,7 +245,7 @@ def test_build_forms_bundle():
     med = constant_medium(8, 8, 1.0)
     forms = build_forms(g, c, med, 2.0)
     assert forms.B.shape == (g.n_nodes, g.n_nodes)
-    assert forms.S.shape == (g.n_nodes, g.n_nodes)
+    assert assemble_weighted_mass(g, forms.weights).shape == (g.n_nodes, g.n_nodes)
     assert forms.k == 2.0
     assert np.allclose(forms.weights.values, 24.0 * 16.0)
 

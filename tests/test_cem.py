@@ -436,7 +436,8 @@ def test_global_bordered_assembly_matches_bmat_oracle(channel_setup):
     assert np.abs(vals - ref).max() <= 1e-10 * np.abs(ref).max()
 
 
-# --- offline/online split: one trial space per (forms, P, m, strict_zero_trace)
+# --- offline/online split: P keeps the last space; spaces for the same
+# (forms, m, strict_zero_trace) share its trial matrix and G
 
 
 def _bump_source(g, center, width=0.08):
@@ -474,13 +475,13 @@ def _rel(a, b):
 def test_cached_space_matches_fresh_projection(channel_setup, second):
     g, c, forms, P = channel_setup
     zero = np.zeros(g.n_nodes, dtype=complex)
-    _three_calls(forms, P, 1, _bump_source(g, (0.3, 0.6)), zero)  # fills the cache
+    _three_calls(forms, P, 1, _bump_source(g, (0.3, 0.6)), zero)  # builds P.space
     f, gd = _bump_source(g, (0.7, 0.4)), zero
     if second == "plane-wave":
         f, gd = zero, robin_data_plane_wave(g, forms.k)
     cached = _three_calls(forms, P, 1, f, gd)
     fresh = _three_calls(forms, spectral.build_projection(forms, P.nbf), 1, f, gd)
-    assert cached[0].trial is P.space_cache.trial
+    assert cached[0].trial is P.space.trial and cached[1].G is P.space.G
     assert _rel(cached[0].corrector, fresh[0].corrector) <= 1e-12
     assert _rel(cached[1].G.toarray(), fresh[1].G.toarray()) <= 1e-12
     assert _rel(cached[1].b, fresh[1].b) <= 1e-12
@@ -516,31 +517,56 @@ def test_cached_zero_load_gives_zero_corrector_without_factorization(counted_fac
 def test_changed_key_rebuilds_space(counted_factorize):
     g, c, forms, P = make_setup(nx=16, NH=4, nbf=2)
     first = cem.build_space(forms, P, 1)
+    replaced = weakref.ref(first.trial)
     same_inputs = build_forms(g, c, forms.medium, forms.k)
     for forms_, m, strict in ((forms, 2, False), (forms, 2, True), (same_inputs, 2, True)):
         del counted_factorize[:]
         space = cem.build_space(forms_, P, m, strict)
         assert len(counted_factorize) == c.n_elements
-        assert space.trial is not first.trial
-        assert P.space_cache.serves(forms_, m, strict)
+        assert space.trial is not first.trial and space.G is not first.G
+        assert P.space is space
+        assert space.forms is forms_ and space.m == m and space.strict_zero_trace == strict
         first = space
+        assert replaced() is None  # P holds only the last space
     del counted_factorize[:]
-    assert cem.build_space(same_inputs, P, 2, True).trial is first.trial
+    again = cem.build_space(same_inputs, P, 2, True)
+    assert again.trial is first.trial and again.G is first.G
     assert counted_factorize == []
 
 
-def test_kept_coarse_matrix_only_for_the_space_forms():
-    # G is kept for the forms the space was built with; other forms get their own
+def test_assemble_coarse_rejects_foreign_forms():
+    # G belongs to the forms the space was built from; an equal copy is refused
     g, c, forms, P = make_setup(nx=16, NH=4, nbf=2)
-    other = build_forms(g, c, forms.medium, forms.k + 1.0)
+    other = build_forms(g, c, forms.medium, forms.k)
     space = cem.build_space(forms, P, 1)
     loads = np.ones(g.n_nodes, dtype=complex)
-    kept = cem.assemble_coarse(space, forms, loads).G
-    G = cem.assemble_coarse(space, other, loads).G
-    ref = (space.trial.T @ (other.B @ space.trial)).toarray()
-    assert G is not kept
-    assert np.abs(G.toarray() - ref).max() <= 1e-12 * np.abs(ref).max()
-    assert cem.assemble_coarse(space, forms, loads).G is kept
+    with pytest.raises(DimensionMismatch):
+        cem.assemble_coarse(space, other, loads)
+    system = cem.assemble_coarse(space, forms, loads)
+    assert system.G is space.G
+    ref = (space.trial.T @ (forms.B @ space.trial)).toarray()
+    assert np.array_equal(system.G.toarray(), ref)
+
+
+def test_wrong_load_block_shape_raises():
+    g, c, forms, P = make_setup(nx=16, NH=4, nbf=2)
+    g32 = build_fine_grid(32, 32)
+    zero = np.zeros(g32.n_nodes, dtype=complex)
+    blocks = element_loads(g32, build_coarse_grid(g32, 8), np.ones(g32.n_nodes), zero)
+    assert blocks.shape != c.element_nodes.shape
+    with pytest.raises(DimensionMismatch):
+        cem.build_space(forms, P, 1, load_blocks=blocks)  # offline build
+    cem.build_space(forms, P, 1)
+    with pytest.raises(DimensionMismatch):
+        cem.build_space(forms, P, 1, load_blocks=blocks)  # online build
+
+
+def test_coarse_matrix_is_csc(setup32):
+    # the format the sparse coarse LU reads without a copy
+    g, c, forms, P = setup32
+    loads = np.ones(g.n_nodes, dtype=complex)
+    for space in (cem.build_space(forms, P, 1), cem.build_global_space(forms, P)):
+        assert cem.assemble_coarse(space, forms, loads).G.format == "csc"
 
 
 def test_spaces_from_one_cache_keep_independent_correctors():
@@ -560,23 +586,27 @@ def test_spaces_from_one_cache_keep_independent_correctors():
 def test_shared_trial_and_coarse_matrix_are_read_only(setup32):
     g, c, forms, P = setup32
     space = cem.build_space(forms, P, 1)
-    system = cem.assemble_coarse(space, forms, np.ones(g.n_nodes, dtype=complex))
-    for A in (space.trial, system.G):
-        for arr in (A.data, A.indices, A.indptr):
-            with pytest.raises(ValueError):
-                arr[0] = arr[0]
-    assert cem.build_space(forms, P, 1).trial is space.trial
+    for s in (space, cem.build_global_space(forms, P)):
+        for A in (s.trial, s.G):
+            for arr in (A.data, A.indices, A.indptr):
+                with pytest.raises(ValueError):
+                    arr[0] = arr[0]
+    again = cem.build_space(forms, P, 1)
+    assert again.trial is space.trial and again.G is space.G
 
 
-def test_cache_entry_released_with_projection():
+def test_trial_and_coarse_matrix_freed_with_projection_and_spaces():
     g, c, forms, P = make_setup(nx=16, NH=4, nbf=2)
-    space = cem.build_space(forms, P, 1)
-    cem.assemble_coarse(space, forms, np.ones(g.n_nodes, dtype=complex))
-    entry = weakref.ref(P.space_cache)
-    G = weakref.ref(P.space_cache.G)
-    del P
+    zero = np.zeros(g.n_nodes, dtype=complex)
+    first, _, _ = _three_calls(forms, P, 1, _bump_source(g, (0.3, 0.3), 0.2), zero)
+    kept = [weakref.ref(first.trial), weakref.ref(first.G)]
+    second, system, _ = _three_calls(forms, P, 1, _bump_source(g, (0.7, 0.7), 0.2), zero)
+    del P, first
     gc.collect()
-    assert entry() is None and G() is None
+    assert all(ref() is not None for ref in kept)  # held by `second` and its system
     # a space that outlives its projection still assembles its coarse system
-    system = cem.assemble_coarse(space, forms, np.ones(g.n_nodes, dtype=complex))
-    assert system.G.shape == (space.n_basis, space.n_basis)
+    loads = np.ones(g.n_nodes, dtype=complex)
+    assert cem.assemble_coarse(second, forms, loads).G is second.G
+    del second, system
+    gc.collect()
+    assert all(ref() is None for ref in kept)
