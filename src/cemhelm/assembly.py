@@ -67,10 +67,8 @@ def _scatter(grid, local, coeff, cells):
     c = np.ones(conn.shape[0]) if coeff is None else np.asarray(coeff, dtype=float)
     if cells is not None and c.shape[0] == grid.n_cells:
         c = c[cells]
-    vals = c[:, None, None] * local[None, :, :]
-    rows = np.repeat(conn, 4, axis=1).ravel()
-    cols = np.tile(conn, (1, 4)).ravel()
-    A = sp.coo_matrix((vals.ravel(), (rows, cols)), shape=(grid.n_nodes, grid.n_nodes))
+    rows, cols, vals = element_triplets(conn, local, c[None, :])
+    A = sp.coo_matrix((vals, (rows, cols)), shape=(grid.n_nodes, grid.n_nodes))
     return A.tocsr()
 
 

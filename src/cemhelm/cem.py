@@ -10,14 +10,17 @@ equivalent bordered form
     [ B   U ] [psi]   [r]
     [ U^T -I ] [ y ] = [0],
 
-factorized once per patch and reused for all nbf right-hand sides.  The
-bordered matrix is assembled directly, as one COO -> CSC matrix, from the
-patch rows and columns of B, the per-element S_e Phi_e blocks (placed by a
-fine node -> patch row map, which also places the right-hand sides) and the
--I block; it is complex symmetric, so it goes to the symmetric-ordering LU
-of `kernels.factorize`, as does the sparse coarse system.  Test
-vectors are the conjugates of the trial vectors; the independent adjoint
-solve (same bordered form on conj(B)) is kept for cross-validation.
+factorized once per patch and reused for all nbf right-hand sides.  Every
+constrained solve, on a patch or on the whole domain, is a principal
+submatrix of one global bordered operator A = [[B, U], [U^T, -I]], whose U
+holds the S_e Phi_e columns of all elements: it keeps the free nodes and
+the border columns of the patch elements, and its right-hand sides are U
+columns on those nodes.  A is formed once per call, as one COO -> CSC
+matrix, so each patch matrix is a CSC slice of it; it is complex
+symmetric and goes to the symmetric-ordering LU of `kernels.factorize`, as
+does the sparse coarse system.  Test vectors are the conjugates of the
+trial vectors; the independent adjoint solve (the same slice of conj(A))
+is kept for cross-validation.
 
 Patch systems constrain the fine nodes on the patch boundary away from the
 domain boundary; where a patch touches the outer boundary the Robin rows
@@ -84,79 +87,60 @@ __all__ = [
 DENSE_LIMIT = 2000  # larger coarse systems go to the sparse LU
 
 
-def _border_columns(P, elements):
-    cols = (np.asarray(elements)[:, None] * P.nbf + np.arange(P.nbf)[None, :]).ravel()
-    return cols
+def _bordered_matrix(forms, P):
+    """The global bordered operator A = [[B, U], [U^T, -I]] as one CSC matrix.
 
-
-def _bordered_solve(forms, P, idx, elements, rhs_cols, adjoint=False,
-                    error=SingularLocalSystem, extra_rhs=None):
-    """Solve (B + U U^T) psi = r on the nodes `idx` for every rhs column.
-
-    U holds the S_e Phi_e columns of `elements`; the bordered matrix is
-    assembled directly (see the module docstring).
+    Column n + e*nbf + i of U holds S_e phi_e^i on element e's nodes, so U U^T
+    is the projection Gram correction C.  Every constrained solve is a
+    principal submatrix of A (see `_bordered_solve`).
     """
-    n_free = idx.size
-    if n_free == 0:
-        raise error("patch has no unconstrained nodes")
-    B = sp.csr_matrix(forms.B)
-    local = np.full(B.shape[0], -1)  # fine node -> row of the bordered system
-    local[idx] = np.arange(n_free)
-
-    # B block: the CSR rows idx, keeping the columns that map into idx
-    starts = B.indptr[idx]
-    counts = B.indptr[idx + 1] - starts
-    offsets = np.cumsum(counts) - counts
-    pos = np.repeat(starts - offsets, counts) + np.arange(counts.sum())
-    b_rows = np.repeat(np.arange(n_free), counts)
-    b_cols = local[B.indices[pos]]
-    keep = b_cols >= 0
-    b_rows, b_cols, b_vals = b_rows[keep], b_cols[keep], B.data[pos[keep]]
-    if adjoint:
-        b_vals = b_vals.conj()
-
-    # U block: column k*nbf + i holds S_e phi_e^i for e = elements[k]
-    nbf = P.nbf
-    elements = np.asarray(elements)
-    nb = elements.size * nbf
-    u_vals = P.sphi[elements]  # (elements, p, nbf)
-    u_rows = local[P.coarse.element_nodes[elements]][:, :, None]
-    u_rows = np.broadcast_to(u_rows, u_vals.shape)
-    u_cols = np.broadcast_to(n_free + np.arange(nb).reshape(-1, 1, nbf), u_vals.shape)
-    on = u_rows >= 0
-    u_rows, u_cols, u_vals = u_rows[on], u_cols[on], u_vals[on]
-    border = n_free + np.arange(nb)
-
-    size = n_free + nb
-    A = sp.csc_matrix(
+    B = forms.B.tocoo()
+    shape = P.sphi.shape  # (N, p, nbf)
+    border = B.shape[0] + np.arange(shape[0] * shape[2])
+    u_rows = np.broadcast_to(P.coarse.element_nodes[:, :, None], shape).ravel()
+    u_cols = np.broadcast_to(border.reshape(shape[0], 1, shape[2]), shape).ravel()
+    u_vals = P.sphi.ravel()
+    size = B.shape[0] + border.size
+    return sp.csc_matrix(
         (
-            np.concatenate([b_vals, u_vals, u_vals, -np.ones(nb)]),
+            np.concatenate([B.data, u_vals, u_vals, -np.ones(border.size)]),
             (
-                np.concatenate([b_rows, u_rows, u_cols, border]),
-                np.concatenate([b_cols, u_cols, u_rows, border]),
+                np.concatenate([B.row, u_rows, u_cols, border]),
+                np.concatenate([B.col, u_cols, u_rows, border]),
             ),
         ),
         shape=(size, size),
     )
 
-    # rhs column c: S_e phi_e^i for p = rhs_cols[c] = e*nbf + i, then extra_rhs
-    e, i = np.divmod(np.asarray(rhs_cols), nbf)
-    r_rows = local[P.coarse.element_nodes[e]]
-    r_cols = np.broadcast_to(np.arange(e.size)[:, None], r_rows.shape)
-    on = r_rows >= 0
+
+def _bordered_solve(A, P, idx, elements, rhs_cols, error=SingularLocalSystem,
+                    extra_rhs=None):
+    """Solve (B + U U^T) psi = r on the nodes `idx` for every rhs column.
+
+    The system is the principal submatrix of the bordered operator A (see
+    `_bordered_matrix`) on `idx` and the border columns of `elements`; the
+    right-hand sides are the U columns `rhs_cols` on `idx`, then `extra_rhs`.
+    """
+    n_free = idx.size
+    if n_free == 0:
+        raise error("patch has no unconstrained nodes")
+    n = A.shape[0] - P.coarse.n_elements * P.nbf
+    border = n + (np.asarray(elements)[:, None] * P.nbf + np.arange(P.nbf)).ravel()
+    sel = np.concatenate([idx, border])
+    n_trial = len(rhs_cols)
     n_extra = 0 if extra_rhs is None else extra_rhs.shape[1]
-    rhs = np.zeros((size, e.size + n_extra), dtype=complex)
-    rhs[r_rows[on], r_cols[on]] = P.sphi[e, :, i][on]
+    rhs = np.zeros((sel.size, n_trial + n_extra), dtype=complex)
+    rhs[:n_free, :n_trial] = A[:, n + np.asarray(rhs_cols)][idx].toarray()
     if extra_rhs is not None:
-        rhs[:n_free, e.size:] = extra_rhs
+        rhs[:n_free, n_trial:] = extra_rhs
     try:
-        sol = kernels.factorize(A).solve(rhs)
+        sol = kernels.factorize(A[:, sel][sel]).solve(rhs)
     except SingularMatrix as exc:
         raise error(f"constrained system is singular: {exc}") from exc
     return sol[:n_free]
 
 
-def _patch_solve(forms, P, j, m, strict_zero_trace, rhs_cols, block=None, adjoint=False):
+def _patch_solve(A, forms, P, j, m, strict_zero_trace, rhs_cols, block=None):
     """Bordered solve on element j's m-layer patch for the trial columns
     `rhs_cols` and, with `block` (element j's load block), the data column
     after them.  Returns the patch's free rows, its solutions and the patch."""
@@ -168,17 +152,22 @@ def _patch_solve(forms, P, j, m, strict_zero_trace, rhs_cols, block=None, adjoin
         extra[forms.coarse.element_nodes[j]] = block
         extra = extra[rows][:, None]
     try:
-        vals = _bordered_solve(forms, P, rows, patch.elements, rhs_cols,
-                               adjoint=adjoint, extra_rhs=extra)
+        vals = _bordered_solve(A, P, rows, patch.elements, rhs_cols, extra_rhs=extra)
     except SingularLocalSystem as exc:
         raise SingularLocalSystem(f"element {j}, m={m}: {exc}") from exc
     return rows, vals, patch
 
 
 def local_cem_solve(j, m, forms, P, strict_zero_trace=False, adjoint=False):
-    """All nbf trial vectors of element j on its m-layer patch, zero-extended."""
+    """All nbf trial vectors of element j on its m-layer patch, zero-extended.
+
+    With `adjoint` the patch system of conj(B) is solved instead (an
+    independent check of the conjugate test vectors)."""
+    A = _bordered_matrix(forms, P)
+    if adjoint:
+        A = A.conj()
     rows, vals, patch = _patch_solve(
-        forms, P, j, m, strict_zero_trace, _border_columns(P, [j]), adjoint=adjoint
+        A, forms, P, j, m, strict_zero_trace, j * P.nbf + np.arange(P.nbf)
     )
     psi = np.zeros((forms.grid.n_nodes, P.nbf), dtype=complex)
     psi[rows] = vals
@@ -234,10 +223,11 @@ def _read_only(A):
 def _new_space(forms, m, strict_zero_trace, trial, corrector):
     """The space of a newly built trial matrix: freezes it and forms G.
 
-    G is stored as CSC, the format the sparse coarse LU reads without a copy.
+    G = (B Psi)^T Psi, equal to Psi^T B Psi as B is complex symmetric, comes
+    out as CSC, the format the sparse coarse LU reads without a copy.
     """
     trial = _read_only(trial)
-    G = _read_only((trial.T @ (forms.B @ trial)).tocsc())
+    G = _read_only((forms.B @ trial).T @ trial)
     return MultiscaleSpace(forms, m, strict_zero_trace, trial, G, corrector)
 
 
@@ -251,12 +241,13 @@ def _solve_patches(forms, P, m, strict_zero_trace, elements, load_blocks, with_t
     """
     n = forms.grid.n_nodes
     nbf = P.nbf if with_trial else 0
+    A = _bordered_matrix(forms, P)
     data, indices, indptr = [], [], [0]
     corrector = None if load_blocks is None else np.zeros(n, dtype=complex)
     for j in elements:
         block = None if load_blocks is None else load_blocks[j]
         rows, vals, _ = _patch_solve(
-            forms, P, j, m, strict_zero_trace, _border_columns(P, [j])[:nbf], block
+            A, forms, P, j, m, strict_zero_trace, j * P.nbf + np.arange(nbf), block
         )
         for i in range(nbf):
             data.append(vals[:, i])
@@ -324,10 +315,10 @@ def build_global_space(forms, P, loads=None, strict_zero_trace=False):
     n = forms.grid.n_nodes
     idx = _global_free_nodes(forms, strict_zero_trace)
     all_els = np.arange(coarse.n_elements)
-    cols = _border_columns(P, all_els)
     extra = None if loads is None else np.asarray(loads, dtype=complex)[idx][:, None]
     vals = _bordered_solve(
-        forms, P, idx, all_els, cols, error=SingularGlobalSystem, extra_rhs=extra
+        _bordered_matrix(forms, P), P, idx, all_els, np.arange(all_els.size * P.nbf),
+        error=SingularGlobalSystem, extra_rhs=extra,
     )
     corrector = None
     if loads is not None:
@@ -345,7 +336,8 @@ def global_basis(j, i, forms, P, strict_zero_trace=False):
     idx = _global_free_nodes(forms, strict_zero_trace)
     all_els = np.arange(forms.coarse.n_elements)
     vals = _bordered_solve(
-        forms, P, idx, all_els, np.array([j * P.nbf + i]), error=SingularGlobalSystem
+        _bordered_matrix(forms, P), P, idx, all_els, [j * P.nbf + i],
+        error=SingularGlobalSystem,
     )
     out = np.zeros(n, dtype=complex)
     out[idx] = vals[:, 0]

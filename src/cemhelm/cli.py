@@ -45,7 +45,7 @@ class RunConfig:
     out: str = None
     strict_zero_trace: bool = False
     dump_eigs: str = None
-    dump_basis: str = None  # "j,i" -> writes basis_<j>_<i>.csv next to the report
+    dump_basis: str = None  # "j,i" -> writes basis_<j>_<i>.csv to the working directory
     synthesize: bool = False
     stilde_rule: str = "simplified"
     trace_weight: float = 0.0  # 0 = plain auxiliary form, negative = auto (96/H^2)

@@ -4,6 +4,8 @@ import weakref
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cemhelm import cem, kernels, spectral
 from cemhelm.assembly import build_forms, element_loads
@@ -14,7 +16,7 @@ from cemhelm.errors import (
     SingularLocalSystem,
 )
 from cemhelm.grid import build_coarse_grid, build_fine_grid, oversample
-from cemhelm.medium import constant_medium, synthesize_channels
+from cemhelm.medium import Medium, constant_medium, synthesize_channels
 from cemhelm.metrics import a_norm, relative_errors
 from cemhelm.reference import (
     ProblemSpec,
@@ -415,8 +417,9 @@ def test_bordered_assembly_matches_bmat_oracle(channel_setup, j, strict, adjoint
     rhs_cols = np.arange(j * P.nbf, (j + 1) * P.nbf)
     rng = np.random.default_rng(j)
     extra = rng.normal(size=(idx.size, 1)) + 1j * rng.normal(size=(idx.size, 1))
+    A = cem._bordered_matrix(forms, P)
     vals = cem._bordered_solve(
-        forms, P, idx, patch.elements, rhs_cols, adjoint=adjoint, extra_rhs=extra
+        A.conj() if adjoint else A, P, idx, patch.elements, rhs_cols, extra_rhs=extra
     )
     ref = _bmat_oracle(forms, P, idx, patch.elements, rhs_cols, adjoint, extra)
     assert np.abs(vals - ref).max() <= 1e-10 * np.abs(ref).max()
@@ -430,10 +433,83 @@ def test_global_bordered_assembly_matches_bmat_oracle(channel_setup):
     rng = np.random.default_rng(1)
     corrector_rhs = rng.normal(size=(g.n_nodes, 1)) + 1j * rng.normal(size=(g.n_nodes, 1))
     vals = cem._bordered_solve(
-        forms, P, idx, elements, cols, error=SingularGlobalSystem, extra_rhs=corrector_rhs
+        cem._bordered_matrix(forms, P), P, idx, elements, cols,
+        error=SingularGlobalSystem, extra_rhs=corrector_rhs,
     )
     ref = _bmat_oracle(forms, P, idx, elements, cols, extra_rhs=corrector_rhs)
     assert np.abs(vals - ref).max() <= 1e-10 * np.abs(ref).max()
+
+
+# --- the same identities over generated configurations
+
+
+@st.composite
+def configurations(draw):
+    """A small problem: nx <= 16 cells, NH | nx, 1 <= nbf <= 3, a random
+    two-level medium of contrast 1e-3 to 1e3, with or without the strict
+    zero trace, and a seed for its random complex data."""
+    nx = draw(st.integers(2, 16))
+    NH = draw(st.sampled_from([d for d in (1, 2, 3, 4) if nx % d == 0]))
+    return dict(
+        nx=nx,
+        NH=NH,
+        nbf=draw(st.integers(1, 3)),
+        contrast=10.0 ** draw(st.floats(-3.0, 3.0)),
+        k=draw(st.floats(0.5, 4.0)),
+        strict=draw(st.booleans()),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+def _generated_setup(cfg):
+    rng = np.random.default_rng(cfg["seed"])
+    nx = cfg["nx"]
+    values = np.where(rng.random(nx * nx) < 0.3, cfg["contrast"], 1.0)
+    g, c, forms, P = make_setup(
+        nx=nx, NH=cfg["NH"], nbf=cfg["nbf"], k=cfg["k"], medium=Medium(values, nx, nx)
+    )
+    return rng, g, c, forms, P
+
+
+def _random_complex(rng, *shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+@given(cfg=configurations(), data=st.data())
+def test_generated_patch_solve_matches_bmat_oracle(cfg, data):
+    rng, g, c, forms, P = _generated_setup(cfg)
+    j = data.draw(st.integers(0, c.n_elements - 1), label="j")
+    m = data.draw(st.integers(0, cfg["NH"]), label="m")
+    adjoint = data.draw(st.booleans(), label="adjoint")
+    patch = oversample(c, j, m)
+    idx = patch.free_nodes(cfg["strict"])
+    A = cem._bordered_matrix(forms, P)
+    A = A.conj() if adjoint else A
+    rhs_cols = np.arange(j * P.nbf, (j + 1) * P.nbf)
+    if idx.size == 0:
+        with pytest.raises(SingularLocalSystem):
+            cem._bordered_solve(A, P, idx, patch.elements, rhs_cols)
+        return
+    extra = _random_complex(rng, idx.size, 1)
+    vals = cem._bordered_solve(A, P, idx, patch.elements, rhs_cols, extra_rhs=extra)
+    ref = _bmat_oracle(forms, P, idx, patch.elements, rhs_cols, adjoint, extra)
+    assert np.abs(vals - ref).max() <= 1e-10 * np.abs(ref).max()
+
+
+@given(cfg=configurations())
+def test_generated_domain_patch_space_equals_global_space(cfg):
+    # with m = NH - 1 every patch is the domain: trial columns and the summed
+    # corrector are those of the unlocalized problem
+    rng, g, c, forms, P = _generated_setup(cfg)
+    f, gd = _random_complex(rng, g.n_nodes), _random_complex(rng, g.n_nodes)
+    blocks = element_loads(g, c, f, gd)
+    space = cem.build_space(forms, P, c.NH - 1, cfg["strict"], load_blocks=blocks)
+    gspace = cem.build_global_space(
+        forms, P, loads=forms.M @ f + forms.Mb @ gd, strict_zero_trace=cfg["strict"]
+    )
+    for loc, glo in ((space.trial.toarray(), gspace.trial.toarray()),
+                     (space.corrector, gspace.corrector)):
+        assert np.abs(loc - glo).max() <= 1e-10 * np.abs(glo).max()
 
 
 # --- offline/online split: P keeps the last space; spaces for the same
@@ -544,8 +620,11 @@ def test_assemble_coarse_rejects_foreign_forms():
         cem.assemble_coarse(space, other, loads)
     system = cem.assemble_coarse(space, forms, loads)
     assert system.G is space.G
-    ref = (space.trial.T @ (forms.B @ space.trial)).toarray()
+    ref = ((forms.B @ space.trial).T @ space.trial).toarray()
     assert np.array_equal(system.G.toarray(), ref)
+    # (B Psi)^T Psi is Psi^T B Psi summed in another order (B is complex symmetric)
+    sym = (space.trial.T @ (forms.B @ space.trial)).toarray()
+    assert np.abs(ref - sym).max() <= 1e-12 * np.abs(sym).max()
 
 
 def test_wrong_load_block_shape_raises():
