@@ -1,10 +1,12 @@
 import gc
+import logging
 import weakref
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given
+import scipy.sparse.linalg
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from cemhelm import cem, kernels, spectral
@@ -383,6 +385,92 @@ def test_singular_coarse_system_raises(setup32, dense_limit, monkeypatch):
         cem.solve_multiscale(singular, space, forms=forms)
 
 
+def _element_distance(n, NH, nbf):
+    """Chebyshev distance between the coarse elements of every pair of dofs."""
+    e = np.arange(n) // nbf
+    x, y = e % NH, e // NH
+    return np.maximum(np.abs(x[:, None] - x[None, :]), np.abs(y[:, None] - y[None, :]))
+
+
+@pytest.fixture(scope="module")
+def system_nh6():
+    g, c, forms, P = make_setup(nx=24, NH=6, nbf=2)
+    space, system = _plane_wave_system(forms, P, 2)
+    return forms, space, system
+
+
+def test_near_field_matches_dense_mask(system_nh6):
+    forms, space, system = system_nh6
+    G = system.G
+    near = cem._near_field(G, 6, 2)
+    assert near.format == "csc"
+    mask = _element_distance(system.n, 6, 2) <= cem.NEAR_FIELD
+    coo = G.tocoo()
+    stored = np.zeros(G.shape, dtype=bool)
+    stored[coo.row, coo.col] = True
+    assert (stored & ~mask).any()  # G reaches beyond the near field
+    dense = near.toarray()
+    assert np.array_equal(dense[mask], G.toarray()[mask])  # kept, bitwise
+    assert not dense[~mask].any()  # dropped
+    assert near.nnz == (stored & mask).sum()
+
+
+def test_sparse_coarse_branch_reads_csr(system_nh6, monkeypatch):
+    forms, space, system = system_nh6
+    monkeypatch.setattr(cem, "DENSE_LIMIT", 0)
+    _, c_csc = cem.solve_multiscale(system, space, forms=forms)
+    csr = cem.CoarseSystem(system.G.tocsr(), system.b, system.nbf)
+    _, c_csr = cem.solve_multiscale(csr, space, forms=forms)
+    assert np.array_equal(c_csr, c_csc)
+
+
+def test_gmres_failure_falls_back_to_full_lu(system_nh6, monkeypatch):
+    forms, space, system = system_nh6
+    monkeypatch.setattr(cem, "DENSE_LIMIT", 0)
+    monkeypatch.setattr(
+        scipy.sparse.linalg, "gmres", lambda A, b, **kw: (np.zeros_like(b), 2)
+    )
+    _, c = cem.solve_multiscale(system, space, forms=forms)
+    assert np.array_equal(c, kernels.factorize(system.G).solve(system.b))
+
+
+@pytest.mark.parametrize(
+    "dense_limit, owner, name",
+    [(2000, np.linalg, "solve"), (0, cem, "_near_field_solve")],
+    ids=["dense", "sparse"],
+)
+def test_coarse_backward_error_guard(system_nh6, dense_limit, owner, name, monkeypatch):
+    forms, space, system = system_nh6
+    monkeypatch.setattr(cem, "DENSE_LIMIT", dense_limit)
+    cem.solve_multiscale(system, space, forms=forms)  # passes unperturbed
+    solve = getattr(owner, name)
+
+    def perturbed(*args):
+        c = solve(*args).copy()
+        c[0] += 1e-6 * np.abs(c).max()
+        return c
+
+    monkeypatch.setattr(owner, name, perturbed)
+    with pytest.raises(SingularCoarseSystem, match=f"{system.n} dofs has backward error"):
+        cem.solve_multiscale(system, space, forms=forms)
+
+
+def test_channel_coarse_gmres_iterates_on_strict_near_field(channel_setup, caplog, monkeypatch):
+    g, c, forms, P = channel_setup
+    f, gd = np.zeros(g.n_nodes, dtype=complex), robin_data_plane_wave(g, forms.k)
+    space = cem.build_space(forms, P, 2, load_blocks=element_loads(g, c, f, gd))
+    system = cem.assemble_coarse(space, forms, forms.Mb @ gd)
+    assert cem._near_field(system.G, c.NH, P.nbf).nnz < system.G.nnz
+    _, c_dense = cem.solve_multiscale(system, space, forms=forms)
+    monkeypatch.setattr(cem, "DENSE_LIMIT", 0)
+    caplog.set_level(logging.DEBUG, logger="cemhelm.cem")
+    _, c_gmres = cem.solve_multiscale(system, space, forms=forms)
+    (record,) = [r for r in caplog.records if r.msg.startswith("coarse GMRES")]
+    _, iterations, info = record.args
+    assert iterations > 1 and info == 0
+    assert np.linalg.norm(c_gmres - c_dense) <= 1e-10 * np.linalg.norm(c_dense)
+
+
 def _bmat_oracle(forms, P, idx, elements, rhs_cols, adjoint=False, extra_rhs=None):
     """The bordered system stacked block by block with sp.bmat, solved densely."""
     B_loc = forms.B[idx][:, idx]
@@ -510,6 +598,30 @@ def test_generated_domain_patch_space_equals_global_space(cfg):
     for loc, glo in ((space.trial.toarray(), gspace.trial.toarray()),
                      (space.corrector, gspace.corrector)):
         assert np.abs(loc - glo).max() <= 1e-10 * np.abs(glo).max()
+
+
+@given(cfg=configurations(), data=st.data())
+def test_generated_sparse_coarse_solve(cfg, data):
+    # the near-field GMRES branch: G complex symmetric, coefficients equal to
+    # the dense branch's, and the field Petrov-Galerkin orthogonal
+    rng, g, c, forms, P = _generated_setup(cfg)
+    # more trial vectors than free fine nodes make G singular: the field is
+    # still defined, its coefficients are not
+    assume(c.n_elements * P.nbf <= cem._global_free_nodes(forms, cfg["strict"]).size)
+    m = data.draw(st.integers(1, max(1, cfg["NH"] - 1)), label="m")
+    f, gd = _random_complex(rng, g.n_nodes), _random_complex(rng, g.n_nodes)
+    loads = forms.M @ f + forms.Mb @ gd
+    space = cem.build_space(forms, P, m, cfg["strict"], load_blocks=element_loads(g, c, f, gd))
+    system = cem.assemble_coarse(space, forms, loads)
+    G = system.G.toarray()
+    assert np.abs(G - G.T).max() <= 1e-12 * np.abs(G).max()
+    _, c_dense = cem.solve_multiscale(system, space, forms=forms)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cem, "DENSE_LIMIT", 0)
+        u, c_sparse = cem.solve_multiscale(system, space, forms=forms)
+    assert np.linalg.norm(c_sparse - c_dense) <= 1e-10 * np.linalg.norm(c_dense)
+    resid = space.trial.T @ (loads - forms.B @ u)
+    assert np.linalg.norm(resid) <= 1e-10 * np.linalg.norm(space.trial.T @ loads)
 
 
 # --- offline/online split: P keeps the last space; spaces for the same
