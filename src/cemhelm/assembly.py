@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+from .errors import DimensionMismatch
 from .medium import stilde_weights
 
 __all__ = [
@@ -218,9 +219,13 @@ def element_loads(grid, coarse, f_nodal, g_nodal):
     share one (p, p) mass M_loc, so the volume parts are the one product
     f[element_nodes] @ M_loc; the boundary parts of all elements are one
     product with the broken boundary mass of `element_boundary_triplets`.
+    Data without one entry per fine node raises DimensionMismatch.
     """
     f_nodal = np.asarray(f_nodal)
     g_nodal = np.asarray(g_nodal)
+    for name, data in (("f", f_nodal), ("g", g_nodal)):
+        if data.shape != (grid.n_nodes,):
+            raise DimensionMismatch(f"{name} of shape {data.shape} against {grid.n_nodes} nodes")
     p = coarse.element_nodes.shape[1]
     dtype = np.result_type(f_nodal.dtype, g_nodal.dtype, float)
     stencil = element_stencil(grid, coarse)

@@ -11,21 +11,21 @@ equivalent bordered form
     [ U^T -I ] [ y ] = [0],
 
 factorized once per patch and reused for all nbf right-hand sides.  Every
-constrained solve, on a patch or on the whole domain, is a principal
-submatrix of one global bordered operator A = [[B, U], [U^T, -I]], whose U
-holds the S_e Phi_e columns of all elements: it keeps the free nodes and
-the border columns of the patch elements, and its right-hand sides are U
-columns on those nodes.  A is formed once per call, as one COO -> CSC
-matrix, so each patch matrix is a CSC slice of it; it is complex
-symmetric and goes to the symmetric-ordering LU of `kernels.factorize`, as
-does the sparse coarse system.  Test vectors are the conjugates of the
-trial vectors; the independent adjoint solve (the same slice of conj(A))
-is kept for cross-validation.
+constrained solve is posed on a `grid.Patch`; the whole domain is the patch
+with m = NH - 1.  Its system is a principal submatrix of one global bordered
+operator A = [[B, U], [U^T, -I]], whose U holds the S_e Phi_e columns of
+all elements: it keeps the patch's free nodes and the border columns of its
+elements, and its right-hand sides are U columns on those nodes.  A is
+formed once per call, as one COO -> CSC matrix, so each patch matrix is a
+CSC slice of it; it is complex symmetric and goes to the symmetric-ordering
+LU of `kernels.factorize`, as does the sparse coarse system.  Test vectors
+are the conjugates of the trial vectors; the independent adjoint solve (the
+same slice of conj(A)) is kept for cross-validation.
 
 Patch systems constrain the fine nodes on the patch boundary away from the
-domain boundary; where a patch touches the outer boundary the Robin rows
-stay, so a patch that fills the domain reproduces the unlocalized problem
-exactly.  `strict_zero_trace` constrains the whole patch boundary instead.
+domain boundary (`Patch.free_nodes`, the one free-node rule); where a patch
+touches the outer boundary the Robin rows stay, so the domain patch keeps
+every node.  `strict_zero_trace` constrains the whole patch boundary instead.
 
 Passing the element-split load blocks to `build_space` additionally solves,
 on each patch, the same constrained system against that element's share of
@@ -73,6 +73,7 @@ import scipy.sparse.linalg as spla
 from . import kernels
 from .errors import (
     DimensionMismatch,
+    InvalidElement,
     SingularCoarseSystem,
     SingularGlobalSystem,
     SingularLocalSystem,
@@ -90,7 +91,6 @@ __all__ = [
     "local_cem_solve",
     "test_basis",
     "build_space",
-    "global_basis",
     "build_global_space",
     "assemble_coarse",
     "solve_multiscale",
@@ -139,49 +139,32 @@ def _bordered_matrix(forms, P):
     )
 
 
-def _bordered_solve(A, P, idx, elements, rhs_cols, error=SingularLocalSystem,
-                    extra_rhs=None):
-    """Solve (B + U U^T) psi = r on the nodes `idx` for every rhs column.
+def _bordered_solve(A, P, patch, strict_zero_trace, rhs_cols, extra=None,
+                    error=SingularLocalSystem):
+    """Solve (B + U U^T) psi = r on the free nodes of `patch` for every rhs column.
 
     The system is the principal submatrix of the bordered operator A (see
-    `_bordered_matrix`) on `idx` and the border columns of `elements`; the
-    right-hand sides are the U columns `rhs_cols` on `idx`, then `extra_rhs`.
-    """
-    n_free = idx.size
-    if n_free == 0:
-        raise error("patch has no unconstrained nodes")
+    `_bordered_matrix`) on the free nodes and the border columns of
+    `patch.elements`; the right-hand sides are the U columns `rhs_cols`,
+    then the fine vector `extra`, on the free nodes.  Returns (free rows,
+    solutions)."""
+    rows = patch.free_nodes(strict_zero_trace)
+    where = f"element {patch.center}, m={patch.m}"
+    if rows.size == 0:
+        raise error(f"{where}: patch has no unconstrained nodes")
     n = A.shape[0] - P.coarse.n_elements * P.nbf
-    border = n + (np.asarray(elements)[:, None] * P.nbf + np.arange(P.nbf)).ravel()
-    sel = np.concatenate([idx, border])
+    border = n + (patch.elements[:, None] * P.nbf + np.arange(P.nbf)).ravel()
+    sel = np.concatenate([rows, border])
     n_trial = len(rhs_cols)
-    n_extra = 0 if extra_rhs is None else extra_rhs.shape[1]
-    rhs = np.zeros((sel.size, n_trial + n_extra), dtype=complex)
-    rhs[:n_free, :n_trial] = A[:, n + np.asarray(rhs_cols)][idx].toarray()
-    if extra_rhs is not None:
-        rhs[:n_free, n_trial:] = extra_rhs
+    rhs = np.zeros((sel.size, n_trial + (extra is not None)), dtype=complex)
+    rhs[:rows.size, :n_trial] = A[:, n + np.asarray(rhs_cols)][rows].toarray()
+    if extra is not None:
+        rhs[:rows.size, n_trial] = np.asarray(extra)[rows]
     try:
         sol = kernels.factorize(A[:, sel][sel]).solve(rhs)
     except SingularMatrix as exc:
-        raise error(f"constrained system is singular: {exc}") from exc
-    return sol[:n_free]
-
-
-def _patch_solve(A, forms, P, j, m, strict_zero_trace, rhs_cols, block=None):
-    """Bordered solve on element j's m-layer patch for the trial columns
-    `rhs_cols` and, with `block` (element j's load block), the data column
-    after them.  Returns the patch's free rows, its solutions and the patch."""
-    patch = oversample(forms.coarse, j, m)
-    rows = patch.free_nodes(strict_zero_trace)
-    extra = None
-    if block is not None:
-        extra = np.zeros(forms.grid.n_nodes, dtype=complex)
-        extra[forms.coarse.element_nodes[j]] = block
-        extra = extra[rows][:, None]
-    try:
-        vals = _bordered_solve(A, P, rows, patch.elements, rhs_cols, extra_rhs=extra)
-    except SingularLocalSystem as exc:
-        raise SingularLocalSystem(f"element {j}, m={m}: {exc}") from exc
-    return rows, vals, patch
+        raise error(f"{where}: constrained system is singular: {exc}") from exc
+    return rows, sol[:rows.size]
 
 
 def local_cem_solve(j, m, forms, P, strict_zero_trace=False, adjoint=False):
@@ -192,9 +175,8 @@ def local_cem_solve(j, m, forms, P, strict_zero_trace=False, adjoint=False):
     A = _bordered_matrix(forms, P)
     if adjoint:
         A = A.conj()
-    rows, vals, patch = _patch_solve(
-        A, forms, P, j, m, strict_zero_trace, j * P.nbf + np.arange(P.nbf)
-    )
+    patch = oversample(forms.coarse, j, m)
+    rows, vals = _bordered_solve(A, P, patch, strict_zero_trace, j * P.nbf + np.arange(P.nbf))
     psi = np.zeros((forms.grid.n_nodes, P.nbf), dtype=complex)
     psi[rows] = vals
     return psi, patch
@@ -232,10 +214,17 @@ class MultiscaleSpace:
         return self.trial.shape[1]
 
     def index(self, j, i):
+        _check_basis(j, i, self.forms.coarse.n_elements, self.nbf)
         return j * self.nbf + i
 
     def vector(self, j, i):
         return self.trial[:, [self.index(j, i)]].toarray().ravel()
+
+
+def _check_basis(j, i, n_elements, nbf):
+    """Raise InvalidElement unless 0 <= j < n_elements and 0 <= i < nbf."""
+    if not (0 <= j < n_elements and 0 <= i < nbf):
+        raise InvalidElement(f"basis ({j}, {i}) outside {n_elements} elements x {nbf} functions")
 
 
 def _read_only(A):
@@ -271,9 +260,13 @@ def _solve_patches(forms, P, m, strict_zero_trace, elements, load_blocks, with_t
     data, indices, indptr = [], [], [0]
     corrector = None if load_blocks is None else np.zeros(n, dtype=complex)
     for j in elements:
-        block = None if load_blocks is None else load_blocks[j]
-        rows, vals, _ = _patch_solve(
-            A, forms, P, j, m, strict_zero_trace, j * P.nbf + np.arange(nbf), block
+        extra = None
+        if load_blocks is not None:
+            extra = np.zeros(n, dtype=complex)
+            extra[forms.coarse.element_nodes[j]] = load_blocks[j]
+        rows, vals = _bordered_solve(
+            A, P, oversample(forms.coarse, j, m), strict_zero_trace,
+            j * P.nbf + np.arange(nbf), extra,
         )
         for i in range(nbf):
             data.append(vals[:, i])
@@ -326,48 +319,22 @@ def build_space(forms, P, m, strict_zero_trace=False, load_blocks=None):
     return P.space
 
 
-def _global_free_nodes(forms, strict_zero_trace):
-    n = forms.grid.n_nodes
-    if strict_zero_trace:
-        return np.flatnonzero(~forms.grid.boundary_mask)
-    return np.arange(n)
-
-
 def build_global_space(forms, P, loads=None, strict_zero_trace=False):
-    """Unlocalized bases: the same constrained problem posed on the whole
-    domain (one factorization, all right-hand sides).  With `loads` (full
+    """Unlocalized bases: the constrained problem on the domain patch
+    `oversample(coarse, 0, NH - 1)`, one factorization for all N*nbf
+    right-hand sides, as `build_space` with m = NH - 1.  With `loads` (full
     fine load vector) the global data corrector is solved alongside."""
     coarse = forms.coarse
-    n = forms.grid.n_nodes
-    idx = _global_free_nodes(forms, strict_zero_trace)
-    all_els = np.arange(coarse.n_elements)
-    extra = None if loads is None else np.asarray(loads, dtype=complex)[idx][:, None]
-    vals = _bordered_solve(
-        _bordered_matrix(forms, P), P, idx, all_els, np.arange(all_els.size * P.nbf),
-        error=SingularGlobalSystem, extra_rhs=extra,
+    n_basis = coarse.n_elements * P.nbf
+    rows, vals = _bordered_solve(
+        _bordered_matrix(forms, P), P, oversample(coarse, 0, coarse.NH - 1),
+        strict_zero_trace, np.arange(n_basis), loads, error=SingularGlobalSystem,
     )
-    corrector = None
-    if loads is not None:
-        corrector = np.zeros(n, dtype=complex)
-        corrector[idx] = vals[:, -1]
-        vals = vals[:, :-1]
-    full = np.zeros((n, vals.shape[1]), dtype=complex)
-    full[idx] = vals
-    return _new_space(forms, -1, strict_zero_trace, sp.csc_matrix(full), corrector)
-
-
-def global_basis(j, i, forms, P, strict_zero_trace=False):
-    """One unlocalized basis vector (small-grid oracle path)."""
-    n = forms.grid.n_nodes
-    idx = _global_free_nodes(forms, strict_zero_trace)
-    all_els = np.arange(forms.coarse.n_elements)
-    vals = _bordered_solve(
-        _bordered_matrix(forms, P), P, idx, all_els, [j * P.nbf + i],
-        error=SingularGlobalSystem,
-    )
-    out = np.zeros(n, dtype=complex)
-    out[idx] = vals[:, 0]
-    return out
+    full = np.zeros((forms.grid.n_nodes, vals.shape[1]), dtype=complex)
+    full[rows] = vals
+    corrector = None if loads is None else full[:, n_basis].copy()
+    trial = sp.csc_matrix(full[:, :n_basis])
+    return _new_space(forms, -1, strict_zero_trace, trial, corrector)
 
 
 @dataclass
@@ -486,11 +453,13 @@ def solve_multiscale(system, space, forms=None):
 def measure_decay(j, i, forms, P, m_list, w=None):
     """Tail energies of the unlocalized basis (j, i) outside each m-patch.
 
+    w defaults to the solve on element j's domain patch (m = NH - 1).
     t(m) = |w|^2_{a, outside} + |pi w|^2_{s, outside}; returns the list of
     t(m) and the geometric mean of consecutive ratios (decay factor).
     """
+    _check_basis(j, i, forms.coarse.n_elements, P.nbf)
     if w is None:
-        w = global_basis(j, i, forms, P)
+        w = local_cem_solve(j, forms.coarse.NH - 1, forms, P)[0][:, i]
     coeffs = pi_coeffs(P, w)
     per_element_s = np.sum(np.abs(coeffs) ** 2, axis=1)
     tails = []

@@ -16,6 +16,7 @@ from cemhelm.assembly import (
     load_boundary,
     load_volume,
 )
+from cemhelm.errors import DimensionMismatch
 from cemhelm.grid import build_coarse_grid, build_fine_grid, oversample
 from cemhelm.medium import constant_medium
 
@@ -265,6 +266,19 @@ def test_element_loads_partition_exactly():
         total[c.element_nodes[j]] += blocks[j]
     expected = load_volume(g, f) + load_boundary(g, gd)
     assert np.abs(total - expected).max() <= 1e-14 * np.abs(expected).max()
+
+
+def test_element_loads_reject_data_of_another_grid():
+    from cemhelm.assembly import element_loads
+
+    g = build_fine_grid(16, 16)
+    c = build_coarse_grid(g, 4)
+    n32 = build_fine_grid(32, 32).n_nodes
+    ok = np.zeros(g.n_nodes)
+    for f, gd in ((np.ones(n32), ok), (ok, np.ones(n32)), (np.ones(g.n_nodes - 1), ok),
+                  (ok, np.ones(10))):
+        with pytest.raises(DimensionMismatch):
+            element_loads(g, c, f, gd)
 
 
 def test_element_loads_interior_blocks_have_no_boundary_part():

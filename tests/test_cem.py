@@ -13,6 +13,7 @@ from cemhelm import cem, kernels, spectral
 from cemhelm.assembly import build_forms, element_loads
 from cemhelm.errors import (
     DimensionMismatch,
+    InvalidElement,
     SingularCoarseSystem,
     SingularGlobalSystem,
     SingularLocalSystem,
@@ -132,7 +133,7 @@ def test_localization_consistency_full_patch(setup32):
 
 def test_localization_error_decreases_with_m():
     g, c, forms, P = make_setup(nx=32, NH=8, nbf=2)
-    glo = cem.global_basis(20, 0, forms, P)
+    glo = cem.build_global_space(forms, P).vector(20, 0)
     errs = []
     for m in (1, 2, 3):
         psi, _ = cem.local_cem_solve(20, m, forms, P)
@@ -159,11 +160,11 @@ def test_real_problem_gives_real_basis():
     assert np.abs(cem.test_basis(psi) - psi).max() <= 1e-12 * np.abs(psi).max()
 
 
-def test_global_basis_residual_identity():
+def test_global_space_residual_identity():
     # the unlocalized basis satisfies its defining variational identity
     g, c, forms, P = make_setup(nx=16, NH=4, nbf=2, k=2.0)
     j, i = 5, 1
-    w = cem.global_basis(j, i, forms, P)
+    w = cem.build_global_space(forms, P).vector(j, i)
     C = spectral.pi_gram_correction(P)
     r = spectral.pi_rhs(P, j, i)
     resid = forms.B @ w + C @ w - r
@@ -262,6 +263,26 @@ def test_measure_decay_beta_constant_medium():
     tails, beta = cem.measure_decay(27, 1, forms, P, [1, 2, 3])
     assert all(t > 0 for t in tails)
     assert beta < 0.8
+
+
+OUT_OF_RANGE = ((5, 2), (15, 2), (16, 0), (-1, 0), (0, -1))  # of NH = 4, nbf = 2
+
+
+def test_out_of_range_basis_index_raises():
+    # with nbf = 2, j * nbf + i of (5, 2) is that of (6, 0)
+    g, c, forms, P = make_setup(nx=16, NH=4, nbf=2)
+    space = cem.build_space(forms, P, 1)
+    assert space.index(15, 1) == space.n_basis - 1
+    for j, i in OUT_OF_RANGE:
+        with pytest.raises(InvalidElement):
+            space.vector(j, i)
+
+
+def test_measure_decay_rejects_out_of_range_basis():
+    g, c, forms, P = make_setup(nx=16, NH=4, nbf=2)
+    for j, i in OUT_OF_RANGE:
+        with pytest.raises(InvalidElement):
+            cem.measure_decay(j, i, forms, P, [1, 2])
 
 
 def test_dump_basis(tmp_path, setup32):
@@ -503,28 +524,31 @@ def test_bordered_assembly_matches_bmat_oracle(channel_setup, j, strict, adjoint
     patch = oversample(c, j, 1)
     idx = patch.free_nodes(strict)
     rhs_cols = np.arange(j * P.nbf, (j + 1) * P.nbf)
-    rng = np.random.default_rng(j)
-    extra = rng.normal(size=(idx.size, 1)) + 1j * rng.normal(size=(idx.size, 1))
+    extra = _random_complex(np.random.default_rng(j), g.n_nodes)
     A = cem._bordered_matrix(forms, P)
-    vals = cem._bordered_solve(
-        A.conj() if adjoint else A, P, idx, patch.elements, rhs_cols, extra_rhs=extra
+    rows, vals = cem._bordered_solve(
+        A.conj() if adjoint else A, P, patch, strict, rhs_cols, extra
     )
-    ref = _bmat_oracle(forms, P, idx, patch.elements, rhs_cols, adjoint, extra)
+    assert np.array_equal(rows, idx)
+    ref = _bmat_oracle(forms, P, idx, patch.elements, rhs_cols, adjoint, extra[idx][:, None])
     assert np.abs(vals - ref).max() <= 1e-10 * np.abs(ref).max()
 
 
 def test_global_bordered_assembly_matches_bmat_oracle(channel_setup):
+    # the domain patch keeps every node and every element
     g, c, forms, P = channel_setup
+    patch = oversample(c, 0, c.NH - 1)
     idx = np.arange(g.n_nodes)
     elements = np.arange(c.n_elements)
+    assert np.array_equal(patch.elements, elements)
     cols = np.arange(c.n_elements * P.nbf)
-    rng = np.random.default_rng(1)
-    corrector_rhs = rng.normal(size=(g.n_nodes, 1)) + 1j * rng.normal(size=(g.n_nodes, 1))
-    vals = cem._bordered_solve(
-        cem._bordered_matrix(forms, P), P, idx, elements, cols,
-        error=SingularGlobalSystem, extra_rhs=corrector_rhs,
+    corrector_rhs = _random_complex(np.random.default_rng(1), g.n_nodes)
+    rows, vals = cem._bordered_solve(
+        cem._bordered_matrix(forms, P), P, patch, False, cols, corrector_rhs,
+        error=SingularGlobalSystem,
     )
-    ref = _bmat_oracle(forms, P, idx, elements, cols, extra_rhs=corrector_rhs)
+    assert np.array_equal(rows, idx)
+    ref = _bmat_oracle(forms, P, idx, elements, cols, extra_rhs=corrector_rhs[:, None])
     assert np.abs(vals - ref).max() <= 1e-10 * np.abs(ref).max()
 
 
@@ -564,7 +588,7 @@ def _random_complex(rng, *shape):
 
 
 @given(cfg=configurations(), data=st.data())
-def test_generated_patch_solve_matches_bmat_oracle(cfg, data):
+def test_generated_bordered_solve_matches_bmat_oracle(cfg, data):
     rng, g, c, forms, P = _generated_setup(cfg)
     j = data.draw(st.integers(0, c.n_elements - 1), label="j")
     m = data.draw(st.integers(0, cfg["NH"]), label="m")
@@ -575,12 +599,13 @@ def test_generated_patch_solve_matches_bmat_oracle(cfg, data):
     A = A.conj() if adjoint else A
     rhs_cols = np.arange(j * P.nbf, (j + 1) * P.nbf)
     if idx.size == 0:
-        with pytest.raises(SingularLocalSystem):
-            cem._bordered_solve(A, P, idx, patch.elements, rhs_cols)
+        with pytest.raises(SingularLocalSystem, match=f"element {j}, m={m}"):
+            cem._bordered_solve(A, P, patch, cfg["strict"], rhs_cols)
         return
-    extra = _random_complex(rng, idx.size, 1)
-    vals = cem._bordered_solve(A, P, idx, patch.elements, rhs_cols, extra_rhs=extra)
-    ref = _bmat_oracle(forms, P, idx, patch.elements, rhs_cols, adjoint, extra)
+    extra = _random_complex(rng, g.n_nodes)
+    rows, vals = cem._bordered_solve(A, P, patch, cfg["strict"], rhs_cols, extra)
+    assert np.array_equal(rows, idx)
+    ref = _bmat_oracle(forms, P, idx, patch.elements, rhs_cols, adjoint, extra[idx][:, None])
     assert np.abs(vals - ref).max() <= 1e-10 * np.abs(ref).max()
 
 
@@ -607,7 +632,7 @@ def test_generated_sparse_coarse_solve(cfg, data):
     rng, g, c, forms, P = _generated_setup(cfg)
     # more trial vectors than free fine nodes make G singular: the field is
     # still defined, its coefficients are not
-    assume(c.n_elements * P.nbf <= cem._global_free_nodes(forms, cfg["strict"]).size)
+    assume(c.n_elements * P.nbf <= oversample(c, 0, c.NH - 1).free_nodes(cfg["strict"]).size)
     m = data.draw(st.integers(1, max(1, cfg["NH"] - 1)), label="m")
     f, gd = _random_complex(rng, g.n_nodes), _random_complex(rng, g.n_nodes)
     loads = forms.M @ f + forms.Mb @ gd
@@ -622,6 +647,41 @@ def test_generated_sparse_coarse_solve(cfg, data):
     assert np.linalg.norm(c_sparse - c_dense) <= 1e-10 * np.linalg.norm(c_dense)
     resid = space.trial.T @ (loads - forms.B @ u)
     assert np.linalg.norm(resid) <= 1e-10 * np.linalg.norm(space.trial.T @ loads)
+
+
+@given(cfg=configurations())
+def test_generated_load_blocks_scatter_to_load_vector(cfg):
+    rng, g, c, forms, P = _generated_setup(cfg)
+    f, gd = _random_complex(rng, g.n_nodes), _random_complex(rng, g.n_nodes)
+    total = np.zeros(g.n_nodes, dtype=complex)
+    np.add.at(total, c.element_nodes, element_loads(g, c, f, gd))
+    ref = forms.M @ f + forms.Mb @ gd
+    assert np.abs(total - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@given(cfg=configurations(), data=st.data())
+def test_generated_online_space_equals_offline(cfg, data):
+    # a second build_space call on P solves only the loaded patches (some
+    # blocks are exactly zero); a first call on a fresh projection solves all
+    rng, g, c, forms, P = _generated_setup(cfg)
+    assume(c.n_elements * P.nbf <= oversample(c, 0, c.NH - 1).free_nodes(cfg["strict"]).size)
+    m = data.draw(st.integers(1, max(1, cfg["NH"] - 1)), label="m")
+    blocks = element_loads(g, c, _random_complex(rng, g.n_nodes), _random_complex(rng, g.n_nodes))
+    loaded = rng.random(c.n_elements) < 0.5
+    loaded[rng.integers(c.n_elements)] = True
+    blocks[~loaded] = 0.0
+    loads = np.zeros(g.n_nodes, dtype=complex)
+    np.add.at(loads, c.element_nodes, blocks)
+    first = cem.build_space(forms, P, m, cfg["strict"])
+    results = []
+    for proj in (P, spectral.build_projection(forms, P.nbf)):
+        space = cem.build_space(forms, proj, m, cfg["strict"], load_blocks=blocks)
+        u, _ = cem.solve_multiscale(cem.assemble_coarse(space, forms, loads), space, forms=forms)
+        results.append((space, u))
+    (online, u_online), (offline, u_offline) = results
+    assert online.trial is first.trial and offline.trial is not first.trial
+    assert _rel(online.corrector, offline.corrector) <= 1e-12
+    assert _rel(u_online, u_offline) <= 1e-12
 
 
 # --- offline/online split: P keeps the last space; spaces for the same

@@ -216,6 +216,21 @@ def test_run_dump_flags(tmp_path, monkeypatch):
     assert basis.read_text().startswith("node,x,y,re,im")
 
 
+@pytest.mark.parametrize("j, i", [(5, 2), (15, 2)])
+@pytest.mark.parametrize("command", ["run", "basis-decay"])
+def test_main_out_of_range_basis_exit_code(tmp_path, monkeypatch, capsys, command, j, i):
+    # with nbf = 2, (5, 2) would alias element 6's first basis function
+    monkeypatch.chdir(tmp_path)
+    argv = [command, "--model", "model1", "--nx", "16", "--NH", "4", "--m", "1",
+            "--nbf", "2", "--k", "4"]
+    if command == "run":
+        argv += ["--dump-basis", f"{j},{i}"]
+    else:
+        argv += ["--j", str(j), "--i", str(i), "--out", "decay.csv"]
+    assert cli.main(argv) == 2
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_run_no_corrector_mode():
     a = run(small_config())
     b = run(small_config(corrector=False))
