@@ -12,15 +12,30 @@ equivalent bordered form
 
 factorized once per patch and reused for all nbf right-hand sides.  Every
 constrained solve is posed on a `grid.Patch`; the whole domain is the patch
-with m = NH - 1.  Its system is a principal submatrix of one global bordered
-operator A = [[B, U], [U^T, -I]], whose U holds the S_e Phi_e columns of
-all elements: it keeps the patch's free nodes and the border columns of its
-elements, and its right-hand sides are U columns on those nodes.  A is
-formed once per call, as one COO -> CSC matrix, so each patch matrix is a
-CSC slice of it; it is complex symmetric and goes to the symmetric-ordering
-LU of `kernels.factorize`, as does the sparse coarse system.  Test vectors
-are the conjugates of the trial vectors; the independent adjoint solve (the
-same slice of conj(A)) is kept for cross-validation.
+with m = NH - 1.  Its system is a principal submatrix of the bordered
+operator [[B, U], [U^T, -I]] of the whole grid: the patch's free nodes and
+the border unknowns y_e of its elements, where U holds the S_e Phi_e
+columns of all elements.
+
+That system is solved by element-interior static condensation.  An
+element's interior nodes touch only its own cells and its y_e only its
+own nodes, and the free-node rule never constrains an interior node.  So
+each element e eliminates Z_e = (interior nodes, y_e) once per space, in
+one batched dense solve over all elements, leaving a dense Schur complement
+S_e on its 4r rim nodes (see `Condensation`).  Z_e and its coupling C_e to
+the rim are real, as the boundary mass lives on rim nodes; only B_RR
+carries -ik Mb.  A patch system is then the sum of S_e over the patch's
+elements on its free rim nodes, the skeleton, with a fraction of the
+patch's unknowns and LU fill; its right-hand sides enter through one
+element's rim, and the interiors come back from one batched product over
+the patch's elements.  Patches of one shape share the skeleton's index maps
+(`_Layout`).  The skeleton matrices go to the symmetric-ordering LU of
+`kernels.factorize`, as does the sparse coarse system.  A singular or
+ill-conditioned Z_e (k H / eps far beyond the resolution condition) raises
+SingularLocalSystem naming the element.  Test vectors are the conjugates of
+the trial vectors; the independent adjoint solve (the condensation of
+conj(B), which conjugates only S_e and the B_RR diagonals) is kept for
+cross-validation.
 
 Patch systems constrain the fine nodes on the patch boundary away from the
 domain boundary (`Patch.free_nodes`, the one free-node rule); where a patch
@@ -41,14 +56,17 @@ far below them.
 
 The trial vectors depend on the medium, k, the coarse grid, the projection
 and m, never on the data.  A `MultiscaleSpace` therefore carries, besides
-its own data corrector, the read-only trial matrix and G = Psi^T B Psi,
-both formed once, when the trial matrix is built; `build_space` keeps the
-space it last built on the projection (`P.space`).  A later call for the
-same forms object, m and strict_zero_trace returns that space with a new
-corrector, solved only on the patches whose element load block has a
-nonzero entry, one factorization and one right-hand side each.  Skipping
-the other patches is exact, as the data column of a zero block is exactly
-zero.  `assemble_coarse` forms only Psi^T (b - B q).
+its own data corrector, the read-only trial matrix, G = Psi^T B Psi and
+the element condensation, all formed once, when the trial matrix is built;
+`build_space` keeps the space it last built on the projection (`P.space`).
+A later call for the same forms object, m and strict_zero_trace returns
+that space with a new corrector, solved only on the patches whose element
+load block has a nonzero entry, one factorization and one right-hand side
+each; a load enters only through its element's Z_e and rim, so only the
+loaded elements' data are condensed.  Skipping the other patches is exact,
+as the data column of a zero block is exactly zero.  `assemble_coarse`
+forms only Psi^T (b - B q).  Each `build_space` logs at DEBUG the patches
+it factorized, their skeleton unknowns and the summed L+U fill.
 
 The basis vectors decay exponentially away from their element, and so do
 the entries of G.  A coarse system larger than DENSE_LIMIT is therefore
@@ -79,9 +97,16 @@ from .errors import (
     SingularLocalSystem,
     SingularMatrix,
 )
+from .assembly import (
+    assemble_stiffness,
+    element_blocks,
+    element_boundary_triplets,
+    element_matrices,
+    element_stencil,
+    element_triplets,
+)
 from .grid import oversample
 from .spectral import pi_coeffs
-from .assembly import assemble_stiffness
 
 __all__ = [
     "DENSE_LIMIT",
@@ -112,59 +137,277 @@ DENSE_LIMIT = 2000  # larger coarse systems go to the near-field GMRES
 # iterations (1.1 and 1.7 s).
 NEAR_FIELD = 2
 
+# An element block Z_e whose solve amplifies its right-hand sides beyond
+# 1 / (_MIN_RCOND |Z_e|) is refused (see `_solve_elements`).
+_MIN_RCOND = 1e-12
 
-def _bordered_matrix(forms, P):
-    """The global bordered operator A = [[B, U], [U^T, -I]] as one CSC matrix.
 
-    Column n + e*nbf + i of U holds S_e phi_e^i on element e's nodes, so U U^T
-    is the projection Gram correction C.  Every constrained solve is a
-    principal submatrix of A (see `_bordered_solve`).
+def _element_split(coarse):
+    """Columns of `coarse.element_nodes` inside an element and on its rim."""
+    edge = np.isin(np.arange(coarse.ratio + 1), (0, coarse.ratio))
+    on_rim = (edge[:, None] | edge[None, :]).ravel()
+    return np.flatnonzero(~on_rim), np.flatnonzero(on_rim)
+
+
+def _element_systems(forms, P, elements):
+    """Z_e, C_e and B_RR of `elements`, stacked (see `Condensation`).
+
+    The element forms K_e - k^2 M_e are scattered from the element stencil
+    with the interior nodes numbered first; in Z_e the border unknowns y_e
+    follow the interior nodes.  The boundary mass of B lives on rim nodes
+    only, so -ik Mb enters B_RR alone.
     """
-    B = forms.B.tocoo()
-    shape = P.sphi.shape  # (N, p, nbf)
-    border = B.shape[0] + np.arange(shape[0] * shape[2])
-    u_rows = np.broadcast_to(P.coarse.element_nodes[:, :, None], shape).ravel()
-    u_cols = np.broadcast_to(border.reshape(shape[0], 1, shape[2]), shape).ravel()
-    u_vals = P.sphi.ravel()
-    size = B.shape[0] + border.size
-    return sp.csc_matrix(
-        (
-            np.concatenate([B.data, u_vals, u_vals, -np.ones(border.size)]),
-            (
-                np.concatenate([B.row, u_rows, u_cols, border]),
-                np.concatenate([B.col, u_cols, u_rows, border]),
-            ),
-        ),
-        shape=(size, size),
+    grid, coarse = forms.grid, forms.coarse
+    N, p = coarse.element_nodes.shape
+    interior, rim = _element_split(coarse)
+    order = np.concatenate([interior, rim])
+    n_i, n_r, nbf = interior.size, rim.size, P.nbf
+    at = np.argsort(order)  # position of each element node in `order`
+    Ke, Me = element_matrices(grid.h, 1.0)
+    coeffs = forms.medium.values[coarse.element_cells[elements]]
+    rows, cols, vals = element_triplets(at[element_stencil(grid, coarse)], Ke, coeffs)
+    vals = vals - (forms.k * forms.k) * np.tile(Me.ravel(), coeffs.size)
+    blocks = element_blocks(rows, cols, vals, len(coeffs), p)
+    rows, cols, vals = element_boundary_triplets(grid, coarse)
+    Mb = element_blocks(rows // p * n_r + at[rows % p] - n_i, at[cols % p] - n_i, vals, N, n_r)
+    U = P.sphi[elements][:, order]
+    Z = np.zeros((len(coeffs), n_i + nbf, n_i + nbf))
+    Z[:, :n_i, :n_i] = blocks[:, :n_i, :n_i]
+    Z[:, :n_i, n_i:] = U[:, :n_i]
+    Z[:, n_i:, :n_i] = U[:, :n_i].transpose(0, 2, 1)
+    Z[:, n_i:, n_i:] = -np.eye(nbf)
+    C = np.concatenate([blocks[:, :n_i, n_i:], U[:, n_i:].transpose(0, 2, 1)], axis=1)
+    return Z, C, blocks[:, n_i:, n_i:] - 1j * forms.k * Mb[elements]
+
+
+def _solve_elements(forms, Z, rhs):
+    """Z_e^-1 rhs_e for the stack of element blocks Z_e.
+
+    Raises SingularLocalSystem naming the first element whose block is
+    singular or ill-conditioned: |rhs_e| < _MIN_RCOND |Z_e| |Z_e^-1 rhs_e|, in
+    max norms.
+    """
+    try:
+        X = np.linalg.solve(Z, rhs)
+        rcond = np.abs(rhs).max(axis=(1, 2)) / (
+            np.abs(Z).max(axis=(1, 2)) * np.abs(X).max(axis=(1, 2)))
+        bad = np.flatnonzero(~(rcond >= _MIN_RCOND))
+    except np.linalg.LinAlgError:  # an exactly singular block
+        bad = np.flatnonzero(np.linalg.slogdet(Z)[0] == 0)
+    if bad.size:
+        khe = forms.k * forms.coarse.H / forms.medium.epsilon
+        raise SingularLocalSystem(
+            f"element {bad[0]}: interior system is singular or ill-conditioned "
+            f"(k*H/eps = {khe:.3g}; check resolution)"
+        )
+    return X
+
+
+@dataclass(frozen=True)
+class Condensation:
+    """The bordered system of every element with its interior eliminated.
+
+    Element e's nodes split into interior nodes (`interior_nodes[e]`) and the
+    4r rim nodes it shares with its neighbours (`rim_nodes[e]`); `on_rim`
+    marks the fine nodes on some element's rim.  Z_e couples the interior
+    nodes and the border unknowns y_e, C_e = [B_IR; U_R^T] couples them to
+    the rim, and both are real.  Stacked by element:
+
+    - S (N, 4r, 4r), complex: the Schur complement B_RR - C^T Z^-1 C;
+    - diag (N, 4r), complex: the diagonal of B_RR;
+    - W (N, n_I, 4r), real: the interior rows of Z^-1 C;
+    - trial_rim (N, 4r, nbf), real: U_R - C^T Z^-1 [U_I; 0], the condensed
+      right-hand sides of the element's trial columns;
+    - trial_interior (N, n_I, nbf), real: the interior rows of Z^-1 [U_I; 0].
+    """
+
+    interior_nodes: np.ndarray
+    rim_nodes: np.ndarray
+    on_rim: np.ndarray
+    S: np.ndarray
+    diag: np.ndarray
+    W: np.ndarray
+    trial_rim: np.ndarray
+    trial_interior: np.ndarray
+
+    def conj(self):
+        """The condensation of conj(B): Z_e and C_e are real."""
+        return replace(self, S=self.S.conj(), diag=self.diag.conj())
+
+
+def _condense(forms, P):
+    """Eliminate every element's interior and border unknowns at once."""
+    nodes = forms.coarse.element_nodes
+    interior, rim = _element_split(forms.coarse)
+    n_i, n_r = interior.size, rim.size
+    Z, C, B_RR = _element_systems(forms, P, np.arange(len(nodes)))
+    trial = np.zeros(Z.shape[:2] + (P.nbf,))
+    trial[:, :n_i] = P.sphi[:, interior]
+    X = _solve_elements(forms, Z, np.concatenate([C, trial], axis=2))
+    Ct = C.transpose(0, 2, 1)
+    on_rim = np.zeros(forms.grid.n_nodes, dtype=bool)
+    on_rim[nodes[:, rim]] = True
+    cond = Condensation(
+        interior_nodes=nodes[:, interior],
+        rim_nodes=nodes[:, rim],
+        on_rim=on_rim,
+        S=B_RR - Ct @ X[:, :, :n_r],
+        diag=np.diagonal(B_RR, axis1=1, axis2=2).copy(),
+        W=X[:, :n_i, :n_r].copy(),
+        trial_rim=P.sphi[:, rim] - Ct @ X[:, :, n_r:],
+        trial_interior=X[:, :n_i, n_r:].copy(),
+    )
+    for arr in vars(cond).values():
+        arr.flags.writeable = False
+    return cond
+
+
+def _trial_sources(cond, elements):
+    """Sources (see `_skeleton_solve`) of the trial columns of `elements`, in order."""
+    elements = np.asarray(elements)
+    n_cols = elements.size * cond.trial_rim.shape[2]
+    return (
+        np.repeat(elements, cond.trial_rim.shape[2]),
+        np.arange(n_cols),
+        cond.trial_rim[elements].transpose(0, 2, 1).reshape(n_cols, -1),
+        cond.trial_interior[elements].transpose(0, 2, 1).reshape(n_cols, cond.W.shape[1]),
     )
 
 
-def _bordered_solve(A, P, patch, strict_zero_trace, rhs_cols, extra=None,
-                    error=SingularLocalSystem):
-    """Solve (B + U U^T) psi = r on the free nodes of `patch` for every rhs column.
+def _load_sources(forms, P, elements, blocks, column):
+    """Sources of the per-element loads `blocks` (one row of element-node
+    values per element), all in `column`: with z_e = Z_e^-1 [f_I; 0], the
+    condensed rim load f_R - C_e^T z_e and the interior rows of z_e."""
+    interior, rim = _element_split(forms.coarse)
+    Z, C, _ = _element_systems(forms, P, elements)
+    rhs = np.zeros(Z.shape[:2] + (1,), dtype=complex)
+    rhs[:, :interior.size, 0] = blocks[:, interior]
+    z = np.linalg.solve(Z, rhs)
+    return (
+        np.asarray(elements),
+        np.full(len(blocks), column),
+        blocks[:, rim] - (C.transpose(0, 2, 1) @ z)[:, :, 0],
+        z[:, :interior.size, 0],
+    )
 
-    The system is the principal submatrix of the bordered operator A (see
-    `_bordered_matrix`) on the free nodes and the border columns of
-    `patch.elements`; the right-hand sides are the U columns `rhs_cols`,
-    then the fine vector `extra`, on the free nodes.  Returns (free rows,
-    solutions)."""
+
+def _join(*sources):
+    """One set of sources holding all of `sources`."""
+    return tuple(np.concatenate(parts) for parts in zip(*sources))
+
+
+@dataclass(frozen=True)
+class _Layout:
+    """Index maps of a patch's skeleton system, relative to the patch's first
+    node and first element, so every patch of one shape (see `_layout_key`)
+    shares them.
+
+    `rows` are the free nodes, `on_rim` marks those on the skeleton and
+    `interior` (elements, n_I) holds the positions in `rows` of each
+    element's interior nodes; `local` (elements, 4r) is the skeleton
+    position of each element's rim nodes (-1 where constrained) and
+    `outside` the elements around the patch.  The skeleton matrix in CSC
+    form has the pattern (`indices`, `indptr`); its stored entry q sums the
+    values at take[starts[q]:starts[q+1]] of the patch's S_e entries
+    followed by the outside elements' B_RR diagonals, all flattened.
+    """
+
+    rows: np.ndarray
+    on_rim: np.ndarray
+    interior: np.ndarray
+    local: np.ndarray
+    outside: np.ndarray
+    take: np.ndarray
+    starts: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+
+
+def _layout_key(coarse, j, m):
+    """The m-layer patches of elements with equal keys differ only by a
+    translation (see `_Layout`): the key holds element j's distances to the
+    four domain edges, in elements, clipped at m + 1."""
+    I, J = coarse.element_ij(j)
+    return tuple(min(d, m + 1) for d in (I, coarse.NH - 1 - I, J, coarse.NH - 1 - J))
+
+
+def _skeleton_layout(cond, patch, strict_zero_trace):
+    """The skeleton layout of `patch` (see `_Layout`).
+
+    A free rim node on the domain boundary at the edge of the patch also
+    carries the B_RR diagonal of the elements outside the patch that share
+    it, as the uncondensed patch system is a principal submatrix of the
+    global B.
+    """
     rows = patch.free_nodes(strict_zero_trace)
-    where = f"element {patch.center}, m={patch.m}"
-    if rows.size == 0:
-        raise error(f"{where}: patch has no unconstrained nodes")
-    n = A.shape[0] - P.coarse.n_elements * P.nbf
-    border = n + (patch.elements[:, None] * P.nbf + np.arange(P.nbf)).ravel()
-    sel = np.concatenate([rows, border])
-    n_trial = len(rhs_cols)
-    rhs = np.zeros((sel.size, n_trial + (extra is not None)), dtype=complex)
-    rhs[:rows.size, :n_trial] = A[:, n + np.asarray(rhs_cols)][rows].toarray()
-    if extra is not None:
-        rhs[:rows.size, n_trial] = np.asarray(extra)[rows]
+    on_rim = cond.on_rim[rows]
+    n = np.count_nonzero(on_rim)
+    at = np.full(cond.on_rim.size, -1)
+    at[rows[on_rim]] = np.arange(n)
+    elements = patch.elements
+    local = at[cond.rim_nodes[elements]]
+    outside = np.setdiff1d(oversample(patch.coarse, patch.center, patch.m + 1).elements, elements)
+    shared = at[cond.rim_nodes[outside]]
+    i, k = np.broadcast_arrays(local[:, :, None], local[:, None, :])
+    row = np.concatenate([i.ravel(), shared.ravel()])
+    col = np.concatenate([k.ravel(), shared.ravel()])
+    kept = np.flatnonzero((row >= 0) & (col >= 0))
+    entry = col[kept] * n + row[kept]
+    by_entry = np.argsort(entry)  # CSC order
+    entry = entry[by_entry]
+    new = np.flatnonzero(np.diff(entry, prepend=-1))
+    return _Layout(
+        rows=rows - patch.nodes[0],
+        on_rim=on_rim,
+        interior=np.searchsorted(rows, cond.interior_nodes[elements]),
+        local=local,
+        outside=outside - elements[0],
+        take=kept[by_entry],
+        starts=new,
+        indices=entry[new] % n,
+        indptr=np.searchsorted(entry[new] // n, np.arange(n + 1)),
+    )
+
+
+def _skeleton_solve(cond, patch, layout, sources, n_cols, error=SingularLocalSystem):
+    """Solve the bordered system of `patch` on its free rim nodes, then
+    recover the element interiors.
+
+    The skeleton system sums the Schur complements S_e of the patch's
+    elements on its free rim nodes (see `_skeleton_layout`).  Source s of
+    `sources` = (elements, columns, rim, interior) adds its condensed
+    right-hand side rim[s] on the rim nodes of elements[s] and the interior
+    particular solution interior[s] to column columns[s].  Returns (free
+    rows, solutions on them, (skeleton unknowns, L+U fill)).
+    """
+    if layout.rows.size == 0:
+        raise error(f"element {patch.center}, m={patch.m}: patch has no unconstrained nodes")
+    elements = patch.elements
+    n = layout.indptr.size - 1
+    values = np.concatenate([
+        cond.S[elements].ravel(), cond.diag[layout.outside + elements[0]].ravel()
+    ])
+    S = sp.csc_matrix(
+        (np.add.reduceat(values[layout.take], layout.starts), layout.indices, layout.indptr),
+        shape=(n, n),
+    )
+    src_elements, src_cols, src_rim, src_interior = sources
+    e = np.searchsorted(elements, src_elements)
+    rhs = np.zeros((n + 1, n_cols), dtype=complex)  # constrained nodes land in row -1
+    np.add.at(rhs, (layout.local[e], src_cols[:, None]), src_rim)
     try:
-        sol = kernels.factorize(A[:, sel][sel]).solve(rhs)
+        F = kernels.factorize(S)
+        sol = F.solve(rhs[:n])
     except SingularMatrix as exc:
-        raise error(f"{where}: constrained system is singular: {exc}") from exc
-    return rows, sol[:rows.size]
+        raise error(
+            f"element {patch.center}, m={patch.m}: constrained system is singular: {exc}"
+        ) from exc
+    interior = -(cond.W[elements] @ np.concatenate([sol, np.zeros((1, n_cols))])[layout.local])
+    np.add.at(interior, (e[:, None], np.arange(interior.shape[1]), src_cols[:, None]), src_interior)
+    vals = np.empty((layout.rows.size, n_cols), dtype=complex)
+    vals[layout.on_rim] = sol
+    vals[layout.interior] = interior
+    return layout.rows + patch.nodes[0], vals, (n, F.fill)
 
 
 def local_cem_solve(j, m, forms, P, strict_zero_trace=False, adjoint=False):
@@ -172,11 +415,12 @@ def local_cem_solve(j, m, forms, P, strict_zero_trace=False, adjoint=False):
 
     With `adjoint` the patch system of conj(B) is solved instead (an
     independent check of the conjugate test vectors)."""
-    A = _bordered_matrix(forms, P)
-    if adjoint:
-        A = A.conj()
+    cond = _condense(forms, P)
     patch = oversample(forms.coarse, j, m)
-    rows, vals = _bordered_solve(A, P, patch, strict_zero_trace, j * P.nbf + np.arange(P.nbf))
+    rows, vals, _ = _skeleton_solve(
+        cond.conj() if adjoint else cond, patch, _skeleton_layout(cond, patch, strict_zero_trace),
+        _trial_sources(cond, [j]), P.nbf,
+    )
     psi = np.zeros((forms.grid.n_nodes, P.nbf), dtype=complex)
     psi[rows] = vals
     return psi, patch
@@ -192,10 +436,11 @@ def test_basis(trial):
 class MultiscaleSpace:
     """Trial vectors as columns of a sparse matrix, column p = j*nbf + i.
 
-    `G` is the coarse matrix Psi^T B Psi of `forms.B`; `trial` and `G` are
-    read-only, and the spaces `build_space` returns for one (forms, P, m,
-    strict_zero_trace) share them.  `corrector` is the space's own summed
-    localized data solve (None when it was built without load blocks).
+    `G` is the coarse matrix Psi^T B Psi of `forms.B` and `condensation` the
+    element condensation the patch solves read; all three are read-only, and
+    the spaces `build_space` returns for one (forms, P, m, strict_zero_trace)
+    share them.  `corrector` is the space's own summed localized data solve
+    (None when it was built without load blocks).
     """
 
     forms: object
@@ -203,6 +448,7 @@ class MultiscaleSpace:
     strict_zero_trace: bool
     trial: sp.csc_matrix
     G: sp.csc_matrix
+    condensation: "Condensation"
     corrector: np.ndarray = None
 
     @property
@@ -235,7 +481,7 @@ def _read_only(A):
     return A
 
 
-def _new_space(forms, m, strict_zero_trace, trial, corrector):
+def _new_space(forms, m, strict_zero_trace, trial, corrector, condensation):
     """The space of a newly built trial matrix: freezes it and forms G.
 
     G = (B Psi)^T Psi, equal to Psi^T B Psi as B is complex symmetric, comes
@@ -243,42 +489,56 @@ def _new_space(forms, m, strict_zero_trace, trial, corrector):
     """
     trial = _read_only(trial)
     G = _read_only((forms.B @ trial).T @ trial)
-    return MultiscaleSpace(forms, m, strict_zero_trace, trial, G, corrector)
+    return MultiscaleSpace(forms, m, strict_zero_trace, trial, G, condensation, corrector)
 
 
-def _solve_patches(forms, P, m, strict_zero_trace, elements, load_blocks, with_trial):
-    """Bordered solves on the patches of `elements`, one factorization each.
+def _solve_patches(cond, forms, P, m, strict_zero_trace, load_blocks, with_trial):
+    """Skeleton solves on the patches of every element (`with_trial`) or of
+    the loaded ones, one factorization each.
 
-    With `with_trial`, each patch solves its nbf trial columns, returned as the
-    columns of the trial matrix (`elements` must then be every element); with
-    `load_blocks`, it also solves its data column, summed into the corrector.
+    With `with_trial`, each patch solves its nbf trial columns, returned as
+    the columns of the trial matrix; the patch of an element with a nonzero
+    load block also solves its data column, summed into the corrector.
     Returns (trial matrix or None, corrector or None).
     """
-    n = forms.grid.n_nodes
+    n, N = forms.grid.n_nodes, forms.coarse.n_elements
     nbf = P.nbf if with_trial else 0
-    A = _bordered_matrix(forms, P)
+    loads, corrector = {}, None
+    if load_blocks is not None:
+        corrector = np.zeros(n, dtype=complex)
+        loaded = np.flatnonzero(np.any(load_blocks != 0, axis=1))
+        sources = _load_sources(forms, P, loaded, load_blocks[loaded], nbf)
+        loads = {int(j): tuple(a[[s]] for a in sources) for s, j in enumerate(loaded)}
     data, indices, indptr = [], [], [0]
-    corrector = None if load_blocks is None else np.zeros(n, dtype=complex)
-    for j in elements:
-        extra = None
-        if load_blocks is not None:
-            extra = np.zeros(n, dtype=complex)
-            extra[forms.coarse.element_nodes[j]] = load_blocks[j]
-        rows, vals = _bordered_solve(
-            A, P, oversample(forms.coarse, j, m), strict_zero_trace,
-            j * P.nbf + np.arange(nbf), extra,
+    unknowns = fill = 0
+    key = layout = None
+    for j in range(N) if with_trial else loads:
+        patch = oversample(forms.coarse, j, m)
+        if _layout_key(forms.coarse, j, m) != key:  # neighbours in a row mostly share it
+            key = _layout_key(forms.coarse, j, m)
+            layout = _skeleton_layout(cond, patch, strict_zero_trace)
+        sources = [_trial_sources(cond, [j])] if with_trial else []
+        if j in loads:
+            sources.append(loads[j])
+        rows, vals, (size, lu) = _skeleton_solve(
+            cond, patch, layout, _join(*sources), nbf + (j in loads)
         )
+        unknowns, fill = unknowns + size, fill + lu
         for i in range(nbf):
             data.append(vals[:, i])
             indices.append(rows)
             indptr.append(indptr[-1] + rows.size)
-        if load_blocks is not None:
+        if j in loads:
             corrector[rows] += vals[:, nbf]
+    log.debug(
+        "build_space: %d patches factorized, %d skeleton unknowns, L+U fill %d",
+        N if with_trial else len(loads), unknowns, fill,
+    )
     if not with_trial:
         return None, corrector
     trial = sp.csc_matrix(
         (np.concatenate(data), np.concatenate(indices), np.array(indptr)),
-        shape=(n, forms.coarse.n_elements * P.nbf),
+        shape=(n, N * P.nbf),
     )
     return trial, corrector
 
@@ -290,8 +550,9 @@ def build_space(forms, P, m, strict_zero_trace=False, load_blocks=None):
     assembly.element_loads) the space also carries the summed localized
     data solve as its corrector.  The trial matrix and G do not depend on
     the data: P keeps the space it last built, and a call for the same
-    forms object, m and strict_zero_trace reuses its trial and G and solves
-    only the loaded patches (see the module docstring).
+    forms object, m and strict_zero_trace reuses its trial, G and element
+    condensation and solves only the loaded patches (see the module
+    docstring).
     """
     coarse = forms.coarse
     if load_blocks is not None:
@@ -304,18 +565,16 @@ def build_space(forms, P, m, strict_zero_trace=False, load_blocks=None):
     space = P.space
     if (space is not None and space.forms is forms and space.m == m
             and space.strict_zero_trace == strict_zero_trace):
-        loaded = []
-        if load_blocks is not None:
-            loaded = np.flatnonzero(np.any(load_blocks != 0, axis=1))
         _, corrector = _solve_patches(
-            forms, P, m, strict_zero_trace, loaded, load_blocks, with_trial=False
+            space.condensation, forms, P, m, strict_zero_trace, load_blocks, with_trial=False
         )
         return replace(space, corrector=corrector)
-    P.space = None  # free the previous trial and G before building the next
+    P.space = None  # free the previous trial, G and condensation before building the next
+    cond = _condense(forms, P)
     trial, corrector = _solve_patches(
-        forms, P, m, strict_zero_trace, range(coarse.n_elements), load_blocks, with_trial=True
+        cond, forms, P, m, strict_zero_trace, load_blocks, with_trial=True
     )
-    P.space = _new_space(forms, m, strict_zero_trace, trial, corrector)
+    P.space = _new_space(forms, m, strict_zero_trace, trial, corrector, cond)
     return P.space
 
 
@@ -323,18 +582,30 @@ def build_global_space(forms, P, loads=None, strict_zero_trace=False):
     """Unlocalized bases: the constrained problem on the domain patch
     `oversample(coarse, 0, NH - 1)`, one factorization for all N*nbf
     right-hand sides, as `build_space` with m = NH - 1.  With `loads` (full
-    fine load vector) the global data corrector is solved alongside."""
+    fine load vector) the global data corrector is solved alongside; a
+    vector without one entry per fine node raises DimensionMismatch."""
     coarse = forms.coarse
-    n_basis = coarse.n_elements * P.nbf
-    rows, vals = _bordered_solve(
-        _bordered_matrix(forms, P), P, oversample(coarse, 0, coarse.NH - 1),
-        strict_zero_trace, np.arange(n_basis), loads, error=SingularGlobalSystem,
+    N, n = coarse.n_elements, forms.grid.n_nodes
+    cond = _condense(forms, P)
+    sources = [_trial_sources(cond, np.arange(N))]
+    if loads is not None:
+        loads = np.asarray(loads)
+        if loads.shape != (n,):
+            raise DimensionMismatch(f"load vector of shape {loads.shape} against {n} nodes")
+        # each node's load shared equally among the elements that hold it
+        shares = np.bincount(coarse.element_nodes.ravel(), minlength=n)
+        blocks = (loads / shares)[coarse.element_nodes]
+        sources.append(_load_sources(forms, P, np.arange(N), blocks, N * P.nbf))
+    patch = oversample(coarse, 0, coarse.NH - 1)
+    rows, vals, _ = _skeleton_solve(
+        cond, patch, _skeleton_layout(cond, patch, strict_zero_trace), _join(*sources),
+        N * P.nbf + (loads is not None), error=SingularGlobalSystem,
     )
-    full = np.zeros((forms.grid.n_nodes, vals.shape[1]), dtype=complex)
+    full = np.zeros((n, vals.shape[1]), dtype=complex)
     full[rows] = vals
-    corrector = None if loads is None else full[:, n_basis].copy()
-    trial = sp.csc_matrix(full[:, :n_basis])
-    return _new_space(forms, -1, strict_zero_trace, trial, corrector)
+    corrector = None if loads is None else full[:, N * P.nbf].copy()
+    trial = sp.csc_matrix(full[:, :N * P.nbf])
+    return _new_space(forms, -1, strict_zero_trace, trial, corrector, cond)
 
 
 @dataclass

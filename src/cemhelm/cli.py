@@ -19,7 +19,7 @@ import numpy as np
 
 from . import cem, models, spectral
 from .assembly import build_forms, element_loads
-from .errors import CemhelmError, IndivisibleMesh, IoError
+from .errors import CemhelmError, IndivisibleMesh, InvalidElement, IoError
 from .medium import save_raster, synthesize_channels
 from .metrics import relative_errors
 from .models import instantiate
@@ -66,6 +66,21 @@ class RunConfig:
             raise ValueError("nbf must be >= 1")
         if self.k <= 0.0:
             raise ValueError("k must be positive")
+        self.basis_to_dump()
+
+    def basis_to_dump(self):
+        """(j, i) of `dump_basis`, or None; raises unless 0 <= j < NH^2 and 0 <= i < nbf."""
+        if not self.dump_basis:
+            return None
+        try:
+            j, i = (int(t) for t in self.dump_basis.split(","))
+        except ValueError:
+            raise ValueError(f"dump_basis must be 'J,I', got {self.dump_basis!r}") from None
+        if not (0 <= j < self.NH * self.NH and 0 <= i < self.nbf):
+            raise InvalidElement(
+                f"basis ({j}, {i}) outside {self.NH * self.NH} elements x {self.nbf} functions"
+            )
+        return j, i
 
     def to_dict(self):
         d = dataclasses.asdict(self)
@@ -236,7 +251,7 @@ def run(config):
     if config.dump_eigs:
         spectral.dump_eigenvalues(pipe.P, config.dump_eigs)
     if config.dump_basis:
-        j, i = (int(t) for t in config.dump_basis.split(","))
+        j, i = config.basis_to_dump()
         cem.dump_basis(space, pipe.spec.grid, j, i, f"basis_{j}_{i}.csv")
     if config.out:
         with open(config.out, "w", encoding="utf-8") as fh:

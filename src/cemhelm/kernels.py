@@ -6,15 +6,17 @@ factorization for (complex symmetric, indefinite) sparse systems, and a
 dense generalized symmetric eigensolver for the small local problems.
 
 `factorize` is the package's only sparse LU.  Every matrix it receives (the
-fine system, the bordered patch systems, and the near-field block of the
-coarse Petrov-Galerkin system that preconditions its GMRES, or the whole
-coarse system when that GMRES does not converge) is complex symmetric, so
+fine system, the condensed skeleton systems of the patches, and the
+near-field block of the coarse Petrov-Galerkin system that preconditions
+its GMRES, or the whole coarse system when that GMRES does not converge)
+is complex symmetric, up to rounding in the skeleton systems, so
 it runs SuperLU in symmetric mode: a minimum-degree ordering of A^T + A
 applied to rows and columns alike, and a small diagonal pivot threshold
 (0.01) that keeps the diagonal pivots the ordering was chosen for unless
 one is below 1 % of its column's largest entry (zero and tiny diagonals
 still pivot off).  Against SuperLU's default column ordering (COLAMD on
 A^T A) this cuts fill and factorization time on all three systems.
+`Factorization.fill` reports the factors' stored L+U entries.
 """
 
 import numpy as np
@@ -34,6 +36,11 @@ class Factorization:
         self._lu = lu
         self.shape = shape
         self.dtype = dtype
+
+    @property
+    def fill(self):
+        """Nonzeros stored in the factors L and U (SuperLU's count, no copy)."""
+        return self._lu.nnz
 
     def solve(self, b):
         b = np.asarray(b)

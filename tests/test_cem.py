@@ -118,6 +118,48 @@ def test_empty_patch_interior_raises():
         cem.local_cem_solve(5, 0, forms, P, strict_zero_trace=True)
 
 
+def test_singular_element_block_raises():
+    """Z_e = [[B_II, U_I], [U_I^T, -I]] is singular exactly where B_II + U_I U_I^T
+    = K_II + U_I U_I^T - k^2 M_II is.  On a homogeneous grid of 4x4-cell
+    elements (nbf = 1, every element alike) k is bisected to the sign change
+    of the smallest eigenvalue of the latter; there the condensation refuses
+    the block, since its solve amplifies a right-hand side by more than
+    1 / (cem._MIN_RCOND |Z_e|) = 1e12 / |Z_e|, and names element 0.  At 0.9 k
+    the same space builds."""
+    g, c, forms, P = make_setup(nx=8, NH=2, nbf=1, k=1.0)
+    nodes = c.element_nodes[0]
+    xy = g.node_coords[nodes]
+    inside = np.flatnonzero((xy > 0.0).all(axis=1) & (xy < c.H).all(axis=1))
+    idx = nodes[inside]
+    K, M = forms.K[idx][:, idx].toarray(), forms.M[idx][:, idx].toarray()
+    U = P.sphi[0][inside]
+
+    def smallest(k):
+        return np.linalg.eigvalsh(K + U @ U.T - k * k * M)[0]
+
+    lo, hi = 0.0, 20.0
+    assert smallest(lo) > 0.0 > smallest(hi)
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if smallest(mid) > 0.0 else (lo, mid)
+    for k, singular in ((lo, True), (0.9 * lo, False)):
+        forms_k = build_forms(g, c, forms.medium, k)
+        P_k = spectral.build_projection(forms_k, 1)
+        if singular:
+            with pytest.raises(SingularLocalSystem, match=r"element 0: .*k\*H/eps"):
+                cem.build_space(forms_k, P_k, 1)
+        else:
+            cem.build_space(forms_k, P_k, 1)
+
+
+def test_exactly_singular_element_block_is_named():
+    # a zero pivot makes the batched solve raise; the error still names the block
+    g, c, forms, P = make_setup(nx=8, NH=2, nbf=1)
+    Z = np.stack([np.eye(3), np.diag([1.0, 1.0, 0.0]), np.eye(3)])
+    with pytest.raises(SingularLocalSystem, match="element 1: "):
+        cem._solve_elements(forms, Z, np.ones((3, 3, 1)))
+
+
 def test_localization_consistency_full_patch(setup32):
     # patch = domain reproduces the unlocalized basis exactly
     g, c, forms, P = setup32
@@ -351,6 +393,13 @@ def test_global_space_corrector():
     assert np.abs(gspace.corrector - q_ref).max() <= 1e-9 * np.abs(q_ref).max()
 
 
+def test_global_space_rejects_loads_of_another_grid():
+    g, c, forms, P = make_setup(nx=16, NH=4, nbf=2)
+    for size in (build_fine_grid(32, 32).n_nodes, g.n_nodes - 1):
+        with pytest.raises(DimensionMismatch):
+            cem.build_global_space(forms, P, loads=np.ones(size, dtype=complex))
+
+
 def test_petrov_galerkin_orthogonality_with_corrector(setup32):
     # the PG residual identity survives the corrector
     g, c, forms, P = setup32
@@ -514,23 +563,43 @@ def channel_setup():
     return make_setup(nx=32, NH=4, nbf=3, k=6.0, medium=med)
 
 
+def _condensed_solve(forms, P, patch, strict, j, block, adjoint=False):
+    """Element j's trial columns and the data column of its load block on
+    `patch`, through the condensed skeleton solve of the solver."""
+    cond = cem._condense(forms, P)
+    sources = cem._join(
+        cem._trial_sources(cond, [j]), cem._load_sources(forms, P, [j], block[None], P.nbf)
+    )
+    layout = cem._skeleton_layout(cond, patch, strict)
+    rows, vals, _ = cem._skeleton_solve(
+        cond.conj() if adjoint else cond, patch, layout, sources, P.nbf + 1
+    )
+    return rows, vals
+
+
+def _zero_extended(c, j, block):
+    v = np.zeros(c.fine.n_nodes, dtype=complex)
+    v[c.element_nodes[j]] = block
+    return v
+
+
 @pytest.mark.parametrize(
     "j, strict, adjoint",
     [(5, False, False), (0, False, False), (0, True, False), (10, False, True)],
     ids=["interior", "corner", "strict-zero-trace", "adjoint"],
 )
 def test_bordered_assembly_matches_bmat_oracle(channel_setup, j, strict, adjoint):
+    # the corner patch ends inside the domain on two sides, so its free
+    # rim nodes on the outer boundary carry B's diagonal from outside it
     g, c, forms, P = channel_setup
     patch = oversample(c, j, 1)
     idx = patch.free_nodes(strict)
     rhs_cols = np.arange(j * P.nbf, (j + 1) * P.nbf)
-    extra = _random_complex(np.random.default_rng(j), g.n_nodes)
-    A = cem._bordered_matrix(forms, P)
-    rows, vals = cem._bordered_solve(
-        A.conj() if adjoint else A, P, patch, strict, rhs_cols, extra
-    )
+    block = _random_complex(np.random.default_rng(j), c.element_nodes.shape[1])
+    rows, vals = _condensed_solve(forms, P, patch, strict, j, block, adjoint)
     assert np.array_equal(rows, idx)
-    ref = _bmat_oracle(forms, P, idx, patch.elements, rhs_cols, adjoint, extra[idx][:, None])
+    extra = _zero_extended(c, j, block)[idx][:, None]
+    ref = _bmat_oracle(forms, P, idx, patch.elements, rhs_cols, adjoint, extra)
     assert np.abs(vals - ref).max() <= 1e-10 * np.abs(ref).max()
 
 
@@ -541,13 +610,11 @@ def test_global_bordered_assembly_matches_bmat_oracle(channel_setup):
     idx = np.arange(g.n_nodes)
     elements = np.arange(c.n_elements)
     assert np.array_equal(patch.elements, elements)
+    assert np.array_equal(patch.free_nodes(), idx)
     cols = np.arange(c.n_elements * P.nbf)
     corrector_rhs = _random_complex(np.random.default_rng(1), g.n_nodes)
-    rows, vals = cem._bordered_solve(
-        cem._bordered_matrix(forms, P), P, patch, False, cols, corrector_rhs,
-        error=SingularGlobalSystem,
-    )
-    assert np.array_equal(rows, idx)
+    gspace = cem.build_global_space(forms, P, loads=corrector_rhs)
+    vals = np.column_stack([gspace.trial.toarray(), gspace.corrector])
     ref = _bmat_oracle(forms, P, idx, elements, cols, extra_rhs=corrector_rhs[:, None])
     assert np.abs(vals - ref).max() <= 1e-10 * np.abs(ref).max()
 
@@ -595,17 +662,16 @@ def test_generated_bordered_solve_matches_bmat_oracle(cfg, data):
     adjoint = data.draw(st.booleans(), label="adjoint")
     patch = oversample(c, j, m)
     idx = patch.free_nodes(cfg["strict"])
-    A = cem._bordered_matrix(forms, P)
-    A = A.conj() if adjoint else A
+    block = _random_complex(rng, c.element_nodes.shape[1])
     rhs_cols = np.arange(j * P.nbf, (j + 1) * P.nbf)
     if idx.size == 0:
         with pytest.raises(SingularLocalSystem, match=f"element {j}, m={m}"):
-            cem._bordered_solve(A, P, patch, cfg["strict"], rhs_cols)
+            _condensed_solve(forms, P, patch, cfg["strict"], j, block, adjoint)
         return
-    extra = _random_complex(rng, g.n_nodes)
-    rows, vals = cem._bordered_solve(A, P, patch, cfg["strict"], rhs_cols, extra)
+    rows, vals = _condensed_solve(forms, P, patch, cfg["strict"], j, block, adjoint)
     assert np.array_equal(rows, idx)
-    ref = _bmat_oracle(forms, P, idx, patch.elements, rhs_cols, adjoint, extra[idx][:, None])
+    extra = _zero_extended(c, j, block)[idx][:, None]
+    ref = _bmat_oracle(forms, P, idx, patch.elements, rhs_cols, adjoint, extra)
     assert np.abs(vals - ref).max() <= 1e-10 * np.abs(ref).max()
 
 
@@ -749,6 +815,35 @@ def test_cached_call_factors_only_loaded_patches(counted_factorize):
     # the loaded patches only; the coarse system is small, so solved densely
     assert len(counted_factorize) == loaded
     assert np.abs(space.corrector).max() > 0.0
+
+
+def test_build_space_logs_patch_work(caplog, monkeypatch):
+    # one DEBUG line per call: the patches it factorized (the loaded ones
+    # online), their skeleton unknowns and the summed L+U fill of their LUs
+    g, c, forms, P = make_setup(nx=24, NH=6, nbf=3)
+    work = []
+    factorize = kernels.factorize
+
+    def counting(A):
+        F = factorize(A)
+        work.append((A.shape[0], F.fill))
+        return F
+
+    monkeypatch.setattr(kernels, "factorize", counting)
+    caplog.set_level(logging.DEBUG, logger="cemhelm.cem")
+    zero = np.zeros(g.n_nodes, dtype=complex)
+    f = _bump_source(g, (0.58, 0.41))
+    loaded = np.any(element_loads(g, c, f, zero) != 0, axis=1).sum()
+    assert 0 < loaded < c.n_elements
+    for source in (_bump_source(g, (0.2, 0.2)), f):
+        del work[:], caplog.records[:]
+        _three_calls(forms, P, 1, source, zero)
+        (record,) = [r for r in caplog.records if r.msg.startswith("build_space")]
+        assert record.args == (len(work), sum(n for n, _ in work), sum(lu for _, lu in work))
+        # a skeleton holds fewer unknowns than the patch's free nodes
+        assert record.args[1] < len(work) * oversample(c, 14, 1).free_nodes().size
+    assert record.args[0] == loaded  # online: the loaded patches only
+    assert c.n_elements == 36 and len(work) == loaded
 
 
 def test_cached_zero_load_gives_zero_corrector_without_factorization(counted_factorize):

@@ -7,7 +7,7 @@ import pytest
 from cemhelm import cem, cli, spectral
 from cemhelm.assembly import build_forms, element_loads
 from cemhelm.cli import RunConfig, basis_decay, gen_medium, load_config, run, sweep, validate_resolution
-from cemhelm.errors import IndivisibleMesh
+from cemhelm.errors import IndivisibleMesh, InvalidElement
 from cemhelm.grid import build_coarse_grid
 from cemhelm.medium import load_raster
 from cemhelm.metrics import relative_errors
@@ -229,6 +229,19 @@ def test_main_out_of_range_basis_exit_code(tmp_path, monkeypatch, capsys, comman
         argv += ["--j", str(j), "--i", str(i), "--out", "decay.csv"]
     assert cli.main(argv) == 2
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("basis", ["5,2", "16,0", "-1,0", "5", "5,1,1", "a,b"])
+def test_main_bad_dump_basis_rejected_before_any_work(tmp_path, monkeypatch, capsys, basis):
+    # nbf = 2 on 4 x 4 elements: the index is checked with the configuration,
+    # before the solve and before --dump-eigs writes its file
+    monkeypatch.chdir(tmp_path)
+    argv = ["run", "--model", "model1", "--nx", "16", "--NH", "4", "--m", "1",
+            "--nbf", "2", "--k", "4", "--dump-eigs", "eigs.csv", f"--dump-basis={basis}"]
+    assert cli.main(argv) == 2
+    assert list(tmp_path.iterdir()) == []
+    with pytest.raises((ValueError, InvalidElement)):
+        small_config(NH=4, nbf=2, dump_basis=basis).validate()
 
 
 def test_run_no_corrector_mode():

@@ -63,6 +63,15 @@ def test_zero_diagonal_symmetric_solve():
     assert _relative_residual(A, x, b) <= 1e-12
 
 
+def test_factorization_fill_counts_stored_factors():
+    # SuperLU stores L with its unit diagonal: 2n entries for the identity,
+    # n (n + 1) for a matrix without zeros
+    for n in (1, 4, 9):
+        assert kernels.factorize(sp.identity(n, dtype=complex, format="csc")).fill == 2 * n
+        full = sp.csc_matrix(np.ones((n, n)) + n * np.eye(n))
+        assert kernels.factorize(full).fill == n * (n + 1)
+
+
 def test_bordered_saddle_point_solve():
     # [[B, U], [U^T, -I]] with B complex symmetric and indefinite, the form
     # of the constrained patch systems
