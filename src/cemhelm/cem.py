@@ -28,14 +28,36 @@ carries -ik Mb.  A patch system is then the sum of S_e over the patch's
 elements on its free rim nodes, the skeleton, with a fraction of the
 patch's unknowns and LU fill; its right-hand sides enter through one
 element's rim, and the interiors come back from one batched product over
-the patch's elements.  Patches of one shape share the skeleton's index maps
-(`_Layout`).  The skeleton matrices go to the symmetric-ordering LU of
-`kernels.factorize`, as does the sparse coarse system.  A singular or
-ill-conditioned Z_e (k H / eps far beyond the resolution condition) raises
-SingularLocalSystem naming the element.  Test vectors are the conjugates of
-the trial vectors; the independent adjoint solve (the condensation of
-conj(B), which conjugates only S_e and the B_RR diagonals) is kept for
-cross-validation.
+the patch's elements.  Patches of one shape (`_layout_key`: the element's
+distances to the domain edges, clipped at m + 1) differ by a translation,
+so a shape class shares the skeleton's index maps, its CSC pattern and the
+offsets that place them on a patch (`_Layout`), and also its fill-reducing
+ordering: the first patch of a class is factorized by the minimum-degree
+LU of `kernels.factorize`, and its ordering renumbers the skeleton of the
+rest of the class, which is gathered straight into the ordered pattern and
+factorized as it is.  Every later patch costs a gather, a numeric LU and
+the batched interior product.  A singular or ill-conditioned Z_e (k H / eps
+far beyond the resolution condition) raises SingularLocalSystem naming the
+element.  Test vectors are the conjugates of the trial vectors; the
+independent adjoint solve (the condensation of conj(B), which conjugates
+only S_e and the B_RR diagonals) is kept for cross-validation.
+
+The offline build is streamed over element rows.  The main thread solves
+the patches row by row, writing each trial column into arrays allotted in
+advance.  G = (B Psi)^T Psi needs, for the columns of element row b, only
+the trial columns of rows b - (2m + 1) ... b + (2m + 1): two patches whose
+elements lie 2m + 1 elements apart still meet through B where a patch edge
+on the domain boundary keeps its free nodes.  So once row b + 2m + 1 is
+solved, a worker thread forms G's rows of element row b (`_CoarseStrips`),
+and the columns of G are copied into place as their rows come in; the
+main thread forms the last strips itself once the patches are done.  Each
+entry is summed in the order of the one product (B Psi)^T Psi, so G is
+bitwise that product.  The split follows the GIL: the patch loop is Python
+and small numpy calls that hold it, and SuperLU on these small skeletons
+gains nothing from a second thread, while scipy's sparse products release
+it.  The worker count is the number of CPUs the process may use, less one,
+and at least one; nothing else sets it.  `build_global_space` forms its G
+through the same strips, each reaching over the whole domain.
 
 Patch systems constrain the fine nodes on the patch boundary away from the
 domain boundary (`Patch.free_nodes`, the one free-node rule); where a patch
@@ -66,7 +88,9 @@ each; a load enters only through its element's Z_e and rim, so only the
 loaded elements' data are condensed.  Skipping the other patches is exact,
 as the data column of a zero block is exactly zero.  `assemble_coarse`
 forms only Psi^T (b - B q).  Each `build_space` logs at DEBUG the patches
-it factorized, their skeleton unknowns and the summed L+U fill.
+it factorized, how many of them in a reused class ordering and how many
+fresh, their skeleton unknowns, the summed L+U fill, and the G strips with
+the seconds spent forming them and the final wait for them.
 
 The basis vectors decay exponentially away from their element, and so do
 the entries of G.  A coarse system larger than DENSE_LIMIT is therefore
@@ -77,11 +101,15 @@ GMRES stops at a relative residual of 1e-12; when it does not get there in
 two cycles of 100 iterations, the near-field LU is dropped and G's own LU
 solves the system.  Either branch, dense or sparse, ends with a backward
 error guard: a solution with |G c - b| > 1e-10 (|G| |c| + |b|), in max
-norms, raises SingularCoarseSystem instead of returning a field.
+norms, raises SingularCoarseSystem instead of returning a field; |G| is
+formed once per space.
 """
 
 import csv
 import logging
+import os
+import time
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -208,10 +236,11 @@ class Condensation:
     """The bordered system of every element with its interior eliminated.
 
     Element e's nodes split into interior nodes (`interior_nodes[e]`) and the
-    4r rim nodes it shares with its neighbours (`rim_nodes[e]`); `on_rim`
-    marks the fine nodes on some element's rim.  Z_e couples the interior
-    nodes and the border unknowns y_e, C_e = [B_IR; U_R^T] couples them to
-    the rim, and both are real.  Stacked by element:
+    4r rim nodes it shares with its neighbours (`rim_nodes[e]`, the first
+    one its bottom-left corner); `on_rim` marks the fine nodes on some
+    element's rim.  Z_e couples the interior nodes and the border unknowns
+    y_e, C_e = [B_IR; U_R^T] couples them to the rim, and both are real.
+    Stacked by element:
 
     - S (N, 4r, 4r), complex: the Schur complement B_RR - C^T Z^-1 C;
     - diag (N, 4r), complex: the diagonal of B_RR;
@@ -300,27 +329,37 @@ def _join(*sources):
 class _Layout:
     """Index maps of a patch's skeleton system, relative to the patch's first
     node and first element, so every patch of one shape (see `_layout_key`)
-    shares them.
+    shares them.  The patch of element j starts at node
+    rim_nodes[j, 0] - node_shift and element j - element_shift.
 
-    `rows` are the free nodes, `on_rim` marks those on the skeleton and
-    `interior` (elements, n_I) holds the positions in `rows` of each
-    element's interior nodes; `local` (elements, 4r) is the skeleton
-    position of each element's rim nodes (-1 where constrained) and
-    `outside` the elements around the patch.  The skeleton matrix in CSC
-    form has the pattern (`indices`, `indptr`); its stored entry q sums the
-    values at take[starts[q]:starts[q+1]] of the patch's S_e entries
-    followed by the outside elements' B_RR diagonals, all flattened.
+    `rows` are the free nodes and `skeleton` the positions in `rows` of the
+    skeleton unknowns, in skeleton order; `interior` (elements, n_I) holds
+    the positions in `rows` of each element's interior nodes, `elements`
+    the patch's elements and `local` (elements, 4r) the skeleton position of
+    each element's rim nodes (-1 where constrained).  The skeleton matrix in
+    CSC form has the pattern (`indices`, `indptr`); its stored entry q sums
+    the flattened S at (first element) * 16 r^2 + take[starts[q]:starts[q+1]],
+    the patch's S_e entries, and entry outer[t] also gets the flattened diag
+    at (first element) * 4r + outer_take[t], the B_RR diagonals of the
+    elements around the patch.  In an `ordered` layout the
+    skeleton is numbered in the fill-reducing order of its class, so its
+    matrix is factorized as it is.
     """
 
+    node_shift: int
+    element_shift: int
     rows: np.ndarray
-    on_rim: np.ndarray
+    skeleton: np.ndarray
     interior: np.ndarray
+    elements: np.ndarray
     local: np.ndarray
-    outside: np.ndarray
     take: np.ndarray
     starts: np.ndarray
+    outer: np.ndarray
+    outer_take: np.ndarray
     indices: np.ndarray
     indptr: np.ndarray
+    ordered: bool
 
 
 def _layout_key(coarse, j, m):
@@ -331,83 +370,92 @@ def _layout_key(coarse, j, m):
     return tuple(min(d, m + 1) for d in (I, coarse.NH - 1 - I, J, coarse.NH - 1 - J))
 
 
-def _skeleton_layout(cond, patch, strict_zero_trace):
-    """The skeleton layout of `patch` (see `_Layout`).
+def _skeleton_layout(cond, coarse, j, m, strict_zero_trace, order=None):
+    """The skeleton layout of element j's m-layer patch (see `_Layout`),
+    numbered in `order` (a `kernels.Factorization.perm_c` of the layout
+    without one) if given.
 
     A free rim node on the domain boundary at the edge of the patch also
     carries the B_RR diagonal of the elements outside the patch that share
     it, as the uncondensed patch system is a principal submatrix of the
     global B.
     """
+    patch = oversample(coarse, j, m)
     rows = patch.free_nodes(strict_zero_trace)
-    on_rim = cond.on_rim[rows]
-    n = np.count_nonzero(on_rim)
+    skeleton = np.flatnonzero(cond.on_rim[rows])
+    n = skeleton.size
+    if order is not None:
+        skeleton = skeleton[np.argsort(order)]
     at = np.full(cond.on_rim.size, -1)
-    at[rows[on_rim]] = np.arange(n)
+    at[rows[skeleton]] = np.arange(n)
     elements = patch.elements
+    outside = np.setdiff1d(oversample(coarse, j, m + 1).elements, elements)
     local = at[cond.rim_nodes[elements]]
-    outside = np.setdiff1d(oversample(patch.coarse, patch.center, patch.m + 1).elements, elements)
     shared = at[cond.rim_nodes[outside]]
     i, k = np.broadcast_arrays(local[:, :, None], local[:, None, :])
-    row = np.concatenate([i.ravel(), shared.ravel()])
-    col = np.concatenate([k.ravel(), shared.ravel()])
-    kept = np.flatnonzero((row >= 0) & (col >= 0))
-    entry = col[kept] * n + row[kept]
+    r4 = local.shape[1]
+    first = elements[0]
+    kept = np.flatnonzero((i >= 0) & (k >= 0))
+    entry = k.ravel()[kept] * n + i.ravel()[kept]
     by_entry = np.argsort(entry)  # CSC order
     entry = entry[by_entry]
     new = np.flatnonzero(np.diff(entry, prepend=-1))
+    outer = np.flatnonzero(shared >= 0)
+    at_outer = shared.ravel()[outer]
     return _Layout(
+        node_shift=cond.rim_nodes[j, 0] - patch.nodes[0],
+        element_shift=j - first,
         rows=rows - patch.nodes[0],
-        on_rim=on_rim,
+        skeleton=skeleton,
         interior=np.searchsorted(rows, cond.interior_nodes[elements]),
+        elements=elements - first,
         local=local,
-        outside=outside - elements[0],
-        take=kept[by_entry],
+        take=((elements - first)[:, None] * r4 * r4 + np.arange(r4 * r4)).ravel()[kept[by_entry]],
         starts=new,
-        indices=entry[new] % n,
-        indptr=np.searchsorted(entry[new] // n, np.arange(n + 1)),
+        outer=np.searchsorted(entry[new], at_outer * (n + 1)),
+        outer_take=((outside - first)[:, None] * r4 + np.arange(r4)).ravel()[outer],
+        indices=(entry[new] % n).astype(np.intc),
+        indptr=np.searchsorted(entry[new] // n, np.arange(n + 1)).astype(np.intc),
+        ordered=order is not None,
     )
 
 
-def _skeleton_solve(cond, patch, layout, sources, n_cols, error=SingularLocalSystem):
-    """Solve the bordered system of `patch` on its free rim nodes, then
-    recover the element interiors.
+def _skeleton_solve(cond, layout, j, m, sources, n_cols, error=SingularLocalSystem):
+    """Solve the bordered system of element j's m-layer patch on its free
+    rim nodes, then recover the element interiors.
 
     The skeleton system sums the Schur complements S_e of the patch's
     elements on its free rim nodes (see `_skeleton_layout`).  Source s of
     `sources` = (elements, columns, rim, interior) adds its condensed
     right-hand side rim[s] on the rim nodes of elements[s] and the interior
     particular solution interior[s] to column columns[s].  Returns (free
-    rows, solutions on them, (skeleton unknowns, L+U fill)).
+    rows, solutions on them, the skeleton's factorization).
     """
     if layout.rows.size == 0:
-        raise error(f"element {patch.center}, m={patch.m}: patch has no unconstrained nodes")
-    elements = patch.elements
+        raise error(f"element {j}, m={m}: patch has no unconstrained nodes")
+    first = j - layout.element_shift
+    elements = layout.elements + first
     n = layout.indptr.size - 1
-    values = np.concatenate([
-        cond.S[elements].ravel(), cond.diag[layout.outside + elements[0]].ravel()
-    ])
-    S = sp.csc_matrix(
-        (np.add.reduceat(values[layout.take], layout.starts), layout.indices, layout.indptr),
-        shape=(n, n),
-    )
+    r4 = layout.local.shape[1]
+    values = np.add.reduceat(cond.S.ravel()[layout.take + first * r4 * r4], layout.starts)
+    np.add.at(values, layout.outer, cond.diag.ravel()[layout.outer_take + first * r4])
+    S = sp.csc_matrix((values, layout.indices, layout.indptr), shape=(n, n))
     src_elements, src_cols, src_rim, src_interior = sources
     e = np.searchsorted(elements, src_elements)
     rhs = np.zeros((n + 1, n_cols), dtype=complex)  # constrained nodes land in row -1
     np.add.at(rhs, (layout.local[e], src_cols[:, None]), src_rim)
     try:
-        F = kernels.factorize(S)
-        sol = F.solve(rhs[:n])
+        F = kernels.factorize(S, ordered=layout.ordered)
+        rhs[:n] = F.solve(rhs[:n])
     except SingularMatrix as exc:
-        raise error(
-            f"element {patch.center}, m={patch.m}: constrained system is singular: {exc}"
-        ) from exc
-    interior = -(cond.W[elements] @ np.concatenate([sol, np.zeros((1, n_cols))])[layout.local])
+        raise error(f"element {j}, m={m}: constrained system is singular: {exc}") from exc
+    rhs[n] = 0.0
+    interior = -(cond.W[elements] @ rhs[layout.local])
     np.add.at(interior, (e[:, None], np.arange(interior.shape[1]), src_cols[:, None]), src_interior)
     vals = np.empty((layout.rows.size, n_cols), dtype=complex)
-    vals[layout.on_rim] = sol
+    vals[layout.skeleton] = rhs[:n]
     vals[layout.interior] = interior
-    return layout.rows + patch.nodes[0], vals, (n, F.fill)
+    return layout.rows + (cond.rim_nodes[j, 0] - layout.node_shift), vals, F
 
 
 def local_cem_solve(j, m, forms, P, strict_zero_trace=False, adjoint=False):
@@ -416,14 +464,14 @@ def local_cem_solve(j, m, forms, P, strict_zero_trace=False, adjoint=False):
     With `adjoint` the patch system of conj(B) is solved instead (an
     independent check of the conjugate test vectors)."""
     cond = _condense(forms, P)
-    patch = oversample(forms.coarse, j, m)
     rows, vals, _ = _skeleton_solve(
-        cond.conj() if adjoint else cond, patch, _skeleton_layout(cond, patch, strict_zero_trace),
+        cond.conj() if adjoint else cond,
+        _skeleton_layout(cond, forms.coarse, j, m, strict_zero_trace), j, m,
         _trial_sources(cond, [j]), P.nbf,
     )
     psi = np.zeros((forms.grid.n_nodes, P.nbf), dtype=complex)
     psi[rows] = vals
-    return psi, patch
+    return psi, oversample(forms.coarse, j, m)
 
 
 def test_basis(trial):
@@ -436,11 +484,12 @@ def test_basis(trial):
 class MultiscaleSpace:
     """Trial vectors as columns of a sparse matrix, column p = j*nbf + i.
 
-    `G` is the coarse matrix Psi^T B Psi of `forms.B` and `condensation` the
-    element condensation the patch solves read; all three are read-only, and
-    the spaces `build_space` returns for one (forms, P, m, strict_zero_trace)
-    share them.  `corrector` is the space's own summed localized data solve
-    (None when it was built without load blocks).
+    `G` is the coarse matrix Psi^T B Psi of `forms.B`, `G_norm` its max-norm
+    |G|_inf (see `_inf_norm`) and `condensation` the element condensation
+    the patch solves read; all are read-only, and the spaces `build_space`
+    returns for one (forms, P, m, strict_zero_trace) share them.
+    `corrector` is the space's own summed localized data solve (None when
+    it was built without load blocks).
     """
 
     forms: object
@@ -448,6 +497,7 @@ class MultiscaleSpace:
     strict_zero_trace: bool
     trial: sp.csc_matrix
     G: sp.csc_matrix
+    G_norm: float
     condensation: "Condensation"
     corrector: np.ndarray = None
 
@@ -481,27 +531,199 @@ def _read_only(A):
     return A
 
 
-def _new_space(forms, m, strict_zero_trace, trial, corrector, condensation):
-    """The space of a newly built trial matrix: freezes it and forms G.
+def _inf_norm(G):
+    """|G|_inf, the largest absolute row sum of the sparse matrix G."""
+    G = sp.csc_matrix(G)
+    return np.bincount(G.indices, weights=np.abs(G.data), minlength=G.shape[0]).max()
 
-    G = (B Psi)^T Psi, equal to Psi^T B Psi as B is complex symmetric, comes
-    out as CSC, the format the sparse coarse LU reads without a copy.
+
+def _new_space(forms, m, strict_zero_trace, trial, G, corrector, condensation):
+    """The space of a newly built trial matrix and its G: freezes both."""
+    trial, G = _read_only(trial), _read_only(G)
+    return MultiscaleSpace(
+        forms, m, strict_zero_trace, trial, G, _inf_norm(G), condensation, corrector
+    )
+
+
+def _columns(A, start, stop):
+    """Columns start:stop of the CSC matrix A, sharing its data and indices."""
+    lo, hi = A.indptr[start], A.indptr[stop]
+    return sp.csc_matrix(
+        (A.data[lo:hi], A.indices[lo:hi], A.indptr[start:stop + 1] - lo),
+        shape=(A.shape[0], stop - start),
+    )
+
+
+def _g_workers():
+    """Worker threads forming G: the CPUs this process may run on, less the
+    one that solves the patches, and at least one."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return max(1, (cpus or 1) - 1)
+
+
+def _coarse_rows(B, trial_b, trial_near):
+    """Rows (B Psi_b)^T Psi_near of G, in canonical CSC form: the rows of
+    the trial columns Psi_b against the columns Psi_near."""
+    strip = (B @ trial_b).T @ trial_near
+    strip.sort_indices()
+    return strip
+
+
+class _CoarseStrips:
+    """G = (B Psi)^T Psi formed on worker threads, strip by strip, while the
+    patch solves of later element rows go on.
+
+    G's entries couple elements at most `reach` element rows and columns
+    apart.  So once the trial columns of rows up to b + reach are solved, a
+    worker forms the rows of G belonging to element row b, (B Psi_b)^T
+    Psi_near, with Psi_near the columns of rows b - reach ... b + reach.
+    Each entry is summed in the order of the one product (B Psi)^T Psi, so
+    G is bitwise that product, whatever the number of workers or the order
+    the strips finish in.  The columns of G belonging to row c are stacked
+    from the row strips c - reach ... c + reach as soon as those are done
+    and copied, row by row, into G's arrays; a row strip is dropped after
+    its last use.  The arrays are sized for every element pair within reach;
+    the pages past G's last entry are never written, so they take no memory.
     """
-    trial = _read_only(trial)
-    G = _read_only((forms.B @ trial).T @ trial)
-    return MultiscaleSpace(forms, m, strict_zero_trace, trial, G, condensation, corrector)
+
+    def __init__(self, B, trial, NH, reach):
+        self._B, self._trial, self._NH, self._reach = B, trial, NH, reach
+        self._width = width = trial.shape[1] // NH
+        self._pool = ThreadPoolExecutor(_g_workers(), thread_name_prefix="cemhelm-G")
+        self._solved = 0  # element rows whose trial columns are final
+        self._strips = []  # futures of the row strips; None after their last use
+        self._merged = 0  # element rows whose columns of G are copied
+        self._busy = []  # seconds of each strip formed
+        self.wait = 0.0  # seconds `matrix` took after the last patch
+        span = np.arange(NH)
+        pairs = (np.minimum(span + reach, NH - 1) - np.maximum(span - reach, 0) + 1).sum() ** 2
+        bound = int(pairs) * (width // NH) ** 2
+        index = np.int32 if bound <= np.iinfo(np.int32).max else np.int64
+        self._data = np.empty(bound, dtype=complex)
+        self._indices = np.empty(bound, dtype=index)
+        self._indptr = np.zeros(NH * width + 1, dtype=index)
+
+    def _timed(self, fn, *args):
+        start = time.perf_counter()
+        try:
+            return fn(*args)
+        finally:
+            self._busy.append(time.perf_counter() - start)
+
+    @property
+    def busy(self):
+        """Seconds spent forming strips so far, on any thread."""
+        return sum(self._busy)
+
+    @property
+    def count(self):
+        """Strips formed or under way so far."""
+        return len(self._strips)
+
+    def _near(self, b):
+        return max(b - self._reach, 0), min(b + self._reach, self._NH - 1)
+
+    def row_solved(self):
+        """The trial columns of the next element row are final."""
+        self._solved += 1
+        if self._solved > self._reach:
+            self._add_strip(self._solved - 1 - self._reach)
+        self._merge(block=False)
+
+    def _strip(self, b):
+        """The function and arguments forming row strip b."""
+        (lo, hi), w = self._near(b), self._width
+        return (_coarse_rows, self._B, _columns(self._trial, b * w, (b + 1) * w),
+                _columns(self._trial, lo * w, (hi + 1) * w))
+
+    def _add_strip(self, b):
+        self._strips.append(self._pool.submit(self._timed, *self._strip(b)))
+
+    def _merge(self, block):
+        """Copy G's columns of the next element rows whose row strips are
+        done (with `block`, of all rows, waiting for them) into the arrays;
+        a strip that failed raises here."""
+        w = self._width
+        while self._merged < self._NH:
+            c = self._merged
+            lo, hi = self._near(c)
+            if hi >= len(self._strips):
+                return
+            strips = self._strips[lo:hi + 1]
+            if not (block or all(f.done() for f in strips)):
+                return
+            first = [(c - self._near(b)[0]) * w for b in range(lo, hi + 1)]
+            column = sp.vstack(
+                [_columns(f.result(), k, k + w) for f, k in zip(strips, first)], format="csc"
+            )
+            start = self._indptr[c * w]
+            end = start + column.nnz
+            self._data[start:end] = column.data
+            np.add(column.indices, lo * w, out=self._indices[start:end])
+            self._indptr[c * w + 1:(c + 1) * w + 1] = column.indptr[1:] + start
+            if c >= self._reach:
+                self._strips[c - self._reach] = None
+            self._merged += 1
+
+    def matrix(self):
+        """G in CSC form, once every element row is solved.  The calling
+        thread forms the last strips that no worker has started, while the
+        workers go on with the first."""
+        for b in range(len(self._strips), self._NH):
+            self._add_strip(b)
+        start = time.perf_counter()
+        for b in reversed(range(self._NH)):
+            if self._strips[b] is not None and self._strips[b].cancel():
+                self._strips[b] = Future()
+                self._strips[b].set_result(self._timed(*self._strip(b)))
+        self._merge(block=True)
+        self.wait = time.perf_counter() - start
+        nnz, n = self._indptr[-1], self._NH * self._width
+        return sp.csc_matrix((self._data[:nnz], self._indices[:nnz], self._indptr), shape=(n, n))
+
+    def close(self):
+        """Stop the workers: queued strips are dropped, running ones finish."""
+        self._pool.shutdown(wait=True, cancel_futures=True)
+
+
+def _empty_trial(coarse, m, strict_zero_trace, nbf):
+    """The CSC trial matrix with its column pointers set, each column
+    holding its patch's free nodes (counted once per shape class), and its
+    row indices and values still to be written."""
+    counts, per_key = [], {}
+    for j in range(coarse.n_elements):
+        key = _layout_key(coarse, j, m)
+        if key not in per_key:
+            per_key[key] = oversample(coarse, j, m).free_nodes(strict_zero_trace).size
+        counts += [per_key[key]] * nbf
+    n, nnz = coarse.fine.n_nodes, sum(counts)
+    index = np.int32 if max(nnz, n) <= np.iinfo(np.int32).max else np.int64
+    return sp.csc_matrix(
+        (np.empty(nnz, dtype=complex), np.zeros(nnz, dtype=index),
+         np.concatenate([[0], np.cumsum(counts)]).astype(index)),
+        shape=(n, len(counts)),
+    )
 
 
 def _solve_patches(cond, forms, P, m, strict_zero_trace, load_blocks, with_trial):
     """Skeleton solves on the patches of every element (`with_trial`) or of
-    the loaded ones, one factorization each.
+    the loaded ones, one factorization each, in element order.
 
-    With `with_trial`, each patch solves its nbf trial columns, returned as
-    the columns of the trial matrix; the patch of an element with a nonzero
-    load block also solves its data column, summed into the corrector.
-    Returns (trial matrix or None, corrector or None).
+    With `with_trial`, each patch solves its nbf trial columns, written into
+    the preallocated arrays of the trial matrix; each finished element row
+    goes to the G workers (`_CoarseStrips`).  The patch of an element with a
+    nonzero load block also solves its data column, summed into the
+    corrector.  Offline, the first patch of each shape class is factorized
+    in a minimum-degree order of its own, and the class's second patch
+    renumbers the layout in that order for the rest of the class.  Online,
+    the few loaded patches rarely repay the renumbering, so each is
+    factorized in its own order, sharing only the layout.  The classes of an element row recur only in the
+    rows of the same distances to the bottom and top edges, which follow it,
+    so the layouts are dropped whenever those change.  Returns (trial
+    matrix or None, G or None, corrector or None).
     """
-    n, N = forms.grid.n_nodes, forms.coarse.n_elements
+    coarse = forms.coarse
+    n, N, NH = forms.grid.n_nodes, coarse.n_elements, coarse.NH
     nbf = P.nbf if with_trial else 0
     loads, corrector = {}, None
     if load_blocks is not None:
@@ -509,38 +731,55 @@ def _solve_patches(cond, forms, P, m, strict_zero_trace, load_blocks, with_trial
         loaded = np.flatnonzero(np.any(load_blocks != 0, axis=1))
         sources = _load_sources(forms, P, loaded, load_blocks[loaded], nbf)
         loads = {int(j): tuple(a[[s]] for a in sources) for s, j in enumerate(loaded)}
-    data, indices, indptr = [], [], [0]
-    unknowns = fill = 0
-    key = layout = None
-    for j in range(N) if with_trial else loads:
-        patch = oversample(forms.coarse, j, m)
-        if _layout_key(forms.coarse, j, m) != key:  # neighbours in a row mostly share it
-            key = _layout_key(forms.coarse, j, m)
-            layout = _skeleton_layout(cond, patch, strict_zero_trace)
-        sources = [_trial_sources(cond, [j])] if with_trial else []
-        if j in loads:
-            sources.append(loads[j])
-        rows, vals, (size, lu) = _skeleton_solve(
-            cond, patch, layout, _join(*sources), nbf + (j in loads)
-        )
-        unknowns, fill = unknowns + size, fill + lu
-        for i in range(nbf):
-            data.append(vals[:, i])
-            indices.append(rows)
-            indptr.append(indptr[-1] + rows.size)
-        if j in loads:
-            corrector[rows] += vals[:, nbf]
+    trial = strips = G = None
+    if with_trial:
+        trial = _empty_trial(coarse, m, strict_zero_trace, nbf)
+        strips = _CoarseStrips(forms.B, trial, NH, 2 * m + 1)
+    layouts, orders, edges = {}, {}, None
+    reused = unknowns = fill = 0
+    try:
+        for j in range(N) if with_trial else loads:
+            key = _layout_key(coarse, j, m)
+            if key[2:] != edges:
+                layouts, orders, edges = {}, {}, key[2:]
+            if key in orders:
+                layouts[key] = _skeleton_layout(
+                    cond, coarse, j, m, strict_zero_trace, orders.pop(key))
+            layout = layouts.get(key)
+            if layout is None:
+                layout = layouts[key] = _skeleton_layout(cond, coarse, j, m, strict_zero_trace)
+            reused += layout.ordered
+            sources = [_trial_sources(cond, [j])] if with_trial else []
+            if j in loads:
+                sources.append(loads[j])
+            rows, vals, F = _skeleton_solve(
+                cond, layout, j, m, _join(*sources), nbf + (j in loads)
+            )
+            if with_trial and not layout.ordered:
+                orders[key] = F.perm_c
+            unknowns, fill = unknowns + F.shape[0], fill + F.fill
+            if with_trial:
+                lo, hi = trial.indptr[j * nbf], trial.indptr[(j + 1) * nbf]
+                trial.data[lo:hi].reshape(nbf, -1)[:] = vals[:, :nbf].T
+                trial.indices[lo:hi].reshape(nbf, -1)[:] = rows
+                if j % NH == NH - 1:
+                    strips.row_solved()
+            if j in loads:
+                corrector[rows] += vals[:, nbf]
+        if strips is not None:
+            G = strips.matrix()
+    finally:
+        if strips is not None:
+            strips.close()
+    patches = N if with_trial else len(loads)
     log.debug(
-        "build_space: %d patches factorized, %d skeleton unknowns, L+U fill %d",
-        N if with_trial else len(loads), unknowns, fill,
+        "build_space: %d patches factorized (%d in a reused class ordering, %d fresh), "
+        "%d skeleton unknowns, L+U fill %d; %d G strips, %.2f s forming them, "
+        "final wait %.2f s",
+        patches, reused, patches - reused, unknowns, fill,
+        *((strips.count, strips.busy, strips.wait) if strips is not None else (0, 0.0, 0.0)),
     )
-    if not with_trial:
-        return None, corrector
-    trial = sp.csc_matrix(
-        (np.concatenate(data), np.concatenate(indices), np.array(indptr)),
-        shape=(n, N * P.nbf),
-    )
-    return trial, corrector
+    return trial, G, corrector
 
 
 def build_space(forms, P, m, strict_zero_trace=False, load_blocks=None):
@@ -565,16 +804,16 @@ def build_space(forms, P, m, strict_zero_trace=False, load_blocks=None):
     space = P.space
     if (space is not None and space.forms is forms and space.m == m
             and space.strict_zero_trace == strict_zero_trace):
-        _, corrector = _solve_patches(
+        _, _, corrector = _solve_patches(
             space.condensation, forms, P, m, strict_zero_trace, load_blocks, with_trial=False
         )
         return replace(space, corrector=corrector)
     P.space = None  # free the previous trial, G and condensation before building the next
     cond = _condense(forms, P)
-    trial, corrector = _solve_patches(
+    trial, G, corrector = _solve_patches(
         cond, forms, P, m, strict_zero_trace, load_blocks, with_trial=True
     )
-    P.space = _new_space(forms, m, strict_zero_trace, trial, corrector, cond)
+    P.space = _new_space(forms, m, strict_zero_trace, trial, G, corrector, cond)
     return P.space
 
 
@@ -583,9 +822,11 @@ def build_global_space(forms, P, loads=None, strict_zero_trace=False):
     `oversample(coarse, 0, NH - 1)`, one factorization for all N*nbf
     right-hand sides, as `build_space` with m = NH - 1.  With `loads` (full
     fine load vector) the global data corrector is solved alongside; a
-    vector without one entry per fine node raises DimensionMismatch."""
+    vector without one entry per fine node raises DimensionMismatch.  G
+    comes from the same strips as in `build_space`, each reaching over all
+    element rows."""
     coarse = forms.coarse
-    N, n = coarse.n_elements, forms.grid.n_nodes
+    N, n, NH = coarse.n_elements, forms.grid.n_nodes, coarse.NH
     cond = _condense(forms, P)
     sources = [_trial_sources(cond, np.arange(N))]
     if loads is not None:
@@ -596,23 +837,35 @@ def build_global_space(forms, P, loads=None, strict_zero_trace=False):
         shares = np.bincount(coarse.element_nodes.ravel(), minlength=n)
         blocks = (loads / shares)[coarse.element_nodes]
         sources.append(_load_sources(forms, P, np.arange(N), blocks, N * P.nbf))
-    patch = oversample(coarse, 0, coarse.NH - 1)
     rows, vals, _ = _skeleton_solve(
-        cond, patch, _skeleton_layout(cond, patch, strict_zero_trace), _join(*sources),
-        N * P.nbf + (loads is not None), error=SingularGlobalSystem,
+        cond, _skeleton_layout(cond, coarse, 0, NH - 1, strict_zero_trace), 0, NH - 1,
+        _join(*sources), N * P.nbf + (loads is not None), error=SingularGlobalSystem,
     )
     full = np.zeros((n, vals.shape[1]), dtype=complex)
     full[rows] = vals
     corrector = None if loads is None else full[:, N * P.nbf].copy()
     trial = sp.csc_matrix(full[:, :N * P.nbf])
-    return _new_space(forms, -1, strict_zero_trace, trial, corrector, cond)
+    strips = _CoarseStrips(forms.B, trial, NH, NH)
+    try:
+        G = strips.matrix()
+    finally:
+        strips.close()
+    return _new_space(forms, -1, strict_zero_trace, trial, G, corrector, cond)
 
 
 @dataclass
 class CoarseSystem:
+    """G c = b; `G_norm` is |G|_inf, the space's when `assemble_coarse`
+    made the system, else computed here."""
+
     G: sp.csc_matrix
     b: np.ndarray
     nbf: int
+    G_norm: float = None
+
+    def __post_init__(self):
+        if self.G_norm is None:
+            self.G_norm = _inf_norm(self.G)
 
     @property
     def n(self):
@@ -639,7 +892,7 @@ def assemble_coarse(space, forms, loads):
     if space.corrector is not None:
         rhs_fine = rhs_fine - forms.B @ space.corrector
     b = space.trial.T @ rhs_fine
-    return CoarseSystem(space.G, np.asarray(b).ravel(), space.nbf)
+    return CoarseSystem(space.G, np.asarray(b).ravel(), space.nbf, space.G_norm)
 
 
 def _near_field(G, NH, nbf):
@@ -672,11 +925,11 @@ def _near_field_solve(G, b, NH, nbf):
     return c
 
 
-def _check_backward_error(G, b, c, diag):
+def _check_backward_error(G, b, c, scale, diag):
     """Raise SingularCoarseSystem unless the normwise backward error
-    |G c - b| / (|G| |c| + |b|), in max norms, is at most 1e-10."""
+    |G c - b| / (|G| |c| + |b|), in max norms, is at most 1e-10; `scale` is
+    |G|_inf."""
     residual = np.abs(G @ c - b).max()
-    scale = np.bincount(G.indices, weights=np.abs(G.data), minlength=G.shape[0]).max()
     eta = residual / (scale * np.abs(c).max() + np.abs(b).max()) if residual else 0.0
     log.debug("coarse solve on %d dofs: backward error %.2e", G.shape[0], eta)
     if not eta <= 1e-10:
@@ -714,7 +967,7 @@ def solve_multiscale(system, space, forms=None):
         raise SingularCoarseSystem(f"coarse system is singular{diag}") from exc
     if not np.all(np.isfinite(c)):
         raise SingularCoarseSystem("coarse solve produced non-finite coefficients")
-    _check_backward_error(G, b, c, diag)
+    _check_backward_error(G, b, c, system.G_norm, diag)
     u = np.asarray(space.trial @ c).ravel()
     if space.corrector is not None:
         u = u + space.corrector

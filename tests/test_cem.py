@@ -1,5 +1,6 @@
 import gc
 import logging
+import threading
 import weakref
 
 import numpy as np
@@ -17,6 +18,7 @@ from cemhelm.errors import (
     SingularCoarseSystem,
     SingularGlobalSystem,
     SingularLocalSystem,
+    SingularMatrix,
 )
 from cemhelm.grid import build_coarse_grid, build_fine_grid, oversample
 from cemhelm.medium import Medium, constant_medium, synthesize_channels
@@ -570,9 +572,9 @@ def _condensed_solve(forms, P, patch, strict, j, block, adjoint=False):
     sources = cem._join(
         cem._trial_sources(cond, [j]), cem._load_sources(forms, P, [j], block[None], P.nbf)
     )
-    layout = cem._skeleton_layout(cond, patch, strict)
+    layout = cem._skeleton_layout(cond, patch.coarse, j, patch.m, strict)
     rows, vals, _ = cem._skeleton_solve(
-        cond.conj() if adjoint else cond, patch, layout, sources, P.nbf + 1
+        cond.conj() if adjoint else cond, layout, j, patch.m, sources, P.nbf + 1
     )
     return rows, vals
 
@@ -773,9 +775,9 @@ def counted_factorize(monkeypatch):
     calls = []
     factorize = kernels.factorize
 
-    def counting(A):
+    def counting(A, **kw):
         calls.append(A.shape[0])
-        return factorize(A)
+        return factorize(A, **kw)
 
     monkeypatch.setattr(kernels, "factorize", counting)
     return calls
@@ -819,31 +821,43 @@ def test_cached_call_factors_only_loaded_patches(counted_factorize):
 
 def test_build_space_logs_patch_work(caplog, monkeypatch):
     # one DEBUG line per call: the patches it factorized (the loaded ones
-    # online), their skeleton unknowns and the summed L+U fill of their LUs
+    # online), how many in a reused class ordering and how many fresh (one
+    # per shape class offline, all online), their skeleton unknowns, the
+    # summed L+U fill of their LUs, and the G strips with the seconds spent
+    # forming them and the final wait
     g, c, forms, P = make_setup(nx=24, NH=6, nbf=3)
     work = []
     factorize = kernels.factorize
 
-    def counting(A):
-        F = factorize(A)
-        work.append((A.shape[0], F.fill))
+    def counting(A, ordered=False):
+        F = factorize(A, ordered=ordered)
+        work.append((A.shape[0], F.fill, ordered))
         return F
 
     monkeypatch.setattr(kernels, "factorize", counting)
     caplog.set_level(logging.DEBUG, logger="cemhelm.cem")
     zero = np.zeros(g.n_nodes, dtype=complex)
     f = _bump_source(g, (0.58, 0.41))
-    loaded = np.any(element_loads(g, c, f, zero) != 0, axis=1).sum()
-    assert 0 < loaded < c.n_elements
-    for source in (_bump_source(g, (0.2, 0.2)), f):
+    loaded = np.flatnonzero(np.any(element_loads(g, c, f, zero) != 0, axis=1))
+    assert 0 < loaded.size < c.n_elements
+    for source, elements, strips in ((_bump_source(g, (0.2, 0.2)), range(c.n_elements), c.NH),
+                                     (f, loaded, 0)):
         del work[:], caplog.records[:]
         _three_calls(forms, P, 1, source, zero)
         (record,) = [r for r in caplog.records if r.msg.startswith("build_space")]
-        assert record.args == (len(work), sum(n for n, _ in work), sum(lu for _, lu in work))
+        patches, reused, fresh, unknowns, fill, n_strips, busy, wait = record.args
+        assert (patches, unknowns, fill) == (
+            len(work), sum(n for n, _, _ in work), sum(lu for _, lu, _ in work))
+        assert reused == sum(ordered for _, _, ordered in work) == patches - fresh
+        assert n_strips == strips and busy >= 0.0 and wait >= 0.0
+        if strips:  # offline: 36 patches in 25 shape classes
+            assert fresh == len({cem._layout_key(c, j, 1) for j in elements}) == 25
+        else:  # online: each loaded patch in its own ordering
+            assert reused == 0
         # a skeleton holds fewer unknowns than the patch's free nodes
-        assert record.args[1] < len(work) * oversample(c, 14, 1).free_nodes().size
-    assert record.args[0] == loaded  # online: the loaded patches only
-    assert c.n_elements == 36 and len(work) == loaded
+        assert unknowns < len(work) * oversample(c, 14, 1).free_nodes().size
+    assert patches == loaded.size  # online: the loaded patches only
+    assert c.n_elements == 36 and len(work) == loaded.size
 
 
 def test_cached_zero_load_gives_zero_corrector_without_factorization(counted_factorize):
@@ -956,3 +970,100 @@ def test_trial_and_coarse_matrix_freed_with_projection_and_spaces():
     del second, system
     gc.collect()
     assert all(ref() is None for ref in kept)
+
+
+# --- the streamed offline build: G from row strips on worker threads
+
+
+def _g_oracle(forms, space):
+    G = (forms.B @ space.trial).T @ space.trial
+    G.sum_duplicates()
+    return G
+
+
+def _bitwise_equal(A, B):
+    return (A.shape == B.shape and np.array_equal(A.indptr, B.indptr)
+            and np.array_equal(A.indices, B.indices) and np.array_equal(A.data, B.data))
+
+
+@given(cfg=configurations(), data=st.data())
+def test_generated_streamed_coarse_matrix_is_the_one_product(cfg, data):
+    # every entry of G is summed as in (B Psi)^T Psi, whatever the number of
+    # workers and the order their strips finish in
+    rng, g, c, forms, P = _generated_setup(cfg)
+    m = data.draw(st.integers(0, cfg["NH"]), label="m")
+    assume(all(oversample(c, j, m).free_nodes(cfg["strict"]).size for j in range(c.n_elements)))
+    spaces = []
+    for workers in (3, 1):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cem, "_g_workers", lambda: workers)
+            spaces.append(cem.build_space(forms, spectral.build_projection(forms, P.nbf), m,
+                                          cfg["strict"]))
+    for space in spaces:
+        assert _bitwise_equal(space.G, _g_oracle(forms, space))
+    assert _bitwise_equal(spaces[0].trial, spaces[1].trial)
+    gspace = cem.build_global_space(forms, P, strict_zero_trace=cfg["strict"])
+    assert _bitwise_equal(gspace.G, _g_oracle(forms, gspace))
+
+
+def test_coarse_matrix_norm_computed_once_per_space(system_nh6, monkeypatch):
+    forms, space, system = system_nh6
+    G = space.G
+    row_sums = np.bincount(G.indices, weights=np.abs(G.data), minlength=G.shape[0])
+    assert space.G_norm == row_sums.max()
+    assert system.G_norm == space.G_norm
+    gspace = cem.build_global_space(forms, spectral.build_projection(forms, space.nbf))
+    assert gspace.G_norm == cem._inf_norm(gspace.G)
+
+    def not_again(G):
+        raise AssertionError("|G|_inf formed again")
+
+    monkeypatch.setattr(cem, "_inf_norm", not_again)
+    for limit in (2000, 0):  # the dense and the sparse branch read the stored norm
+        monkeypatch.setattr(cem, "DENSE_LIMIT", limit)
+        system = cem.assemble_coarse(space, forms, np.ones(forms.grid.n_nodes))
+        cem.solve_multiscale(system, space, forms=forms)
+
+
+def _g_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("cemhelm-G")]
+
+
+def test_singular_patch_mid_stream_names_element(monkeypatch):
+    # element 26 lies in element row 4; with m = 1 the G strips of row 0 are
+    # under way when its patch fails
+    g, c, forms, P = make_setup(nx=24, NH=6, nbf=2)
+    calls = []
+    factorize = kernels.factorize
+
+    def failing(A, **kw):
+        calls.append(A.shape[0])
+        if len(calls) == 27:
+            raise SingularMatrix("zero pivot")
+        return factorize(A, **kw)
+
+    monkeypatch.setattr(kernels, "factorize", failing)
+    with pytest.raises(SingularLocalSystem, match="element 26, m=1: constrained system"):
+        cem.build_space(forms, P, 1)
+    assert _g_threads() == []
+    assert P.space is None
+
+
+def test_patch_without_free_nodes_named_in_build():
+    g, c, forms, P = make_setup(nx=4, NH=4, nbf=1)
+    with pytest.raises(SingularLocalSystem, match="element 0, m=0: patch has no unconstrained"):
+        cem.build_space(forms, P, 0, strict_zero_trace=True)
+    assert _g_threads() == []
+
+
+def test_failed_strip_raises_from_build_space(monkeypatch):
+    g, c, forms, P = make_setup(nx=24, NH=6, nbf=2)
+
+    def out_of_memory(*args):
+        raise MemoryError("strip")
+
+    monkeypatch.setattr(cem, "_coarse_rows", out_of_memory)
+    with pytest.raises(MemoryError, match="strip"):
+        cem.build_space(forms, P, 1)
+    assert _g_threads() == []
+    assert P.space is None
