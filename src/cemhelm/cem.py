@@ -44,20 +44,20 @@ only S_e and the B_RR diagonals) is kept for cross-validation.
 
 The offline build is streamed over element rows.  The main thread solves
 the patches row by row, writing each trial column into arrays allotted in
-advance.  G = (B Psi)^T Psi needs, for the columns of element row b, only
-the trial columns of rows b - (2m + 1) ... b + (2m + 1): two patches whose
+advance.  G = (B Psi)^T Psi needs, for the rows of element row b, only the
+trial columns of rows b - (2m + 1) ... b + (2m + 1): two patches whose
 elements lie 2m + 1 elements apart still meet through B where a patch edge
 on the domain boundary keeps its free nodes.  So once row b + 2m + 1 is
-solved, a worker thread forms G's rows of element row b (`_CoarseStrips`),
-and the columns of G are copied into place as their rows come in; the
-main thread forms the last strips itself once the patches are done.  Each
-entry is summed in the order of the one product (B Psi)^T Psi, so G is
-bitwise that product.  The split follows the GIL: the patch loop is Python
-and small numpy calls that hold it, and SuperLU on these small skeletons
-gains nothing from a second thread, while scipy's sparse products release
-it.  The worker count is the number of CPUs the process may use, less one,
-and at least one; nothing else sets it.  `build_global_space` forms its G
-through the same strips, each reaching over the whole domain.
+solved, a worker thread forms G's rows of element row b (`_CoarseStrips`);
+the main thread forms the last strips itself once the patches are done,
+and G, stored CSR, is the stack of its row strips.  Each entry is summed in
+the order of the one product (B Psi)^T Psi, so G is bitwise that product.
+The split follows the GIL: the patch loop is Python and small numpy calls
+that hold it, and SuperLU on these small skeletons gains nothing from a
+second thread, while scipy's sparse products release it.  The worker count
+is the number of CPUs the process may use, less one, and at least one;
+nothing else sets it.  `build_global_space` forms its G through the same
+strips, each reaching over the whole domain.
 
 Patch systems constrain the fine nodes on the patch boundary away from the
 domain boundary (`Patch.free_nodes`, the one free-node rule); where a patch
@@ -496,7 +496,7 @@ class MultiscaleSpace:
     m: int
     strict_zero_trace: bool
     trial: sp.csc_matrix
-    G: sp.csc_matrix
+    G: sp.csr_matrix
     G_norm: float
     condensation: "Condensation"
     corrector: np.ndarray = None
@@ -532,9 +532,8 @@ def _read_only(A):
 
 
 def _inf_norm(G):
-    """|G|_inf, the largest absolute row sum of the sparse matrix G."""
-    G = sp.csc_matrix(G)
-    return np.bincount(G.indices, weights=np.abs(G.data), minlength=G.shape[0]).max()
+    """|G|_inf, the largest absolute row sum of G, sparse in any format or dense."""
+    return (abs(G) @ np.ones(G.shape[1])).max()
 
 
 def _new_space(forms, m, strict_zero_trace, trial, G, corrector, condensation):
@@ -561,12 +560,12 @@ def _g_workers():
     return max(1, (cpus or 1) - 1)
 
 
-def _coarse_rows(B, trial_b, trial_near):
-    """Rows (B Psi_b)^T Psi_near of G, in canonical CSC form: the rows of
-    the trial columns Psi_b against the columns Psi_near."""
-    strip = (B @ trial_b).T @ trial_near
-    strip.sort_indices()
-    return strip
+def _coarse_rows(B, trial_b, trial_near, first, n):
+    """Rows (B Psi_b)^T Psi_near of G in canonical CSR form over all n of
+    G's columns, Psi_near being the trial columns first, first + 1, ..."""
+    strip = ((B @ trial_b).T @ trial_near).tocsr()
+    return sp.csr_matrix((strip.data, strip.indices + first, strip.indptr),
+                         shape=(strip.shape[0], n))
 
 
 class _CoarseStrips:
@@ -579,107 +578,55 @@ class _CoarseStrips:
     Psi_near, with Psi_near the columns of rows b - reach ... b + reach.
     Each entry is summed in the order of the one product (B Psi)^T Psi, so
     G is bitwise that product, whatever the number of workers or the order
-    the strips finish in.  The columns of G belonging to row c are stacked
-    from the row strips c - reach ... c + reach as soon as those are done
-    and copied, row by row, into G's arrays; a row strip is dropped after
-    its last use.  The arrays are sized for every element pair within reach;
-    the pages past G's last entry are never written, so they take no memory.
+    the strips finish in.  G, stored CSR, is the stack of the row strips.
     """
 
     def __init__(self, B, trial, NH, reach):
         self._B, self._trial, self._NH, self._reach = B, trial, NH, reach
-        self._width = width = trial.shape[1] // NH
+        self._width = trial.shape[1] // NH
         self._pool = ThreadPoolExecutor(_g_workers(), thread_name_prefix="cemhelm-G")
         self._solved = 0  # element rows whose trial columns are final
-        self._strips = []  # futures of the row strips; None after their last use
-        self._merged = 0  # element rows whose columns of G are copied
-        self._busy = []  # seconds of each strip formed
+        self.strips = []  # futures of the row strips formed or under way
+        self.busy = []  # seconds of each strip formed, on any thread
         self.wait = 0.0  # seconds `matrix` took after the last patch
-        span = np.arange(NH)
-        pairs = (np.minimum(span + reach, NH - 1) - np.maximum(span - reach, 0) + 1).sum() ** 2
-        bound = int(pairs) * (width // NH) ** 2
-        index = np.int32 if bound <= np.iinfo(np.int32).max else np.int64
-        self._data = np.empty(bound, dtype=complex)
-        self._indices = np.empty(bound, dtype=index)
-        self._indptr = np.zeros(NH * width + 1, dtype=index)
 
     def _timed(self, fn, *args):
         start = time.perf_counter()
         try:
             return fn(*args)
         finally:
-            self._busy.append(time.perf_counter() - start)
-
-    @property
-    def busy(self):
-        """Seconds spent forming strips so far, on any thread."""
-        return sum(self._busy)
-
-    @property
-    def count(self):
-        """Strips formed or under way so far."""
-        return len(self._strips)
-
-    def _near(self, b):
-        return max(b - self._reach, 0), min(b + self._reach, self._NH - 1)
+            self.busy.append(time.perf_counter() - start)
 
     def row_solved(self):
         """The trial columns of the next element row are final."""
         self._solved += 1
         if self._solved > self._reach:
             self._add_strip(self._solved - 1 - self._reach)
-        self._merge(block=False)
 
     def _strip(self, b):
         """The function and arguments forming row strip b."""
-        (lo, hi), w = self._near(b), self._width
+        lo, hi = max(b - self._reach, 0), min(b + self._reach, self._NH - 1)
+        w = self._width
         return (_coarse_rows, self._B, _columns(self._trial, b * w, (b + 1) * w),
-                _columns(self._trial, lo * w, (hi + 1) * w))
+                _columns(self._trial, lo * w, (hi + 1) * w), lo * w, self._NH * w)
 
     def _add_strip(self, b):
-        self._strips.append(self._pool.submit(self._timed, *self._strip(b)))
-
-    def _merge(self, block):
-        """Copy G's columns of the next element rows whose row strips are
-        done (with `block`, of all rows, waiting for them) into the arrays;
-        a strip that failed raises here."""
-        w = self._width
-        while self._merged < self._NH:
-            c = self._merged
-            lo, hi = self._near(c)
-            if hi >= len(self._strips):
-                return
-            strips = self._strips[lo:hi + 1]
-            if not (block or all(f.done() for f in strips)):
-                return
-            first = [(c - self._near(b)[0]) * w for b in range(lo, hi + 1)]
-            column = sp.vstack(
-                [_columns(f.result(), k, k + w) for f, k in zip(strips, first)], format="csc"
-            )
-            start = self._indptr[c * w]
-            end = start + column.nnz
-            self._data[start:end] = column.data
-            np.add(column.indices, lo * w, out=self._indices[start:end])
-            self._indptr[c * w + 1:(c + 1) * w + 1] = column.indptr[1:] + start
-            if c >= self._reach:
-                self._strips[c - self._reach] = None
-            self._merged += 1
+        self.strips.append(self._pool.submit(self._timed, *self._strip(b)))
 
     def matrix(self):
-        """G in CSC form, once every element row is solved.  The calling
-        thread forms the last strips that no worker has started, while the
-        workers go on with the first."""
-        for b in range(len(self._strips), self._NH):
+        """G in CSR form, once every element row is solved; a strip that
+        failed raises here.  The calling thread forms the last strips that no
+        worker has started, while the workers go on with the first."""
+        for b in range(len(self.strips), self._NH):
             self._add_strip(b)
         start = time.perf_counter()
         for b in reversed(range(self._NH)):
-            if self._strips[b] is not None and self._strips[b].cancel():
-                self._strips[b] = Future()
-                self._strips[b].set_result(self._timed(*self._strip(b)))
-        self._merge(block=True)
+            if self.strips[b].cancel():
+                self.strips[b] = Future()
+                self.strips[b].set_result(self._timed(*self._strip(b)))
+        G = sp.vstack([f.result() for f in self.strips], format="csr")
         self.wait = time.perf_counter() - start
-        nnz, n = self._indptr[-1], self._NH * self._width
-        return sp.csc_matrix((self._data[:nnz], self._indices[:nnz], self._indptr), shape=(n, n))
+        return G
 
     def close(self):
         """Stop the workers: queued strips are dropped, running ones finish."""
@@ -777,7 +724,7 @@ def _solve_patches(cond, forms, P, m, strict_zero_trace, load_blocks, with_trial
         "%d skeleton unknowns, L+U fill %d; %d G strips, %.2f s forming them, "
         "final wait %.2f s",
         patches, reused, patches - reused, unknowns, fill,
-        *((strips.count, strips.busy, strips.wait) if strips is not None else (0, 0.0, 0.0)),
+        *((len(strips.strips), sum(strips.busy), strips.wait) if strips else (0, 0.0, 0.0)),
     )
     return trial, G, corrector
 
@@ -856,9 +803,10 @@ def build_global_space(forms, P, loads=None, strict_zero_trace=False):
 @dataclass
 class CoarseSystem:
     """G c = b; `G_norm` is |G|_inf, the space's when `assemble_coarse`
-    made the system, else computed here."""
+    made the system, else computed here.  A hand-made system's G may be
+    sparse in any format or dense."""
 
-    G: sp.csc_matrix
+    G: sp.csr_matrix
     b: np.ndarray
     nbf: int
     G_norm: float = None
@@ -884,9 +832,9 @@ def assemble_coarse(space, forms, loads):
     if forms is not space.forms:
         raise DimensionMismatch("forms differ from the forms the space was built from")
     loads = np.asarray(loads)
-    if loads.shape[0] != space.trial.shape[0]:
+    if loads.shape != (space.trial.shape[0],):
         raise DimensionMismatch(
-            f"load vector of length {loads.shape[0]} against {space.trial.shape[0]} nodes"
+            f"load vector of shape {loads.shape} against {space.trial.shape[0]} nodes"
         )
     rhs_fine = loads.astype(complex)
     if space.corrector is not None:
@@ -896,21 +844,21 @@ def assemble_coarse(space, forms, loads):
 
 
 def _near_field(G, NH, nbf):
-    """The entries of the CSC matrix G whose two coarse elements lie within
-    Chebyshev distance NEAR_FIELD, as a CSC matrix.  Element e of coarse dof
-    p is p // nbf, at position (e % NH, e // NH)."""
+    """The entries of the CSR or CSC matrix G whose two coarse elements lie
+    within Chebyshev distance NEAR_FIELD, in G's format.  Element e of
+    coarse dof p is p // nbf, at position (e % NH, e // NH)."""
     e = np.arange(G.shape[0], dtype=G.indices.dtype) // nbf
     x, y = e % NH, e // NH
     counts = np.diff(G.indptr)
     keep = np.abs(x[G.indices] - np.repeat(x, counts)) <= NEAR_FIELD
     keep &= np.abs(y[G.indices] - np.repeat(y, counts)) <= NEAR_FIELD
     indptr = np.concatenate([[0], np.cumsum(keep)])[G.indptr]
-    return sp.csc_matrix((G.data[keep], G.indices[keep], indptr), shape=G.shape)
+    return type(G)((G.data[keep], G.indices[keep], indptr), shape=G.shape)
 
 
 def _near_field_solve(G, b, NH, nbf):
-    """Solve the CSC system G c = b by GMRES preconditioned with the LU of
-    its near field, or, when GMRES does not converge, by the LU of G."""
+    """Solve G c = b, G in CSR or CSC form, by GMRES preconditioned with the
+    LU of its near field, or, when GMRES does not converge, by the LU of G."""
     F = kernels.factorize(_near_field(G, NH, nbf))
     M = spla.LinearOperator(G.shape, matvec=F.solve, dtype=G.dtype)
     residuals = []  # one per iteration
@@ -953,7 +901,7 @@ def solve_multiscale(system, space, forms=None):
     max norms, exceeds 1e-10.  The GMRES iteration count and the backward
     error are logged at DEBUG.
     """
-    G, b = sp.csc_matrix(system.G), system.b
+    G, b = sp.csr_matrix(system.G), system.b
     diag = ""
     if forms is not None:
         khe = forms.k * forms.coarse.H / forms.medium.epsilon
@@ -984,6 +932,8 @@ def measure_decay(j, i, forms, P, m_list, w=None):
     _check_basis(j, i, forms.coarse.n_elements, P.nbf)
     if w is None:
         w = local_cem_solve(j, forms.coarse.NH - 1, forms, P)[0][:, i]
+    if np.shape(w) != (forms.grid.n_nodes,):
+        raise DimensionMismatch(f"w of shape {np.shape(w)} against {forms.grid.n_nodes} nodes")
     coeffs = pi_coeffs(P, w)
     per_element_s = np.sum(np.abs(coeffs) ** 2, axis=1)
     tails = []

@@ -1,5 +1,6 @@
 import gc
 import logging
+import re
 import threading
 import weakref
 
@@ -274,8 +275,10 @@ def test_zero_loads_give_zero_solution(setup32):
 def test_load_dimension_mismatch(setup32):
     g, c, forms, P = setup32
     space = cem.build_space(forms, P, 1)
-    with pytest.raises(DimensionMismatch):
-        cem.assemble_coarse(space, forms, np.zeros(10, dtype=complex))
+    # a second column has the right row count but would give b two columns
+    for shape in ((10,), (g.n_nodes, 2)):
+        with pytest.raises(DimensionMismatch, match=re.escape(f"shape {shape}")):
+            cem.assemble_coarse(space, forms, np.zeros(shape, dtype=complex))
 
 
 def test_petrov_galerkin_orthogonality(setup32):
@@ -327,6 +330,13 @@ def test_measure_decay_rejects_out_of_range_basis():
     for j, i in OUT_OF_RANGE:
         with pytest.raises(InvalidElement):
             cem.measure_decay(j, i, forms, P, [1, 2])
+
+
+def test_measure_decay_rejects_w_of_another_length():
+    g, c, forms, P = make_setup(nx=16, NH=4, nbf=2)
+    for size in (g.n_nodes - 5, g.n_nodes + 5):
+        with pytest.raises(DimensionMismatch, match=f"against {g.n_nodes} nodes"):
+            cem.measure_decay(5, 0, forms, P, [1, 2], w=np.ones(size, dtype=complex))
 
 
 def test_dump_basis(tmp_path, setup32):
@@ -475,7 +485,9 @@ def test_near_field_matches_dense_mask(system_nh6):
     forms, space, system = system_nh6
     G = system.G
     near = cem._near_field(G, 6, 2)
-    assert near.format == "csc"
+    assert near.format == G.format == "csr"
+    near_csc = cem._near_field(G.tocsc(), 6, 2)
+    assert near_csc.format == "csc" and np.array_equal(near_csc.toarray(), near.toarray())
     mask = _element_distance(system.n, 6, 2) <= cem.NEAR_FIELD
     coo = G.tocoo()
     stored = np.zeros(G.shape, dtype=bool)
@@ -488,12 +500,36 @@ def test_near_field_matches_dense_mask(system_nh6):
 
 
 def test_sparse_coarse_branch_reads_csr(system_nh6, monkeypatch):
+    # the space's CSR G reaches the GMRES as it is, without a copy
     forms, space, system = system_nh6
     monkeypatch.setattr(cem, "DENSE_LIMIT", 0)
-    _, c_csc = cem.solve_multiscale(system, space, forms=forms)
-    csr = cem.CoarseSystem(system.G.tocsr(), system.b, system.nbf)
-    _, c_csr = cem.solve_multiscale(csr, space, forms=forms)
-    assert np.array_equal(c_csr, c_csc)
+    seen = []
+    solve = cem._near_field_solve
+
+    def spy(G, *args):
+        seen.append(G)
+        return solve(G, *args)
+
+    monkeypatch.setattr(cem, "_near_field_solve", spy)
+    cem.solve_multiscale(system, space, forms=forms)
+    (G,) = seen
+    assert G.format == "csr"
+    assert all(np.shares_memory(a, b) for a, b in zip(
+        (G.data, G.indices, G.indptr), (system.G.data, system.G.indices, system.G.indptr)))
+
+
+@pytest.mark.parametrize("dense_limit", [2000, 0], ids=["dense", "gmres"])
+def test_coarse_solve_reads_any_format(system_nh6, dense_limit, monkeypatch):
+    # a hand-made system's G may come as CSC, CSR or a dense array
+    forms, space, system = system_nh6
+    monkeypatch.setattr(cem, "DENSE_LIMIT", dense_limit)
+    coeffs = []
+    for G in (system.G.tocsc(), system.G.tocsr(), system.G.toarray()):
+        hand_made = cem.CoarseSystem(G, system.b, system.nbf)
+        # the dense row sums are summed in BLAS's order
+        assert abs(hand_made.G_norm - system.G_norm) <= 1e-14 * system.G_norm
+        coeffs.append(cem.solve_multiscale(hand_made, space, forms=forms)[1])
+    assert all(np.array_equal(c, coeffs[0]) for c in coeffs[1:])
 
 
 def test_gmres_failure_falls_back_to_full_lu(system_nh6, monkeypatch):
@@ -921,12 +957,12 @@ def test_wrong_load_block_shape_raises():
         cem.build_space(forms, P, 1, load_blocks=blocks)  # online build
 
 
-def test_coarse_matrix_is_csc(setup32):
-    # the format the sparse coarse LU reads without a copy
+def test_coarse_matrix_is_csr(setup32):
+    # the format G's row strips stack into without a copy
     g, c, forms, P = setup32
     loads = np.ones(g.n_nodes, dtype=complex)
     for space in (cem.build_space(forms, P, 1), cem.build_global_space(forms, P)):
-        assert cem.assemble_coarse(space, forms, loads).G.format == "csc"
+        assert cem.assemble_coarse(space, forms, loads).G.format == "csr"
 
 
 def test_spaces_from_one_cache_keep_independent_correctors():
@@ -976,7 +1012,7 @@ def test_trial_and_coarse_matrix_freed_with_projection_and_spaces():
 
 
 def _g_oracle(forms, space):
-    G = (forms.B @ space.trial).T @ space.trial
+    G = ((forms.B @ space.trial).T @ space.trial).tocsr()
     G.sum_duplicates()
     return G
 
@@ -1009,7 +1045,9 @@ def test_generated_streamed_coarse_matrix_is_the_one_product(cfg, data):
 def test_coarse_matrix_norm_computed_once_per_space(system_nh6, monkeypatch):
     forms, space, system = system_nh6
     G = space.G
-    row_sums = np.bincount(G.indices, weights=np.abs(G.data), minlength=G.shape[0])
+    assert G.format == "csr"
+    rows = np.repeat(np.arange(G.shape[0]), np.diff(G.indptr))
+    row_sums = np.bincount(rows, weights=np.abs(G.data), minlength=G.shape[0])
     assert space.G_norm == row_sums.max()
     assert system.G_norm == space.G_norm
     gspace = cem.build_global_space(forms, spectral.build_projection(forms, space.nbf))
