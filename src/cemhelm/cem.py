@@ -27,37 +27,44 @@ the rim are real, as the boundary mass lives on rim nodes; only B_RR
 carries -ik Mb.  A patch system is then the sum of S_e over the patch's
 elements on its free rim nodes, the skeleton, with a fraction of the
 patch's unknowns and LU fill; its right-hand sides enter through one
-element's rim, and the interiors come back from one batched product over
-the patch's elements.  Patches of one shape (`_layout_key`: the element's
-distances to the domain edges, clipped at m + 1) differ by a translation,
-so a shape class shares the skeleton's index maps, its CSC pattern and the
-offsets that place them on a patch (`_Layout`), and also its fill-reducing
-ordering: the first patch of a class is factorized by the minimum-degree
-LU of `kernels.factorize`, and its ordering renumbers the skeleton of the
-rest of the class, which is gathered straight into the ordered pattern and
-factorized as it is.  Every later patch costs a gather, a numeric LU and
-the batched interior product.  A singular or ill-conditioned Z_e (k H / eps
-far beyond the resolution condition) raises SingularLocalSystem naming the
-element.  Test vectors are the conjugates of the trial vectors; the
-independent adjoint solve (the condensation of conj(B), which conjugates
-only S_e and the B_RR diagonals) is kept for cross-validation.
+element's rim, and the interiors come back from a product with the real
+Z_e^-1 C_e of the patch's elements.  Patches of one shape (`_layout_key`:
+the element's distances to the domain edges, clipped at m + 1) differ by a
+translation, so a shape class shares the skeleton's index maps, its CSC
+pattern and the offsets that place them on a patch (`_Layout`), and also
+its fill-reducing ordering: the first patch of a class is factorized by
+the minimum-degree LU of `kernels.factorize`, and its ordering renumbers
+the skeleton of the rest of the class, which is gathered straight into the
+ordered pattern and factorized as it is.  The patches of one class in one
+element row are solved as one batch (`_solve_batch`): one gather of all
+their skeleton values, one block of right-hand sides and one product
+for all their interiors, so only the numeric LU and its solve are per
+patch.  A singular or ill-conditioned Z_e (k H / eps far beyond the
+resolution condition) raises SingularLocalSystem naming the element.  Test
+vectors are the conjugates of the trial vectors; the independent adjoint
+solve (the condensation of conj(B), which conjugates only S_e and the B_RR
+diagonals) is kept for cross-validation.
 
 The offline build is streamed over element rows.  The main thread solves
 the patches row by row, writing each trial column into arrays allotted in
-advance.  G = (B Psi)^T Psi needs, for the rows of element row b, only the
-trial columns of rows b - (2m + 1) ... b + (2m + 1): two patches whose
-elements lie 2m + 1 elements apart still meet through B where a patch edge
-on the domain boundary keeps its free nodes.  So once row b + 2m + 1 is
-solved, a worker thread forms G's rows of element row b (`_CoarseStrips`);
-the main thread forms the last strips itself once the patches are done,
-and G, stored CSR, is the stack of its row strips.  Each entry is summed in
-the order of the one product (B Psi)^T Psi, so G is bitwise that product.
-The split follows the GIL: the patch loop is Python and small numpy calls
-that hold it, and SuperLU on these small skeletons gains nothing from a
-second thread, while scipy's sparse products release it.  The worker count
-is the number of CPUs the process may use, less one, and at least one;
-nothing else sets it.  `build_global_space` forms its G through the same
-strips, each reaching over the whole domain.
+advance.  G = (B Psi)^T Psi couples two elements at most 2m + 1 element
+rows apart: two patches whose elements lie 2m + 1 elements apart still
+meet through B where a patch edge on the domain boundary keeps its free
+nodes.  G is complex symmetric, so only its lower triangle is formed: as
+soon as row b is solved, a worker thread forms the lower strip (B Psi_b)^T
+Psi_near over the trial columns of rows b - (2m + 1) ... b, and once row
+b + 2m + 1 is solved too it assembles G's rows of element row b from row
+b's own lower triangle and the mirrored column block b of the lower strips
+of rows b ... b + 2m + 1 (`_CoarseStrips`).  G, stored CSR, is the stack
+of its row strips.  Each lower entry is summed in the order of the one
+product (B Psi)^T Psi, so G's lower triangle is bitwise that of the
+product, and G is exactly symmetric.  The split follows the GIL: the patch loop is
+Python and small numpy calls that hold it, and SuperLU on these small
+skeletons gains nothing from a second thread, while scipy's sparse
+products release it.  The worker count is the number of CPUs the process
+may use, less one, and at least one; nothing else sets it.
+`build_global_space` forms its G through the same strips, each reaching
+over the whole domain.
 
 Patch systems constrain the fine nodes on the patch boundary away from the
 domain boundary (`Patch.free_nodes`, the one free-node rule); where a patch
@@ -88,9 +95,10 @@ each; a load enters only through its element's Z_e and rim, so only the
 loaded elements' data are condensed.  Skipping the other patches is exact,
 as the data column of a zero block is exactly zero.  `assemble_coarse`
 forms only Psi^T (b - B q).  Each `build_space` logs at DEBUG the patches
-it factorized, how many of them in a reused class ordering and how many
-fresh, their skeleton unknowns, the summed L+U fill, and the G strips with
-the seconds spent forming them and the final wait for them.
+it factorized, in how many batches, how many of them in a reused class
+ordering and how many fresh, their skeleton unknowns, the summed L+U fill,
+and the G strips with the seconds spent forming the lower strips and
+mirroring them, and the final wait from the last patch to G.
 
 The basis vectors decay exponentially away from their element, and so do
 the entries of G.  A coarse system larger than DENSE_LIMIT is therefore
@@ -109,7 +117,7 @@ import csv
 import logging
 import os
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -291,32 +299,31 @@ def _condense(forms, P):
     return cond
 
 
-def _trial_sources(cond, elements):
-    """Sources (see `_skeleton_solve`) of the trial columns of `elements`, in order."""
-    elements = np.asarray(elements)
-    n_cols = elements.size * cond.trial_rim.shape[2]
-    return (
-        np.repeat(elements, cond.trial_rim.shape[2]),
-        np.arange(n_cols),
-        cond.trial_rim[elements].transpose(0, 2, 1).reshape(n_cols, -1),
-        cond.trial_interior[elements].transpose(0, 2, 1).reshape(n_cols, cond.W.shape[1]),
-    )
-
-
-def _load_sources(forms, P, elements, blocks, column):
-    """Sources of the per-element loads `blocks` (one row of element-node
-    values per element), all in `column`: with z_e = Z_e^-1 [f_I; 0], the
-    condensed rim load f_R - C_e^T z_e and the interior rows of z_e."""
+def _load_sources(forms, P, elements, blocks):
+    """The condensed per-element loads `blocks` of `elements` (one row of
+    element-node values per element): with z_e = Z_e^-1 [f_I; 0], the rim
+    loads f_R - C_e^T z_e and the interior rows of z_e."""
     interior, rim = _element_split(forms.coarse)
     Z, C, _ = _element_systems(forms, P, elements)
     rhs = np.zeros(Z.shape[:2] + (1,), dtype=complex)
     rhs[:, :interior.size, 0] = blocks[:, interior]
     z = np.linalg.solve(Z, rhs)
+    return blocks[:, rim] - (C.transpose(0, 2, 1) @ z)[:, :, 0], z[:, :interior.size, 0]
+
+
+def _trial_sources(cond, elements, patches):
+    """Sources (see `_solve_batch`) of the trial columns of `elements`,
+    element elements[s] on patch patches[s] (sorted); on each patch the
+    nbf columns of its elements follow each other from column 0."""
+    elements, patches = np.asarray(elements), np.asarray(patches)
+    nbf = cond.trial_rim.shape[2]
+    rank = np.arange(elements.size) - np.searchsorted(patches, patches)
     return (
-        np.asarray(elements),
-        np.full(len(blocks), column),
-        blocks[:, rim] - (C.transpose(0, 2, 1) @ z)[:, :, 0],
-        z[:, :interior.size, 0],
+        np.repeat(patches, nbf),
+        np.repeat(elements, nbf),
+        (rank[:, None] * nbf + np.arange(nbf)).ravel(),
+        cond.trial_rim[elements].transpose(0, 2, 1).reshape(elements.size * nbf, -1),
+        cond.trial_interior[elements].transpose(0, 2, 1).reshape(elements.size * nbf, -1),
     )
 
 
@@ -420,42 +427,58 @@ def _skeleton_layout(cond, coarse, j, m, strict_zero_trace, order=None):
     )
 
 
-def _skeleton_solve(cond, layout, j, m, sources, n_cols, error=SingularLocalSystem):
-    """Solve the bordered system of element j's m-layer patch on its free
-    rim nodes, then recover the element interiors.
+def _solve_batch(cond, layout, js, m, sources, n_cols, error=SingularLocalSystem):
+    """Solve the bordered systems of the m-layer patches of elements `js`,
+    all of the shape class of `layout`, on their free rim nodes, then
+    recover the element interiors.
 
-    The skeleton system sums the Schur complements S_e of the patch's
-    elements on its free rim nodes (see `_skeleton_layout`).  Source s of
-    `sources` = (elements, columns, rim, interior) adds its condensed
-    right-hand side rim[s] on the rim nodes of elements[s] and the interior
-    particular solution interior[s] to column columns[s].  Returns (free
-    rows, solutions on them, the skeleton's factorization).
+    Patch p's skeleton system sums the Schur complements S_e of its elements
+    on its free rim nodes (see `_skeleton_layout`).  The batch gathers the
+    values of all its skeletons, sets up all right-hand sides and recovers
+    all interiors at once; only the factorization and the solve are per
+    patch.  Source s of `sources` = (patches, elements, columns, rim,
+    interior) adds its condensed right-hand side rim[s] on the rim nodes of
+    elements[s] in patch patches[s] and the interior particular solution
+    interior[s] to column columns[s].  Returns (free rows, shape (patches,
+    rows); the solutions on them, (patches, rows, n_cols); the summed L+U
+    fill of the patches' LUs; the ordering `perm_c` of the first patch's
+    LU).  Each LU is dropped once solved.  A patch without free nodes or
+    with a singular system raises `error` naming its element.
     """
+    js = np.asarray(js)
     if layout.rows.size == 0:
-        raise error(f"element {j}, m={m}: patch has no unconstrained nodes")
-    first = j - layout.element_shift
-    elements = layout.elements + first
+        raise error(f"element {js[0]}, m={m}: patch has no unconstrained nodes")
+    firsts = js - layout.element_shift
     n = layout.indptr.size - 1
     r4 = layout.local.shape[1]
-    values = np.add.reduceat(cond.S.ravel()[layout.take + first * r4 * r4], layout.starts)
-    np.add.at(values, layout.outer, cond.diag.ravel()[layout.outer_take + first * r4])
-    S = sp.csc_matrix((values, layout.indices, layout.indptr), shape=(n, n))
-    src_elements, src_cols, src_rim, src_interior = sources
-    e = np.searchsorted(elements, src_elements)
-    rhs = np.zeros((n + 1, n_cols), dtype=complex)  # constrained nodes land in row -1
-    np.add.at(rhs, (layout.local[e], src_cols[:, None]), src_rim)
-    try:
-        F = kernels.factorize(S, ordered=layout.ordered)
-        rhs[:n] = F.solve(rhs[:n])
-    except SingularMatrix as exc:
-        raise error(f"element {j}, m={m}: constrained system is singular: {exc}") from exc
-    rhs[n] = 0.0
-    interior = -(cond.W[elements] @ rhs[layout.local])
-    np.add.at(interior, (e[:, None], np.arange(interior.shape[1]), src_cols[:, None]), src_interior)
-    vals = np.empty((layout.rows.size, n_cols), dtype=complex)
-    vals[layout.skeleton] = rhs[:n]
-    vals[layout.interior] = interior
-    return layout.rows + (cond.rim_nodes[j, 0] - layout.node_shift), vals, F
+    values = np.add.reduceat(
+        cond.S.ravel()[layout.take + firsts[:, None] * (r4 * r4)], layout.starts, axis=1)
+    np.add.at(values, (slice(None), layout.outer),
+              cond.diag.ravel()[layout.outer_take + firsts[:, None] * r4])
+    patches, src_elements, src_cols, src_rim, src_interior = sources
+    e = np.searchsorted(layout.elements, src_elements - firsts[patches])
+    rhs = np.zeros((js.size, n + 1, n_cols), dtype=complex)  # constrained nodes land in row n
+    np.add.at(rhs, (patches[:, None], layout.local[e], src_cols[:, None]), src_rim)
+    fill, perm_c = 0, None
+    S = sp.csc_matrix((values[0], layout.indices, layout.indptr), shape=(n, n))
+    for p, j in enumerate(js):
+        S.data = values[p]  # one pattern, each patch's values
+        try:
+            F = kernels.factorize(S, ordered=layout.ordered)
+            rhs[p, :n] = F.solve(rhs[p, :n])
+        except SingularMatrix as exc:
+            raise error(f"element {j}, m={m}: constrained system is singular: {exc}") from exc
+        fill += F.fill
+        perm_c = F.perm_c if perm_c is None else perm_c
+    rhs[:, n] = 0.0
+    interior = -(cond.W[layout.elements + firsts[:, None]] @ rhs[:, layout.local])
+    np.add.at(interior, (patches[:, None], e[:, None], np.arange(interior.shape[2]),
+                         src_cols[:, None]), src_interior)
+    vals = np.empty((js.size, layout.rows.size, n_cols), dtype=complex)
+    vals[:, layout.skeleton] = rhs[:, :n]
+    vals[:, layout.interior] = interior
+    rows = layout.rows + (cond.rim_nodes[js, 0] - layout.node_shift)[:, None]
+    return rows, vals, fill, perm_c
 
 
 def local_cem_solve(j, m, forms, P, strict_zero_trace=False, adjoint=False):
@@ -464,13 +487,13 @@ def local_cem_solve(j, m, forms, P, strict_zero_trace=False, adjoint=False):
     With `adjoint` the patch system of conj(B) is solved instead (an
     independent check of the conjugate test vectors)."""
     cond = _condense(forms, P)
-    rows, vals, _ = _skeleton_solve(
+    rows, vals, _, _ = _solve_batch(
         cond.conj() if adjoint else cond,
-        _skeleton_layout(cond, forms.coarse, j, m, strict_zero_trace), j, m,
-        _trial_sources(cond, [j]), P.nbf,
+        _skeleton_layout(cond, forms.coarse, j, m, strict_zero_trace), [j], m,
+        _trial_sources(cond, [j], [0]), P.nbf,
     )
     psi = np.zeros((forms.grid.n_nodes, P.nbf), dtype=complex)
-    psi[rows] = vals
+    psi[rows[0]] = vals[0]
     return psi, oversample(forms.coarse, j, m)
 
 
@@ -544,13 +567,19 @@ def _new_space(forms, m, strict_zero_trace, trial, G, corrector, condensation):
     )
 
 
-def _columns(A, start, stop):
-    """Columns start:stop of the CSC matrix A, sharing its data and indices."""
+def _slice(A, start, stop):
+    """Columns start:stop of the CSC matrix A, or rows of the CSR matrix A,
+    sharing its data and indices."""
     lo, hi = A.indptr[start], A.indptr[stop]
-    return sp.csc_matrix(
-        (A.data[lo:hi], A.indices[lo:hi], A.indptr[start:stop + 1] - lo),
-        shape=(A.shape[0], stop - start),
-    )
+    shape = (A.shape[0], stop - start) if A.format == "csc" else (stop - start, A.shape[1])
+    return type(A)((A.data[lo:hi], A.indices[lo:hi], A.indptr[start:stop + 1] - lo), shape=shape)
+
+
+def _kept(A, keep):
+    """The entries of the CSR or CSC matrix A where `keep` (one flag per
+    stored entry) holds, in A's format."""
+    indptr = np.concatenate([[0], np.cumsum(keep)])[A.indptr]
+    return type(A)((A.data[keep], A.indices[keep], indptr), shape=A.shape)
 
 
 def _g_workers():
@@ -568,62 +597,108 @@ def _coarse_rows(B, trial_b, trial_near, first, n):
                          shape=(strip.shape[0], n))
 
 
+def _lower_strip(B, trial, b, lo, w):
+    """The lower strip of element row b: the lower triangle of G's rows
+    (B Psi_b)^T Psi_near, Psi_near the trial columns of element rows lo
+    ... b (w columns per row), as CSR rows over all of G's columns, and the
+    transpose of its strict part, as CSR over G's columns by the w rows."""
+    L = _coarse_rows(B, _slice(trial, b * w, (b + 1) * w), _slice(trial, lo * w, (b + 1) * w),
+                     lo * w, trial.shape[1])
+    rows = np.repeat(np.arange(b * w, (b + 1) * w), np.diff(L.indptr))
+    return _kept(L, L.indices <= rows), _kept(L, L.indices < rows).T.tocsr()
+
+
+def _side_by_side(pieces, shifts, n):
+    """CSR rows over n columns holding, row by row, the entries of the CSR
+    `pieces` in turn, the columns of piece i shifted by shifts[i].  In
+    every row each piece's columns lie left of the next piece's, so the
+    rows come out canonical; the entries are copied, not summed."""
+    counts = np.stack([np.diff(A.indptr) for A in pieces], axis=1)  # (rows, pieces)
+    starts = np.cumsum(counts.ravel()).reshape(counts.shape) - counts
+    indptr = np.concatenate([[0], np.cumsum(counts.sum(axis=1))])
+    data = np.empty(indptr[-1], dtype=pieces[0].dtype)
+    indices = np.empty(indptr[-1], dtype=np.result_type(*(A.indices for A in pieces)))
+    for i, (A, shift) in enumerate(zip(pieces, shifts)):
+        at = np.repeat(starts[:, i] - A.indptr[:-1], counts[:, i]) + np.arange(A.nnz)
+        data[at] = A.data
+        indices[at] = A.indices + shift
+    return sp.csr_matrix((data, indices, indptr), shape=(counts.shape[0], n))
+
+
+def _row_strip(lower, b, w, n):
+    """G's rows of element row b from the lower strips of element rows b,
+    b + 1, ... (`_lower_strip` futures): row strip b's own lower triangle,
+    then, mirrored, the column block b of each strip's strict part."""
+    strips = [f.result() for f in lower]
+    pieces = [strips[0][0]] + [_slice(upper, b * w, (b + 1) * w) for _, upper in strips]
+    return _side_by_side(pieces, [0] + [c * w for c in range(b, b + len(strips))], n)
+
+
 class _CoarseStrips:
     """G = (B Psi)^T Psi formed on worker threads, strip by strip, while the
     patch solves of later element rows go on.
 
     G's entries couple elements at most `reach` element rows and columns
-    apart.  So once the trial columns of rows up to b + reach are solved, a
-    worker forms the rows of G belonging to element row b, (B Psi_b)^T
-    Psi_near, with Psi_near the columns of rows b - reach ... b + reach.
-    Each entry is summed in the order of the one product (B Psi)^T Psi, so
-    G is bitwise that product, whatever the number of workers or the order
-    the strips finish in.  G, stored CSR, is the stack of the row strips.
+    apart, and G is complex symmetric, so only its lower triangle is
+    formed.  Once the trial columns of element row b are solved, a worker
+    forms the lower strip of row b (`_lower_strip`): the lower triangle of
+    (B Psi_b)^T Psi_near, with Psi_near the columns of rows b - reach ...
+    b.  Once row b + reach is solved too, a worker assembles G's rows of
+    element row b (`_row_strip`): row b's lower triangle, then the upper
+    one mirrored from the column block b of the lower strips of rows b ...
+    b + reach.  A row strip is queued after the lower strips it reads, so
+    a worker that runs it finds each of them formed or under way.  Each
+    lower entry is summed in the order of the one product (B Psi)^T Psi,
+    so G's lower triangle is bitwise that of the product and G is exactly
+    symmetric, whatever the number of workers or the order the strips
+    finish in.  A lower strip is dropped once the last row strip reading
+    it is done, and G, stored CSR, is the stack of the row strips.
     """
 
     def __init__(self, B, trial, NH, reach):
         self._B, self._trial, self._NH, self._reach = B, trial, NH, reach
         self._width = trial.shape[1] // NH
         self._pool = ThreadPoolExecutor(_g_workers(), thread_name_prefix="cemhelm-G")
-        self._solved = 0  # element rows whose trial columns are final
-        self.strips = []  # futures of the row strips formed or under way
-        self.busy = []  # seconds of each strip formed, on any thread
+        # futures of the solved rows' lower strips, None once all their readers are queued
+        self._lower = []
+        self.strips = []  # futures of G's row strips assembled or under way
+        self.busy = []  # seconds of each lower strip formed
+        self.mirror = []  # seconds of each row strip assembled
         self.wait = 0.0  # seconds `matrix` took after the last patch
 
-    def _timed(self, fn, *args):
+    def _timed(self, spent, fn, *args):
         start = time.perf_counter()
         try:
             return fn(*args)
         finally:
-            self.busy.append(time.perf_counter() - start)
+            spent.append(time.perf_counter() - start)
 
     def row_solved(self):
         """The trial columns of the next element row are final."""
-        self._solved += 1
-        if self._solved > self._reach:
-            self._add_strip(self._solved - 1 - self._reach)
-
-    def _strip(self, b):
-        """The function and arguments forming row strip b."""
-        lo, hi = max(b - self._reach, 0), min(b + self._reach, self._NH - 1)
-        w = self._width
-        return (_coarse_rows, self._B, _columns(self._trial, b * w, (b + 1) * w),
-                _columns(self._trial, lo * w, (hi + 1) * w), lo * w, self._NH * w)
+        b = len(self._lower)
+        self._lower.append(self._pool.submit(
+            self._timed, self.busy, _lower_strip, self._B, self._trial, b,
+            max(b - self._reach, 0), self._width,
+        ))
+        if b >= self._reach:
+            self._add_strip(b - self._reach)
 
     def _add_strip(self, b):
-        self.strips.append(self._pool.submit(self._timed, *self._strip(b)))
+        hi = min(b + self._reach, self._NH - 1)
+        self.strips.append(self._pool.submit(
+            self._timed, self.mirror, _row_strip, self._lower[b:hi + 1], b, self._width,
+            self._NH * self._width,
+        ))
+        self._lower[b] = None  # the last row strip reading it is queued
 
     def matrix(self):
         """G in CSR form, once every element row is solved; a strip that
-        failed raises here.  The calling thread forms the last strips that no
-        worker has started, while the workers go on with the first."""
+        failed raises here."""
+        start = time.perf_counter()
+        while len(self._lower) < self._NH:
+            self.row_solved()
         for b in range(len(self.strips), self._NH):
             self._add_strip(b)
-        start = time.perf_counter()
-        for b in reversed(range(self._NH)):
-            if self.strips[b].cancel():
-                self.strips[b] = Future()
-                self.strips[b].set_result(self._timed(*self._strip(b)))
         G = sp.vstack([f.result() for f in self.strips], format="csr")
         self.wait = time.perf_counter() - start
         return G
@@ -652,79 +727,104 @@ def _empty_trial(coarse, m, strict_zero_trace, nbf):
     )
 
 
+def _shape_classes(coarse, m, elements):
+    """`elements` grouped by `_layout_key`, each group in element order and
+    the groups in the order of their first elements."""
+    groups = {}
+    for j in elements:
+        groups.setdefault(_layout_key(coarse, j, m), []).append(j)
+    return [(key, np.array(js)) for key, js in groups.items()]
+
+
 def _solve_patches(cond, forms, P, m, strict_zero_trace, load_blocks, with_trial):
     """Skeleton solves on the patches of every element (`with_trial`) or of
-    the loaded ones, one factorization each, in element order.
+    the loaded ones, element row by element row, in one batch per shape
+    class of a row (`_solve_batch`).
 
-    With `with_trial`, each patch solves its nbf trial columns, written into
-    the preallocated arrays of the trial matrix; each finished element row
-    goes to the G workers (`_CoarseStrips`).  The patch of an element with a
-    nonzero load block also solves its data column, summed into the
-    corrector.  Offline, the first patch of each shape class is factorized
-    in a minimum-degree order of its own, and the class's second patch
-    renumbers the layout in that order for the rest of the class.  Online,
-    the few loaded patches rarely repay the renumbering, so each is
-    factorized in its own order, sharing only the layout.  The classes of an element row recur only in the
-    rows of the same distances to the bottom and top edges, which follow it,
-    so the layouts are dropped whenever those change.  Returns (trial
-    matrix or None, G or None, corrector or None).
+    With `with_trial`, each patch solves its nbf trial columns, written
+    into the preallocated arrays of the trial matrix; each finished element
+    row goes to the G workers (`_CoarseStrips`).  The patch of an element
+    with a nonzero load block also solves its data column, summed into the
+    corrector in element order as each element row ends.  Offline, the first
+    patch of each shape class is factorized alone, in a minimum-degree
+    order of its own, which renumbers the layout for the rest of the class.
+    Online, the few loaded patches rarely repay the renumbering, so each is
+    factorized in its own order, sharing only the layout.  The classes of
+    an element row recur only in the rows of the same distances to the
+    bottom and top edges, which follow it, so the layouts are dropped
+    whenever those change.  Returns (trial matrix or None, G or None,
+    corrector or None).
     """
     coarse = forms.coarse
     n, N, NH = forms.grid.n_nodes, coarse.n_elements, coarse.NH
     nbf = P.nbf if with_trial else 0
-    loads, corrector = {}, None
+    corrector, data, loaded_at = None, [], np.full(N, -1)
     if load_blocks is not None:
-        corrector = np.zeros(n, dtype=complex)
         loaded = np.flatnonzero(np.any(load_blocks != 0, axis=1))
-        sources = _load_sources(forms, P, loaded, load_blocks[loaded], nbf)
-        loads = {int(j): tuple(a[[s]] for a in sources) for s, j in enumerate(loaded)}
+        load_rim, load_interior = _load_sources(forms, P, loaded, load_blocks[loaded])
+        loaded_at[loaded] = np.arange(loaded.size)
+        corrector = np.zeros(n, dtype=complex)
+    elements = np.arange(N) if with_trial else np.flatnonzero(loaded_at >= 0)
     trial = strips = G = None
     if with_trial:
         trial = _empty_trial(coarse, m, strict_zero_trace, nbf)
         strips = _CoarseStrips(forms.B, trial, NH, 2 * m + 1)
+    batches = reused = unknowns = fill = 0
+
+    def solve(layout, js):
+        nonlocal batches, reused, unknowns, fill
+        at = loaded_at[js]
+        p = np.flatnonzero(at >= 0)  # the loaded patches of the batch
+        sources = [_trial_sources(cond, js, np.arange(js.size))] if with_trial else []
+        if p.size:
+            sources.append((p, js[p], np.full(p.size, nbf), load_rim[at[p]], load_interior[at[p]]))
+        rows, vals, batch_fill, perm_c = _solve_batch(
+            cond, layout, js, m, _join(*sources), nbf + (p.size > 0))
+        batches, reused = batches + 1, reused + layout.ordered * js.size
+        unknowns += (layout.indptr.size - 1) * js.size
+        fill += batch_fill
+        if with_trial:
+            at_trial = trial.indptr[js * nbf][:, None] + np.arange(nbf * rows.shape[1])
+            trial.data[at_trial] = vals[:, :, :nbf].transpose(0, 2, 1).reshape(js.size, -1)
+            trial.indices[at_trial] = np.tile(rows, nbf)
+        data.extend((js[q], rows[q], vals[q, :, nbf]) for q in p)
+        return perm_c
+
     layouts, orders, edges = {}, {}, None
-    reused = unknowns = fill = 0
     try:
-        for j in range(N) if with_trial else loads:
-            key = _layout_key(coarse, j, m)
-            if key[2:] != edges:
-                layouts, orders, edges = {}, {}, key[2:]
-            if key in orders:
-                layouts[key] = _skeleton_layout(
-                    cond, coarse, j, m, strict_zero_trace, orders.pop(key))
-            layout = layouts.get(key)
-            if layout is None:
-                layout = layouts[key] = _skeleton_layout(cond, coarse, j, m, strict_zero_trace)
-            reused += layout.ordered
-            sources = [_trial_sources(cond, [j])] if with_trial else []
-            if j in loads:
-                sources.append(loads[j])
-            rows, vals, F = _skeleton_solve(
-                cond, layout, j, m, _join(*sources), nbf + (j in loads)
-            )
-            if with_trial and not layout.ordered:
-                orders[key] = F.perm_c
-            unknowns, fill = unknowns + F.shape[0], fill + F.fill
+        for b in range(NH):
+            row = elements[(elements >= b * NH) & (elements < (b + 1) * NH)]
+            for key, js in _shape_classes(coarse, m, row):
+                if key[2:] != edges:
+                    layouts, orders, edges = {}, {}, key[2:]
+                if key not in layouts:
+                    layouts[key] = _skeleton_layout(cond, coarse, js[0], m, strict_zero_trace)
+                    if with_trial:  # the class's first patch orders the rest of it
+                        orders[key] = solve(layouts[key], js[:1])
+                        js = js[1:]
+                if js.size and key in orders:
+                    layouts[key] = _skeleton_layout(
+                        cond, coarse, js[0], m, strict_zero_trace, orders.pop(key))
+                if js.size:
+                    solve(layouts[key], js)
+            for _, rows, column in sorted(data, key=lambda d: d[0]):
+                corrector[rows] += column
+            data.clear()
             if with_trial:
-                lo, hi = trial.indptr[j * nbf], trial.indptr[(j + 1) * nbf]
-                trial.data[lo:hi].reshape(nbf, -1)[:] = vals[:, :nbf].T
-                trial.indices[lo:hi].reshape(nbf, -1)[:] = rows
-                if j % NH == NH - 1:
-                    strips.row_solved()
-            if j in loads:
-                corrector[rows] += vals[:, nbf]
+                strips.row_solved()
         if strips is not None:
             G = strips.matrix()
     finally:
         if strips is not None:
             strips.close()
-    patches = N if with_trial else len(loads)
+    patches = elements.size
     log.debug(
-        "build_space: %d patches factorized (%d in a reused class ordering, %d fresh), "
-        "%d skeleton unknowns, L+U fill %d; %d G strips, %.2f s forming them, "
-        "final wait %.2f s",
-        patches, reused, patches - reused, unknowns, fill,
-        *((len(strips.strips), sum(strips.busy), strips.wait) if strips else (0, 0.0, 0.0)),
+        "build_space: %d patches factorized in %d batches (%d in a reused class ordering, "
+        "%d fresh), %d skeleton unknowns, L+U fill %d; %d G strips, %.2f s forming them, "
+        "%.2f s mirroring, final wait %.2f s",
+        patches, batches, reused, patches - reused, unknowns, fill,
+        *((len(strips.strips), sum(strips.busy), sum(strips.mirror), strips.wait)
+          if strips else (0, 0.0, 0.0, 0.0)),
     )
     return trial, G, corrector
 
@@ -775,7 +875,7 @@ def build_global_space(forms, P, loads=None, strict_zero_trace=False):
     coarse = forms.coarse
     N, n, NH = coarse.n_elements, forms.grid.n_nodes, coarse.NH
     cond = _condense(forms, P)
-    sources = [_trial_sources(cond, np.arange(N))]
+    sources = [_trial_sources(cond, np.arange(N), np.zeros(N, dtype=int))]
     if loads is not None:
         loads = np.asarray(loads)
         if loads.shape != (n,):
@@ -783,13 +883,14 @@ def build_global_space(forms, P, loads=None, strict_zero_trace=False):
         # each node's load shared equally among the elements that hold it
         shares = np.bincount(coarse.element_nodes.ravel(), minlength=n)
         blocks = (loads / shares)[coarse.element_nodes]
-        sources.append(_load_sources(forms, P, np.arange(N), blocks, N * P.nbf))
-    rows, vals, _ = _skeleton_solve(
-        cond, _skeleton_layout(cond, coarse, 0, NH - 1, strict_zero_trace), 0, NH - 1,
+        sources.append((np.zeros(N, dtype=int), np.arange(N), np.full(N, N * P.nbf),
+                        *_load_sources(forms, P, np.arange(N), blocks)))
+    rows, vals, _, _ = _solve_batch(
+        cond, _skeleton_layout(cond, coarse, 0, NH - 1, strict_zero_trace), [0], NH - 1,
         _join(*sources), N * P.nbf + (loads is not None), error=SingularGlobalSystem,
     )
-    full = np.zeros((n, vals.shape[1]), dtype=complex)
-    full[rows] = vals
+    full = np.zeros((n, vals.shape[2]), dtype=complex)
+    full[rows[0]] = vals[0]
     corrector = None if loads is None else full[:, N * P.nbf].copy()
     trial = sp.csc_matrix(full[:, :N * P.nbf])
     strips = _CoarseStrips(forms.B, trial, NH, NH)
@@ -852,8 +953,7 @@ def _near_field(G, NH, nbf):
     counts = np.diff(G.indptr)
     keep = np.abs(x[G.indices] - np.repeat(x, counts)) <= NEAR_FIELD
     keep &= np.abs(y[G.indices] - np.repeat(y, counts)) <= NEAR_FIELD
-    indptr = np.concatenate([[0], np.cumsum(keep)])[G.indptr]
-    return type(G)((G.data[keep], G.indices[keep], indptr), shape=G.shape)
+    return _kept(G, keep)
 
 
 def _near_field_solve(G, b, NH, nbf):

@@ -83,7 +83,7 @@ def factorize(A, ordered=False):
         raise DimensionMismatch(f"matrix is not square: {A.shape}")
     try:
         lu = spla.splu(
-            sp.csc_matrix(A),
+            A.tocsc(),
             permc_spec="NATURAL" if ordered else "MMD_AT_PLUS_A",
             diag_pivot_thresh=0.01,
             options=dict(SymmetricMode=True),

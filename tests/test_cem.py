@@ -1,6 +1,7 @@
 import gc
 import logging
 import re
+import sys
 import threading
 import weakref
 
@@ -605,14 +606,15 @@ def _condensed_solve(forms, P, patch, strict, j, block, adjoint=False):
     """Element j's trial columns and the data column of its load block on
     `patch`, through the condensed skeleton solve of the solver."""
     cond = cem._condense(forms, P)
+    rim, interior = cem._load_sources(forms, P, [j], block[None])
     sources = cem._join(
-        cem._trial_sources(cond, [j]), cem._load_sources(forms, P, [j], block[None], P.nbf)
+        cem._trial_sources(cond, [j], [0]), ([0], [j], [P.nbf], rim, interior)
     )
     layout = cem._skeleton_layout(cond, patch.coarse, j, patch.m, strict)
-    rows, vals, _ = cem._skeleton_solve(
-        cond.conj() if adjoint else cond, layout, j, patch.m, sources, P.nbf + 1
+    rows, vals, _, _ = cem._solve_batch(
+        cond.conj() if adjoint else cond, layout, [j], patch.m, sources, P.nbf + 1
     )
-    return rows, vals
+    return rows[0], vals[0]
 
 
 def _zero_extended(c, j, block):
@@ -857,20 +859,26 @@ def test_cached_call_factors_only_loaded_patches(counted_factorize):
 
 def test_build_space_logs_patch_work(caplog, monkeypatch):
     # one DEBUG line per call: the patches it factorized (the loaded ones
-    # online), how many in a reused class ordering and how many fresh (one
-    # per shape class offline, all online), their skeleton unknowns, the
-    # summed L+U fill of their LUs, and the G strips with the seconds spent
-    # forming them and the final wait
+    # online), in how many batches, how many in a reused class ordering and
+    # how many fresh (one per shape class offline, all online), their
+    # skeleton unknowns, the summed L+U fill of their LUs, and the G strips
+    # with the seconds spent forming the lower strips, mirroring them and
+    # the final wait
     g, c, forms, P = make_setup(nx=24, NH=6, nbf=3)
-    work = []
-    factorize = kernels.factorize
+    work, batches = [], []
+    factorize, solve_batch = kernels.factorize, cem._solve_batch
 
     def counting(A, ordered=False):
         F = factorize(A, ordered=ordered)
         work.append((A.shape[0], F.fill, ordered))
         return F
 
+    def batch(cond, layout, js, *args, **kw):
+        batches.append(len(js))
+        return solve_batch(cond, layout, js, *args, **kw)
+
     monkeypatch.setattr(kernels, "factorize", counting)
+    monkeypatch.setattr(cem, "_solve_batch", batch)
     caplog.set_level(logging.DEBUG, logger="cemhelm.cem")
     zero = np.zeros(g.n_nodes, dtype=complex)
     f = _bump_source(g, (0.58, 0.41))
@@ -878,18 +886,21 @@ def test_build_space_logs_patch_work(caplog, monkeypatch):
     assert 0 < loaded.size < c.n_elements
     for source, elements, strips in ((_bump_source(g, (0.2, 0.2)), range(c.n_elements), c.NH),
                                      (f, loaded, 0)):
-        del work[:], caplog.records[:]
+        del work[:], batches[:], caplog.records[:]
         _three_calls(forms, P, 1, source, zero)
         (record,) = [r for r in caplog.records if r.msg.startswith("build_space")]
-        patches, reused, fresh, unknowns, fill, n_strips, busy, wait = record.args
+        patches, n_batches, reused, fresh, unknowns, fill, n_strips, busy, mirror, wait = (
+            record.args)
         assert (patches, unknowns, fill) == (
             len(work), sum(n for n, _, _ in work), sum(lu for _, lu, _ in work))
+        assert n_batches == len(batches) and sum(batches) == patches
         assert reused == sum(ordered for _, _, ordered in work) == patches - fresh
-        assert n_strips == strips and busy >= 0.0 and wait >= 0.0
-        if strips:  # offline: 36 patches in 25 shape classes
+        assert n_strips == strips and busy >= 0.0 and mirror >= 0.0 and wait >= 0.0
+        if strips:  # offline: 36 patches in 25 shape classes, the first of each alone
             assert fresh == len({cem._layout_key(c, j, 1) for j in elements}) == 25
+            assert n_batches == 35 and max(batches) == 2
         else:  # online: each loaded patch in its own ordering
-            assert reused == 0
+            assert reused == 0 and n_batches <= patches
         # a skeleton holds fewer unknowns than the patch's free nodes
         assert unknowns < len(work) * oversample(c, 14, 1).free_nodes().size
     assert patches == loaded.size  # online: the loaded patches only
@@ -937,9 +948,9 @@ def test_assemble_coarse_rejects_foreign_forms():
         cem.assemble_coarse(space, other, loads)
     system = cem.assemble_coarse(space, forms, loads)
     assert system.G is space.G
-    ref = ((forms.B @ space.trial).T @ space.trial).toarray()
-    assert np.array_equal(system.G.toarray(), ref)
+    _assert_mirrored_product(forms, space)
     # (B Psi)^T Psi is Psi^T B Psi summed in another order (B is complex symmetric)
+    ref = ((forms.B @ space.trial).T @ space.trial).toarray()
     sym = (space.trial.T @ (forms.B @ space.trial)).toarray()
     assert np.abs(ref - sym).max() <= 1e-12 * np.abs(sym).max()
 
@@ -1022,10 +1033,26 @@ def _bitwise_equal(A, B):
             and np.array_equal(A.indices, B.indices) and np.array_equal(A.data, B.data))
 
 
+def _lower_triangle(A):
+    L = sp.tril(A).tocsr()
+    L.sum_duplicates()
+    return L
+
+
+def _assert_mirrored_product(forms, space):
+    # G's lower triangle is bitwise that of (B Psi)^T Psi, its upper one
+    # the mirror image, and all of G the product to rounding
+    G, ref = space.G, _g_oracle(forms, space)
+    assert G.format == "csr" and G.has_canonical_format
+    assert _bitwise_equal(_lower_triangle(G), _lower_triangle(ref))
+    assert (G != G.T).nnz == 0
+    assert abs(G - ref).max() <= 1e-12 * abs(ref).max()
+
+
 @given(cfg=configurations(), data=st.data())
 def test_generated_streamed_coarse_matrix_is_the_one_product(cfg, data):
-    # every entry of G is summed as in (B Psi)^T Psi, whatever the number of
-    # workers and the order their strips finish in
+    # every lower entry of G is summed as in (B Psi)^T Psi, whatever the
+    # number of workers and the order their strips finish in
     rng, g, c, forms, P = _generated_setup(cfg)
     m = data.draw(st.integers(0, cfg["NH"]), label="m")
     assume(all(oversample(c, j, m).free_nodes(cfg["strict"]).size for j in range(c.n_elements)))
@@ -1036,10 +1063,72 @@ def test_generated_streamed_coarse_matrix_is_the_one_product(cfg, data):
             spaces.append(cem.build_space(forms, spectral.build_projection(forms, P.nbf), m,
                                           cfg["strict"]))
     for space in spaces:
-        assert _bitwise_equal(space.G, _g_oracle(forms, space))
+        _assert_mirrored_product(forms, space)
     assert _bitwise_equal(spaces[0].trial, spaces[1].trial)
+    assert _bitwise_equal(spaces[0].G, spaces[1].G)
     gspace = cem.build_global_space(forms, P, strict_zero_trace=cfg["strict"])
-    assert _bitwise_equal(gspace.G, _g_oracle(forms, gspace))
+    _assert_mirrored_product(forms, gspace)
+
+
+@given(cfg=configurations(), data=st.data())
+def test_generated_batched_build_matches_local_solves(cfg, data):
+    # the patches of a shape class in an element row are solved as one batch
+    # in the class's ordering: every element's trial columns are those of
+    # its own patch solve, and G is the mirrored lower triangle of the product
+    rng, g, c, forms, P = _generated_setup(cfg)
+    m = data.draw(st.integers(0, cfg["NH"]), label="m")
+    assume(all(oversample(c, j, m).free_nodes(cfg["strict"]).size for j in range(c.n_elements)))
+    space = cem.build_space(forms, P, m, cfg["strict"])
+    for j in range(c.n_elements):
+        psi, _ = cem.local_cem_solve(j, m, forms, P, cfg["strict"])
+        columns = space.trial[:, j * P.nbf:(j + 1) * P.nbf].toarray()
+        assert np.abs(columns - psi).max() <= 1e-12 * np.abs(psi).max()
+    _assert_mirrored_product(forms, space)
+
+
+@pytest.mark.parametrize("contrast, strict", [(1e3, False), (1e-3, True)])
+def test_wide_row_batches_match_local_solves(contrast, strict, monkeypatch):
+    # the generated grids above have at most 4 x 4 elements, too few for a
+    # batch of patches with skeleton unknowns; on 8 x 8 elements with m = 1
+    # the patches of elements 2 ... 5 of each middle row form one batch,
+    # offline and, for the loaded patches, online
+    rng = np.random.default_rng(11)
+    values = np.where(rng.random(32 * 32) < 0.3, contrast, 1.0)
+    g, c, forms, P = make_setup(nx=32, NH=8, nbf=2, k=3.0, medium=Medium(values, 32, 32))
+    blocks = element_loads(g, c, _random_complex(rng, g.n_nodes), _random_complex(rng, g.n_nodes))
+    sizes, solve_batch = [], cem._solve_batch
+
+    def batch(cond, layout, js, *args, **kw):
+        sizes.append(len(js))
+        return solve_batch(cond, layout, js, *args, **kw)
+
+    monkeypatch.setattr(cem, "_solve_batch", batch)
+    offline = cem.build_space(forms, P, 1, strict, load_blocks=blocks)
+    online = cem.build_space(forms, P, 1, strict, load_blocks=blocks)
+    assert online.trial is offline.trial and max(sizes) == 4
+    assert _rel(online.corrector, offline.corrector) <= 1e-12
+    for j in range(c.n_elements):
+        psi, _ = cem.local_cem_solve(j, 1, forms, P, strict)
+        columns = offline.trial[:, j * P.nbf:(j + 1) * P.nbf].toarray()
+        assert np.abs(columns - psi).max() <= 1e-12 * np.abs(psi).max()
+    _assert_mirrored_product(forms, offline)
+
+
+def test_strips_under_many_workers_and_fast_switching(monkeypatch):
+    # more workers than cores and a short switch interval: whichever thread
+    # forms each lower strip, and in whatever order, G is the same
+    g, c, forms, P = make_setup(nx=32, NH=8, nbf=2)
+    ref = cem.build_space(forms, P, 1).G
+    monkeypatch.setattr(cem, "_g_workers", lambda: 6)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for _ in range(3):
+            space = cem.build_space(forms, spectral.build_projection(forms, P.nbf), 1)
+            assert _bitwise_equal(space.G, ref)
+    finally:
+        sys.setswitchinterval(interval)
+    assert _g_threads() == []
 
 
 def test_coarse_matrix_norm_computed_once_per_space(system_nh6, monkeypatch):
@@ -1068,21 +1157,29 @@ def _g_threads():
 
 
 def test_singular_patch_mid_stream_names_element(monkeypatch):
-    # element 26 lies in element row 4; with m = 1 the G strips of row 0 are
-    # under way when its patch fails
-    g, c, forms, P = make_setup(nx=24, NH=6, nbf=2)
-    calls = []
-    factorize = kernels.factorize
+    # on an 8 x 8 coarse grid with m = 1, elements 26 ... 29 of element row 3
+    # form one batch; the 28th factorization, element 27's, fails in the
+    # middle of it, while the G strips of rows 0 ... 2 are under way
+    g, c, forms, P = make_setup(nx=32, NH=8, nbf=2)
+    calls, batches = [], []
+    factorize, solve_batch = kernels.factorize, cem._solve_batch
 
     def failing(A, **kw):
         calls.append(A.shape[0])
-        if len(calls) == 27:
+        if len(calls) == 28:
             raise SingularMatrix("zero pivot")
         return factorize(A, **kw)
 
+    def batch(cond, layout, js, *args, **kw):
+        batches.append(list(js))
+        return solve_batch(cond, layout, js, *args, **kw)
+
     monkeypatch.setattr(kernels, "factorize", failing)
-    with pytest.raises(SingularLocalSystem, match="element 26, m=1: constrained system"):
+    monkeypatch.setattr(cem, "_solve_batch", batch)
+    with pytest.raises(SingularLocalSystem, match="element 27, m=1: constrained system"):
         cem.build_space(forms, P, 1)
+    assert batches[-1] == [26, 27, 28, 29]
+    assert sum(map(len, batches[:-1])) == 26  # element 27's is the batch's second
     assert _g_threads() == []
     assert P.space is None
 
@@ -1094,14 +1191,17 @@ def test_patch_without_free_nodes_named_in_build():
     assert _g_threads() == []
 
 
-def test_failed_strip_raises_from_build_space(monkeypatch):
+def test_failed_strip_raises_from_build_space():
+    # a lower strip, or a row strip mirrored from them, fails on the worker
     g, c, forms, P = make_setup(nx=24, NH=6, nbf=2)
 
     def out_of_memory(*args):
         raise MemoryError("strip")
 
-    monkeypatch.setattr(cem, "_coarse_rows", out_of_memory)
-    with pytest.raises(MemoryError, match="strip"):
-        cem.build_space(forms, P, 1)
-    assert _g_threads() == []
-    assert P.space is None
+    for step in ("_coarse_rows", "_side_by_side"):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cem, step, out_of_memory)
+            with pytest.raises(MemoryError, match="strip"):
+                cem.build_space(forms, P, 1)
+        assert _g_threads() == []
+        assert P.space is None
