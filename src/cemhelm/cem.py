@@ -58,11 +58,15 @@ b's own lower triangle and the mirrored column block b of the lower strips
 of rows b ... b + 2m + 1 (`_CoarseStrips`).  G, stored CSR, is the stack
 of its row strips.  Each lower entry is summed in the order of the one
 product (B Psi)^T Psi, so G's lower triangle is bitwise that of the
-product, and G is exactly symmetric.  The split follows the GIL: the patch loop is
-Python and small numpy calls that hold it, and SuperLU on these small
-skeletons gains nothing from a second thread, while scipy's sparse
-products release it.  The worker count is the number of CPUs the process
-may use, less one, and at least one; nothing else sets it.
+product, and G is exactly symmetric.  Above DENSE_LIMIT coarse dofs (the
+sparse regime, see below) the strips reach only NEAR_FIELD element rows
+and keep only the entries of G's near field, so the space's G is the near
+field alone, bitwise in its lower triangle and exactly symmetric.  The
+split follows the GIL: the patch loop is Python and small numpy calls that
+hold it, and SuperLU on these small skeletons gains nothing from a second
+thread, while scipy's sparse products release it.  The worker count is
+the number of CPUs the process may use, less one, and at least one;
+nothing else sets it.
 `build_global_space` forms its G through the same strips, each reaching
 over the whole domain.
 
@@ -85,9 +89,10 @@ far below them.
 
 The trial vectors depend on the medium, k, the coarse grid, the projection
 and m, never on the data.  A `MultiscaleSpace` therefore carries, besides
-its own data corrector, the read-only trial matrix, G = Psi^T B Psi and
-the element condensation, all formed once, when the trial matrix is built;
-`build_space` keeps the space it last built on the projection (`P.space`).
+its own data corrector, the read-only trial matrix, G = Psi^T B Psi (or
+its near field, see below) and the element condensation, all formed once,
+when the trial matrix is built; `build_space` keeps the space it last built
+on the projection (`P.space`).
 A later call for the same forms object, m and strict_zero_trace returns
 that space with a new corrector, solved only on the patches whose element
 load block has a nonzero entry, one factorization and one right-hand side
@@ -97,20 +102,26 @@ as the data column of a zero block is exactly zero.  `assemble_coarse`
 forms only Psi^T (b - B q).  Each `build_space` logs at DEBUG the patches
 it factorized, in how many batches, how many of them in a reused class
 ordering and how many fresh, their skeleton unknowns, the summed L+U fill,
-and the G strips with the seconds spent forming the lower strips and
-mirroring them, and the final wait from the last patch to G.
+and the G strips with their reach, the G entries stored, the seconds
+spent forming the lower strips and mirroring them, and the final wait from
+the last patch to G.
 
 The basis vectors decay exponentially away from their element, and so do
 the entries of G.  A coarse system larger than DENSE_LIMIT is therefore
 solved by GMRES on G, preconditioned by the sparse LU of its near field,
 the entries between elements within Chebyshev distance NEAR_FIELD, which
 holds a sixth of G's entries and a quarter of its LU fill at H = 1/40, m = 3.
-GMRES stops at a relative residual of 1e-12; when it does not get there in
-two cycles of 100 iterations, the near-field LU is dropped and G's own LU
-solves the system.  Either branch, dense or sparse, ends with a backward
-error guard: a solution with |G c - b| > 1e-10 (|G| |c| + |b|), in max
-norms, raises SingularCoarseSystem instead of returning a field; |G| is
-formed once per space.
+A space of that size stores only the near field; GMRES applies the whole G
+matrix-free, as Psi^T (B (Psi x)) (`_MatrixFreeG`).  GMRES stops at a
+relative residual of 1e-12; when it does not get there in two cycles of
+100 iterations, the near-field LU is dropped, and the whole G, assembled as
+(B Psi)^T Psi if the space stores only its near field, is solved by its own
+LU.  Either branch, dense or sparse, ends with a backward error guard: a
+solution with |G c - b| > 1e-10 (|G| |c| + |b|), in max norms, raises
+SingularCoarseSystem instead of returning a field.  Its residual applies
+the whole G; its scale |G| is the stored G's |G|_inf, formed once per
+space, which for a near-field space is |G_near|_inf, a lower bound of
+|G|_inf, so the guard can only be stricter.
 """
 
 import csv
@@ -164,13 +175,14 @@ log = logging.getLogger(__name__)
 DENSE_LIMIT = 2000  # larger coarse systems go to the near-field GMRES
 
 # Chebyshev distance, in coarse elements, within which the entries of G form
-# the near field whose LU preconditions the coarse GMRES.  Measured on one
-# BLAS thread at H = 1/40, m = 3, nbf = 4 (6400 dofs): for the homogeneous
-# plane wave the near field holds 16 % of G's 3.7e6 entries and its LU 3.0e6
-# entries against 12.0e6 for G's; GMRES needs 14 iterations and the solve
-# takes 1.0 s against 4.6 s by the LU of G.  On contrast-1e-3 channels it
-# needs 26 iterations (1.4 s against 4.4 s).  Distance 1 needs 37 and 70
-# iterations (1.1 and 1.7 s).
+# the near field whose LU preconditions the coarse GMRES.  A space of more
+# than DENSE_LIMIT dofs stores only this near field, and GMRES applies the
+# whole G matrix-free.  Measured on one BLAS thread at H = 1/40, m = 3,
+# nbf = 4 (6400 dofs): for the homogeneous plane wave the near field holds
+# 16 % of G's 3.7e6 entries (0.60e6) and its LU 3.0e6 entries against 12.0e6
+# for G's; GMRES needs 14 iterations and the solve takes 1.0 s against 4.6 s
+# by the LU of G.  On contrast-1e-3 channels it needs 26 iterations (1.4 s
+# against 4.4 s).  Distance 1 needs 37 and 70 iterations (1.1 and 1.7 s).
 NEAR_FIELD = 2
 
 # An element block Z_e whose solve amplifies its right-hand sides beyond
@@ -507,12 +519,15 @@ def test_basis(trial):
 class MultiscaleSpace:
     """Trial vectors as columns of a sparse matrix, column p = j*nbf + i.
 
-    `G` is the coarse matrix Psi^T B Psi of `forms.B`, `G_norm` its max-norm
-    |G|_inf (see `_inf_norm`) and `condensation` the element condensation
-    the patch solves read; all are read-only, and the spaces `build_space`
-    returns for one (forms, P, m, strict_zero_trace) share them.
-    `corrector` is the space's own summed localized data solve (None when
-    it was built without load blocks).
+    `G` is the coarse matrix Psi^T B Psi of `forms.B` or, with `near_field`
+    (a space of more than DENSE_LIMIT dofs, see `build_space`), only its
+    near field, the entries between elements within Chebyshev distance
+    NEAR_FIELD.  `G_norm` is the max-norm |G|_inf of the stored G (see
+    `_inf_norm`), so in the near-field case |G_near|_inf, and `condensation`
+    the element condensation the patch solves read; all are read-only, and
+    the spaces `build_space` returns for one (forms, P, m,
+    strict_zero_trace) share them.  `corrector` is the space's own summed
+    localized data solve (None when it was built without load blocks).
     """
 
     forms: object
@@ -522,6 +537,7 @@ class MultiscaleSpace:
     G: sp.csr_matrix
     G_norm: float
     condensation: "Condensation"
+    near_field: bool
     corrector: np.ndarray = None
 
     @property
@@ -559,11 +575,11 @@ def _inf_norm(G):
     return (abs(G) @ np.ones(G.shape[1])).max()
 
 
-def _new_space(forms, m, strict_zero_trace, trial, G, corrector, condensation):
+def _new_space(forms, m, strict_zero_trace, trial, G, corrector, condensation, near_field):
     """The space of a newly built trial matrix and its G: freezes both."""
     trial, G = _read_only(trial), _read_only(G)
     return MultiscaleSpace(
-        forms, m, strict_zero_trace, trial, G, _inf_norm(G), condensation, corrector
+        forms, m, strict_zero_trace, trial, G, _inf_norm(G), condensation, near_field, corrector
     )
 
 
@@ -597,15 +613,18 @@ def _coarse_rows(B, trial_b, trial_near, first, n):
                          shape=(strip.shape[0], n))
 
 
-def _lower_strip(B, trial, b, lo, w):
+def _lower_strip(B, trial, b, lo, w, near_field):
     """The lower strip of element row b: the lower triangle of G's rows
     (B Psi_b)^T Psi_near, Psi_near the trial columns of element rows lo
     ... b (w columns per row), as CSR rows over all of G's columns, and the
-    transpose of its strict part, as CSR over G's columns by the w rows."""
+    transpose of its strict part, as CSR over G's columns by the w rows.
+    With `near_field` both keep only the entries of G's near field."""
     L = _coarse_rows(B, _slice(trial, b * w, (b + 1) * w), _slice(trial, lo * w, (b + 1) * w),
                      lo * w, trial.shape[1])
     rows = np.repeat(np.arange(b * w, (b + 1) * w), np.diff(L.indptr))
-    return _kept(L, L.indices <= rows), _kept(L, L.indices < rows).T.tocsr()
+    NH = trial.shape[1] // w
+    keep = _near_mask(L, NH, w // NH, b * w) if near_field else True
+    return _kept(L, keep & (L.indices <= rows)), _kept(L, keep & (L.indices < rows)).T.tocsr()
 
 
 def _side_by_side(pieces, shifts, n):
@@ -638,25 +657,28 @@ class _CoarseStrips:
     """G = (B Psi)^T Psi formed on worker threads, strip by strip, while the
     patch solves of later element rows go on.
 
-    G's entries couple elements at most `reach` element rows and columns
-    apart, and G is complex symmetric, so only its lower triangle is
-    formed.  Once the trial columns of element row b are solved, a worker
-    forms the lower strip of row b (`_lower_strip`): the lower triangle of
-    (B Psi_b)^T Psi_near, with Psi_near the columns of rows b - reach ...
-    b.  Once row b + reach is solved too, a worker assembles G's rows of
-    element row b (`_row_strip`): row b's lower triangle, then the upper
-    one mirrored from the column block b of the lower strips of rows b ...
-    b + reach.  A row strip is queued after the lower strips it reads, so
-    a worker that runs it finds each of them formed or under way.  Each
-    lower entry is summed in the order of the one product (B Psi)^T Psi,
-    so G's lower triangle is bitwise that of the product and G is exactly
-    symmetric, whatever the number of workers or the order the strips
-    finish in.  A lower strip is dropped once the last row strip reading
-    it is done, and G, stored CSR, is the stack of the row strips.
+    The entries kept couple elements at most `reach` element rows and
+    columns apart: all of G's with reach 2m + 1 or more, its near field with
+    `near_field` and reach NEAR_FIELD.  G is complex symmetric, so only its
+    lower triangle is formed.  Once the trial columns of element row b are
+    solved, a worker forms the lower strip of row b (`_lower_strip`): the
+    lower triangle of (B Psi_b)^T Psi_near, with Psi_near the columns of
+    rows b - reach ... b.  Once row b + reach is solved too, a worker
+    assembles G's rows of element row b (`_row_strip`): row b's lower
+    triangle, then the upper one mirrored from the column block b of the
+    lower strips of rows b ... b + reach.  A row strip is queued after the
+    lower strips it reads, so a worker that runs it finds each of them
+    formed or under way.  Each lower entry is summed in the order of the
+    one product (B Psi)^T Psi, so G's lower triangle is bitwise that of the
+    product (of its near field) and G is exactly symmetric, whatever the
+    number of workers or the order the strips finish in.  A lower strip is
+    dropped once the last row strip reading it is done, and G, stored CSR,
+    is the stack of the row strips.
     """
 
-    def __init__(self, B, trial, NH, reach):
-        self._B, self._trial, self._NH, self._reach = B, trial, NH, reach
+    def __init__(self, B, trial, NH, reach, near_field=False):
+        self._B, self._trial, self._NH, self.reach = B, trial, NH, reach
+        self._near_field = near_field
         self._width = trial.shape[1] // NH
         self._pool = ThreadPoolExecutor(_g_workers(), thread_name_prefix="cemhelm-G")
         # futures of the solved rows' lower strips, None once all their readers are queued
@@ -678,13 +700,13 @@ class _CoarseStrips:
         b = len(self._lower)
         self._lower.append(self._pool.submit(
             self._timed, self.busy, _lower_strip, self._B, self._trial, b,
-            max(b - self._reach, 0), self._width,
+            max(b - self.reach, 0), self._width, self._near_field,
         ))
-        if b >= self._reach:
-            self._add_strip(b - self._reach)
+        if b >= self.reach:
+            self._add_strip(b - self.reach)
 
     def _add_strip(self, b):
-        hi = min(b + self._reach, self._NH - 1)
+        hi = min(b + self.reach, self._NH - 1)
         self.strips.append(self._pool.submit(
             self._timed, self.mirror, _row_strip, self._lower[b:hi + 1], b, self._width,
             self._NH * self._width,
@@ -736,14 +758,16 @@ def _shape_classes(coarse, m, elements):
     return [(key, np.array(js)) for key, js in groups.items()]
 
 
-def _solve_patches(cond, forms, P, m, strict_zero_trace, load_blocks, with_trial):
+def _solve_patches(cond, forms, P, m, strict_zero_trace, load_blocks, with_trial,
+                   near_field=False):
     """Skeleton solves on the patches of every element (`with_trial`) or of
     the loaded ones, element row by element row, in one batch per shape
     class of a row (`_solve_batch`).
 
     With `with_trial`, each patch solves its nbf trial columns, written
     into the preallocated arrays of the trial matrix; each finished element
-    row goes to the G workers (`_CoarseStrips`).  The patch of an element
+    row goes to the G workers (`_CoarseStrips`), which form all of G or,
+    with `near_field`, only its near field.  The patch of an element
     with a nonzero load block also solves its data column, summed into the
     corrector in element order as each element row ends.  Offline, the first
     patch of each shape class is factorized alone, in a minimum-degree
@@ -768,7 +792,8 @@ def _solve_patches(cond, forms, P, m, strict_zero_trace, load_blocks, with_trial
     trial = strips = G = None
     if with_trial:
         trial = _empty_trial(coarse, m, strict_zero_trace, nbf)
-        strips = _CoarseStrips(forms.B, trial, NH, 2 * m + 1)
+        strips = _CoarseStrips(
+            forms.B, trial, NH, NEAR_FIELD if near_field else 2 * m + 1, near_field)
     batches = reused = unknowns = fill = 0
 
     def solve(layout, js):
@@ -820,11 +845,11 @@ def _solve_patches(cond, forms, P, m, strict_zero_trace, load_blocks, with_trial
     patches = elements.size
     log.debug(
         "build_space: %d patches factorized in %d batches (%d in a reused class ordering, "
-        "%d fresh), %d skeleton unknowns, L+U fill %d; %d G strips, %.2f s forming them, "
-        "%.2f s mirroring, final wait %.2f s",
+        "%d fresh), %d skeleton unknowns, L+U fill %d; %d G strips of reach %d, %d G entries "
+        "stored, %.2f s forming them, %.2f s mirroring, final wait %.2f s",
         patches, batches, reused, patches - reused, unknowns, fill,
-        *((len(strips.strips), sum(strips.busy), sum(strips.mirror), strips.wait)
-          if strips else (0, 0.0, 0.0, 0.0)),
+        *((len(strips.strips), strips.reach, G.nnz, sum(strips.busy), sum(strips.mirror),
+           strips.wait) if strips else (0, 0, 0, 0.0, 0.0, 0.0)),
     )
     return trial, G, corrector
 
@@ -857,10 +882,11 @@ def build_space(forms, P, m, strict_zero_trace=False, load_blocks=None):
         return replace(space, corrector=corrector)
     P.space = None  # free the previous trial, G and condensation before building the next
     cond = _condense(forms, P)
+    near_field = coarse.n_elements * P.nbf > DENSE_LIMIT  # the branch of `solve_multiscale`
     trial, G, corrector = _solve_patches(
-        cond, forms, P, m, strict_zero_trace, load_blocks, with_trial=True
+        cond, forms, P, m, strict_zero_trace, load_blocks, with_trial=True, near_field=near_field
     )
-    P.space = _new_space(forms, m, strict_zero_trace, trial, G, corrector, cond)
+    P.space = _new_space(forms, m, strict_zero_trace, trial, G, corrector, cond, near_field)
     return P.space
 
 
@@ -898,19 +924,42 @@ def build_global_space(forms, P, loads=None, strict_zero_trace=False):
         G = strips.matrix()
     finally:
         strips.close()
-    return _new_space(forms, -1, strict_zero_trace, trial, G, corrector, cond)
+    return _new_space(forms, -1, strict_zero_trace, trial, G, corrector, cond, False)
+
+
+class _MatrixFreeG(spla.LinearOperator):
+    """The whole coarse matrix G = (B Psi)^T Psi of a near-field space,
+    applied as Psi^T (B (Psi x)) without forming it (B is complex
+    symmetric); `tocsr` assembles it, as a sparse matrix's `tocsr` returns
+    the matrix itself."""
+
+    def __init__(self, B, trial):
+        super().__init__(complex, (trial.shape[1], trial.shape[1]))
+        self.B, self.trial = B, trial
+
+    def _matvec(self, x):
+        return self.trial.T @ (self.B @ (self.trial @ x))
+
+    def tocsr(self):
+        G = ((self.B @ self.trial).T @ self.trial).tocsr()
+        G.sum_duplicates()
+        return G
 
 
 @dataclass
 class CoarseSystem:
-    """G c = b; `G_norm` is |G|_inf, the space's when `assemble_coarse`
-    made the system, else computed here.  A hand-made system's G may be
-    sparse in any format or dense."""
+    """G c = b; `G_norm` is |G|_inf of the stored `G`, the space's when
+    `assemble_coarse` made the system, else computed here.  A hand-made
+    system's G may be sparse in any format or dense, and is the system's
+    matrix.  For a near-field space (see `MultiscaleSpace`) `G` holds only
+    the near field, and `operator` (a `_MatrixFreeG`) carries the action of
+    the whole G, which the coarse solve and its guard apply."""
 
     G: sp.csr_matrix
     b: np.ndarray
     nbf: int
     G_norm: float = None
+    operator: spla.LinearOperator = None
 
     def __post_init__(self):
         if self.G_norm is None:
@@ -925,8 +974,9 @@ def assemble_coarse(space, forms, loads):
     """Petrov-Galerkin system G c = b with G[p,q] = B(psi_q, psi*_p).
 
     With psi*_p = conj(psi_p) the pairing collapses to psi_p^T B psi_q, so
-    G = Psi^T B Psi is complex symmetric; it is the space's own (see
-    `build_space`).  The rhs is Psi^T (fine loads), minus Psi^T B q when the
+    G = Psi^T B Psi is complex symmetric; the system stores the space's own
+    G (see `build_space`) and, for a near-field space, applies the whole G
+    matrix-free.  The rhs is Psi^T (fine loads), minus Psi^T B q when the
     space carries a data corrector q.  `forms` must be the object the space
     was built from.
     """
@@ -941,48 +991,59 @@ def assemble_coarse(space, forms, loads):
     if space.corrector is not None:
         rhs_fine = rhs_fine - forms.B @ space.corrector
     b = space.trial.T @ rhs_fine
-    return CoarseSystem(space.G, np.asarray(b).ravel(), space.nbf, space.G_norm)
+    operator = _MatrixFreeG(forms.B, space.trial) if space.near_field else None
+    return CoarseSystem(space.G, np.asarray(b).ravel(), space.nbf, space.G_norm, operator)
+
+
+def _near_mask(A, NH, nbf, first=0):
+    """For each stored entry of the CSR or CSC matrix A, whether its two
+    coarse dofs' elements lie within Chebyshev distance NEAR_FIELD; A's
+    rows (CSR) or columns (CSC) are the coarse dofs first, first + 1, ....
+    Element e of coarse dof p is p // nbf, at position (e % NH, e // NH)."""
+    e = np.repeat(np.arange(first, first + A.indptr.size - 1, dtype=A.indices.dtype) // nbf,
+                  np.diff(A.indptr))
+    f = A.indices // nbf
+    return (np.abs(e % NH - f % NH) <= NEAR_FIELD) & (np.abs(e // NH - f // NH) <= NEAR_FIELD)
 
 
 def _near_field(G, NH, nbf):
     """The entries of the CSR or CSC matrix G whose two coarse elements lie
-    within Chebyshev distance NEAR_FIELD, in G's format.  Element e of
-    coarse dof p is p // nbf, at position (e % NH, e // NH)."""
-    e = np.arange(G.shape[0], dtype=G.indices.dtype) // nbf
-    x, y = e % NH, e // NH
-    counts = np.diff(G.indptr)
-    keep = np.abs(x[G.indices] - np.repeat(x, counts)) <= NEAR_FIELD
-    keep &= np.abs(y[G.indices] - np.repeat(y, counts)) <= NEAR_FIELD
-    return _kept(G, keep)
+    within Chebyshev distance NEAR_FIELD (`_near_mask`), in G's format."""
+    return _kept(G, _near_mask(G, NH, nbf))
 
 
-def _near_field_solve(G, b, NH, nbf):
-    """Solve G c = b, G in CSR or CSC form, by GMRES preconditioned with the
-    LU of its near field, or, when GMRES does not converge, by the LU of G."""
-    F = kernels.factorize(_near_field(G, NH, nbf))
+def _near_field_solve(G, A, b, NH, nbf):
+    """Solve A c = b by GMRES preconditioned with the LU of the near field
+    of G (CSR or CSC), or, when GMRES does not converge, by the LU of A.
+    A is G, or, when G holds only the near field and is factorized as it
+    is, the `_MatrixFreeG` of the whole G, which the fallback assembles."""
+    F = kernels.factorize(_near_field(G, NH, nbf) if A is G else G)
     M = spla.LinearOperator(G.shape, matvec=F.solve, dtype=G.dtype)
     residuals = []  # one per iteration
     c, info = spla.gmres(
-        G, b, M=M, rtol=1e-12, atol=0.0, restart=100, maxiter=2,
+        A, b, M=M, rtol=1e-12, atol=0.0, restart=100, maxiter=2,
         callback=residuals.append, callback_type="pr_norm",
     )
-    log.debug("coarse GMRES on %d dofs: %d iterations, info %d", G.shape[0], len(residuals), info)
+    log.debug("coarse GMRES on %d dofs: %d iterations, info %d, applying %s", G.shape[0],
+              len(residuals), info,
+              "the assembled G" if A is G else "the matrix-free Psi^T B Psi")
     if info != 0:
         del F, M  # free the near-field LU before factorizing all of G
-        c = kernels.factorize(G).solve(b)
+        c = kernels.factorize(A.tocsr()).solve(b)
     return c
 
 
-def _check_backward_error(G, b, c, scale, diag):
+def _check_backward_error(A, b, c, scale, diag):
     """Raise SingularCoarseSystem unless the normwise backward error
-    |G c - b| / (|G| |c| + |b|), in max norms, is at most 1e-10; `scale` is
-    |G|_inf."""
-    residual = np.abs(G @ c - b).max()
+    |A c - b| / (|G| |c| + |b|), in max norms, is at most 1e-10; `scale` is
+    |G|_inf of the stored G, a lower bound of |A|_inf when G holds only
+    A's near field."""
+    residual = np.abs(A @ c - b).max()
     eta = residual / (scale * np.abs(c).max() + np.abs(b).max()) if residual else 0.0
-    log.debug("coarse solve on %d dofs: backward error %.2e", G.shape[0], eta)
+    log.debug("coarse solve on %d dofs: backward error %.2e", A.shape[0], eta)
     if not eta <= 1e-10:
         raise SingularCoarseSystem(
-            f"coarse solve of {G.shape[0]} dofs has backward error {eta:.2e} "
+            f"coarse solve of {A.shape[0]} dofs has backward error {eta:.2e} "
             f"> 1e-10{diag}"
         )
 
@@ -990,32 +1051,39 @@ def _check_backward_error(G, b, c, scale, diag):
 def solve_multiscale(system, space, forms=None):
     """Coefficients and fine-grid expansion of the multiscale solution.
 
-    Up to DENSE_LIMIT coarse dofs, G c = b is solved by a dense LU.  Larger
-    systems are solved by GMRES on G (restart 100, at most two cycles) to a
-    relative residual |G c - b|_2 / |b|_2 of 1e-12, preconditioned by the
-    sparse LU of G's near field: its entries between coarse elements within
-    Chebyshev distance NEAR_FIELD.  If GMRES does not converge, the
-    near-field LU is dropped and G's own sparse LU solves the system.  A
-    singular G or near field raises SingularCoarseSystem; so does, in either
-    branch, a solution whose backward error |G c - b| / (|G| |c| + |b|), in
-    max norms, exceeds 1e-10.  The GMRES iteration count and the backward
-    error are logged at DEBUG.
+    The system's matrix is its G, or, when G holds only the near field of a
+    near-field space, the whole G applied matrix-free (`CoarseSystem`).  Up
+    to DENSE_LIMIT coarse dofs, it is solved by a dense LU (a near-field
+    system first assembles its whole G).  Larger systems are solved by GMRES
+    (restart 100, at most two cycles) to a relative residual |G c - b|_2 /
+    |b|_2 of 1e-12, preconditioned by the sparse LU of G's near field: its
+    entries between coarse elements within Chebyshev distance NEAR_FIELD.
+    If GMRES does not converge, the near-field LU is dropped and the whole
+    G, assembled as (B Psi)^T Psi when the system stores only its near
+    field, is solved by its own sparse LU.  A singular G or near field
+    raises SingularCoarseSystem; so does, in either branch, a solution whose
+    backward error |G c - b| / (|G| |c| + |b|), in max norms, exceeds
+    1e-10, with |G| the stored G's |G|_inf (|G_near|_inf for a near-field
+    system, which only makes the guard stricter).  The GMRES iteration
+    count, the operator GMRES applied and the backward error are logged at
+    DEBUG.
     """
     G, b = sp.csr_matrix(system.G), system.b
+    A = G if system.operator is None else system.operator  # the system's matrix
     diag = ""
     if forms is not None:
         khe = forms.k * forms.coarse.H / forms.medium.epsilon
         diag = f" (k*H/eps = {khe:.3g}; check resolution/oversampling)"
     try:
         if G.shape[0] <= DENSE_LIMIT:
-            c = np.linalg.solve(G.toarray(), b)
+            c = np.linalg.solve(A.tocsr().toarray(), b)
         else:
-            c = _near_field_solve(G, b, space.forms.coarse.NH, system.nbf)
+            c = _near_field_solve(G, A, b, space.forms.coarse.NH, system.nbf)
     except (np.linalg.LinAlgError, SingularMatrix) as exc:
         raise SingularCoarseSystem(f"coarse system is singular{diag}") from exc
     if not np.all(np.isfinite(c)):
         raise SingularCoarseSystem("coarse solve produced non-finite coefficients")
-    _check_backward_error(G, b, c, system.G_norm, diag)
+    _check_backward_error(A, b, c, system.G_norm, diag)
     u = np.asarray(space.trial @ c).ravel()
     if space.corrector is not None:
         u = u + space.corrector

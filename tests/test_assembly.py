@@ -25,10 +25,13 @@ def _maxabs(A):
     return np.abs(A.data).max() if A.nnz else 0.0
 
 
-def _symbolic_element_matrices(h_value):
-    """Exact integrals of the bilinear shape functions on an h x h square."""
+@pytest.fixture(scope="module")
+def symbolic_element_matrices():
+    """Exact integrals of the bilinear shape functions on an h x h square,
+    integrated once with h a positive symbol: a function of the exact h
+    returning (Ke, Me) at that h."""
     x, y = sympy.symbols("x y")
-    h = sympy.Rational(h_value) if not isinstance(h_value, sympy.Expr) else h_value
+    h = sympy.symbols("h", positive=True)
     shapes = [
         (1 - x / h) * (1 - y / h),
         (x / h) * (1 - y / h),
@@ -45,24 +48,24 @@ def _symbolic_element_matrices(h_value):
             )
             Ke[a, b] = sympy.integrate(grad, (x, 0, h), (y, 0, h))
             Me[a, b] = sympy.integrate(shapes[a] * shapes[b], (x, 0, h), (y, 0, h))
-    return Ke, Me
+    return lambda value: (Ke.subs(h, value), Me.subs(h, value))
 
 
 @pytest.mark.parametrize("h", [1.0, 0.5, 0.25])
-def test_element_matrices_match_symbolic_oracle_exactly(h):
+def test_element_matrices_match_symbolic_oracle_exactly(h, symbolic_element_matrices):
     # h a power of two: both paths round the same rationals, equality is exact
     Ke, Me = element_matrices(h, 1.0)
-    Ke_sym, Me_sym = _symbolic_element_matrices(h)
+    Ke_sym, Me_sym = symbolic_element_matrices(sympy.Rational(h))
     for a in range(4):
         for b in range(4):
             assert Ke[a, b] == float(Fraction(str(Ke_sym[a, b])))
             assert Me[a, b] == float(Fraction(str(Me_sym[a, b])))
 
 
-def test_element_matrices_generic_h():
+def test_element_matrices_generic_h(symbolic_element_matrices):
     h = 1.0 / 200.0
     Ke, Me = element_matrices(h, 1.0)
-    Ke_sym, Me_sym = _symbolic_element_matrices(sympy.Rational(1, 200))
+    Ke_sym, Me_sym = symbolic_element_matrices(sympy.Rational(1, 200))
     assert np.abs(Ke - np.array(Ke_sym, dtype=float)).max() <= 1e-14
     assert np.abs(Me - np.array(Me_sym, dtype=float)).max() <= 1e-14 * Me.max()
 

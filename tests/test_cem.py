@@ -575,8 +575,9 @@ def test_channel_coarse_gmres_iterates_on_strict_near_field(channel_setup, caplo
     caplog.set_level(logging.DEBUG, logger="cemhelm.cem")
     _, c_gmres = cem.solve_multiscale(system, space, forms=forms)
     (record,) = [r for r in caplog.records if r.msg.startswith("coarse GMRES")]
-    _, iterations, info = record.args
+    _, iterations, info, operator = record.args
     assert iterations > 1 and info == 0
+    assert operator == "the assembled G"  # a space built in the dense regime holds all of G
     assert np.linalg.norm(c_gmres - c_dense) <= 1e-10 * np.linalg.norm(c_dense)
 
 
@@ -733,8 +734,9 @@ def test_generated_domain_patch_space_equals_global_space(cfg):
 
 @given(cfg=configurations(), data=st.data())
 def test_generated_sparse_coarse_solve(cfg, data):
-    # the near-field GMRES branch: G complex symmetric, coefficients equal to
-    # the dense branch's, and the field Petrov-Galerkin orthogonal
+    # the near-field GMRES branch on a space of all of G: G complex
+    # symmetric, coefficients equal to the dense branch's, and the field
+    # Petrov-Galerkin orthogonal
     rng, g, c, forms, P = _generated_setup(cfg)
     # more trial vectors than free fine nodes make G singular: the field is
     # still defined, its coefficients are not
@@ -753,6 +755,27 @@ def test_generated_sparse_coarse_solve(cfg, data):
     assert np.linalg.norm(c_sparse - c_dense) <= 1e-10 * np.linalg.norm(c_dense)
     resid = space.trial.T @ (loads - forms.B @ u)
     assert np.linalg.norm(resid) <= 1e-10 * np.linalg.norm(space.trial.T @ loads)
+    # built above DENSE_LIMIT, under one or three workers, the space stores
+    # only G's near field: its lower triangle is bitwise that of the
+    # product's near field, it is exactly symmetric and G_norm is its largest
+    # row sum; the solve applies the whole G matrix-free and gives the
+    # coefficients of the whole G's dense solve
+    workers = data.draw(st.sampled_from([1, 3]), label="workers")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cem, "DENSE_LIMIT", 0)
+        mp.setattr(cem, "_g_workers", lambda: workers)
+        near = cem.build_space(forms, spectral.build_projection(forms, P.nbf), m, cfg["strict"],
+                               load_blocks=element_loads(g, c, f, gd))
+        system = cem.assemble_coarse(near, forms, loads)
+        _, c_near = cem.solve_multiscale(system, near, forms=forms)
+    G, ref = near.G, _g_oracle(forms, near)
+    assert near.near_field and G.format == "csr" and G.has_canonical_format
+    assert _bitwise_equal(_lower_triangle(G), _lower_triangle(cem._near_field(ref, c.NH, P.nbf)))
+    assert (G != G.T).nnz == 0
+    rows = np.repeat(np.arange(G.shape[0]), np.diff(G.indptr))
+    assert near.G_norm == np.bincount(rows, weights=np.abs(G.data), minlength=G.shape[0]).max()
+    c_ref = np.linalg.solve(ref.toarray(), system.b)
+    assert np.linalg.norm(c_near - c_ref) <= 1e-10 * np.linalg.norm(c_ref)
 
 
 @given(cfg=configurations())
@@ -862,8 +885,8 @@ def test_build_space_logs_patch_work(caplog, monkeypatch):
     # online), in how many batches, how many in a reused class ordering and
     # how many fresh (one per shape class offline, all online), their
     # skeleton unknowns, the summed L+U fill of their LUs, and the G strips
-    # with the seconds spent forming the lower strips, mirroring them and
-    # the final wait
+    # with their reach, the G entries stored, the seconds spent forming the
+    # lower strips, mirroring them and the final wait
     g, c, forms, P = make_setup(nx=24, NH=6, nbf=3)
     work, batches = [], []
     factorize, solve_batch = kernels.factorize, cem._solve_batch
@@ -887,15 +910,17 @@ def test_build_space_logs_patch_work(caplog, monkeypatch):
     for source, elements, strips in ((_bump_source(g, (0.2, 0.2)), range(c.n_elements), c.NH),
                                      (f, loaded, 0)):
         del work[:], batches[:], caplog.records[:]
-        _three_calls(forms, P, 1, source, zero)
+        space, _, _ = _three_calls(forms, P, 1, source, zero)
         (record,) = [r for r in caplog.records if r.msg.startswith("build_space")]
-        patches, n_batches, reused, fresh, unknowns, fill, n_strips, busy, mirror, wait = (
-            record.args)
+        (patches, n_batches, reused, fresh, unknowns, fill, n_strips, reach, stored, busy,
+         mirror, wait) = record.args
         assert (patches, unknowns, fill) == (
             len(work), sum(n for n, _, _ in work), sum(lu for _, lu, _ in work))
         assert n_batches == len(batches) and sum(batches) == patches
         assert reused == sum(ordered for _, _, ordered in work) == patches - fresh
         assert n_strips == strips and busy >= 0.0 and mirror >= 0.0 and wait >= 0.0
+        # offline, all of G (108 dofs, the dense regime) from strips of reach 2m + 1
+        assert (reach, stored) == ((3, space.G.nnz) if strips else (0, 0))
         if strips:  # offline: 36 patches in 25 shape classes, the first of each alone
             assert fresh == len({cem._layout_key(c, j, 1) for j in elements}) == 25
             assert n_batches == 35 and max(batches) == 2
@@ -1068,6 +1093,87 @@ def test_generated_streamed_coarse_matrix_is_the_one_product(cfg, data):
     assert _bitwise_equal(spaces[0].G, spaces[1].G)
     gspace = cem.build_global_space(forms, P, strict_zero_trace=cfg["strict"])
     _assert_mirrored_product(forms, gspace)
+
+
+@pytest.fixture(scope="module")
+def near_field_nh6():
+    # the problem of `system_nh6` built above DENSE_LIMIT: G holds only its
+    # near field, and G reaches beyond it
+    g, c, forms, P = make_setup(nx=24, NH=6, nbf=2)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cem, "DENSE_LIMIT", 0)
+        space, system = _plane_wave_system(forms, P, 2)
+    ref = _g_oracle(forms, space)
+    assert space.near_field and system.G is space.G
+    assert space.G.nnz == cem._near_field(ref, 6, 2).nnz < ref.nnz
+    return forms, space, system, ref
+
+
+def test_near_field_build_and_solve_log_their_operator(caplog, monkeypatch):
+    g, c, forms, P = make_setup(nx=24, NH=6, nbf=2)
+    monkeypatch.setattr(cem, "DENSE_LIMIT", 0)
+    caplog.set_level(logging.DEBUG, logger="cemhelm.cem")
+    space, system = _plane_wave_system(forms, P, 2)
+    cem.solve_multiscale(system, space, forms=forms)
+    (build,) = [r for r in caplog.records if r.msg.startswith("build_space")]
+    (gmres,) = [r for r in caplog.records if r.msg.startswith("coarse GMRES")]
+    assert build.args[6:9] == (c.NH, cem.NEAR_FIELD, space.G.nnz)
+    assert gmres.args[3] == "the matrix-free Psi^T B Psi"
+
+
+def test_near_field_gmres_failure_assembles_whole_g(near_field_nh6, monkeypatch):
+    forms, space, system, ref = near_field_nh6
+    monkeypatch.setattr(cem, "DENSE_LIMIT", 0)
+    monkeypatch.setattr(
+        scipy.sparse.linalg, "gmres", lambda A, b, **kw: (np.zeros_like(b), 2)
+    )
+    _, c = cem.solve_multiscale(system, space, forms=forms)
+    assert np.array_equal(c, kernels.factorize(ref).solve(system.b))
+
+
+def test_near_field_dense_branch_assembles_whole_g(near_field_nh6):
+    # a near-field system solved at the default DENSE_LIMIT
+    forms, space, system, ref = near_field_nh6
+    _, c = cem.solve_multiscale(system, space, forms=forms)
+    assert np.array_equal(c, np.linalg.solve(ref.toarray(), system.b))
+
+
+def test_near_field_backward_error_guard(near_field_nh6, monkeypatch):
+    forms, space, system, ref = near_field_nh6
+    monkeypatch.setattr(cem, "DENSE_LIMIT", 0)
+    cem.solve_multiscale(system, space, forms=forms)  # passes unperturbed
+    solve = cem._near_field_solve
+
+    def perturbed(*args):
+        c = solve(*args).copy()
+        c[0] += 1e-6 * np.abs(c).max()
+        return c
+
+    monkeypatch.setattr(cem, "_near_field_solve", perturbed)
+    with pytest.raises(SingularCoarseSystem, match=f"{system.n} dofs has backward error"):
+        cem.solve_multiscale(system, space, forms=forms)
+
+
+def test_hand_made_system_is_solved_against_its_own_g(near_field_nh6, monkeypatch):
+    # a hand-made system over a near-field space's G is that G, never the
+    # space's whole G
+    forms, space, system, ref = near_field_nh6
+    monkeypatch.setattr(cem, "DENSE_LIMIT", 0)
+    hand_made = cem.CoarseSystem(space.G, system.b, system.nbf)
+    _, c_near = cem.solve_multiscale(hand_made, space, forms=forms)
+    _, c_whole = cem.solve_multiscale(system, space, forms=forms)
+    near = np.linalg.solve(space.G.toarray(), system.b)
+    whole = np.linalg.solve(ref.toarray(), system.b)
+    assert np.linalg.norm(c_near - near) <= 1e-10 * np.linalg.norm(near)
+    assert np.linalg.norm(c_whole - whole) <= 1e-10 * np.linalg.norm(whole)
+    assert np.linalg.norm(near - whole) > 1e-8 * np.linalg.norm(whole)
+    keep = np.ones(system.n)
+    keep[3] = 0.0  # coarse dof 3 decoupled: zero row and column
+    D = sp.diags(keep)
+    singular = (D @ space.G @ D).tocsr()
+    singular.eliminate_zeros()
+    with pytest.raises(SingularCoarseSystem, match="k\\*H/eps"):
+        cem.solve_multiscale(cem.CoarseSystem(singular, system.b, system.nbf), space, forms=forms)
 
 
 @given(cfg=configurations(), data=st.data())
