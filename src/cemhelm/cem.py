@@ -52,11 +52,10 @@ rows apart: two patches whose elements lie 2m + 1 elements apart still
 meet through B where a patch edge on the domain boundary keeps its free
 nodes.  G is complex symmetric, so only its lower triangle is formed: as
 soon as row b is solved, a worker thread forms the lower strip (B Psi_b)^T
-Psi_near over the trial columns of rows b - (2m + 1) ... b, and once row
-b + 2m + 1 is solved too it assembles G's rows of element row b from row
-b's own lower triangle and the mirrored column block b of the lower strips
-of rows b ... b + 2m + 1 (`_CoarseStrips`).  G, stored CSR, is the stack
-of its row strips.  Each lower entry is summed in the order of the one
+Psi_near over the trial columns of rows b - (2m + 1) ... b.  After the
+last row the strips are stacked into G's lower triangle L, and G, stored
+CSR, is completed once as L plus the transpose of L's strict part
+(`_CoarseStrips`).  Each lower entry is summed in the order of the one
 product (B Psi)^T Psi, so G's lower triangle is bitwise that of the
 product, and G is exactly symmetric.  Above DENSE_LIMIT coarse dofs (the
 sparse regime, see below) the strips reach only NEAR_FIELD element rows
@@ -103,8 +102,8 @@ forms only Psi^T (b - B q).  Each `build_space` logs at DEBUG the patches
 it factorized, in how many batches, how many of them in a reused class
 ordering and how many fresh, their skeleton unknowns, the summed L+U fill,
 and the G strips with their reach, the G entries stored, the seconds
-spent forming the lower strips and mirroring them, and the final wait from
-the last patch to G.
+spent forming the lower strips, and the final wait from the last patch to
+G.
 
 The basis vectors decay exponentially away from their element, and so do
 the entries of G.  A coarse system larger than DENSE_LIMIT is therefore
@@ -616,46 +615,28 @@ def _coarse_rows(B, trial_b, trial_near, first, n):
 def _lower_strip(B, trial, b, lo, w, near_field):
     """The lower strip of element row b: the lower triangle of G's rows
     (B Psi_b)^T Psi_near, Psi_near the trial columns of element rows lo
-    ... b (w columns per row), as CSR rows over all of G's columns, and the
-    transpose of its strict part, as CSR over G's columns by the w rows.
-    With `near_field` both keep only the entries of G's near field."""
+    ... b (w columns per row), as CSR rows over all of G's columns.  With
+    `near_field` it keeps only the entries of G's near field."""
     L = _coarse_rows(B, _slice(trial, b * w, (b + 1) * w), _slice(trial, lo * w, (b + 1) * w),
                      lo * w, trial.shape[1])
     rows = np.repeat(np.arange(b * w, (b + 1) * w), np.diff(L.indptr))
     NH = trial.shape[1] // w
     keep = _near_mask(L, NH, w // NH, b * w) if near_field else True
-    return _kept(L, keep & (L.indices <= rows)), _kept(L, keep & (L.indices < rows)).T.tocsr()
+    return _kept(L, keep & (L.indices <= rows))
 
 
-def _side_by_side(pieces, shifts, n):
-    """CSR rows over n columns holding, row by row, the entries of the CSR
-    `pieces` in turn, the columns of piece i shifted by shifts[i].  In
-    every row each piece's columns lie left of the next piece's, so the
-    rows come out canonical; the entries are copied, not summed."""
-    counts = np.stack([np.diff(A.indptr) for A in pieces], axis=1)  # (rows, pieces)
-    starts = np.cumsum(counts.ravel()).reshape(counts.shape) - counts
-    indptr = np.concatenate([[0], np.cumsum(counts.sum(axis=1))])
-    data = np.empty(indptr[-1], dtype=pieces[0].dtype)
-    indices = np.empty(indptr[-1], dtype=np.result_type(*(A.indices for A in pieces)))
-    for i, (A, shift) in enumerate(zip(pieces, shifts)):
-        at = np.repeat(starts[:, i] - A.indptr[:-1], counts[:, i]) + np.arange(A.nnz)
-        data[at] = A.data
-        indices[at] = A.indices + shift
-    return sp.csr_matrix((data, indices, indptr), shape=(counts.shape[0], n))
-
-
-def _row_strip(lower, b, w, n):
-    """G's rows of element row b from the lower strips of element rows b,
-    b + 1, ... (`_lower_strip` futures): row strip b's own lower triangle,
-    then, mirrored, the column block b of each strip's strict part."""
-    strips = [f.result() for f in lower]
-    pieces = [strips[0][0]] + [_slice(upper, b * w, (b + 1) * w) for _, upper in strips]
-    return _side_by_side(pieces, [0] + [c * w for c in range(b, b + len(strips))], n)
+def _symmetric(L):
+    """The complex symmetric CSR matrix whose lower triangle is the CSR
+    matrix L: L plus the transpose of its strict part.  The two parts share
+    no entry, so each of L's entries is copied, not summed."""
+    rows = np.arange(L.shape[0], dtype=L.indices.dtype)
+    strict = L.indices < np.repeat(rows, np.diff(L.indptr))
+    return L + _kept(L, strict).T.tocsr()  # the strict part's copy goes before the sum
 
 
 class _CoarseStrips:
-    """G = (B Psi)^T Psi formed on worker threads, strip by strip, while the
-    patch solves of later element rows go on.
+    """G = (B Psi)^T Psi, its lower triangle formed on worker threads, strip
+    by strip, while the patch solves of later element rows go on.
 
     The entries kept couple elements at most `reach` element rows and
     columns apart: all of G's with reach 2m + 1 or more, its near field with
@@ -663,17 +644,13 @@ class _CoarseStrips:
     lower triangle is formed.  Once the trial columns of element row b are
     solved, a worker forms the lower strip of row b (`_lower_strip`): the
     lower triangle of (B Psi_b)^T Psi_near, with Psi_near the columns of
-    rows b - reach ... b.  Once row b + reach is solved too, a worker
-    assembles G's rows of element row b (`_row_strip`): row b's lower
-    triangle, then the upper one mirrored from the column block b of the
-    lower strips of rows b ... b + reach.  A row strip is queued after the
-    lower strips it reads, so a worker that runs it finds each of them
-    formed or under way.  Each lower entry is summed in the order of the
-    one product (B Psi)^T Psi, so G's lower triangle is bitwise that of the
+    rows b - reach ... b.  After the last row, `matrix` stacks the strips
+    into G's lower triangle L, drops them and completes G once, on the
+    calling thread, as L plus the transpose of L's strict part
+    (`_symmetric`).  Each lower entry is summed in the order of the one
+    product (B Psi)^T Psi, so G's lower triangle is bitwise that of the
     product (of its near field) and G is exactly symmetric, whatever the
-    number of workers or the order the strips finish in.  A lower strip is
-    dropped once the last row strip reading it is done, and G, stored CSR,
-    is the stack of the row strips.
+    number of workers or the order the strips finish in.  G is stored CSR.
     """
 
     def __init__(self, B, trial, NH, reach, near_field=False):
@@ -681,37 +658,24 @@ class _CoarseStrips:
         self._near_field = near_field
         self._width = trial.shape[1] // NH
         self._pool = ThreadPoolExecutor(_g_workers(), thread_name_prefix="cemhelm-G")
-        # futures of the solved rows' lower strips, None once all their readers are queued
-        self._lower = []
-        self.strips = []  # futures of G's row strips assembled or under way
+        self._lower = []  # futures of the solved rows' lower strips
         self.busy = []  # seconds of each lower strip formed
-        self.mirror = []  # seconds of each row strip assembled
         self.wait = 0.0  # seconds `matrix` took after the last patch
 
-    def _timed(self, spent, fn, *args):
+    def _timed(self, fn, *args):
         start = time.perf_counter()
         try:
             return fn(*args)
         finally:
-            spent.append(time.perf_counter() - start)
+            self.busy.append(time.perf_counter() - start)
 
     def row_solved(self):
         """The trial columns of the next element row are final."""
         b = len(self._lower)
         self._lower.append(self._pool.submit(
-            self._timed, self.busy, _lower_strip, self._B, self._trial, b,
-            max(b - self.reach, 0), self._width, self._near_field,
+            self._timed, _lower_strip, self._B, self._trial, b, max(b - self.reach, 0),
+            self._width, self._near_field,
         ))
-        if b >= self.reach:
-            self._add_strip(b - self.reach)
-
-    def _add_strip(self, b):
-        hi = min(b + self.reach, self._NH - 1)
-        self.strips.append(self._pool.submit(
-            self._timed, self.mirror, _row_strip, self._lower[b:hi + 1], b, self._width,
-            self._NH * self._width,
-        ))
-        self._lower[b] = None  # the last row strip reading it is queued
 
     def matrix(self):
         """G in CSR form, once every element row is solved; a strip that
@@ -719,9 +683,9 @@ class _CoarseStrips:
         start = time.perf_counter()
         while len(self._lower) < self._NH:
             self.row_solved()
-        for b in range(len(self.strips), self._NH):
-            self._add_strip(b)
-        G = sp.vstack([f.result() for f in self.strips], format="csr")
+        L = sp.vstack([f.result() for f in self._lower], format="csr")
+        self._lower = None  # the strips go before G is completed
+        G = _symmetric(L)
         self.wait = time.perf_counter() - start
         return G
 
@@ -846,10 +810,10 @@ def _solve_patches(cond, forms, P, m, strict_zero_trace, load_blocks, with_trial
     log.debug(
         "build_space: %d patches factorized in %d batches (%d in a reused class ordering, "
         "%d fresh), %d skeleton unknowns, L+U fill %d; %d G strips of reach %d, %d G entries "
-        "stored, %.2f s forming them, %.2f s mirroring, final wait %.2f s",
+        "stored, %.2f s forming them, final wait %.2f s",
         patches, batches, reused, patches - reused, unknowns, fill,
-        *((len(strips.strips), strips.reach, G.nnz, sum(strips.busy), sum(strips.mirror),
-           strips.wait) if strips else (0, 0, 0, 0.0, 0.0, 0.0)),
+        *((NH, strips.reach, G.nnz, sum(strips.busy), strips.wait) if strips
+          else (0, 0, 0, 0.0, 0.0)),
     )
     return trial, G, corrector
 

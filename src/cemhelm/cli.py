@@ -105,7 +105,12 @@ def _coerce(name, value):
     if name in ("strict_zero_trace", "synthesize", "corrector"):
         if isinstance(value, bool):
             return value
-        return str(value).strip().lower() in ("1", "true", "yes", "on")
+        word = str(value).strip().lower()
+        if word in ("1", "true", "yes", "on"):
+            return True
+        if word in ("0", "false", "no", "off"):
+            return False
+        raise ValueError(f"config key {name!r} takes a boolean, not {value!r}")
     return value
 
 

@@ -351,22 +351,24 @@ def test_element_matrix_oracles():
     """Element stiffness/mass/edge matrices against symbolic integration."""
     from cemhelm.assembly import element_boundary_matrix, element_matrices
 
+    # the 32 integrals once, with h a positive symbol, then at each exact h
     x, y = sympy.symbols("x y")
+    h = sympy.symbols("h", positive=True)
+    shapes = [(1 - x / h) * (1 - y / h), (x / h) * (1 - y / h), (x / h) * (y / h),
+              (1 - x / h) * (y / h)]
+    K_sym, M_sym = sympy.zeros(4, 4), sympy.zeros(4, 4)
+    for a in range(4):
+        for b in range(4):
+            grad = (sympy.diff(shapes[a], x) * sympy.diff(shapes[b], x)
+                    + sympy.diff(shapes[a], y) * sympy.diff(shapes[b], y))
+            K_sym[a, b] = sympy.integrate(grad, (x, 0, h), (y, 0, h))
+            M_sym[a, b] = sympy.integrate(shapes[a] * shapes[b], (x, 0, h), (y, 0, h))
     for h_num, h_sym, exact in ((0.5, sympy.Rational(1, 2), True),
                                 (1.0 / 200.0, sympy.Rational(1, 200), False)):
-        shapes = [
-            (1 - x / h_sym) * (1 - y / h_sym),
-            (x / h_sym) * (1 - y / h_sym),
-            (x / h_sym) * (y / h_sym),
-            (1 - x / h_sym) * (y / h_sym),
-        ]
         Ke, Me = element_matrices(h_num, 1.0)
         for a in range(4):
             for b in range(4):
-                grad = (sympy.diff(shapes[a], x) * sympy.diff(shapes[b], x)
-                        + sympy.diff(shapes[a], y) * sympy.diff(shapes[b], y))
-                K_ref = sympy.integrate(grad, (x, 0, h_sym), (y, 0, h_sym))
-                M_ref = sympy.integrate(shapes[a] * shapes[b], (x, 0, h_sym), (y, 0, h_sym))
+                K_ref, M_ref = K_sym[a, b].subs(h, h_sym), M_sym[a, b].subs(h, h_sym)
                 if exact:
                     assert Ke[a, b] == float(Fraction(str(K_ref)))
                     assert Me[a, b] == float(Fraction(str(M_ref)))

@@ -681,6 +681,11 @@ def configurations(draw):
     )
 
 
+def _generated_coarse(cfg):
+    """The coarse grid of `_generated_setup`, without its forms or projection."""
+    return build_coarse_grid(build_fine_grid(cfg["nx"], cfg["nx"]), cfg["NH"])
+
+
 def _generated_setup(cfg):
     rng = np.random.default_rng(cfg["seed"])
     nx = cfg["nx"]
@@ -737,10 +742,11 @@ def test_generated_sparse_coarse_solve(cfg, data):
     # the near-field GMRES branch on a space of all of G: G complex
     # symmetric, coefficients equal to the dense branch's, and the field
     # Petrov-Galerkin orthogonal
-    rng, g, c, forms, P = _generated_setup(cfg)
     # more trial vectors than free fine nodes make G singular: the field is
     # still defined, its coefficients are not
-    assume(c.n_elements * P.nbf <= oversample(c, 0, c.NH - 1).free_nodes(cfg["strict"]).size)
+    c = _generated_coarse(cfg)
+    assume(c.n_elements * cfg["nbf"] <= oversample(c, 0, c.NH - 1).free_nodes(cfg["strict"]).size)
+    rng, g, c, forms, P = _generated_setup(cfg)
     m = data.draw(st.integers(1, max(1, cfg["NH"] - 1)), label="m")
     f, gd = _random_complex(rng, g.n_nodes), _random_complex(rng, g.n_nodes)
     loads = forms.M @ f + forms.Mb @ gd
@@ -748,6 +754,9 @@ def test_generated_sparse_coarse_solve(cfg, data):
     system = cem.assemble_coarse(space, forms, loads)
     G = system.G.toarray()
     assert np.abs(G - G.T).max() <= 1e-12 * np.abs(G).max()
+    # so do linearly dependent trial vectors, which the count above does not
+    # rule out (nx = 8, NH = 4, nbf = 3, strict, m = 1: rank 45 of 48)
+    assume(np.linalg.matrix_rank(space.trial.toarray()) == space.n_basis)
     _, c_dense = cem.solve_multiscale(system, space, forms=forms)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cem, "DENSE_LIMIT", 0)
@@ -792,8 +801,9 @@ def test_generated_load_blocks_scatter_to_load_vector(cfg):
 def test_generated_online_space_equals_offline(cfg, data):
     # a second build_space call on P solves only the loaded patches (some
     # blocks are exactly zero); a first call on a fresh projection solves all
+    c = _generated_coarse(cfg)
+    assume(c.n_elements * cfg["nbf"] <= oversample(c, 0, c.NH - 1).free_nodes(cfg["strict"]).size)
     rng, g, c, forms, P = _generated_setup(cfg)
-    assume(c.n_elements * P.nbf <= oversample(c, 0, c.NH - 1).free_nodes(cfg["strict"]).size)
     m = data.draw(st.integers(1, max(1, cfg["NH"] - 1)), label="m")
     blocks = element_loads(g, c, _random_complex(rng, g.n_nodes), _random_complex(rng, g.n_nodes))
     loaded = rng.random(c.n_elements) < 0.5
@@ -886,7 +896,7 @@ def test_build_space_logs_patch_work(caplog, monkeypatch):
     # how many fresh (one per shape class offline, all online), their
     # skeleton unknowns, the summed L+U fill of their LUs, and the G strips
     # with their reach, the G entries stored, the seconds spent forming the
-    # lower strips, mirroring them and the final wait
+    # lower strips and the final wait
     g, c, forms, P = make_setup(nx=24, NH=6, nbf=3)
     work, batches = [], []
     factorize, solve_batch = kernels.factorize, cem._solve_batch
@@ -913,12 +923,12 @@ def test_build_space_logs_patch_work(caplog, monkeypatch):
         space, _, _ = _three_calls(forms, P, 1, source, zero)
         (record,) = [r for r in caplog.records if r.msg.startswith("build_space")]
         (patches, n_batches, reused, fresh, unknowns, fill, n_strips, reach, stored, busy,
-         mirror, wait) = record.args
+         wait) = record.args
         assert (patches, unknowns, fill) == (
             len(work), sum(n for n, _, _ in work), sum(lu for _, lu, _ in work))
         assert n_batches == len(batches) and sum(batches) == patches
         assert reused == sum(ordered for _, _, ordered in work) == patches - fresh
-        assert n_strips == strips and busy >= 0.0 and mirror >= 0.0 and wait >= 0.0
+        assert n_strips == strips and busy >= 0.0 and wait >= 0.0
         # offline, all of G (108 dofs, the dense regime) from strips of reach 2m + 1
         assert (reach, stored) == ((3, space.G.nnz) if strips else (0, 0))
         if strips:  # offline: 36 patches in 25 shape classes, the first of each alone
@@ -1078,9 +1088,10 @@ def _assert_mirrored_product(forms, space):
 def test_generated_streamed_coarse_matrix_is_the_one_product(cfg, data):
     # every lower entry of G is summed as in (B Psi)^T Psi, whatever the
     # number of workers and the order their strips finish in
-    rng, g, c, forms, P = _generated_setup(cfg)
+    c = _generated_coarse(cfg)
     m = data.draw(st.integers(0, cfg["NH"]), label="m")
     assume(all(oversample(c, j, m).free_nodes(cfg["strict"]).size for j in range(c.n_elements)))
+    rng, g, c, forms, P = _generated_setup(cfg)
     spaces = []
     for workers in (3, 1):
         with pytest.MonkeyPatch.context() as mp:
@@ -1181,9 +1192,10 @@ def test_generated_batched_build_matches_local_solves(cfg, data):
     # the patches of a shape class in an element row are solved as one batch
     # in the class's ordering: every element's trial columns are those of
     # its own patch solve, and G is the mirrored lower triangle of the product
-    rng, g, c, forms, P = _generated_setup(cfg)
+    c = _generated_coarse(cfg)
     m = data.draw(st.integers(0, cfg["NH"]), label="m")
     assume(all(oversample(c, j, m).free_nodes(cfg["strict"]).size for j in range(c.n_elements)))
+    rng, g, c, forms, P = _generated_setup(cfg)
     space = cem.build_space(forms, P, m, cfg["strict"])
     for j in range(c.n_elements):
         psi, _ = cem.local_cem_solve(j, m, forms, P, cfg["strict"])
@@ -1298,13 +1310,14 @@ def test_patch_without_free_nodes_named_in_build():
 
 
 def test_failed_strip_raises_from_build_space():
-    # a lower strip, or a row strip mirrored from them, fails on the worker
+    # a lower strip fails on the worker, or G's completion from the strips
+    # fails after the last one
     g, c, forms, P = make_setup(nx=24, NH=6, nbf=2)
 
     def out_of_memory(*args):
         raise MemoryError("strip")
 
-    for step in ("_coarse_rows", "_side_by_side"):
+    for step in ("_coarse_rows", "_symmetric"):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(cem, step, out_of_memory)
             with pytest.raises(MemoryError, match="strip"):

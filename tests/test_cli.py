@@ -55,6 +55,21 @@ def test_config_file_and_overrides(tmp_path):
     assert cfg.H_list == (4, 8)
 
 
+@pytest.mark.parametrize("key", ["strict_zero_trace", "synthesize", "corrector"])
+def test_boolean_config_values(tmp_path, key):
+    # each accepted spelling, in any case; any other word is an error naming
+    # its key, never a silent False
+    p = tmp_path / "run.cfg"
+    for word, value in (("ON", True), ("Yes", True), ("1", True), ("true", True),
+                        ("off", False), ("NO", False), ("0", False), ("False", False)):
+        p.write_text(f"{key} = {word}\n")
+        assert getattr(load_config(p), key) is value
+    for word in ("ture", "flase", "2", "enabled"):
+        p.write_text(f"{key} = {word}\n")
+        with pytest.raises(ValueError, match=key):
+            load_config(p)
+
+
 def test_invalid_config_key(tmp_path):
     p = tmp_path / "bad.cfg"
     p.write_text("bogus = 1\n")
