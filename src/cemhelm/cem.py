@@ -115,7 +115,9 @@ matrix-free, as Psi^T (B (Psi x)) (`_MatrixFreeG`).  GMRES stops at a
 relative residual of 1e-12; when it does not get there in two cycles of
 100 iterations, the near-field LU is dropped, and the whole G, assembled as
 (B Psi)^T Psi if the space stores only its near field, is solved by its own
-LU.  Either branch, dense or sparse, ends with a backward error guard: a
+LU.  The dense LU refuses a G singular to working precision, as linearly
+dependent trial vectors make it; GMRES does not check.  Either branch,
+dense or sparse, ends with a backward error guard: a
 solution with |G c - b| > 1e-10 (|G| |c| + |b|), in max norms, raises
 SingularCoarseSystem instead of returning a field.  Its residual applies
 the whole G; its scale |G| is the stored G's |G|_inf, formed once per
@@ -133,6 +135,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import get_lapack_funcs
 
 from . import kernels
 from .errors import (
@@ -628,7 +631,8 @@ def _lower_strip(B, trial, b, lo, w, near_field):
 def _symmetric(L):
     """The complex symmetric CSR matrix whose lower triangle is the CSR
     matrix L: L plus the transpose of its strict part.  The two parts share
-    no entry, so each of L's entries is copied, not summed."""
+    no entry, so each entry of the sum is one of L's plus zero, which keeps
+    its value (a -0.0 part turns +0.0; a product's sums hold none)."""
     rows = np.arange(L.shape[0], dtype=L.indices.dtype)
     strict = L.indices < np.repeat(rows, np.diff(L.indptr))
     return L + _kept(L, strict).T.tocsr()  # the strict part's copy goes before the sum
@@ -997,6 +1001,20 @@ def _near_field_solve(G, A, b, NH, nbf):
     return c
 
 
+def _dense_solve(A, b):
+    """Solve A c = b, A sparse, by a dense LU; raise SingularMatrix when A
+    is singular to working precision, its LU's reciprocal condition
+    estimate in the 1-norm below the machine epsilon."""
+    norm = abs(A).sum(axis=0).max()
+    A = A.toarray(order="F")
+    getrf, gecon, getrs = get_lapack_funcs(("getrf", "gecon", "getrs"), (A, b))
+    lu, piv, info = getrf(A, overwrite_a=True)
+    rcond = gecon(lu, norm, norm="1")[0] if info == 0 else 0.0
+    if not rcond >= np.finfo(float).eps:
+        raise SingularMatrix(f"reciprocal condition estimate {rcond:.2e}")
+    return getrs(lu, piv, b)[0]
+
+
 def _check_backward_error(A, b, c, scale, diag):
     """Raise SingularCoarseSystem unless the normwise backward error
     |A c - b| / (|G| |c| + |b|), in max norms, is at most 1e-10; `scale` is
@@ -1024,13 +1042,15 @@ def solve_multiscale(system, space, forms=None):
     entries between coarse elements within Chebyshev distance NEAR_FIELD.
     If GMRES does not converge, the near-field LU is dropped and the whole
     G, assembled as (B Psi)^T Psi when the system stores only its near
-    field, is solved by its own sparse LU.  A singular G or near field
-    raises SingularCoarseSystem; so does, in either branch, a solution whose
-    backward error |G c - b| / (|G| |c| + |b|), in max norms, exceeds
-    1e-10, with |G| the stored G's |G|_inf (|G_near|_inf for a near-field
-    system, which only makes the guard stricter).  The GMRES iteration
-    count, the operator GMRES applied and the backward error are logged at
-    DEBUG.
+    field, is solved by its own sparse LU.  SingularCoarseSystem is raised
+    for a G singular to working precision in the dense branch
+    (`_dense_solve`; GMRES does not check, and returns coefficients of the
+    one field), for an exactly singular near field or G in the sparse
+    branch, and, in either, for a solution whose backward error
+    |G c - b| / (|G| |c| + |b|), in max norms, exceeds 1e-10, with |G| the
+    stored G's |G|_inf (|G_near|_inf for a near-field system, which only
+    makes the guard stricter).  The GMRES iteration count, the operator
+    GMRES applied and the backward error are logged at DEBUG.
     """
     G, b = sp.csr_matrix(system.G), system.b
     A = G if system.operator is None else system.operator  # the system's matrix
@@ -1040,11 +1060,11 @@ def solve_multiscale(system, space, forms=None):
         diag = f" (k*H/eps = {khe:.3g}; check resolution/oversampling)"
     try:
         if G.shape[0] <= DENSE_LIMIT:
-            c = np.linalg.solve(A.tocsr().toarray(), b)
+            c = _dense_solve(A.tocsr(), b)
         else:
             c = _near_field_solve(G, A, b, space.forms.coarse.NH, system.nbf)
-    except (np.linalg.LinAlgError, SingularMatrix) as exc:
-        raise SingularCoarseSystem(f"coarse system is singular{diag}") from exc
+    except SingularMatrix as exc:
+        raise SingularCoarseSystem(f"coarse system is singular{diag}: {exc}") from exc
     if not np.all(np.isfinite(c)):
         raise SingularCoarseSystem("coarse solve produced non-finite coefficients")
     _check_backward_error(A, b, c, system.G_norm, diag)

@@ -468,6 +468,26 @@ def test_singular_coarse_system_raises(setup32, dense_limit, monkeypatch):
         cem.solve_multiscale(singular, space, forms=forms)
 
 
+def test_dependent_trial_vectors_refused_by_dense_solve(monkeypatch):
+    # three 2 x 2-cell elements' trial vectors under the strict zero trace
+    # span 45 dimensions of 48, so G is singular to working precision: the
+    # dense LU refuses it, and GMRES returns coefficients of the field,
+    # which is Petrov-Galerkin orthogonal
+    cfg = dict(nx=8, NH=4, nbf=3, contrast=1.0, k=1.0, strict=True, seed=0)
+    rng, g, c, forms, P = _generated_setup(cfg)
+    f, gd = _random_complex(rng, g.n_nodes), _random_complex(rng, g.n_nodes)
+    loads = forms.M @ f + forms.Mb @ gd
+    space = cem.build_space(forms, P, 1, True, load_blocks=element_loads(g, c, f, gd))
+    assert np.linalg.matrix_rank(space.trial.toarray()) == 45 < space.n_basis
+    system = cem.assemble_coarse(space, forms, loads)
+    with pytest.raises(SingularCoarseSystem, match=r"k\*H/eps.*reciprocal condition estimate"):
+        cem.solve_multiscale(system, space, forms=forms)
+    monkeypatch.setattr(cem, "DENSE_LIMIT", 0)
+    u, _ = cem.solve_multiscale(system, space, forms=forms)
+    resid = space.trial.T @ (loads - forms.B @ u)
+    assert np.linalg.norm(resid) <= 1e-10 * np.linalg.norm(space.trial.T @ loads)
+
+
 def _element_distance(n, NH, nbf):
     """Chebyshev distance between the coarse elements of every pair of dofs."""
     e = np.arange(n) // nbf
@@ -545,7 +565,7 @@ def test_gmres_failure_falls_back_to_full_lu(system_nh6, monkeypatch):
 
 @pytest.mark.parametrize(
     "dense_limit, owner, name",
-    [(2000, np.linalg, "solve"), (0, cem, "_near_field_solve")],
+    [(2000, cem, "_dense_solve"), (0, cem, "_near_field_solve")],
     ids=["dense", "sparse"],
 )
 def test_coarse_backward_error_guard(system_nh6, dense_limit, owner, name, monkeypatch):
@@ -682,18 +702,19 @@ def configurations(draw):
 
 
 def _generated_coarse(cfg):
-    """The coarse grid of `_generated_setup`, without its forms or projection."""
+    """The coarse grid of a configuration; its fine grid is `.fine`."""
     return build_coarse_grid(build_fine_grid(cfg["nx"], cfg["nx"]), cfg["NH"])
 
 
-def _generated_setup(cfg):
+def _generated_setup(cfg, c=None):
+    """The random generator, grids, forms and projection of a configuration,
+    on its coarse grid c when the caller has built that already."""
+    c = _generated_coarse(cfg) if c is None else c
     rng = np.random.default_rng(cfg["seed"])
     nx = cfg["nx"]
     values = np.where(rng.random(nx * nx) < 0.3, cfg["contrast"], 1.0)
-    g, c, forms, P = make_setup(
-        nx=nx, NH=cfg["NH"], nbf=cfg["nbf"], k=cfg["k"], medium=Medium(values, nx, nx)
-    )
-    return rng, g, c, forms, P
+    forms = build_forms(c.fine, c, Medium(values, nx, nx), cfg["k"])
+    return rng, c.fine, c, forms, spectral.build_projection(forms, cfg["nbf"])
 
 
 def _random_complex(rng, *shape):
@@ -746,7 +767,7 @@ def test_generated_sparse_coarse_solve(cfg, data):
     # still defined, its coefficients are not
     c = _generated_coarse(cfg)
     assume(c.n_elements * cfg["nbf"] <= oversample(c, 0, c.NH - 1).free_nodes(cfg["strict"]).size)
-    rng, g, c, forms, P = _generated_setup(cfg)
+    rng, g, c, forms, P = _generated_setup(cfg, c)
     m = data.draw(st.integers(1, max(1, cfg["NH"] - 1)), label="m")
     f, gd = _random_complex(rng, g.n_nodes), _random_complex(rng, g.n_nodes)
     loads = forms.M @ f + forms.Mb @ gd
@@ -755,13 +776,19 @@ def test_generated_sparse_coarse_solve(cfg, data):
     G = system.G.toarray()
     assert np.abs(G - G.T).max() <= 1e-12 * np.abs(G).max()
     # so do linearly dependent trial vectors, which the count above does not
-    # rule out (nx = 8, NH = 4, nbf = 3, strict, m = 1: rank 45 of 48)
-    assume(np.linalg.matrix_rank(space.trial.toarray()) == space.n_basis)
-    _, c_dense = cem.solve_multiscale(system, space, forms=forms)
+    # rule out (nx = 8, NH = 4, nbf = 3, strict, m = 1: rank 45 of 48): the
+    # dense branch refuses such a G, GMRES returns coefficients of its field
+    singular = np.linalg.matrix_rank(space.trial.toarray()) < space.n_basis
+    if singular:
+        with pytest.raises(SingularCoarseSystem, match="reciprocal condition estimate"):
+            cem.solve_multiscale(system, space, forms=forms)
+    else:
+        _, c_dense = cem.solve_multiscale(system, space, forms=forms)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cem, "DENSE_LIMIT", 0)
         u, c_sparse = cem.solve_multiscale(system, space, forms=forms)
-    assert np.linalg.norm(c_sparse - c_dense) <= 1e-10 * np.linalg.norm(c_dense)
+    if not singular:
+        assert np.linalg.norm(c_sparse - c_dense) <= 1e-10 * np.linalg.norm(c_dense)
     resid = space.trial.T @ (loads - forms.B @ u)
     assert np.linalg.norm(resid) <= 1e-10 * np.linalg.norm(space.trial.T @ loads)
     # built above DENSE_LIMIT, under one or three workers, the space stores
@@ -783,8 +810,9 @@ def test_generated_sparse_coarse_solve(cfg, data):
     assert (G != G.T).nnz == 0
     rows = np.repeat(np.arange(G.shape[0]), np.diff(G.indptr))
     assert near.G_norm == np.bincount(rows, weights=np.abs(G.data), minlength=G.shape[0]).max()
-    c_ref = np.linalg.solve(ref.toarray(), system.b)
-    assert np.linalg.norm(c_near - c_ref) <= 1e-10 * np.linalg.norm(c_ref)
+    if not singular:
+        c_ref = np.linalg.solve(ref.toarray(), system.b)
+        assert np.linalg.norm(c_near - c_ref) <= 1e-10 * np.linalg.norm(c_ref)
 
 
 @given(cfg=configurations())
@@ -803,7 +831,7 @@ def test_generated_online_space_equals_offline(cfg, data):
     # blocks are exactly zero); a first call on a fresh projection solves all
     c = _generated_coarse(cfg)
     assume(c.n_elements * cfg["nbf"] <= oversample(c, 0, c.NH - 1).free_nodes(cfg["strict"]).size)
-    rng, g, c, forms, P = _generated_setup(cfg)
+    rng, g, c, forms, P = _generated_setup(cfg, c)
     m = data.draw(st.integers(1, max(1, cfg["NH"] - 1)), label="m")
     blocks = element_loads(g, c, _random_complex(rng, g.n_nodes), _random_complex(rng, g.n_nodes))
     loaded = rng.random(c.n_elements) < 0.5
@@ -1091,7 +1119,7 @@ def test_generated_streamed_coarse_matrix_is_the_one_product(cfg, data):
     c = _generated_coarse(cfg)
     m = data.draw(st.integers(0, cfg["NH"]), label="m")
     assume(all(oversample(c, j, m).free_nodes(cfg["strict"]).size for j in range(c.n_elements)))
-    rng, g, c, forms, P = _generated_setup(cfg)
+    rng, g, c, forms, P = _generated_setup(cfg, c)
     spaces = []
     for workers in (3, 1):
         with pytest.MonkeyPatch.context() as mp:
@@ -1146,7 +1174,7 @@ def test_near_field_dense_branch_assembles_whole_g(near_field_nh6):
     # a near-field system solved at the default DENSE_LIMIT
     forms, space, system, ref = near_field_nh6
     _, c = cem.solve_multiscale(system, space, forms=forms)
-    assert np.array_equal(c, np.linalg.solve(ref.toarray(), system.b))
+    assert np.array_equal(c, cem._dense_solve(ref, system.b))
 
 
 def test_near_field_backward_error_guard(near_field_nh6, monkeypatch):
@@ -1195,7 +1223,7 @@ def test_generated_batched_build_matches_local_solves(cfg, data):
     c = _generated_coarse(cfg)
     m = data.draw(st.integers(0, cfg["NH"]), label="m")
     assume(all(oversample(c, j, m).free_nodes(cfg["strict"]).size for j in range(c.n_elements)))
-    rng, g, c, forms, P = _generated_setup(cfg)
+    rng, g, c, forms, P = _generated_setup(cfg, c)
     space = cem.build_space(forms, P, m, cfg["strict"])
     for j in range(c.n_elements):
         psi, _ = cem.local_cem_solve(j, m, forms, P, cfg["strict"])
