@@ -89,21 +89,23 @@ far below them.
 The trial vectors depend on the medium, k, the coarse grid, the projection
 and m, never on the data.  A `MultiscaleSpace` therefore carries, besides
 its own data corrector, the read-only trial matrix, G = Psi^T B Psi (or
-its near field, see below) and the element condensation, all formed once,
-when the trial matrix is built; `build_space` keeps the space it last built
-on the projection (`P.space`).
+its near field, see below), G's dense LU up to DENSE_LIMIT dofs and the
+element condensation, all formed once, when the trial matrix is built;
+`build_space` keeps the space it last built on the projection
+(`P.space`).
 A later call for the same forms object, m and strict_zero_trace returns
 that space with a new corrector, solved only on the patches whose element
 load block has a nonzero entry, one factorization and one right-hand side
 each; a load enters only through its element's Z_e and rim, so only the
 loaded elements' data are condensed.  Skipping the other patches is exact,
 as the data column of a zero block is exactly zero.  `assemble_coarse`
-forms only Psi^T (b - B q).  Each `build_space` logs at DEBUG the patches
-it factorized, in how many batches, how many of them in a reused class
-ordering and how many fresh, their skeleton unknowns, the summed L+U fill,
-and the G strips with their reach, the G entries stored, the seconds
-spent forming the lower strips, and the final wait from the last patch to
-G.
+forms only Psi^T (b - B q), and the dense coarse solve of every source
+only back-substitutes with the space's LU.  Each `build_space` logs at
+DEBUG the patches it factorized, in how many batches, how many of them in
+a reused class ordering and how many fresh, their skeleton unknowns, the
+summed L+U fill, and the G strips with their reach, the G entries stored,
+the seconds spent forming the lower strips, and the final wait from the
+last patch to G; the dense LU of G logs its own line with its rcond.
 
 The basis vectors decay exponentially away from their element, and so do
 the entries of G.  A coarse system larger than DENSE_LIMIT is therefore
@@ -115,9 +117,11 @@ matrix-free, as Psi^T (B (Psi x)) (`_MatrixFreeG`).  GMRES stops at a
 relative residual of 1e-12; when it does not get there in two cycles of
 100 iterations, the near-field LU is dropped, and the whole G, assembled as
 (B Psi)^T Psi if the space stores only its near field, is solved by its own
-LU.  The dense LU refuses a G singular to working precision, as linearly
-dependent trial vectors make it; GMRES does not check.  Either branch,
-dense or sparse, ends with a backward error guard: a
+LU.  Up to DENSE_LIMIT dofs the space keeps G's dense LU with its
+reciprocal condition estimate, and the solve refuses a G singular to
+working precision, as linearly dependent trial vectors make it; a
+hand-made system is factorized when solved.  GMRES does not check.
+Either branch, dense or sparse, ends with a backward error guard: a
 solution with |G c - b| > 1e-10 (|G| |c| + |b|), in max norms, raises
 SingularCoarseSystem instead of returning a field.  Its residual applies
 the whole G; its scale |G| is the stored G's |G|_inf, formed once per
@@ -525,8 +529,10 @@ class MultiscaleSpace:
     (a space of more than DENSE_LIMIT dofs, see `build_space`), only its
     near field, the entries between elements within Chebyshev distance
     NEAR_FIELD.  `G_norm` is the max-norm |G|_inf of the stored G (see
-    `_inf_norm`), so in the near-field case |G_near|_inf, and `condensation`
-    the element condensation the patch solves read; all are read-only, and
+    `_inf_norm`), so in the near-field case |G_near|_inf; `G_lu` is G's
+    dense LU (lu, piv, rcond) of `_dense_lu` for a space of at most
+    DENSE_LIMIT dofs, formed once with G, and None above; `condensation` is
+    the element condensation the patch solves read.  All are read-only, and
     the spaces `build_space` returns for one (forms, P, m,
     strict_zero_trace) share them.  `corrector` is the space's own summed
     localized data solve (None when it was built without load blocks).
@@ -538,6 +544,7 @@ class MultiscaleSpace:
     trial: sp.csc_matrix
     G: sp.csr_matrix
     G_norm: float
+    G_lu: tuple
     condensation: "Condensation"
     near_field: bool
     corrector: np.ndarray = None
@@ -578,11 +585,12 @@ def _inf_norm(G):
 
 
 def _new_space(forms, m, strict_zero_trace, trial, G, corrector, condensation, near_field):
-    """The space of a newly built trial matrix and its G: freezes both."""
+    """The space of a newly built trial matrix and its G: freezes both and,
+    up to DENSE_LIMIT dofs, factorizes G once (`_dense_lu`)."""
     trial, G = _read_only(trial), _read_only(G)
-    return MultiscaleSpace(
-        forms, m, strict_zero_trace, trial, G, _inf_norm(G), condensation, near_field, corrector
-    )
+    G_lu = _dense_lu(G) if G.shape[0] <= DENSE_LIMIT else None
+    return MultiscaleSpace(forms, m, strict_zero_trace, trial, G, _inf_norm(G), G_lu,
+                           condensation, near_field, corrector)
 
 
 def _slice(A, start, stop):
@@ -917,7 +925,9 @@ class _MatrixFreeG(spla.LinearOperator):
 @dataclass
 class CoarseSystem:
     """G c = b; `G_norm` is |G|_inf of the stored `G`, the space's when
-    `assemble_coarse` made the system, else computed here.  A hand-made
+    `assemble_coarse` made the system, else computed here, and `G_lu` the
+    space's dense LU of G (see `MultiscaleSpace`), which the dense solve
+    reuses; a system without one is factorized when solved.  A hand-made
     system's G may be sparse in any format or dense, and is the system's
     matrix.  For a near-field space (see `MultiscaleSpace`) `G` holds only
     the near field, and `operator` (a `_MatrixFreeG`) carries the action of
@@ -928,6 +938,7 @@ class CoarseSystem:
     nbf: int
     G_norm: float = None
     operator: spla.LinearOperator = None
+    G_lu: tuple = None
 
     def __post_init__(self):
         if self.G_norm is None:
@@ -960,7 +971,8 @@ def assemble_coarse(space, forms, loads):
         rhs_fine = rhs_fine - forms.B @ space.corrector
     b = space.trial.T @ rhs_fine
     operator = _MatrixFreeG(forms.B, space.trial) if space.near_field else None
-    return CoarseSystem(space.G, np.asarray(b).ravel(), space.nbf, space.G_norm, operator)
+    return CoarseSystem(space.G, np.asarray(b).ravel(), space.nbf, space.G_norm, operator,
+                        space.G_lu)
 
 
 def _near_mask(A, NH, nbf, first=0):
@@ -1001,17 +1013,32 @@ def _near_field_solve(G, A, b, NH, nbf):
     return c
 
 
-def _dense_solve(A, b):
-    """Solve A c = b, A sparse, by a dense LU; raise SingularMatrix when A
-    is singular to working precision, its LU's reciprocal condition
-    estimate in the 1-norm below the machine epsilon."""
+def _dense_lu(A):
+    """The dense LU of the sparse matrix A as (lu, piv, rcond): LAPACK
+    `getrf`'s factors, frozen read-only, and `gecon`'s estimate of A's
+    reciprocal condition number in the 1-norm (0 for an exactly zero
+    pivot)."""
     norm = abs(A).sum(axis=0).max()
     A = A.toarray(order="F")
-    getrf, gecon, getrs = get_lapack_funcs(("getrf", "gecon", "getrs"), (A, b))
+    getrf, gecon = get_lapack_funcs(("getrf", "gecon"), (A,))
     lu, piv, info = getrf(A, overwrite_a=True)
     rcond = gecon(lu, norm, norm="1")[0] if info == 0 else 0.0
+    lu.flags.writeable = piv.flags.writeable = False
+    log.debug("dense LU of G on %d dofs: rcond %.2e", A.shape[0], rcond)
+    return lu, piv, rcond
+
+
+def _dense_solve(A, b, G_lu=None):
+    """Solve A c = b, A sparse, by the dense LU `G_lu` of A (`_dense_lu`),
+    formed here when None; raise SingularMatrix when A is singular to
+    working precision, its LU's reciprocal condition estimate below the
+    machine epsilon."""
+    source = "the system's own LU" if G_lu is None else "the space's LU"
+    lu, piv, rcond = _dense_lu(A) if G_lu is None else G_lu
+    log.debug("coarse dense solve on %d dofs by %s, rcond %.2e", A.shape[0], source, rcond)
     if not rcond >= np.finfo(float).eps:
         raise SingularMatrix(f"reciprocal condition estimate {rcond:.2e}")
+    getrs = get_lapack_funcs("getrs", (lu, b))
     return getrs(lu, piv, b)[0]
 
 
@@ -1035,22 +1062,26 @@ def solve_multiscale(system, space, forms=None):
 
     The system's matrix is its G, or, when G holds only the near field of a
     near-field space, the whole G applied matrix-free (`CoarseSystem`).  Up
-    to DENSE_LIMIT coarse dofs, it is solved by a dense LU (a near-field
-    system first assembles its whole G).  Larger systems are solved by GMRES
-    (restart 100, at most two cycles) to a relative residual |G c - b|_2 /
-    |b|_2 of 1e-12, preconditioned by the sparse LU of G's near field: its
-    entries between coarse elements within Chebyshev distance NEAR_FIELD.
-    If GMRES does not converge, the near-field LU is dropped and the whole
-    G, assembled as (B Psi)^T Psi when the system stores only its near
-    field, is solved by its own sparse LU.  SingularCoarseSystem is raised
+    to DENSE_LIMIT coarse dofs, it is solved by a dense LU: the space's,
+    which `assemble_coarse` passes on, or else one formed here (a
+    near-field system first assembles its whole G).  Larger systems are
+    solved by GMRES (restart 100, at most two cycles) to a relative residual
+    |G c - b|_2 / |b|_2 of 1e-12, preconditioned by the sparse LU of G's
+    near field: its entries between coarse elements within Chebyshev
+    distance NEAR_FIELD.  If GMRES does not converge, the near-field LU is
+    dropped and the whole G, assembled as (B Psi)^T Psi when the system
+    stores only its near field, is solved by its own sparse LU.
+    SingularCoarseSystem is raised
     for a G singular to working precision in the dense branch
     (`_dense_solve`; GMRES does not check, and returns coefficients of the
     one field), for an exactly singular near field or G in the sparse
     branch, and, in either, for a solution whose backward error
     |G c - b| / (|G| |c| + |b|), in max norms, exceeds 1e-10, with |G| the
     stored G's |G|_inf (|G_near|_inf for a near-field system, which only
-    makes the guard stricter).  The GMRES iteration count, the operator
-    GMRES applied and the backward error are logged at DEBUG.
+    makes the guard stricter).  The dense LU used (the space's or the
+    system's own) with its reciprocal condition estimate, the GMRES
+    iteration count, the operator GMRES applied and the backward error are
+    logged at DEBUG.
     """
     G, b = sp.csr_matrix(system.G), system.b
     A = G if system.operator is None else system.operator  # the system's matrix
@@ -1060,7 +1091,7 @@ def solve_multiscale(system, space, forms=None):
         diag = f" (k*H/eps = {khe:.3g}; check resolution/oversampling)"
     try:
         if G.shape[0] <= DENSE_LIMIT:
-            c = _dense_solve(A.tocsr(), b)
+            c = _dense_solve(A.tocsr(), b, system.G_lu)
         else:
             c = _near_field_solve(G, A, b, space.forms.coarse.NH, system.nbf)
     except SingularMatrix as exc:

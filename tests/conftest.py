@@ -1,9 +1,11 @@
 """Test-wide settings.
 
-Hypothesis runs with a fixed, derandomized set of examples, no example
-database and no deadline, so the results depend neither on a random seed
-nor on the speed of the machine.  Every test must also stop the threads it
-starts: one left alive fails the test.
+Hypothesis runs with a fixed set of examples, no example database and no
+deadline, so the results depend neither on a random seed nor on the speed
+of the machine.  Each property test pins its examples with `@seed`: the
+derandomized default seeds a test from its source text, so any edit to
+its body would draw other examples.  Every test must also stop the
+threads it starts: one left alive fails the test.
 """
 
 import threading
