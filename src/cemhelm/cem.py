@@ -856,7 +856,7 @@ def build_space(forms, P, m, strict_zero_trace=False, load_blocks=None):
             space.condensation, forms, P, m, strict_zero_trace, load_blocks, with_trial=False
         )
         return replace(space, corrector=corrector)
-    P.space = None  # free the previous trial, G and condensation before building the next
+    P.space = space = None  # the previous trial, G, LU and condensation go before the build
     cond = _condense(forms, P)
     near_field = coarse.n_elements * P.nbf > DENSE_LIMIT  # the branch of `solve_multiscale`
     trial, G, corrector = _solve_patches(

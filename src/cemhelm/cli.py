@@ -224,8 +224,12 @@ class _Pipeline:
         return u_ms, space, system, coeffs
 
     def errors(self, m):
-        u_ms, space, _, _ = self.solve(m)
+        """Errors of the multiscale solution with m layers against the fine
+        reference.  The reference is solved first: a space of at most
+        cem.DENSE_LIMIT dofs keeps the dense LU of its G (41 MB at 1600
+        dofs), which would otherwise be held through the fine solve."""
         u_ref = self.reference()
+        u_ms, space, _, _ = self.solve(m)
         t0 = time.perf_counter()
         report = relative_errors(
             u_ref, u_ms, self.forms,
@@ -289,6 +293,7 @@ def sweep(config, out_path=None):
                     raise IndivisibleMesh(f"NH={NH} does not divide nx={config.nx}")
                 report, _, space = pipe.errors(m)
                 e_l2, e_a, dofs = report.e_l2, report.e_energy, space.n_basis
+                del space  # not held through the next cell's build
             except CemhelmError as exc:
                 log.error("sweep cell NH=%d m=%d failed: %s", NH, m, exc)
                 e_l2 = e_a = float("nan")

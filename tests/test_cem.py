@@ -1020,6 +1020,23 @@ def test_changed_key_rebuilds_space(counted_factorize):
     assert counted_factorize == []
 
 
+def test_previous_space_freed_before_the_next_build(monkeypatch):
+    # a build for another key does not hold P's last trial, G and dense LU
+    g, c, forms, P = make_setup(nx=16, NH=4, nbf=2)
+    first = cem.build_space(forms, P, 1)
+    previous = [weakref.ref(a) for a in (first.trial, first.G, first.G_lu[0])]
+    del first
+    alive, condense = [], cem._condense
+
+    def spy(forms_, P_):
+        alive.append([ref() is not None for ref in previous])
+        return condense(forms_, P_)
+
+    monkeypatch.setattr(cem, "_condense", spy)
+    cem.build_space(forms, P, 2)
+    assert alive == [[False] * 3]
+
+
 def test_assemble_coarse_rejects_foreign_forms():
     # G belongs to the forms the space was built from; an equal copy is refused
     g, c, forms, P = make_setup(nx=16, NH=4, nbf=2)

@@ -88,6 +88,20 @@ def test_run_report_and_json(tmp_path):
     assert on_disk["errors"] == report["errors"]
 
 
+def test_errors_solve_the_reference_before_the_space(monkeypatch):
+    # the space's dense LU of G is not held through the fine solve
+    pipe = cli._Pipeline(small_config())
+    solved_first, build = [], cem.build_space
+
+    def spy(*args, **kwargs):
+        solved_first.append(pipe._reference is not None)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(cem, "build_space", spy)
+    pipe.errors(1)
+    assert solved_first == [True]
+
+
 def test_run_errors_are_against_fine_reference():
     # model1 too: the errors are the multiscale errors, not the fine grid's
     cfg = small_config()
