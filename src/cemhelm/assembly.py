@@ -210,6 +210,16 @@ def element_blocks(rows, cols, vals, n, p):
     return np.bincount(flat, weights=vals, minlength=n * p * p).reshape(n, p, p)
 
 
+_CHUNK_BYTES = 2 << 20  # bytes of one (chunk, p, p) float64 stack, see `_element_chunks`
+
+
+def _element_chunks(n, p):
+    """Consecutive ranges of elements 0 ... n - 1, each of as many elements
+    (one at least) as a (chunk, p, p) float64 stack within _CHUNK_BYTES."""
+    size = max(1, _CHUNK_BYTES // (8 * p * p))
+    return [range(lo, min(lo + size, n)) for lo in range(0, n, size)]
+
+
 def element_loads(grid, coarse, f_nodal, g_nodal):
     """Per-coarse-element split of the load vector M f + Mb g, shape (N, p).
 

@@ -21,11 +21,12 @@ That system is solved by element-interior static condensation.  An
 element's interior nodes touch only its own cells and its y_e only its
 own nodes, and the free-node rule never constrains an interior node.  So
 each element e eliminates Z_e = (interior nodes, y_e) once per space, in
-one batched dense solve over all elements, leaving a dense Schur complement
-S_e on its 4r rim nodes (see `Condensation`).  Z_e and its coupling C_e to
-the rim are real, as the boundary mass lives on rim nodes; only B_RR
-carries -ik Mb.  A patch system is then the sum of S_e over the patch's
-elements on its free rim nodes, the skeleton, with a fraction of the
+one batched dense solve per chunk of elements (`assembly._element_chunks`,
+whose (chunk, p, p) stacks stay within a few MB), leaving a dense Schur
+complement S_e on its 4r rim nodes (see `Condensation`).  Z_e and its
+coupling C_e to the rim are real, as the boundary mass lives on rim nodes;
+only B_RR carries -ik Mb.  A patch system is then the sum of S_e over the
+patch's elements on its free rim nodes, the skeleton, with a fraction of the
 patch's unknowns and LU fill; its right-hand sides enter through one
 element's rim, and the interiors come back from a product with the real
 Z_e^-1 C_e of the patch's elements.  Patches of one shape (`_layout_key`:
@@ -37,8 +38,8 @@ the minimum-degree LU of `kernels.factorize`, and its ordering renumbers
 the skeleton of the rest of the class, which is gathered straight into the
 ordered pattern and factorized as it is.  The patches of one class in one
 element row are solved as one batch (`_solve_batch`): one gather of all
-their skeleton values, one block of right-hand sides and one product
-for all their interiors, so only the numeric LU and its solve are per
+their skeleton values and one block of right-hand sides, so only the
+numeric LU, its solve and the product recovering the interiors are per
 patch.  A singular or ill-conditioned Z_e (k H / eps far beyond the
 resolution condition) raises SingularLocalSystem naming the element.  Test
 vectors are the conjugates of the trial vectors; the independent adjoint
@@ -151,6 +152,7 @@ from .errors import (
     SingularMatrix,
 )
 from .assembly import (
+    _element_chunks,
     assemble_stiffness,
     element_blocks,
     element_boundary_triplets,
@@ -223,7 +225,11 @@ def _element_systems(forms, P, elements):
     vals = vals - (forms.k * forms.k) * np.tile(Me.ravel(), coeffs.size)
     blocks = element_blocks(rows, cols, vals, len(coeffs), p)
     rows, cols, vals = element_boundary_triplets(grid, coarse)
-    Mb = element_blocks(rows // p * n_r + at[rows % p] - n_i, at[cols % p] - n_i, vals, N, n_r)
+    rank = np.full(N, -1)
+    rank[elements] = np.arange(len(coeffs))  # position in `elements`, -1 for the others
+    keep = rank[rows // p] >= 0  # the boundary triplets of `elements`
+    e, a, b = rank[rows[keep] // p], at[rows[keep] % p] - n_i, at[cols[keep] % p] - n_i
+    Mb = element_blocks(e * n_r + a, b, vals[keep], len(coeffs), n_r)
     U = P.sphi[elements][:, order]
     Z = np.zeros((len(coeffs), n_i + nbf, n_i + nbf))
     Z[:, :n_i, :n_i] = blocks[:, :n_i, :n_i]
@@ -231,11 +237,11 @@ def _element_systems(forms, P, elements):
     Z[:, n_i:, :n_i] = U[:, :n_i].transpose(0, 2, 1)
     Z[:, n_i:, n_i:] = -np.eye(nbf)
     C = np.concatenate([blocks[:, :n_i, n_i:], U[:, n_i:].transpose(0, 2, 1)], axis=1)
-    return Z, C, blocks[:, n_i:, n_i:] - 1j * forms.k * Mb[elements]
+    return Z, C, blocks[:, n_i:, n_i:] - 1j * forms.k * Mb
 
 
-def _solve_elements(forms, Z, rhs):
-    """Z_e^-1 rhs_e for the stack of element blocks Z_e.
+def _solve_elements(forms, Z, rhs, elements):
+    """Z_e^-1 rhs_e for the stack of element blocks Z_e of `elements`.
 
     Raises SingularLocalSystem naming the first element whose block is
     singular or ill-conditioned: |rhs_e| < _MIN_RCOND |Z_e| |Z_e^-1 rhs_e|, in
@@ -251,7 +257,7 @@ def _solve_elements(forms, Z, rhs):
     if bad.size:
         khe = forms.k * forms.coarse.H / forms.medium.epsilon
         raise SingularLocalSystem(
-            f"element {bad[0]}: interior system is singular or ill-conditioned "
+            f"element {elements[bad[0]]}: interior system is singular or ill-conditioned "
             f"(k*H/eps = {khe:.3g}; check resolution)"
         )
     return X
@@ -291,27 +297,34 @@ class Condensation:
 
 
 def _condense(forms, P):
-    """Eliminate every element's interior and border unknowns at once."""
+    """Eliminate every element's interior and border unknowns, chunk by chunk."""
     nodes = forms.coarse.element_nodes
+    (N, p), nbf = nodes.shape, P.nbf
     interior, rim = _element_split(forms.coarse)
     n_i, n_r = interior.size, rim.size
-    Z, C, B_RR = _element_systems(forms, P, np.arange(len(nodes)))
-    trial = np.zeros(Z.shape[:2] + (P.nbf,))
-    trial[:, :n_i] = P.sphi[:, interior]
-    X = _solve_elements(forms, Z, np.concatenate([C, trial], axis=2))
-    Ct = C.transpose(0, 2, 1)
     on_rim = np.zeros(forms.grid.n_nodes, dtype=bool)
     on_rim[nodes[:, rim]] = True
     cond = Condensation(
         interior_nodes=nodes[:, interior],
         rim_nodes=nodes[:, rim],
         on_rim=on_rim,
-        S=B_RR - Ct @ X[:, :, :n_r],
-        diag=np.diagonal(B_RR, axis1=1, axis2=2).copy(),
-        W=X[:, :n_i, :n_r].copy(),
-        trial_rim=P.sphi[:, rim] - Ct @ X[:, :, n_r:],
-        trial_interior=X[:, :n_i, n_r:].copy(),
+        S=np.empty((N, n_r, n_r), dtype=complex),
+        diag=np.empty((N, n_r), dtype=complex),
+        W=np.empty((N, n_i, n_r)),
+        trial_rim=np.empty((N, n_r, nbf)),
+        trial_interior=np.empty((N, n_i, nbf)),
     )
+    for chunk in _element_chunks(N, p):
+        Z, C, B_RR = _element_systems(forms, P, chunk)
+        trial = np.zeros(Z.shape[:2] + (nbf,))
+        trial[:, :n_i] = P.sphi[chunk][:, interior]
+        X = _solve_elements(forms, Z, np.concatenate([C, trial], axis=2), chunk)
+        Ct = C.transpose(0, 2, 1)
+        cond.S[chunk] = B_RR - Ct @ X[:, :, :n_r]
+        cond.diag[chunk] = np.diagonal(B_RR, axis1=1, axis2=2)
+        cond.W[chunk] = X[:, :n_i, :n_r]
+        cond.trial_rim[chunk] = P.sphi[chunk][:, rim] - Ct @ X[:, :, n_r:]
+        cond.trial_interior[chunk] = X[:, :n_i, n_r:]
     for arr in vars(cond).values():
         arr.flags.writeable = False
     return cond
@@ -320,13 +333,19 @@ def _condense(forms, P):
 def _load_sources(forms, P, elements, blocks):
     """The condensed per-element loads `blocks` of `elements` (one row of
     element-node values per element): with z_e = Z_e^-1 [f_I; 0], the rim
-    loads f_R - C_e^T z_e and the interior rows of z_e."""
+    loads f_R - C_e^T z_e and the interior rows of z_e, chunk by chunk."""
     interior, rim = _element_split(forms.coarse)
-    Z, C, _ = _element_systems(forms, P, elements)
-    rhs = np.zeros(Z.shape[:2] + (1,), dtype=complex)
-    rhs[:, :interior.size, 0] = blocks[:, interior]
-    z = np.linalg.solve(Z, rhs)
-    return blocks[:, rim] - (C.transpose(0, 2, 1) @ z)[:, :, 0], z[:, :interior.size, 0]
+    elements = np.asarray(elements)
+    rim_loads = np.empty((elements.size, rim.size), dtype=complex)
+    interior_loads = np.empty((elements.size, interior.size), dtype=complex)
+    for chunk in _element_chunks(elements.size, forms.coarse.element_nodes.shape[1]):
+        Z, C, _ = _element_systems(forms, P, elements[chunk])
+        rhs = np.zeros(Z.shape[:2] + (1,), dtype=complex)
+        rhs[:, :interior.size, 0] = blocks[chunk][:, interior]
+        z = np.linalg.solve(Z, rhs)
+        rim_loads[chunk] = blocks[chunk][:, rim] - (C.transpose(0, 2, 1) @ z)[:, :, 0]
+        interior_loads[chunk] = z[:, :interior.size, 0]
+    return rim_loads, interior_loads
 
 
 def _trial_sources(cond, elements, patches):
@@ -452,16 +471,17 @@ def _solve_batch(cond, layout, js, m, sources, n_cols, error=SingularLocalSystem
 
     Patch p's skeleton system sums the Schur complements S_e of its elements
     on its free rim nodes (see `_skeleton_layout`).  The batch gathers the
-    values of all its skeletons, sets up all right-hand sides and recovers
-    all interiors at once; only the factorization and the solve are per
-    patch.  Source s of `sources` = (patches, elements, columns, rim,
-    interior) adds its condensed right-hand side rim[s] on the rim nodes of
-    elements[s] in patch patches[s] and the interior particular solution
-    interior[s] to column columns[s].  Returns (free rows, shape (patches,
-    rows); the solutions on them, (patches, rows, n_cols); the summed L+U
-    fill of the patches' LUs; the ordering `perm_c` of the first patch's
-    LU).  Each LU is dropped once solved.  A patch without free nodes or
-    with a singular system raises `error` naming its element.
+    values of all its skeletons and sets up all right-hand sides at once;
+    the factorization, its solve and the product with the patch's W that
+    recovers the interiors are per patch.  Source s of `sources` = (patches,
+    elements, columns, rim, interior) adds its condensed right-hand side
+    rim[s] on the rim nodes of elements[s] in patch patches[s] and the
+    interior particular solution interior[s] to column columns[s].  Returns
+    (free rows, shape (patches, rows); the solutions on them, (patches,
+    rows, n_cols); the summed L+U fill of the patches' LUs; the ordering
+    `perm_c` of the first patch's LU).  Each LU is dropped once solved.  A
+    patch without free nodes or with a singular system raises `error`
+    naming its element.
     """
     js = np.asarray(js)
     if layout.rows.size == 0:
@@ -489,7 +509,9 @@ def _solve_batch(cond, layout, js, m, sources, n_cols, error=SingularLocalSystem
         fill += F.fill
         perm_c = F.perm_c if perm_c is None else perm_c
     rhs[:, n] = 0.0
-    interior = -(cond.W[layout.elements + firsts[:, None]] @ rhs[:, layout.local])
+    interior = np.empty((js.size,) + layout.interior.shape + (n_cols,), dtype=complex)
+    for p, first in enumerate(firsts):  # gathers (and upcasts) one patch's W at a time
+        interior[p] = -(cond.W[layout.elements + first] @ rhs[p, layout.local])
     np.add.at(interior, (patches[:, None], e[:, None], np.arange(interior.shape[2]),
                          src_cols[:, None]), src_interior)
     vals = np.empty((js.size, layout.rows.size, n_cols), dtype=complex)
@@ -996,8 +1018,9 @@ def _near_field_solve(G, A, b, NH, nbf):
     """Solve A c = b by GMRES preconditioned with the LU of the near field
     of G (CSR or CSC), or, when GMRES does not converge, by the LU of A.
     A is G, or, when G holds only the near field and is factorized as it
-    is, the `_MatrixFreeG` of the whole G, which the fallback assembles."""
-    F = kernels.factorize(_near_field(G, NH, nbf) if A is G else G)
+    is, the `_MatrixFreeG` of the whole G, which the fallback assembles;
+    that G is exactly symmetric, so G.T (its CSR arrays as CSC) is G, uncopied."""
+    F = kernels.factorize(_near_field(G, NH, nbf) if A is G else G.T)
     M = spla.LinearOperator(G.shape, matvec=F.solve, dtype=G.dtype)
     residuals = []  # one per iteration
     c, info = spla.gmres(

@@ -7,11 +7,12 @@ weighted mass).  Eigenvectors are s_j-orthonormal, so the projection onto
 their span needs no denominators.
 
 All N elements are the same r x r block of fine cells, so their forms share
-one stencil (`assembly.element_stencil`) and are assembled at once, as COO
-triplets in broken numbering (node a of element j is row j*p + a).  These
-give the dense (N, p, p) stacks the eigensolves read, freed on return, and
-the sparse block-diagonal S the projection keeps.  Everything else it holds
-is stacked by element, so applying it is one batched product.
+one stencil (`assembly.element_stencil`) and are assembled as COO triplets
+in broken numbering (node a of element j is row j*p + a).  These give the
+sparse block-diagonal S the projection keeps and, one chunk of elements at a
+time (`assembly._element_chunks`), the dense (chunk, p, p) stacks the
+eigensolves read.  Everything else it holds is stacked by element, so
+applying it is one batched product.
 
 On request (trace_weight != 0) the s-form gains a trace term on elements
 touching the outer boundary, gamma * int_{dK_j ^ dOmega} A u v.  It is
@@ -39,8 +40,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import kernels
-from .assembly import element_blocks, element_boundary_triplets, element_matrices
-from .assembly import element_stencil, element_triplets
+from .assembly import _element_chunks, element_blocks, element_boundary_triplets
+from .assembly import element_matrices, element_stencil, element_triplets
 
 TRACE_WEIGHT_SCALE = 96.0  # default gamma = 96 / H^2, times the local coefficient
 
@@ -95,17 +96,21 @@ def build_projection(forms, nbf, trace_weight=0.0):
     cells = coarse.element_cells
     stencil = element_stencil(grid, coarse)
     Ke, Me = element_matrices(grid.h, 1.0)
-    K = element_blocks(*element_triplets(stencil, Ke, forms.medium.values[cells]), N, p)
     parts = [element_triplets(stencil, Me, forms.weights.values[cells])]
     if trace_weight:
         rows, cols, vals = element_boundary_triplets(grid, coarse, forms.medium)
         parts.append((rows, cols, trace_weight * vals))
     rows, cols, vals = (np.concatenate(t) for t in zip(*parts))
-    S_blocks = element_blocks(rows, cols, vals, N, p)
+    del parts  # the unconcatenated copy
     eigenvalues = np.empty((N, nbf))
     bases = np.empty((N, p, nbf))
-    for j in range(N):
-        eigenvalues[j], bases[j] = kernels.generalized_sym_eig(K[j], S_blocks[j], nbf)
+    for chunk in _element_chunks(N, p):
+        n, lo = len(chunk), chunk.start * p
+        K = element_blocks(*element_triplets(stencil, Ke, forms.medium.values[cells[chunk]]), n, p)
+        mine = (rows >= lo) & (rows < chunk.stop * p)  # trace triplets included
+        S_blocks = element_blocks(rows[mine] - lo, cols[mine], vals[mine], n, p)
+        for j, K_j, S_j in zip(chunk, K, S_blocks):
+            eigenvalues[j], bases[j] = kernels.generalized_sym_eig(K_j, S_j, nbf)
     S = sp.csr_matrix((vals, (rows, cols)), shape=(N * p, N * p))
     sphi = (S @ bases.reshape(N * p, nbf)).reshape(N, p, nbf)
     return ProjectionOperator(coarse, eigenvalues, bases, sphi, S)

@@ -3,6 +3,7 @@ import logging
 import re
 import sys
 import threading
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -12,7 +13,7 @@ import scipy.sparse.linalg
 from hypothesis import assume, given, seed
 from hypothesis import strategies as st
 
-from cemhelm import cem, kernels, spectral
+from cemhelm import assembly, cem, kernels, spectral
 from cemhelm.assembly import build_forms, element_loads
 from cemhelm.errors import (
     DimensionMismatch,
@@ -161,8 +162,69 @@ def test_exactly_singular_element_block_is_named():
     g, c, forms, P = make_setup(nx=8, NH=2, nbf=1)
     Z = np.stack([np.eye(3), np.diag([1.0, 1.0, 0.0]), np.eye(3)])
     with pytest.raises(SingularLocalSystem, match="element 1: "):
-        cem._solve_elements(forms, Z, np.ones((3, 3, 1)))
+        cem._solve_elements(forms, Z, np.ones((3, 3, 1)), range(3))
 
+
+def test_singular_block_in_a_later_chunk_is_named_globally(monkeypatch):
+    # one element per chunk: the singular block of element 2 is the first
+    # block of its chunk, and the error still names element 2
+    g, c, forms, P = make_setup(nx=8, NH=2, nbf=1)
+    monkeypatch.setattr(assembly, "_CHUNK_BYTES", 1)
+    solve = cem._solve_elements
+
+    def singular_at_2(forms, Z, rhs, elements):
+        if 2 in elements:
+            Z = Z.copy()
+            Z[list(elements).index(2)] = 0.0
+        return solve(forms, Z, rhs, elements)
+
+    monkeypatch.setattr(cem, "_solve_elements", singular_at_2)
+    with pytest.raises(SingularLocalSystem, match="element 2: "):
+        cem._condense(forms, P)
+
+
+@pytest.fixture(scope="module")
+def setup48():
+    # r = 12, p = 169: the element size of `shots-h10`
+    med = synthesize_channels(48, 48, seed=5, contrast=1e-3, channel_count=4)
+    return make_setup(nx=48, NH=4, nbf=4, k=8.0, medium=med)
+
+
+def _same_bytes(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_chunked_condensation_is_bitwise_one_chunk(setup48, monkeypatch):
+    # one element per chunk against one chunk for all elements
+    g, c, forms, P = setup48
+    elements = np.arange(c.n_elements)
+    blocks = np.random.default_rng(0).standard_normal(c.element_nodes.shape)
+    results = []
+    for budget in (1, 1 << 40):
+        monkeypatch.setattr(assembly, "_CHUNK_BYTES", budget)
+        results.append((cem._condense(forms, P), cem._load_sources(forms, P, elements, blocks)))
+    (one, loads_one), (whole, loads_whole) = results
+    for name, a in vars(one).items():
+        assert _same_bytes(a, getattr(whole, name)), name
+    assert all(_same_bytes(a, b) for a, b in zip(loads_one, loads_whole))
+
+
+@pytest.mark.parametrize("step", ["projection", "condensation"])
+def test_chunked_offline_steps_stay_below_one_element_stack(setup48, step, monkeypatch):
+    # with one element per chunk the traced peak stays below one (N, p, p)
+    # float64 stack, which the unchunked steps held whole
+    g, c, forms, P = setup48
+    N, p = c.element_nodes.shape
+    monkeypatch.setattr(assembly, "_CHUNK_BYTES", 1)
+    run = {"projection": lambda: spectral.build_projection(forms, P.nbf),
+           "condensation": lambda: cem._condense(forms, P)}[step]
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < N * p * p * 8
 
 def test_localization_consistency_full_patch(setup32):
     # patch = domain reproduces the unlocalized basis exactly
@@ -1222,6 +1284,27 @@ def near_field_nh6():
     assert space.G.nnz == cem._near_field(ref, 6, 2).nnz < ref.nnz
     return forms, space, system, ref
 
+
+def test_stored_near_field_reaches_superlu_uncopied(near_field_nh6, monkeypatch):
+    # the stored near field is exactly symmetric: its CSR arrays go to
+    # SuperLU as CSC, uncopied, with the fill and solve of its `tocsc()` copy
+    forms, space, system, ref = near_field_nh6
+    monkeypatch.setattr(cem, "DENSE_LIMIT", 0)
+    factorized, factorize = [], kernels.factorize
+
+    def spy(A, **kw):
+        factorized.append((A, factorize(A, **kw)))
+        return factorized[-1][1]
+
+    monkeypatch.setattr(kernels, "factorize", spy)
+    cem.solve_multiscale(system, space, forms=forms)
+    ((A, F),) = factorized
+    G = space.G
+    assert A.format == "csc" and all(np.shares_memory(a, b) for a, b in zip(
+        (A.data, A.indices, A.indptr), (G.data, G.indices, G.indptr)))
+    copied = factorize(G.tocsc())
+    assert F.fill == copied.fill
+    assert F.solve(system.b).tobytes() == copied.solve(system.b).tobytes()
 
 def test_near_field_build_and_solve_log_their_operator(caplog, monkeypatch):
     g, c, forms, P = make_setup(nx=24, NH=6, nbf=2)

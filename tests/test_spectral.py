@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from cemhelm import spectral
+from cemhelm import assembly, spectral
 from cemhelm.assembly import (
     assemble_boundary_mass,
     assemble_stiffness,
@@ -288,3 +288,19 @@ def test_stacked_projection_matches_per_element_oracle():
         ref = S @ V[:, :3] @ V[:, :3].T @ S
         mine = P.sphi[j] @ P.sphi[j].T
         assert np.abs(mine - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("trace_weight", [0.0, -1.0])
+def test_chunked_projection_is_bitwise_one_chunk(trace_weight, monkeypatch):
+    # p = 169, one element per chunk against one chunk for all elements; with
+    # the trace term each boundary element's trace triplets join its chunk
+    med = synthesize_channels(48, 48, seed=5, contrast=1e-3, channel_count=4)
+    projections = []
+    for budget in (1, 1 << 40):
+        monkeypatch.setattr(assembly, "_CHUNK_BYTES", budget)
+        projections.append(make_setup(48, 4, 4, medium=med, trace_weight=trace_weight)[3])
+    one, whole = projections
+    arrays = ("eigenvalues", "bases", "sphi")
+    pairs = [(getattr(one, a), getattr(whole, a)) for a in arrays]
+    pairs += [(getattr(one.S, a), getattr(whole.S, a)) for a in ("data", "indices", "indptr")]
+    assert all(a.dtype == b.dtype and a.tobytes() == b.tobytes() for a, b in pairs)
