@@ -210,6 +210,14 @@ def element_blocks(rows, cols, vals, n, p):
     return np.bincount(flat, weights=vals, minlength=n * p * p).reshape(n, p, p)
 
 
+def _triplets_of(elements, p, rows, cols, vals):
+    """The broken-numbering triplets of `elements` (ascending), in their
+    order, with element elements[i] renumbered as element i."""
+    owner = rows // p
+    keep = np.isin(owner, elements)
+    return np.searchsorted(elements, owner[keep]) * p + rows[keep] % p, cols[keep], vals[keep]
+
+
 _CHUNK_BYTES = 2 << 20  # bytes of one (chunk, p, p) float64 stack, see `_element_chunks`
 
 

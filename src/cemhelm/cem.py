@@ -25,7 +25,9 @@ one batched dense solve per chunk of elements (`assembly._element_chunks`,
 whose (chunk, p, p) stacks stay within a few MB), leaving a dense Schur
 complement S_e on its 4r rim nodes (see `Condensation`).  Z_e and its
 coupling C_e to the rim are real, as the boundary mass lives on rim nodes;
-only B_RR carries -ik Mb.  A patch system is then the sum of S_e over the
+only B_RR carries -ik Mb.  So Z_e and C_e are equal across a kind of
+element (`P.kinds`, see `spectral`) and solved once per kind, as the DEBUG
+log counts.  A patch system is then the sum of S_e over the
 patch's elements on its free rim nodes, the skeleton, with a fraction of the
 patch's unknowns and LU fill; its right-hand sides enter through one
 element's rim, and the interiors come back from a product with the real
@@ -41,7 +43,8 @@ element row are solved as one batch (`_solve_batch`): one gather of all
 their skeleton values and one block of right-hand sides, so only the
 numeric LU, its solve and the product recovering the interiors are per
 patch.  A singular or ill-conditioned Z_e (k H / eps far beyond the
-resolution condition) raises SingularLocalSystem naming the element.  Test
+resolution condition) raises SingularLocalSystem naming the element (for a
+kind, its lowest-index element).  Test
 vectors are the conjugates of the trial vectors; the independent adjoint
 solve (the condensation of conj(B), which conjugates only S_e and the B_RR
 diagonals) is kept for cross-validation.
@@ -153,6 +156,7 @@ from .errors import (
 )
 from .assembly import (
     _element_chunks,
+    _triplets_of,
     assemble_stiffness,
     element_blocks,
     element_boundary_triplets,
@@ -206,30 +210,24 @@ def _element_split(coarse):
 
 
 def _element_systems(forms, P, elements):
-    """Z_e, C_e and B_RR of `elements`, stacked (see `Condensation`).
+    """Z_e, C_e and Re B_RR of `elements`, stacked (see `Condensation`).
 
     The element forms K_e - k^2 M_e are scattered from the element stencil
     with the interior nodes numbered first; in Z_e the border unknowns y_e
     follow the interior nodes.  The boundary mass of B lives on rim nodes
-    only, so -ik Mb enters B_RR alone.
+    only (`_rim_boundary_mass`), so -ik Mb enters B_RR alone.
     """
     grid, coarse = forms.grid, forms.coarse
-    N, p = coarse.element_nodes.shape
+    p = coarse.element_nodes.shape[1]
     interior, rim = _element_split(coarse)
     order = np.concatenate([interior, rim])
-    n_i, n_r, nbf = interior.size, rim.size, P.nbf
-    at = np.argsort(order)  # position of each element node in `order`
+    n_i, nbf = interior.size, P.nbf
     Ke, Me = element_matrices(grid.h, 1.0)
     coeffs = forms.medium.values[coarse.element_cells[elements]]
-    rows, cols, vals = element_triplets(at[element_stencil(grid, coarse)], Ke, coeffs)
+    stencil = np.argsort(order)[element_stencil(grid, coarse)]  # interior nodes first
+    rows, cols, vals = element_triplets(stencil, Ke, coeffs)
     vals = vals - (forms.k * forms.k) * np.tile(Me.ravel(), coeffs.size)
     blocks = element_blocks(rows, cols, vals, len(coeffs), p)
-    rows, cols, vals = element_boundary_triplets(grid, coarse)
-    rank = np.full(N, -1)
-    rank[elements] = np.arange(len(coeffs))  # position in `elements`, -1 for the others
-    keep = rank[rows // p] >= 0  # the boundary triplets of `elements`
-    e, a, b = rank[rows[keep] // p], at[rows[keep] % p] - n_i, at[cols[keep] % p] - n_i
-    Mb = element_blocks(e * n_r + a, b, vals[keep], len(coeffs), n_r)
     U = P.sphi[elements][:, order]
     Z = np.zeros((len(coeffs), n_i + nbf, n_i + nbf))
     Z[:, :n_i, :n_i] = blocks[:, :n_i, :n_i]
@@ -237,7 +235,18 @@ def _element_systems(forms, P, elements):
     Z[:, n_i:, :n_i] = U[:, :n_i].transpose(0, 2, 1)
     Z[:, n_i:, n_i:] = -np.eye(nbf)
     C = np.concatenate([blocks[:, :n_i, n_i:], U[:, n_i:].transpose(0, 2, 1)], axis=1)
-    return Z, C, blocks[:, n_i:, n_i:] - 1j * forms.k * Mb
+    return Z, C, blocks[:, n_i:, n_i:]
+
+
+def _rim_boundary_mass(forms, elements):
+    """The boundary mass Mb of `elements` on their rim nodes, stacked."""
+    coarse = forms.coarse
+    p = coarse.element_nodes.shape[1]
+    interior, rim = _element_split(coarse)
+    at = np.argsort(np.concatenate([interior, rim])) - interior.size  # rim position of a node
+    rows, cols, vals = _triplets_of(elements, p, *element_boundary_triplets(forms.grid, coarse))
+    n = len(elements)
+    return element_blocks(rows // p * rim.size + at[rows % p], at[cols % p], vals, n, rim.size)
 
 
 def _solve_elements(forms, Z, rhs, elements):
@@ -297,9 +306,12 @@ class Condensation:
 
 
 def _condense(forms, P):
-    """Eliminate every element's interior and border unknowns, chunk by chunk."""
+    """Eliminate every element's interior and border unknowns: Z_e and C_e
+    are solved once per kind (`P.kinds`), a chunk of kinds at a time, and
+    written to the elements of each kind with their own B_RR."""
     nodes = forms.coarse.element_nodes
     (N, p), nbf = nodes.shape, P.nbf
+    first, kind = P.kinds
     interior, rim = _element_split(forms.coarse)
     n_i, n_r = interior.size, rim.size
     on_rim = np.zeros(forms.grid.n_nodes, dtype=bool)
@@ -314,17 +326,21 @@ def _condense(forms, P):
         trial_rim=np.empty((N, n_r, nbf)),
         trial_interior=np.empty((N, n_i, nbf)),
     )
-    for chunk in _element_chunks(N, p):
-        Z, C, B_RR = _element_systems(forms, P, chunk)
+    log.debug("condensation: %d elements in %d kinds, one interior solve each", N, first.size)
+    for chunk in _element_chunks(first.size, p):
+        Z, C, B_RR = _element_systems(forms, P, first[chunk])
         trial = np.zeros(Z.shape[:2] + (nbf,))
-        trial[:, :n_i] = P.sphi[chunk][:, interior]
-        X = _solve_elements(forms, Z, np.concatenate([C, trial], axis=2), chunk)
+        trial[:, :n_i] = P.sphi[first[chunk]][:, interior]
+        X = _solve_elements(forms, Z, np.concatenate([C, trial], axis=2), first[chunk])
         Ct = C.transpose(0, 2, 1)
-        cond.S[chunk] = B_RR - Ct @ X[:, :, :n_r]
-        cond.diag[chunk] = np.diagonal(B_RR, axis1=1, axis2=2)
-        cond.W[chunk] = X[:, :n_i, :n_r]
-        cond.trial_rim[chunk] = P.sphi[chunk][:, rim] - Ct @ X[:, :, n_r:]
-        cond.trial_interior[chunk] = X[:, :n_i, n_r:]
+        es = np.flatnonzero((kind >= chunk.start) & (kind < chunk.stop))  # their elements
+        of = kind[es] - chunk.start
+        B_RR = B_RR[of] - 1j * forms.k * _rim_boundary_mass(forms, es)
+        cond.S[es] = B_RR - (Ct @ X[:, :, :n_r])[of]
+        cond.diag[es] = np.diagonal(B_RR, axis1=1, axis2=2)
+        cond.W[es] = X[of, :n_i, :n_r]
+        cond.trial_rim[es] = P.sphi[es][:, rim] - (Ct @ X[:, :, n_r:])[of]
+        cond.trial_interior[es] = X[of, :n_i, n_r:]
     for arr in vars(cond).values():
         arr.flags.writeable = False
     return cond

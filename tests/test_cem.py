@@ -165,10 +165,16 @@ def test_exactly_singular_element_block_is_named():
         cem._solve_elements(forms, Z, np.ones((3, 3, 1)), range(3))
 
 
+def _random_medium(nx, seed):
+    # no two coarse elements alike: every element is a kind of its own
+    return Medium(np.random.default_rng(seed).uniform(0.5, 2.0, nx * nx), nx, nx)
+
+
 def test_singular_block_in_a_later_chunk_is_named_globally(monkeypatch):
     # one element per chunk: the singular block of element 2 is the first
     # block of its chunk, and the error still names element 2
-    g, c, forms, P = make_setup(nx=8, NH=2, nbf=1)
+    g, c, forms, P = make_setup(nx=8, NH=2, nbf=1, medium=_random_medium(8, 0))
+    assert P.kinds[0].tolist() == [0, 1, 2, 3]  # element 2 is solved, as its own kind
     monkeypatch.setattr(assembly, "_CHUNK_BYTES", 1)
     solve = cem._solve_elements
 
@@ -180,6 +186,26 @@ def test_singular_block_in_a_later_chunk_is_named_globally(monkeypatch):
 
     monkeypatch.setattr(cem, "_solve_elements", singular_at_2)
     with pytest.raises(SingularLocalSystem, match="element 2: "):
+        cem._condense(forms, P)
+
+
+def test_singular_kind_is_named_by_its_lowest_index_element(monkeypatch):
+    # element 0 differs, elements 1, 2 and 3 are one kind, solved once on
+    # element 1: a singular block of that kind names element 1
+    values = np.ones((8, 8))
+    values[:4, :4] = 2.0  # the cells of element 0
+    g, c, forms, P = make_setup(nx=8, NH=2, nbf=1, medium=Medium(values.ravel(), 8, 8))
+    first, kind = P.kinds
+    assert first.tolist() == [0, 1] and kind.tolist() == [0, 1, 1, 1]
+    solve = cem._solve_elements
+
+    def singular_kind_of_3(forms, Z, rhs, elements):
+        Z = Z.copy()
+        Z[kind[list(elements)] == kind[3]] = 0.0
+        return solve(forms, Z, rhs, elements)
+
+    monkeypatch.setattr(cem, "_solve_elements", singular_kind_of_3)
+    with pytest.raises(SingularLocalSystem, match="element 1: "):
         cem._condense(forms, P)
 
 
@@ -225,6 +251,81 @@ def test_chunked_offline_steps_stay_below_one_element_stack(setup48, step, monke
     finally:
         tracemalloc.stop()
     assert peak < N * p * p * 8
+
+def _per_element_kinds(forms, trace):
+    n = forms.coarse.n_elements
+    return np.arange(n), np.arange(n)
+
+
+@pytest.mark.parametrize("case", ["channels", "random", "channels-trace"])
+def test_kinds_are_bitwise_the_per_element_solves(setup48, case, monkeypatch):
+    # each kind solved once on its lowest-index element gives every element
+    # the eigenpairs and the condensation of its own solve, byte for byte;
+    # the reference solves every element as a kind of its own
+    g, c, forms, _ = setup48
+    N = c.n_elements
+    if case == "random":
+        forms = build_forms(g, c, _random_medium(48, 1), forms.k)
+    trace_weight = -1.0 if case == "channels-trace" else 0.0
+    P = spectral.build_projection(forms, 4, trace_weight)
+    first, kind = P.kinds
+    assert first.size == {"channels": 11, "random": N, "channels-trace": 15}[case]
+    # one kind: equal cell coefficients and, with the trace term, the same
+    # sides of the domain touched (distances to the edges clipped at 1)
+    cells = forms.medium.values[c.element_cells]
+    sides = [cem._layout_key(c, j, 0) if trace_weight else () for j in range(N)]
+    for i in range(N):
+        for j in range(N):
+            alike = (cells[i] == cells[j]).all() and sides[i] == sides[j]
+            assert (kind[i] == kind[j]) == alike, (i, j)
+    assert (first == np.sort(first)).all() and (kind[first] == np.arange(first.size)).all()
+    monkeypatch.setattr(spectral, "_element_kinds", _per_element_kinds)
+    ref = spectral.build_projection(forms, 4, trace_weight)
+    assert ref.kinds[0].size == N
+    for name in ("eigenvalues", "bases", "sphi"):
+        assert _same_bytes(getattr(P, name), getattr(ref, name)), name
+    for name in ("data", "indices", "indptr"):
+        assert _same_bytes(getattr(P.S, name), getattr(ref.S, name)), name
+    cond, cond_ref = cem._condense(forms, P), cem._condense(forms, ref)
+    for name, a in vars(cond).items():
+        assert _same_bytes(a, getattr(cond_ref, name)), name
+
+
+def test_kind_counts_of_channel_and_homogeneous_media(setup48):
+    g, c, forms, P = setup48
+    assert P.kinds[0].size == 11  # of 16 elements
+    homogeneous = build_forms(g, c, constant_medium(48, 48, 1.0), forms.k)
+    # with the trace term: the 4 corners, the 4 sides and the inner elements
+    for trace_weight, count in ((0.0, 1), (-1.0, 9)):
+        assert spectral.build_projection(homogeneous, 1, trace_weight).kinds[0].size == count
+
+
+def test_element_work_is_logged_per_kind(setup48, caplog, monkeypatch):
+    # one DEBUG line each from the projection and the condensation: the
+    # elements they covered and in how many kinds, that is, the eigenproblems
+    # and interior solves actually run
+    g, c, forms, _ = setup48
+    eigs, solves = [], []
+    eig, solve = kernels.generalized_sym_eig, cem._solve_elements
+
+    def counting_eig(K, S, nbf):
+        eigs.append(1)
+        return eig(K, S, nbf)
+
+    def counting_solve(forms_, Z, rhs, elements):
+        solves.append(len(elements))
+        return solve(forms_, Z, rhs, elements)
+
+    monkeypatch.setattr(kernels, "generalized_sym_eig", counting_eig)
+    monkeypatch.setattr(cem, "_solve_elements", counting_solve)
+    caplog.set_level(logging.DEBUG, logger="cemhelm")
+    P = spectral.build_projection(forms, 4)
+    cem._condense(forms, P)
+    (projection,) = [r for r in caplog.records if r.msg.startswith("build_projection")]
+    (condensation,) = [r for r in caplog.records if r.msg.startswith("condensation")]
+    assert projection.args == condensation.args == (c.n_elements, 11)
+    assert len(eigs) == sum(solves) == 11
+
 
 def test_localization_consistency_full_patch(setup32):
     # patch = domain reproduces the unlocalized basis exactly
