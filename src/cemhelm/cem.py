@@ -39,37 +39,48 @@ its fill-reducing ordering: the first patch of a class is factorized by
 the minimum-degree LU of `kernels.factorize`, and its ordering renumbers
 the skeleton of the rest of the class, which is gathered straight into the
 ordered pattern and factorized as it is.  The patches of one class in one
-element row are solved as one batch (`_solve_batch`): one gather of all
-their skeleton values and one block of right-hand sides, so only the
-numeric LU, its solve and the product recovering the interiors are per
-patch.  A singular or ill-conditioned Z_e (k H / eps far beyond the
-resolution condition) raises SingularLocalSystem naming the element (for a
-kind, its lowest-index element).  Test
-vectors are the conjugates of the trial vectors; the independent adjoint
-solve (the condensation of conj(B), which conjugates only S_e and the B_RR
+element row are solved as one batch (`_solve_batch`, then
+`_finish_batch`): one gather of all their skeleton values and one block of
+right-hand sides, so only the numeric LU, its solve and the product
+recovering the interiors are per patch.  A singular or ill-conditioned Z_e
+(k H / eps far beyond the resolution condition) raises SingularLocalSystem
+naming the element (for a kind, its lowest-index element).  Test vectors
+are the conjugates of the trial vectors; the independent adjoint solve
+(the condensation of conj(B), which conjugates only S_e and the B_RR
 diagonals) is kept for cross-validation.
 
 The offline build is streamed over element rows.  The main thread solves
-the patches row by row, writing each trial column into arrays allotted in
-advance.  G = (B Psi)^T Psi couples two elements at most 2m + 1 element
-rows apart: two patches whose elements lie 2m + 1 elements apart still
-meet through B where a patch edge on the domain boundary keeps its free
-nodes.  G is complex symmetric, so only its lower triangle is formed: as
-soon as row b is solved, a worker thread forms the lower strip (B Psi_b)^T
-Psi_near over the trial columns of rows b - (2m + 1) ... b.  After the
-last row the strips are stacked into G's lower triangle L, and G, stored
-CSR, is completed once as L plus the transpose of L's strict part
-(`_CoarseStrips`).  Each lower entry is summed in the order of the one
-product (B Psi)^T Psi, so G's lower triangle is bitwise that of the
-product, and G is exactly symmetric.  Above DENSE_LIMIT coarse dofs (the
-sparse regime, see below) the strips reach only NEAR_FIELD element rows
-and keep only the entries of G's near field, so the space's G is the near
-field alone, bitwise in its lower triangle and exactly symmetric.  The
-split follows the GIL: the patch loop is Python and small numpy calls that
-hold it, and SuperLU on these small skeletons gains nothing from a second
-thread, while scipy's sparse products release it.  The worker count is
-the number of CPUs the process may use, less one, and at least one;
-nothing else sets it.
+the patches row by row; of each batch it keeps the gather of the skeleton
+values and right-hand sides and SuperLU's factorization and solve
+(`_solve_batch`), and defers the rest to a worker thread: the interior
+recovery -W_e x, the particular terms and the writes of the trial and data
+columns into arrays allotted in advance (`_finish_batch`).  The deferred
+tasks run one at a time, in the order deferred, whatever the number of
+workers, each row's corrector sum after its batches; the main thread goes
+on at most two element rows ahead of them, so the pending right-hand sides
+stay bounded.  G = (B Psi)^T Psi couples two elements at most 2m + 1
+element rows apart: two patches whose elements lie 2m + 1 elements apart
+still meet through B where a patch edge on the domain boundary keeps its
+free nodes.  G is complex symmetric, so only its lower triangle is formed:
+as soon as the deferred tasks of row b have run, a worker forms the lower
+strip (B Psi_b)^T Psi_near over the trial columns of rows b - (2m + 1)
+... b.  After the last row the strips are stacked into G's lower triangle
+L, and G, stored CSR, is completed once as L plus the transpose of L's
+strict part (`_CoarseStrips`).  Each lower entry is summed in the order of
+the one product (B Psi)^T Psi, so G's lower triangle is bitwise that of
+the product, and G is exactly symmetric.  Above DENSE_LIMIT coarse dofs
+(the sparse regime, see below) the strips reach only NEAR_FIELD element
+rows and keep only the entries of G's near field, so the space's G is the
+near field alone, bitwise in its lower triangle and exactly symmetric.
+The split follows the GIL: the patch loop is Python and small numpy calls
+that hold it, and SuperLU on these small skeletons gains nothing from a
+second thread, while the finishing work is mostly whole-array numpy
+copies and BLAS products and the strips are scipy's sparse products, all
+of which release it.  Every number is computed by the same call on the
+same inputs as on one thread, so the fields do not depend on the worker
+count.  The worker count is the number of CPUs the process may use, less
+one, and at least one; nothing else sets it.  Online solves,
+`local_cem_solve` and `build_global_space` finish each batch inline.
 `build_global_space` forms its G through the same strips, each reaching
 over the whole domain.
 
@@ -108,8 +119,10 @@ only back-substitutes with the space's LU.  Each `build_space` logs at
 DEBUG the patches it factorized, in how many batches, how many of them in
 a reused class ordering and how many fresh, their skeleton unknowns, the
 summed L+U fill, and the G strips with their reach, the G entries stored,
-the seconds spent forming the lower strips, and the final wait from the
-last patch to G; the dense LU of G logs its own line with its rcond.
+the seconds spent forming the lower strips, the final wait from the last
+deferred task to G, and, offline, the seconds the workers spent finishing
+the batches and the seconds the patch loop waited for them; the dense LU
+of G logs its own line with its rcond.
 
 The basis vectors decay exponentially away from their element, and so do
 the entries of G.  A coarse system larger than DENSE_LIMIT is therefore
@@ -482,22 +495,21 @@ def _skeleton_layout(cond, coarse, j, m, strict_zero_trace, order=None):
 
 def _solve_batch(cond, layout, js, m, sources, n_cols, error=SingularLocalSystem):
     """Solve the bordered systems of the m-layer patches of elements `js`,
-    all of the shape class of `layout`, on their free rim nodes, then
-    recover the element interiors.
+    all of the shape class of `layout`, on their free rim nodes; the
+    interiors are recovered by `_finish_batch`.
 
     Patch p's skeleton system sums the Schur complements S_e of its elements
     on its free rim nodes (see `_skeleton_layout`).  The batch gathers the
     values of all its skeletons and sets up all right-hand sides at once;
-    the factorization, its solve and the product with the patch's W that
-    recovers the interiors are per patch.  Source s of `sources` = (patches,
-    elements, columns, rim, interior) adds its condensed right-hand side
-    rim[s] on the rim nodes of elements[s] in patch patches[s] and the
-    interior particular solution interior[s] to column columns[s].  Returns
-    (free rows, shape (patches, rows); the solutions on them, (patches,
-    rows, n_cols); the summed L+U fill of the patches' LUs; the ordering
-    `perm_c` of the first patch's LU).  Each LU is dropped once solved.  A
-    patch without free nodes or with a singular system raises `error`
-    naming its element.
+    the factorization and its solve are per patch.  Source s of `sources` =
+    (patches, elements, columns, rim, interior) adds its condensed
+    right-hand side rim[s] on the rim nodes of elements[s] in patch
+    patches[s], column columns[s].  Returns (the solutions on the
+    skeletons, shape (patches, unknowns + 1, n_cols), whose last row holds
+    the constrained nodes' sums; the summed L+U fill of the patches' LUs;
+    the ordering `perm_c` of the first patch's LU).  Each LU is dropped once
+    solved.  A patch without free nodes or with a singular system raises
+    `error` naming its element.
     """
     js = np.asarray(js)
     if layout.rows.size == 0:
@@ -509,7 +521,7 @@ def _solve_batch(cond, layout, js, m, sources, n_cols, error=SingularLocalSystem
         cond.S.ravel()[layout.take + firsts[:, None] * (r4 * r4)], layout.starts, axis=1)
     np.add.at(values, (slice(None), layout.outer),
               cond.diag.ravel()[layout.outer_take + firsts[:, None] * r4])
-    patches, src_elements, src_cols, src_rim, src_interior = sources
+    patches, src_elements, src_cols, src_rim, _ = sources
     e = np.searchsorted(layout.elements, src_elements - firsts[patches])
     rhs = np.zeros((js.size, n + 1, n_cols), dtype=complex)  # constrained nodes land in row n
     np.add.at(rhs, (patches[:, None], layout.local[e], src_cols[:, None]), src_rim)
@@ -524,17 +536,39 @@ def _solve_batch(cond, layout, js, m, sources, n_cols, error=SingularLocalSystem
             raise error(f"element {j}, m={m}: constrained system is singular: {exc}") from exc
         fill += F.fill
         perm_c = F.perm_c if perm_c is None else perm_c
-    rhs[:, n] = 0.0
+    return rhs, fill, perm_c
+
+
+def _finish_batch(cond, layout, js, sources, solved):
+    """The patch solutions of a batch from its skeleton solutions `solved`
+    (see `_solve_batch`, whose arguments these are): the element interiors
+    -W_e x, gathered and upcast one patch's W at a time, plus the sources'
+    interior particular solutions.  Returns (free rows, shape (patches,
+    rows); the solutions on them, (patches, rows, n_cols)).
+    """
+    js = np.asarray(js)
+    firsts = js - layout.element_shift
+    n = layout.indptr.size - 1
+    patches, src_elements, src_cols, _, src_interior = sources
+    e = np.searchsorted(layout.elements, src_elements - firsts[patches])
+    solved[:, n] = 0.0  # the constrained nodes' values
+    n_cols = solved.shape[2]
     interior = np.empty((js.size,) + layout.interior.shape + (n_cols,), dtype=complex)
-    for p, first in enumerate(firsts):  # gathers (and upcasts) one patch's W at a time
-        interior[p] = -(cond.W[layout.elements + first] @ rhs[p, layout.local])
+    for p, first in enumerate(firsts):
+        interior[p] = -(cond.W[layout.elements + first] @ solved[p, layout.local])
     np.add.at(interior, (patches[:, None], e[:, None], np.arange(interior.shape[2]),
                          src_cols[:, None]), src_interior)
     vals = np.empty((js.size, layout.rows.size, n_cols), dtype=complex)
-    vals[:, layout.skeleton] = rhs[:, :n]
+    vals[:, layout.skeleton] = solved[:, :n]
     vals[:, layout.interior] = interior
     rows = layout.rows + (cond.rim_nodes[js, 0] - layout.node_shift)[:, None]
-    return rows, vals, fill, perm_c
+    return rows, vals
+
+
+def _solve_now(cond, layout, js, m, sources, n_cols, error=SingularLocalSystem):
+    """`_solve_batch` and `_finish_batch` in turn: (free rows, solutions)."""
+    solved, _, _ = _solve_batch(cond, layout, js, m, sources, n_cols, error)
+    return _finish_batch(cond, layout, js, sources, solved)
 
 
 def local_cem_solve(j, m, forms, P, strict_zero_trace=False, adjoint=False):
@@ -543,7 +577,7 @@ def local_cem_solve(j, m, forms, P, strict_zero_trace=False, adjoint=False):
     With `adjoint` the patch system of conj(B) is solved instead (an
     independent check of the conjugate test vectors)."""
     cond = _condense(forms, P)
-    rows, vals, _, _ = _solve_batch(
+    rows, vals = _solve_now(
         cond.conj() if adjoint else cond,
         _skeleton_layout(cond, forms.coarse, j, m, strict_zero_trace), [j], m,
         _trial_sources(cond, [j], [0]), P.nbf,
@@ -692,7 +726,7 @@ class _CoarseStrips:
     columns apart: all of G's with reach 2m + 1 or more, its near field with
     `near_field` and reach NEAR_FIELD.  G is complex symmetric, so only its
     lower triangle is formed.  Once the trial columns of element row b are
-    solved, a worker forms the lower strip of row b (`_lower_strip`): the
+    final, a worker forms the lower strip of row b (`_lower_strip`): the
     lower triangle of (B Psi_b)^T Psi_near, with Psi_near the columns of
     rows b - reach ... b.  After the last row, `matrix` stacks the strips
     into G's lower triangle L, drops them and completes G once, on the
@@ -701,6 +735,13 @@ class _CoarseStrips:
     product (B Psi)^T Psi, so G's lower triangle is bitwise that of the
     product (of its near field) and G is exactly symmetric, whatever the
     number of workers or the order the strips finish in.  G is stored CSR.
+
+    The patch loop also hands the workers the tasks that write the trial
+    columns (`defer`).  They run one at a time, in the order deferred,
+    whatever the number of workers: each waits for the one before it, which
+    a worker took from the queue first.  `row_solved` defers the submission
+    of a row's strip behind the tasks of its patches, so no strip reads an
+    unwritten column.
     """
 
     def __init__(self, B, trial, NH, reach, near_field=False):
@@ -709,30 +750,60 @@ class _CoarseStrips:
         self._width = trial.shape[1] // NH
         self._pool = ThreadPoolExecutor(_g_workers(), thread_name_prefix="cemhelm-G")
         self._lower = []  # futures of the solved rows' lower strips
+        self._rows = []  # futures of the deferred strip submissions, one per row
+        self._last = None  # future of the last task deferred
         self.busy = []  # seconds of each lower strip formed
-        self.wait = 0.0  # seconds `matrix` took after the last patch
+        self.deferred = []  # seconds of each deferred task run
+        self.deferred_wait = 0.0  # seconds the caller waited for deferred tasks
+        self.wait = 0.0  # seconds `matrix` took after the deferred tasks
 
-    def _timed(self, fn, *args):
+    @staticmethod
+    def _timed(times, fn, *args):
         start = time.perf_counter()
         try:
             return fn(*args)
         finally:
-            self.busy.append(time.perf_counter() - start)
+            times.append(time.perf_counter() - start)
 
-    def row_solved(self):
-        """The trial columns of the next element row are final."""
+    def _after(self, previous, fn, *args):
+        if previous is not None:
+            previous.result()  # a failed task fails every later one with its error
+        return self._timed(self.deferred, fn, *args)
+
+    def defer(self, fn, *args):
+        """Run fn(*args) on a worker once every task deferred before it has
+        run; a failed task raises from `row_solved` or `matrix`."""
+        self._last = self._pool.submit(self._after, self._last, fn, *args)
+
+    def _next_strip(self):
         b = len(self._lower)
         self._lower.append(self._pool.submit(
-            self._timed, _lower_strip, self._B, self._trial, b, max(b - self.reach, 0),
-            self._width, self._near_field,
+            self._timed, self.busy, _lower_strip, self._B, self._trial, b,
+            max(b - self.reach, 0), self._width, self._near_field,
         ))
 
+    def _await(self, future):
+        start = time.perf_counter()
+        future.result()
+        self.deferred_wait += time.perf_counter() - start
+
+    def row_solved(self):
+        """The trial columns of the next element row are final once the
+        tasks deferred so far have run, and its strip is submitted then.
+        Returns once the deferred tasks lag at most two rows behind."""
+        self.defer(self._next_strip)
+        self._rows.append(self._last)
+        if len(self._rows) > 2:
+            self._await(self._rows[-3])
+
     def matrix(self):
-        """G in CSR form, once every element row is solved; a strip that
-        failed raises here."""
+        """G in CSR form, once every element row is solved; a strip or a
+        deferred task that failed raises here."""
+        if self._last is not None:
+            self._await(self._last)
         start = time.perf_counter()
         while len(self._lower) < self._NH:
-            self.row_solved()
+            self._next_strip()
         L = sp.vstack([f.result() for f in self._lower], format="csr")
         self._lower = None  # the strips go before G is completed
         G = _symmetric(L)
@@ -740,7 +811,7 @@ class _CoarseStrips:
         return G
 
     def close(self):
-        """Stop the workers: queued strips are dropped, running ones finish."""
+        """Stop the workers: queued tasks are dropped, running ones finish."""
         self._pool.shutdown(wait=True, cancel_futures=True)
 
 
@@ -779,11 +850,13 @@ def _solve_patches(cond, forms, P, m, strict_zero_trace, load_blocks, with_trial
     class of a row (`_solve_batch`).
 
     With `with_trial`, each patch solves its nbf trial columns, written
-    into the preallocated arrays of the trial matrix; each finished element
-    row goes to the G workers (`_CoarseStrips`), which form all of G or,
+    into the preallocated arrays of the trial matrix; each batch's
+    `_finish_batch` and writes, and then each element row's end, are
+    deferred to the G workers (`_CoarseStrips`), which form all of G or,
     with `near_field`, only its near field.  The patch of an element
     with a nonzero load block also solves its data column, summed into the
-    corrector in element order as each element row ends.  Offline, the first
+    corrector in element order as each element row ends.  Online, every
+    batch is finished inline.  Offline, the first
     patch of each shape class is factorized alone, in a minimum-degree
     order of its own, which renumbers the layout for the rest of the class.
     Online, the few loaded patches rarely repay the renumbering, so each is
@@ -809,6 +882,7 @@ def _solve_patches(cond, forms, P, m, strict_zero_trace, load_blocks, with_trial
         strips = _CoarseStrips(
             forms.B, trial, NH, NEAR_FIELD if near_field else 2 * m + 1, near_field)
     batches = reused = unknowns = fill = 0
+    defer = strips.defer if with_trial else (lambda fn, *args: fn(*args))  # online: inline
 
     def solve(layout, js):
         nonlocal batches, reused, unknowns, fill
@@ -817,17 +891,26 @@ def _solve_patches(cond, forms, P, m, strict_zero_trace, load_blocks, with_trial
         sources = [_trial_sources(cond, js, np.arange(js.size))] if with_trial else []
         if p.size:
             sources.append((p, js[p], np.full(p.size, nbf), load_rim[at[p]], load_interior[at[p]]))
-        rows, vals, batch_fill, perm_c = _solve_batch(
-            cond, layout, js, m, _join(*sources), nbf + (p.size > 0))
+        sources = _join(*sources)
+        solved, batch_fill, perm_c = _solve_batch(cond, layout, js, m, sources, nbf + (p.size > 0))
         batches, reused = batches + 1, reused + layout.ordered * js.size
         unknowns += (layout.indptr.size - 1) * js.size
         fill += batch_fill
+        defer(finish, layout, js, sources, solved, p)
+        return perm_c
+
+    def finish(layout, js, sources, solved, p):
+        rows, vals = _finish_batch(cond, layout, js, sources, solved)
         if with_trial:
             at_trial = trial.indptr[js * nbf][:, None] + np.arange(nbf * rows.shape[1])
             trial.data[at_trial] = vals[:, :, :nbf].transpose(0, 2, 1).reshape(js.size, -1)
             trial.indices[at_trial] = np.tile(rows, nbf)
         data.extend((js[q], rows[q], vals[q, :, nbf]) for q in p)
-        return perm_c
+
+    def add_data():
+        for _, rows, column in sorted(data, key=lambda d: d[0]):
+            corrector[rows] += column
+        data.clear()
 
     layouts, orders, edges = {}, {}, None
     try:
@@ -846,9 +929,7 @@ def _solve_patches(cond, forms, P, m, strict_zero_trace, load_blocks, with_trial
                         cond, coarse, js[0], m, strict_zero_trace, orders.pop(key))
                 if js.size:
                     solve(layouts[key], js)
-            for _, rows, column in sorted(data, key=lambda d: d[0]):
-                corrector[rows] += column
-            data.clear()
+            defer(add_data)
             if with_trial:
                 strips.row_solved()
         if strips is not None:
@@ -860,10 +941,11 @@ def _solve_patches(cond, forms, P, m, strict_zero_trace, load_blocks, with_trial
     log.debug(
         "build_space: %d patches factorized in %d batches (%d in a reused class ordering, "
         "%d fresh), %d skeleton unknowns, L+U fill %d; %d G strips of reach %d, %d G entries "
-        "stored, %.2f s forming them, final wait %.2f s",
+        "stored, %.2f s forming them, final wait %.2f s; %.2f s finishing the batches on the "
+        "G workers, %.2f s waiting for them",
         patches, batches, reused, patches - reused, unknowns, fill,
-        *((NH, strips.reach, G.nnz, sum(strips.busy), strips.wait) if strips
-          else (0, 0, 0, 0.0, 0.0)),
+        *((NH, strips.reach, G.nnz, sum(strips.busy), strips.wait, sum(strips.deferred),
+           strips.deferred_wait) if strips else (0, 0, 0, 0.0, 0.0, 0.0, 0.0)),
     )
     return trial, G, corrector
 
@@ -925,7 +1007,7 @@ def build_global_space(forms, P, loads=None, strict_zero_trace=False):
         blocks = (loads / shares)[coarse.element_nodes]
         sources.append((np.zeros(N, dtype=int), np.arange(N), np.full(N, N * P.nbf),
                         *_load_sources(forms, P, np.arange(N), blocks)))
-    rows, vals, _, _ = _solve_batch(
+    rows, vals = _solve_now(
         cond, _skeleton_layout(cond, coarse, 0, NH - 1, strict_zero_trace), [0], NH - 1,
         _join(*sources), N * P.nbf + (loads is not None), error=SingularGlobalSystem,
     )

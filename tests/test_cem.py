@@ -797,7 +797,7 @@ def _condensed_solve(forms, P, patch, strict, j, block, adjoint=False):
         cem._trial_sources(cond, [j], [0]), ([0], [j], [P.nbf], rim, interior)
     )
     layout = cem._skeleton_layout(cond, patch.coarse, j, patch.m, strict)
-    rows, vals, _, _ = cem._solve_batch(
+    rows, vals = cem._solve_now(
         cond.conj() if adjoint else cond, layout, [j], patch.m, sources, P.nbf + 1
     )
     return rows[0], vals[0]
@@ -1106,7 +1106,9 @@ def test_build_space_logs_patch_work(caplog, monkeypatch):
     # how many fresh (one per shape class offline, all online), their
     # skeleton unknowns, the summed L+U fill of their LUs, and the G strips
     # with their reach, the G entries stored, the seconds spent forming the
-    # lower strips and the final wait
+    # lower strips and the final wait; then, offline, the seconds the G
+    # workers spent finishing the batches and the seconds the patch loop
+    # waited for them (none online, where each batch is finished inline)
     g, c, forms, P = make_setup(nx=24, NH=6, nbf=3)
     work, batches = [], []
     factorize, solve_batch = kernels.factorize, cem._solve_batch
@@ -1133,7 +1135,7 @@ def test_build_space_logs_patch_work(caplog, monkeypatch):
         space, _, _ = _three_calls(forms, P, 1, source, zero)
         (record,) = [r for r in caplog.records if r.msg.startswith("build_space")]
         (patches, n_batches, reused, fresh, unknowns, fill, n_strips, reach, stored, busy,
-         wait) = record.args
+         wait, finish, finish_wait) = record.args
         assert (patches, unknowns, fill) == (
             len(work), sum(n for n, _, _ in work), sum(lu for _, lu, _ in work))
         assert n_batches == len(batches) and sum(batches) == patches
@@ -1144,8 +1146,13 @@ def test_build_space_logs_patch_work(caplog, monkeypatch):
         if strips:  # offline: 36 patches in 25 shape classes, the first of each alone
             assert fresh == len({cem._layout_key(c, j, 1) for j in elements}) == 25
             assert n_batches == 35 and max(batches) == 2
+            assert finish > 0.0 and finish_wait >= 0.0
         else:  # online: each loaded patch in its own ordering
             assert reused == 0 and n_batches <= patches
+            assert finish == finish_wait == 0.0
+        # the work of the inline build the pipeline replaced (the fill is
+        # that of this scipy's SuperLU)
+        assert (n_batches, unknowns, fill) == ((35, 1604, 42316) if strips else (2, 93, 3480))
         # a skeleton holds fewer unknowns than the patch's free nodes
         assert unknowns < len(work) * oversample(c, 14, 1).free_nodes().size
     assert patches == loaded.size  # online: the loaded patches only
@@ -1522,16 +1529,25 @@ def test_wide_row_batches_match_local_solves(contrast, strict, monkeypatch):
 
 def test_strips_under_many_workers_and_fast_switching(monkeypatch):
     # more workers than cores and a short switch interval: whichever thread
-    # forms each lower strip, and in whatever order, G is the same
+    # finishes each batch or forms each lower strip, and in whatever order
+    # the strips finish, the trial matrix, G and the corrector of a loaded
+    # build are the same
     g, c, forms, P = make_setup(nx=32, NH=8, nbf=2)
-    ref = cem.build_space(forms, P, 1).G
-    monkeypatch.setattr(cem, "_g_workers", lambda: 6)
+    rng = np.random.default_rng(3)
+    blocks = element_loads(g, c, _random_complex(rng, g.n_nodes), _random_complex(rng, g.n_nodes))
+    monkeypatch.setattr(cem, "_g_workers", lambda: 1)
+    ref = cem.build_space(forms, P, 1, load_blocks=blocks)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        for _ in range(3):
-            space = cem.build_space(forms, spectral.build_projection(forms, P.nbf), 1)
-            assert _bitwise_equal(space.G, ref)
+        for workers in (1, 3, 6, 6):
+            monkeypatch.setattr(cem, "_g_workers", lambda: workers)
+            space = cem.build_space(forms, spectral.build_projection(forms, P.nbf), 1,
+                                    load_blocks=blocks)
+            assert space.trial.data.tobytes() == ref.trial.data.tobytes()
+            assert space.trial.indices.tobytes() == ref.trial.indices.tobytes()
+            assert space.corrector.tobytes() == ref.corrector.tobytes()
+            assert _bitwise_equal(space.G, ref.G)
     finally:
         sys.setswitchinterval(interval)
     assert _g_threads() == []
@@ -1612,3 +1628,33 @@ def test_failed_strip_raises_from_build_space():
                 cem.build_space(forms, P, 1)
         assert _g_threads() == []
         assert P.space is None
+
+
+@pytest.mark.parametrize("last", [False, True], ids=["mid-stream", "last-batch"])
+def test_failed_finish_raises_from_build_space(last, monkeypatch):
+    # a batch's finish fails on the worker while the main thread solves
+    # later rows (the 10th of 45 batches on an 8 x 8 coarse grid with
+    # m = 1), or in the last batch, whose error surfaces when G is formed;
+    # the next build on the same projection is the undisturbed one
+    g, c, forms, P = make_setup(nx=32, NH=8, nbf=2)
+    calls, finish_batch = [], cem._finish_batch
+    fails_at = None
+
+    def failing(*args):
+        calls.append(None)
+        if len(calls) == fails_at:
+            raise MemoryError("finish")
+        return finish_batch(*args)
+
+    monkeypatch.setattr(cem, "_finish_batch", failing)
+    ref = cem.build_space(forms, spectral.build_projection(forms, P.nbf), 1)
+    assert len(calls) == 45
+    fails_at, calls[:] = 45 if last else 10, []
+    with pytest.raises(MemoryError, match="finish"):
+        cem.build_space(forms, P, 1)
+    assert _g_threads() == []
+    assert P.space is None
+    fails_at = None
+    space = cem.build_space(forms, P, 1)
+    assert space.trial.data.tobytes() == ref.trial.data.tobytes()
+    assert _bitwise_equal(space.trial, ref.trial) and _bitwise_equal(space.G, ref.G)
