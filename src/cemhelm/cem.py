@@ -104,25 +104,29 @@ far below them.
 The trial vectors depend on the medium, k, the coarse grid, the projection
 and m, never on the data.  A `MultiscaleSpace` therefore carries, besides
 its own data corrector, the read-only trial matrix, G = Psi^T B Psi (or
-its near field, see below), G's dense LU up to DENSE_LIMIT dofs and the
-element condensation, all formed once, when the trial matrix is built;
+its near field, see below), G's dense LU up to DENSE_LIMIT dofs, the
+element condensation and the plain layout of every shape class, kept
+compactly (`_LayoutPlan`), all formed once, when the trial matrix is built;
 `build_space` keeps the space it last built on the projection
 (`P.space`).
 A later call for the same forms object, m and strict_zero_trace returns
 that space with a new corrector, solved only on the patches whose element
 load block has a nonzero entry, one factorization and one right-hand side
-each; a load enters only through its element's Z_e and rim, so only the
-loaded elements' data are condensed.  Skipping the other patches is exact,
-as the data column of a zero block is exactly zero.  `assemble_coarse`
+each, in the layouts of their classes rebuilt from the space's plan, so
+the online solves build no layout; a load enters only through its
+element's Z_e and rim, so only the loaded elements' data are condensed.
+Skipping the other patches is exact, as the data column of a zero block is
+exactly zero.  `assemble_coarse`
 forms only Psi^T (b - B q), and the dense coarse solve of every source
 only back-substitutes with the space's LU.  Each `build_space` logs at
 DEBUG the patches it factorized, in how many batches, how many of them in
 a reused class ordering and how many fresh, their skeleton unknowns, the
 summed L+U fill, and the G strips with their reach, the G entries stored,
 the seconds spent forming the lower strips, the final wait from the last
-deferred task to G, and, offline, the seconds the workers spent finishing
-the batches and the seconds the patch loop waited for them; the dense LU
-of G logs its own line with its rcond.
+deferred task to G, offline, the seconds the workers spent finishing
+the batches and the seconds the patch loop waited for them, and the
+layouts it built, those it took from the space's plan and the plan's
+bytes; the dense LU of G logs its own line with its rcond.
 
 The basis vectors decay exponentially away from their element, and so do
 the entries of G.  A coarse system larger than DENSE_LIMIT is therefore
@@ -412,8 +416,9 @@ class _Layout:
     each element's rim nodes (-1 where constrained).  The skeleton matrix in
     CSC form has the pattern (`indices`, `indptr`); its stored entry q sums
     the flattened S at (first element) * 16 r^2 + take[starts[q]:starts[q+1]],
-    the patch's S_e entries, and entry outer[t] also gets the flattened diag
-    at (first element) * 4r + outer_take[t], the B_RR diagonals of the
+    the patch's S_e entries, whose positions in the patch's own (elements,
+    4r, 4r) stack are `position`, and entry outer[t] also gets the flattened
+    diag at (first element) * 4r + outer_take[t], the B_RR diagonals of the
     elements around the patch.  In an `ordered` layout the
     skeleton is numbered in the fill-reducing order of its class, so its
     matrix is factorized as it is.
@@ -426,6 +431,7 @@ class _Layout:
     interior: np.ndarray
     elements: np.ndarray
     local: np.ndarray
+    position: np.ndarray
     take: np.ndarray
     starts: np.ndarray
     outer: np.ndarray
@@ -433,6 +439,53 @@ class _Layout:
     indices: np.ndarray
     indptr: np.ndarray
     ordered: bool
+
+
+def _smallest(a):
+    """A read-only copy of the integer array `a` in the smallest integer
+    type that holds its values."""
+    lo, hi = (int(a.min()), int(a.max())) if a.size else (0, 0)
+    a = a.astype(np.min_scalar_type(hi if lo >= 0 else min(lo, -hi - 1)))
+    a.flags.writeable = False
+    return a
+
+
+class _LayoutPlan(dict):
+    """The plain layout (`_skeleton_layout` without an order) of every shape
+    class of an offline build, by `_layout_key`, kept compactly.
+
+    A class holds its two shifts and, each in its `_smallest` type, the
+    arrays that `_with_pattern` does not derive: `rows`, `elements`,
+    `local`, `position`, `outer_take` and the skeleton positions of the
+    outer diagonal terms.  `position` takes a sort to make and is most of
+    the plan; it is uint16 up to 65536 S_e entries per patch (a patch of
+    25 elements with 4r = 48 has 57600).  The plan of H = 1/10, m = 2 on
+    120 x 120 cells (49 classes) holds ~3.3 MB, that of H = 1/40, m = 3
+    (81 classes) ~0.7 MB.  `layout` rebuilds a class's `_Layout`, array by
+    array equal to a fresh `_skeleton_layout`, without sorting.
+    """
+
+    def pack(self, key, layout):
+        """Keep the plain `layout` of class `key`."""
+        arrays = (layout.rows, layout.elements, layout.local, layout.position,
+                  layout.outer_take, layout.indices[layout.outer])
+        self[key] = (layout.node_shift, layout.element_shift, *map(_smallest, arrays))
+
+    def layout(self, key, cond, j):
+        """The plain `_Layout` of class `key`, its skeleton and interiors
+        read from `cond` on the patch of j, an element of the class."""
+        node_shift, element_shift, *arrays = self[key]
+        # widened, as the derivation multiplies them
+        rows, elements, local, position, outer_take, shared = (a.astype(np.intp) for a in arrays)
+        node, first = cond.rim_nodes[j, 0] - node_shift, j - element_shift
+        return _with_pattern(
+            node_shift, element_shift, rows, np.flatnonzero(cond.on_rim[rows + node]),
+            np.searchsorted(rows, cond.interior_nodes[elements + first] - node), elements,
+            local, position, outer_take, shared, ordered=False)
+
+    @property
+    def nbytes(self):
+        return sum(a.nbytes for packed in self.values() for a in packed[2:])
 
 
 def _layout_key(coarse, j, m):
@@ -465,31 +518,45 @@ def _skeleton_layout(cond, coarse, j, m, strict_zero_trace, order=None):
     outside = np.setdiff1d(oversample(coarse, j, m + 1).elements, elements)
     local = at[cond.rim_nodes[elements]]
     shared = at[cond.rim_nodes[outside]]
-    i, k = np.broadcast_arrays(local[:, :, None], local[:, None, :])
     r4 = local.shape[1]
     first = elements[0]
-    kept = np.flatnonzero((i >= 0) & (k >= 0))
-    entry = k.ravel()[kept] * n + i.ravel()[kept]
-    by_entry = np.argsort(entry)  # CSC order
-    entry = entry[by_entry]
-    new = np.flatnonzero(np.diff(entry, prepend=-1))
+    kept = np.flatnonzero((local[:, :, None] >= 0) & (local[:, None, :] >= 0))
     outer = np.flatnonzero(shared >= 0)
-    at_outer = shared.ravel()[outer]
+    return _with_pattern(
+        cond.rim_nodes[j, 0] - patch.nodes[0], j - first, rows - patch.nodes[0], skeleton,
+        np.searchsorted(rows, cond.interior_nodes[elements]), elements - first, local,
+        kept[np.argsort(_entry_keys(local, n)[kept])],  # CSC order
+        ((outside - first)[:, None] * r4 + np.arange(r4)).ravel()[outer],
+        shared.ravel()[outer], ordered=order is not None,
+    )
+
+
+def _entry_keys(local, n):
+    """The flattened (elements, 4r, 4r) stack of the keys column * n + row
+    of the entries of a skeleton of n unknowns (see `_Layout`)."""
+    return (local[:, None, :] * n + local[:, :, None]).ravel()
+
+
+def _with_pattern(node_shift, element_shift, rows, skeleton, interior, elements, local,
+                  position, outer_take, shared, ordered):
+    """The `_Layout` of a skeleton from its geometry, the positions
+    `position` of its S_e entries in CSC order and the skeleton positions
+    `shared` of its outer diagonal terms: `take`, `starts`, `outer` and the
+    CSC pattern follow from them without sorting."""
+    n, r4 = skeleton.size, local.shape[1]
+    entry = _entry_keys(local, n)[position]
+    starts = np.flatnonzero(np.diff(entry, prepend=-1) != 0)
+    entry = entry[starts]
+    indptr = np.searchsorted(entry, np.arange(n + 1) * n)
     return _Layout(
-        node_shift=cond.rim_nodes[j, 0] - patch.nodes[0],
-        element_shift=j - first,
-        rows=rows - patch.nodes[0],
-        skeleton=skeleton,
-        interior=np.searchsorted(rows, cond.interior_nodes[elements]),
-        elements=elements - first,
-        local=local,
-        take=((elements - first)[:, None] * r4 * r4 + np.arange(r4 * r4)).ravel()[kept[by_entry]],
-        starts=new,
-        outer=np.searchsorted(entry[new], at_outer * (n + 1)),
-        outer_take=((outside - first)[:, None] * r4 + np.arange(r4)).ravel()[outer],
-        indices=(entry[new] % n).astype(np.intc),
-        indptr=np.searchsorted(entry[new] // n, np.arange(n + 1)).astype(np.intc),
-        ordered=order is not None,
+        node_shift, element_shift, rows, skeleton, interior, elements, local, position,
+        take=(elements[:, None] * r4 * r4 + np.arange(r4 * r4)).ravel()[position],
+        starts=starts,
+        outer=np.searchsorted(entry, shared * (n + 1)),
+        outer_take=outer_take,
+        indices=(entry - n * np.repeat(np.arange(n), np.diff(indptr))).astype(np.intc),
+        indptr=indptr.astype(np.intc),
+        ordered=ordered,
     )
 
 
@@ -604,7 +671,11 @@ class MultiscaleSpace:
     `_inf_norm`), so in the near-field case |G_near|_inf; `G_lu` is G's
     dense LU (lu, piv, rcond) of `_dense_lu` for a space of at most
     DENSE_LIMIT dofs, formed once with G, and None above; `condensation` is
-    the element condensation the patch solves read.  All are read-only, and
+    the element condensation the patch solves read, and `layouts` the
+    compact plain layout of each shape class (`_LayoutPlan`, ~3.3 MB at
+    H = 1/10, m = 2 on 120 x 120 cells, ~0.7 MB at H = 1/40, m = 3), from
+    which the online solves take their layouts (None for the global
+    space).  All are read-only, and
     the spaces `build_space` returns for one (forms, P, m,
     strict_zero_trace) share them.  `corrector` is the space's own summed
     localized data solve (None when it was built without load blocks).
@@ -618,6 +689,7 @@ class MultiscaleSpace:
     G_norm: float
     G_lu: tuple
     condensation: "Condensation"
+    layouts: "_LayoutPlan"
     near_field: bool
     corrector: np.ndarray = None
 
@@ -656,13 +728,14 @@ def _inf_norm(G):
     return (abs(G) @ np.ones(G.shape[1])).max()
 
 
-def _new_space(forms, m, strict_zero_trace, trial, G, corrector, condensation, near_field):
+def _new_space(forms, m, strict_zero_trace, trial, G, corrector, condensation, layouts,
+               near_field):
     """The space of a newly built trial matrix and its G: freezes both and,
     up to DENSE_LIMIT dofs, factorizes G once (`_dense_lu`)."""
     trial, G = _read_only(trial), _read_only(G)
     G_lu = _dense_lu(G) if G.shape[0] <= DENSE_LIMIT else None
     return MultiscaleSpace(forms, m, strict_zero_trace, trial, G, _inf_norm(G), G_lu,
-                           condensation, near_field, corrector)
+                           condensation, layouts, near_field, corrector)
 
 
 def _slice(A, start, stop):
@@ -843,13 +916,14 @@ def _shape_classes(coarse, m, elements):
     return [(key, np.array(js)) for key, js in groups.items()]
 
 
-def _solve_patches(cond, forms, P, m, strict_zero_trace, load_blocks, with_trial,
+def _solve_patches(cond, forms, P, m, strict_zero_trace, load_blocks, plan=None,
                    near_field=False):
-    """Skeleton solves on the patches of every element (`with_trial`) or of
-    the loaded ones, element row by element row, in one batch per shape
+    """Skeleton solves on the patches of every element (offline, without a
+    `plan`) or of the loaded ones (online, with the `_LayoutPlan` of the
+    offline build), element row by element row, in one batch per shape
     class of a row (`_solve_batch`).
 
-    With `with_trial`, each patch solves its nbf trial columns, written
+    Offline, each patch solves its nbf trial columns, written
     into the preallocated arrays of the trial matrix; each batch's
     `_finish_batch` and writes, and then each element row's end, are
     deferred to the G workers (`_CoarseStrips`), which form all of G or,
@@ -858,16 +932,20 @@ def _solve_patches(cond, forms, P, m, strict_zero_trace, load_blocks, with_trial
     corrector in element order as each element row ends.  Online, every
     batch is finished inline.  Offline, the first
     patch of each shape class is factorized alone, in a minimum-degree
-    order of its own, which renumbers the layout for the rest of the class.
+    order of its own, which renumbers the layout for the rest of the class,
+    and its plain layout goes into the plan.
     Online, the few loaded patches rarely repay the renumbering, so each is
-    factorized in its own order, sharing only the layout.  The classes of
+    factorized in its own order, in its class's plain layout, rebuilt from
+    the plan: online solves build no layout.  The classes of
     an element row recur only in the rows of the same distances to the
     bottom and top edges, which follow it, so the layouts are dropped
     whenever those change.  Returns (trial matrix or None, G or None,
-    corrector or None).
+    corrector or None, the plan).
     """
     coarse = forms.coarse
     n, N, NH = forms.grid.n_nodes, coarse.n_elements, coarse.NH
+    with_trial = plan is None
+    plan = _LayoutPlan() if with_trial else plan
     nbf = P.nbf if with_trial else 0
     corrector, data, loaded_at = None, [], np.full(N, -1)
     if load_blocks is not None:
@@ -881,7 +959,7 @@ def _solve_patches(cond, forms, P, m, strict_zero_trace, load_blocks, with_trial
         trial = _empty_trial(coarse, m, strict_zero_trace, nbf)
         strips = _CoarseStrips(
             forms.B, trial, NH, NEAR_FIELD if near_field else 2 * m + 1, near_field)
-    batches = reused = unknowns = fill = 0
+    batches = reused = unknowns = fill = built = taken = 0
     defer = strips.defer if with_trial else (lambda fn, *args: fn(*args))  # online: inline
 
     def solve(layout, js):
@@ -919,14 +997,17 @@ def _solve_patches(cond, forms, P, m, strict_zero_trace, load_blocks, with_trial
             for key, js in _shape_classes(coarse, m, row):
                 if key[2:] != edges:
                     layouts, orders, edges = {}, {}, key[2:]
-                if key not in layouts:
+                if key not in layouts and not with_trial:
+                    layouts[key], taken = plan.layout(key, cond, js[0]), taken + 1
+                elif key not in layouts:  # the class's first patch orders the rest of it
                     layouts[key] = _skeleton_layout(cond, coarse, js[0], m, strict_zero_trace)
-                    if with_trial:  # the class's first patch orders the rest of it
-                        orders[key] = solve(layouts[key], js[:1])
-                        js = js[1:]
+                    plan.pack(key, layouts[key])
+                    orders[key] = solve(layouts[key], js[:1])
+                    js, built = js[1:], built + 1
                 if js.size and key in orders:
                     layouts[key] = _skeleton_layout(
                         cond, coarse, js[0], m, strict_zero_trace, orders.pop(key))
+                    built += 1
                 if js.size:
                     solve(layouts[key], js)
             defer(add_data)
@@ -942,12 +1023,14 @@ def _solve_patches(cond, forms, P, m, strict_zero_trace, load_blocks, with_trial
         "build_space: %d patches factorized in %d batches (%d in a reused class ordering, "
         "%d fresh), %d skeleton unknowns, L+U fill %d; %d G strips of reach %d, %d G entries "
         "stored, %.2f s forming them, final wait %.2f s; %.2f s finishing the batches on the "
-        "G workers, %.2f s waiting for them",
+        "G workers, %.2f s waiting for them; %d layouts built, %d taken from the space's "
+        "plan of %d bytes",
         patches, batches, reused, patches - reused, unknowns, fill,
         *((NH, strips.reach, G.nnz, sum(strips.busy), strips.wait, sum(strips.deferred),
            strips.deferred_wait) if strips else (0, 0, 0, 0.0, 0.0, 0.0, 0.0)),
+        built, taken, plan.nbytes,
     )
-    return trial, G, corrector
+    return trial, G, corrector, plan
 
 
 def build_space(forms, P, m, strict_zero_trace=False, load_blocks=None):
@@ -957,9 +1040,9 @@ def build_space(forms, P, m, strict_zero_trace=False, load_blocks=None):
     assembly.element_loads) the space also carries the summed localized
     data solve as its corrector.  The trial matrix and G do not depend on
     the data: P keeps the space it last built, and a call for the same
-    forms object, m and strict_zero_trace reuses its trial, G and element
-    condensation and solves only the loaded patches (see the module
-    docstring).
+    forms object, m and strict_zero_trace reuses its trial, G, element
+    condensation and class layouts and solves only the loaded patches (see
+    the module docstring).
     """
     coarse = forms.coarse
     if load_blocks is not None:
@@ -972,17 +1055,18 @@ def build_space(forms, P, m, strict_zero_trace=False, load_blocks=None):
     space = P.space
     if (space is not None and space.forms is forms and space.m == m
             and space.strict_zero_trace == strict_zero_trace):
-        _, _, corrector = _solve_patches(
-            space.condensation, forms, P, m, strict_zero_trace, load_blocks, with_trial=False
+        _, _, corrector, _ = _solve_patches(
+            space.condensation, forms, P, m, strict_zero_trace, load_blocks, space.layouts
         )
         return replace(space, corrector=corrector)
-    P.space = space = None  # the previous trial, G, LU and condensation go before the build
+    P.space = space = None  # the previous trial, G, LU, condensation and plan go first
     cond = _condense(forms, P)
     near_field = coarse.n_elements * P.nbf > DENSE_LIMIT  # the branch of `solve_multiscale`
-    trial, G, corrector = _solve_patches(
-        cond, forms, P, m, strict_zero_trace, load_blocks, with_trial=True, near_field=near_field
+    trial, G, corrector, layouts = _solve_patches(
+        cond, forms, P, m, strict_zero_trace, load_blocks, near_field=near_field
     )
-    P.space = _new_space(forms, m, strict_zero_trace, trial, G, corrector, cond, near_field)
+    P.space = _new_space(forms, m, strict_zero_trace, trial, G, corrector, cond, layouts,
+                         near_field)
     return P.space
 
 
@@ -1020,7 +1104,7 @@ def build_global_space(forms, P, loads=None, strict_zero_trace=False):
         G = strips.matrix()
     finally:
         strips.close()
-    return _new_space(forms, -1, strict_zero_trace, trial, G, corrector, cond, False)
+    return _new_space(forms, -1, strict_zero_trace, trial, G, corrector, cond, None, False)
 
 
 class _MatrixFreeG(spla.LinearOperator):

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import logging
 import re
@@ -1108,10 +1109,13 @@ def test_build_space_logs_patch_work(caplog, monkeypatch):
     # with their reach, the G entries stored, the seconds spent forming the
     # lower strips and the final wait; then, offline, the seconds the G
     # workers spent finishing the batches and the seconds the patch loop
-    # waited for them (none online, where each batch is finished inline)
+    # waited for them (none online, where each batch is finished inline);
+    # last the layouts the call built, those it took from the space's plan
+    # and the plan's bytes
     g, c, forms, P = make_setup(nx=24, NH=6, nbf=3)
-    work, batches = [], []
-    factorize, solve_batch = kernels.factorize, cem._solve_batch
+    work, batches, built = [], [], []
+    factorize, solve_batch, skeleton_layout = (
+        kernels.factorize, cem._solve_batch, cem._skeleton_layout)
 
     def counting(A, ordered=False):
         F = factorize(A, ordered=ordered)
@@ -1122,8 +1126,13 @@ def test_build_space_logs_patch_work(caplog, monkeypatch):
         batches.append(len(js))
         return solve_batch(cond, layout, js, *args, **kw)
 
+    def layout(*args, **kw):
+        built.append(args[2])
+        return skeleton_layout(*args, **kw)
+
     monkeypatch.setattr(kernels, "factorize", counting)
     monkeypatch.setattr(cem, "_solve_batch", batch)
+    monkeypatch.setattr(cem, "_skeleton_layout", layout)
     caplog.set_level(logging.DEBUG, logger="cemhelm.cem")
     zero = np.zeros(g.n_nodes, dtype=complex)
     f = _bump_source(g, (0.58, 0.41))
@@ -1131,11 +1140,12 @@ def test_build_space_logs_patch_work(caplog, monkeypatch):
     assert 0 < loaded.size < c.n_elements
     for source, elements, strips in ((_bump_source(g, (0.2, 0.2)), range(c.n_elements), c.NH),
                                      (f, loaded, 0)):
-        del work[:], batches[:], caplog.records[:]
+        del work[:], batches[:], built[:], caplog.records[:]
         space, _, _ = _three_calls(forms, P, 1, source, zero)
         (record,) = [r for r in caplog.records if r.msg.startswith("build_space")]
         (patches, n_batches, reused, fresh, unknowns, fill, n_strips, reach, stored, busy,
-         wait, finish, finish_wait) = record.args
+         wait, finish, finish_wait, n_built, taken, plan_bytes) = record.args
+        assert n_built == len(built) and plan_bytes == space.layouts.nbytes > 0
         assert (patches, unknowns, fill) == (
             len(work), sum(n for n, _, _ in work), sum(lu for _, lu, _ in work))
         assert n_batches == len(batches) and sum(batches) == patches
@@ -1147,9 +1157,15 @@ def test_build_space_logs_patch_work(caplog, monkeypatch):
             assert fresh == len({cem._layout_key(c, j, 1) for j in elements}) == 25
             assert n_batches == 35 and max(batches) == 2
             assert finish > 0.0 and finish_wait >= 0.0
+            # a plain layout per class, and an ordered one for a class's
+            # later patches in a row, unless the previous row left one (11
+            # reused patches in 10 batches, 9 ordered layouts)
+            assert (n_built, taken) == (25 + 9, 0) and len(space.layouts) == 25
         else:  # online: each loaded patch in its own ordering
             assert reused == 0 and n_batches <= patches
             assert finish == finish_wait == 0.0
+            # every layout taken from the plan, one per batch, none built
+            assert (n_built, taken) == (0, n_batches)
         # the work of the inline build the pipeline replaced (the fill is
         # that of this scipy's SuperLU)
         assert (n_batches, unknowns, fill) == ((35, 1604, 42316) if strips else (2, 93, 3480))
@@ -1157,6 +1173,75 @@ def test_build_space_logs_patch_work(caplog, monkeypatch):
         assert unknowns < len(work) * oversample(c, 14, 1).free_nodes().size
     assert patches == loaded.size  # online: the loaded patches only
     assert c.n_elements == 36 and len(work) == loaded.size
+
+
+def _assert_same_layout(a, b):
+    for field in dataclasses.fields(cem._Layout):
+        x, y = getattr(a, field.name), getattr(b, field.name)
+        if isinstance(x, np.ndarray):
+            assert x.dtype == y.dtype and np.array_equal(x, y), field.name
+        else:
+            assert x == y, field.name
+
+
+@seed(9)
+@given(cfg=configurations(), data=st.data())
+def test_generated_plan_layouts_equal_fresh_layouts(cfg, data):
+    # the offline space keeps each shape class's plain layout compactly;
+    # rebuilt for any element of the class it is the fresh layout of that
+    # element, array by array, and an online build builds no layout
+    c = _generated_coarse(cfg)
+    m = data.draw(st.integers(0, cfg["NH"]), label="m")  # up to patches clipped on every side
+    assume(all(oversample(c, j, m).free_nodes(cfg["strict"]).size for j in range(c.n_elements)))
+    rng, g, c, forms, P = _generated_setup(cfg, c)
+    space = cem.build_space(forms, P, m, cfg["strict"])
+    cond = space.condensation
+    classes = cem._shape_classes(c, m, range(c.n_elements))
+    assert set(space.layouts) == {key for key, _ in classes}
+    for key, js in classes:
+        for j in js:
+            fresh = cem._skeleton_layout(cond, c, j, m, cfg["strict"])
+            _assert_same_layout(space.layouts.layout(key, cond, j), fresh)
+    blocks = element_loads(g, c, _random_complex(rng, g.n_nodes), _random_complex(rng, g.n_nodes))
+    blocks[rng.random(c.n_elements) < 0.5] = 0.0
+    built = []
+    skeleton_layout = cem._skeleton_layout
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cem, "_skeleton_layout", lambda *a, **kw: built.append(a) or skeleton_layout(*a, **kw))
+        online = cem.build_space(forms, P, m, cfg["strict"], load_blocks=blocks)
+    assert online.trial is space.trial and built == []
+
+
+def _fits(a, kind):
+    info = np.iinfo(kind)
+    return a.size == 0 or (info.min <= a.min() and a.max() <= info.max)
+
+
+def test_layout_plan_is_compact_shared_and_freed_with_its_space():
+    g, c, forms, P = make_setup(nx=24, NH=6, nbf=2)
+    zero = np.zeros(g.n_nodes, dtype=complex)
+    first, _, _ = _three_calls(forms, P, 1, _bump_source(g, (0.3, 0.3), 0.2), zero)
+    plan = first.layouts
+    # one entry per shape class of the build
+    assert set(plan) == {cem._layout_key(c, j, 1) for j in range(c.n_elements)}
+    # read-only arrays, none in a type wider than its values need
+    kinds = (np.uint8, np.int8, np.uint16, np.int16, np.uint32, np.int32, np.int64)
+    for packed in plan.values():
+        for a in packed[2:]:
+            assert not a.flags.writeable
+            assert _fits(a, a.dtype.type)
+            assert not any(_fits(a, t) for t in kinds if np.dtype(t).itemsize < a.itemsize)
+    assert plan.nbytes == sum(a.nbytes for packed in plan.values() for a in packed[2:])
+    # the spaces of later sources share the plan, the global space has none
+    second, system, _ = _three_calls(forms, P, 1, _bump_source(g, (0.7, 0.7), 0.2), zero)
+    assert second.layouts is plan and cem.build_global_space(forms, P).layouts is None
+    kept = weakref.ref(plan)
+    del plan, P, first
+    gc.collect()
+    assert kept() is not None  # held by `second`
+    del second, system
+    gc.collect()
+    assert kept() is None
 
 
 def test_cached_zero_load_gives_zero_corrector_without_factorization(counted_factorize):
