@@ -130,15 +130,26 @@ bytes; the dense LU of G logs its own line with its rcond.
 
 The basis vectors decay exponentially away from their element, and so do
 the entries of G.  A coarse system larger than DENSE_LIMIT is therefore
-solved by GMRES on G, preconditioned by the sparse LU of its near field,
-the entries between elements within Chebyshev distance NEAR_FIELD, which
-holds a sixth of G's entries and a quarter of its LU fill at H = 1/40, m = 3.
-A space of that size stores only the near field; GMRES applies the whole G
-matrix-free, as Psi^T (B (Psi x)) (`_MatrixFreeG`).  GMRES stops at a
-relative residual of 1e-12; when it does not get there in two cycles of
-100 iterations, the near-field LU is dropped, and the whole G, assembled as
-(B Psi)^T Psi if the space stores only its near field, is solved by its own
-LU.  Up to DENSE_LIMIT dofs the space keeps G's dense LU with its
+solved by flexible GMRES on G (`kernels.fgmres`), preconditioned by the
+sparse LU of its near field, the entries between elements within
+Chebyshev distance NEAR_FIELD, which holds a sixth of G's entries and a
+quarter of its LU fill at H = 1/40, m = 3.  That LU only preconditions, so
+it is formed in single precision, from a complex64 copy of the near
+field's values on its index arrays: the same fill in about half the
+memory, while GMRES iterates in double precision.  A space of that size
+stores only the near field; GMRES applies the whole G matrix-free, as
+Psi^T (B (Psi x)) (`_MatrixFreeG`).  GMRES stops when its Arnoldi estimate
+of the relative residual reaches 1e-13 (at 1e-12 small generated systems
+missed a 1e-10 agreement with the dense solve; 1e-14 lies below the true
+residual's rounding floor on contrast-1e-3 channels at H = 1/40, m = 3).
+When it does not get there
+in two cycles of 100 iterations, or the near field is beyond single
+precision's range, its LU singular or a preconditioned vector not finite,
+the near-field LU is dropped, and the whole G, assembled as (B Psi)^T Psi
+if the space stores only its near field, is solved by its own double LU.
+The GMRES logs at DEBUG its iterations, its flag, the operator it applied,
+the preconditioner's precision and L+U fill and its last residual
+estimate.  Up to DENSE_LIMIT dofs the space keeps G's dense LU with its
 reciprocal condition estimate, and the solve refuses a G singular to
 working precision, as linearly dependent trial vectors make it; a
 hand-made system is factorized when solved.  GMRES does not check.
@@ -159,7 +170,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.linalg import get_lapack_funcs
 
 from . import kernels
@@ -212,6 +222,8 @@ DENSE_LIMIT = 2000  # larger coarse systems go to the near-field GMRES
 # for G's; GMRES needs 14 iterations and the solve takes 1.0 s against 4.6 s
 # by the LU of G.  On contrast-1e-3 channels it needs 26 iterations (1.4 s
 # against 4.4 s).  Distance 1 needs 37 and 70 iterations (1.1 and 1.7 s).
+# (With the double LU and GMRES to 1e-12; the single-precision LU and the
+# 1e-13 target of `_near_field_solve` take 15 and 23 iterations.)
 NEAR_FIELD = 2
 
 # An element block Z_e whose solve amplifies its right-hand sides beyond
@@ -1107,17 +1119,17 @@ def build_global_space(forms, P, loads=None, strict_zero_trace=False):
     return _new_space(forms, -1, strict_zero_trace, trial, G, corrector, cond, None, False)
 
 
-class _MatrixFreeG(spla.LinearOperator):
+class _MatrixFreeG:
     """The whole coarse matrix G = (B Psi)^T Psi of a near-field space,
     applied as Psi^T (B (Psi x)) without forming it (B is complex
     symmetric); `tocsr` assembles it, as a sparse matrix's `tocsr` returns
     the matrix itself."""
 
     def __init__(self, B, trial):
-        super().__init__(complex, (trial.shape[1], trial.shape[1]))
         self.B, self.trial = B, trial
+        self.shape = (trial.shape[1], trial.shape[1])
 
-    def _matvec(self, x):
+    def __matmul__(self, x):
         return self.trial.T @ (self.B @ (self.trial @ x))
 
     def tocsr(self):
@@ -1141,7 +1153,7 @@ class CoarseSystem:
     b: np.ndarray
     nbf: int
     G_norm: float = None
-    operator: spla.LinearOperator = None
+    operator: _MatrixFreeG = None
     G_lu: tuple = None
 
     def __post_init__(self):
@@ -1196,24 +1208,38 @@ def _near_field(G, NH, nbf):
     return _kept(G, _near_mask(G, NH, nbf))
 
 
+def _single(A):
+    """A CSR or CSC matrix in complex64, sharing A's indices and indptr;
+    SingularMatrix if an entry is beyond single precision's range."""
+    with np.errstate(over="ignore"):
+        data = A.data.astype(np.complex64)
+    if not np.isfinite(data).all():
+        raise SingularMatrix("near field beyond single precision's range")
+    return type(A)((data, A.indices, A.indptr), shape=A.shape)
+
+
 def _near_field_solve(G, A, b, NH, nbf):
-    """Solve A c = b by GMRES preconditioned with the LU of the near field
-    of G (CSR or CSC), or, when GMRES does not converge, by the LU of A.
+    """Solve A c = b by flexible GMRES preconditioned with the complex64 LU
+    of the near field of G (CSR or CSC), or, when it does not converge or
+    that LU is singular or gives a non-finite output, by the LU of A.
     A is G, or, when G holds only the near field and is factorized as it
     is, the `_MatrixFreeG` of the whole G, which the fallback assembles;
     that G is exactly symmetric, so G.T (its CSR arrays as CSC) is G, uncopied."""
-    F = kernels.factorize(_near_field(G, NH, nbf) if A is G else G.T)
-    M = spla.LinearOperator(G.shape, matvec=F.solve, dtype=G.dtype)
-    residuals = []  # one per iteration
-    c, info = spla.gmres(
-        A, b, M=M, rtol=1e-12, atol=0.0, restart=100, maxiter=2,
-        callback=residuals.append, callback_type="pr_norm",
-    )
-    log.debug("coarse GMRES on %d dofs: %d iterations, info %d, applying %s", G.shape[0],
-              len(residuals), info,
-              "the assembled G" if A is G else "the matrix-free Psi^T B Psi")
+    try:
+        F = kernels.factorize(_single(_near_field(G, NH, nbf) if A is G else G.T))
+        c, info, iterations, estimate = kernels.fgmres(A, b, F.solve, 1e-13, restart=100,
+                                                       maxiter=2)
+    except SingularMatrix as exc:  # of the factorization or a preconditioner solve
+        info = None
+        log.debug("coarse near-field preconditioner on %d dofs failed: %s", G.shape[0], exc)
+    else:
+        log.debug("coarse GMRES on %d dofs: %d iterations, info %d, applying %s, "
+                  "preconditioner %s LU with %d L+U entries, residual estimate %.2e",
+                  G.shape[0], iterations, info,
+                  "the assembled G" if A is G else "the matrix-free Psi^T B Psi",
+                  F.dtype, F.fill, estimate)
     if info != 0:
-        del F, M  # free the near-field LU before factorizing all of G
+        F = None  # free the near-field LU before factorizing all of G
         c = kernels.factorize(A.tocsr()).solve(b)
     return c
 
@@ -1270,22 +1296,25 @@ def solve_multiscale(system, space, forms=None):
     to DENSE_LIMIT coarse dofs, it is solved by a dense LU: the space's,
     which `assemble_coarse` passes on, or else one formed here (a
     near-field system first assembles its whole G).  Larger systems are
-    solved by GMRES (restart 100, at most two cycles) to a relative residual
-    |G c - b|_2 / |b|_2 of 1e-12, preconditioned by the sparse LU of G's
-    near field: its entries between coarse elements within Chebyshev
-    distance NEAR_FIELD.  If GMRES does not converge, the near-field LU is
-    dropped and the whole G, assembled as (B Psi)^T Psi when the system
-    stores only its near field, is solved by its own sparse LU.
+    solved by flexible GMRES (restart 100, at most two cycles) until its
+    estimate of |G c - b|_2 / |b|_2 reaches 1e-13, preconditioned by the
+    single-precision sparse LU of G's near field: its entries between
+    coarse elements within Chebyshev distance NEAR_FIELD.  If GMRES does not
+    converge, or that LU cannot be formed or applied in single precision,
+    the near-field LU is dropped and the whole G, assembled as
+    (B Psi)^T Psi when the system stores only its near field, is solved by
+    its own double sparse LU.
     SingularCoarseSystem is raised
     for a G singular to working precision in the dense branch
     (`_dense_solve`; GMRES does not check, and returns coefficients of the
-    one field), for an exactly singular near field or G in the sparse
-    branch, and, in either, for a solution whose backward error
+    one field), for an exactly singular G in the sparse branch (a singular
+    near field only sends the solve to G's LU), and, in either, for a solution whose backward error
     |G c - b| / (|G| |c| + |b|), in max norms, exceeds 1e-10, with |G| the
     stored G's |G|_inf (|G_near|_inf for a near-field system, which only
     makes the guard stricter).  The dense LU used (the space's or the
     system's own) with its reciprocal condition estimate, the GMRES
-    iteration count, the operator GMRES applied and the backward error are
+    iteration count, the operator GMRES applied, its preconditioner's
+    precision and fill, its residual estimate and the backward error are
     logged at DEBUG.
     """
     G, b = sp.csr_matrix(system.G), system.b

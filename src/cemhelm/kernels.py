@@ -1,9 +1,10 @@
 """Low-level numerical primitives.
 
 Sparse complex matrices are plain scipy CSR/CSC matrices; this module adds
-the two operations the rest of the package relies on: a reusable direct
-factorization for (complex symmetric, indefinite) sparse systems, and a
-dense generalized symmetric eigensolver for the small local problems.
+the operations the rest of the package relies on: a reusable direct
+factorization for (complex symmetric, indefinite) sparse systems, a
+flexible GMRES for the large coarse systems, and a dense generalized
+symmetric eigensolver for the small local problems.
 
 `factorize` is the package's only sparse LU.  Every matrix it receives (the
 fine system, the condensed skeleton systems of the patches, and the
@@ -28,6 +29,18 @@ argsort(perm_c), is then factorized with `ordered=True` (SuperLU's NATURAL
 ordering), giving the same L+U fill as the minimum-degree run.  The inverse
 is a trap: A[perm_c][:, perm_c] applies the ordering backwards and on the
 patch skeletons triples the fill.
+
+`factorize` factorizes in the matrix's own precision.  The coarse near
+field alone is given to it in complex64: its LU only preconditions, and
+`fgmres` keeps a double-precision backward error with a single-precision
+preconditioner (Arioli & Duff, ETNA 33, 2009), while SuperLU's
+single-precision LU stores half the bytes of values in the same fill.
+Every other system is factorized in complex128.
+
+`fgmres` is flexible GMRES (Saad, SIAM J. Sci. Comput. 14, 1993): right
+preconditioned, it keeps the preconditioned vectors z_j = M(v_j) and
+updates x from them, so M need not be one fixed linear map, as a solve in
+another precision is not.  A and the Arnoldi vectors stay in complex128.
 """
 
 import numpy as np
@@ -37,7 +50,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import DimensionMismatch, NotPositiveDefinite, SingularMatrix
 
-__all__ = ["SUBSET_EIG_RATIO", "Factorization", "factorize", "generalized_sym_eig"]
+__all__ = ["SUBSET_EIG_RATIO", "Factorization", "factorize", "fgmres", "generalized_sym_eig"]
 
 
 class Factorization:
@@ -91,6 +104,67 @@ def factorize(A, ordered=False):
     except RuntimeError as exc:  # SuperLU signals exact singularity this way
         raise SingularMatrix(str(exc)) from exc
     return Factorization(lu, A.shape, A.dtype)
+
+
+def _givens(a, b):
+    """(c, s) with [[c, s], [-conj(s), c]] @ [a, b] = [r, 0], c real."""
+    if a == 0.0:
+        return 0.0, 1.0
+    t = np.hypot(abs(a), abs(b))
+    return abs(a) / t, a / abs(a) * np.conj(b) / t
+
+
+def fgmres(A, b, M, rtol, restart, maxiter):
+    """Solve A x = b from x = 0 by flexible GMRES, right preconditioned by M.
+
+    A is anything with `@` and M a callable approximating A^-1; both take
+    and return vectors.  Each cycle builds up to `restart` Arnoldi vectors
+    and their preconditioned images in complex128, one by one, orthogonal
+    by modified Gram-Schmidt; a cycle ends when the Arnoldi estimate of
+    |b - A x|_2 / |b|_2 is at most `rtol`, and at most `maxiter` cycles
+    run, each after the first from the true residual.  Returns (x, info,
+    iterations, estimate): info is 0 when the estimate reached `rtol`,
+    else the iteration count, as in scipy's `gmres`, and estimate is the
+    last Arnoldi estimate.
+    """
+    b = np.asarray(b, dtype=complex)
+    x, b_norm = np.zeros_like(b), np.linalg.norm(b)
+    if b_norm == 0.0:
+        return x, 0, 0, 0.0
+    iterations = 0
+    for cycle in range(maxiter):
+        r = b - A @ x if cycle else b
+        beta = np.linalg.norm(r)
+        V, Z = [r / beta], []
+        H = np.zeros((restart + 1, restart), dtype=complex)
+        rotations, g = [], np.zeros(restart + 1, dtype=complex)
+        g[0] = beta
+        for j in range(restart):
+            Z.append(np.asarray(M(V[j]), dtype=complex))
+            w = A @ Z[j]
+            for i, v in enumerate(V):
+                H[i, j] = np.vdot(v, w)
+                w -= H[i, j] * v
+            H[j + 1, j] = np.linalg.norm(w)
+            if H[j + 1, j] != 0.0:
+                V.append(w / H[j + 1, j])
+            for i, (c, s) in enumerate(rotations):
+                H[i, j], H[i + 1, j] = (c * H[i, j] + s * H[i + 1, j],
+                                        c * H[i + 1, j] - np.conj(s) * H[i, j])
+            c, s = _givens(H[j, j], H[j + 1, j])
+            rotations.append((c, s))
+            H[j, j], H[j + 1, j] = c * H[j, j] + s * H[j + 1, j], 0.0
+            g[j], g[j + 1] = c * g[j], -np.conj(s) * g[j]
+            iterations += 1
+            estimate = abs(g[j + 1]) / b_norm
+            if estimate <= rtol or len(V) == j + 1:
+                break
+        y = sla.solve_triangular(H[:j + 1, :j + 1], g[:j + 1])
+        for y_i, z in zip(y, Z):
+            x += y_i * z
+        if estimate <= rtol:
+            return x, 0, iterations, estimate
+    return x, iterations, iterations, estimate
 
 
 # Blocks larger than SUBSET_EIG_RATIO * count compute only the `count` lowest

@@ -10,7 +10,6 @@ import weakref
 import numpy as np
 import pytest
 import scipy.sparse as sp
-import scipy.sparse.linalg
 from hypothesis import assume, given, seed
 from hypothesis import strategies as st
 
@@ -719,12 +718,15 @@ def test_coarse_solve_reads_any_format(system_nh6, dense_limit, monkeypatch):
     assert all(np.array_equal(c, coeffs[0]) for c in coeffs[1:])
 
 
+def _not_converged(A, b, M, rtol, **kw):
+    """`kernels.fgmres` stopped after two iterations short of `rtol`."""
+    return np.zeros_like(b), 2, 2, 1.0
+
+
 def test_gmres_failure_falls_back_to_full_lu(system_nh6, monkeypatch):
     forms, space, system = system_nh6
     monkeypatch.setattr(cem, "DENSE_LIMIT", 0)
-    monkeypatch.setattr(
-        scipy.sparse.linalg, "gmres", lambda A, b, **kw: (np.zeros_like(b), 2)
-    )
+    monkeypatch.setattr(kernels, "fgmres", _not_converged)
     _, c = cem.solve_multiscale(system, space, forms=forms)
     assert np.array_equal(c, kernels.factorize(system.G).solve(system.b))
 
@@ -761,7 +763,7 @@ def test_channel_coarse_gmres_iterates_on_strict_near_field(channel_setup, caplo
     caplog.set_level(logging.DEBUG, logger="cemhelm.cem")
     _, c_gmres = cem.solve_multiscale(system, space, forms=forms)
     (record,) = [r for r in caplog.records if r.msg.startswith("coarse GMRES")]
-    _, iterations, info, operator = record.args
+    _, iterations, info, operator = record.args[:4]
     assert iterations > 1 and info == 0
     assert operator == "the assembled G"  # a space built in the dense regime holds all of G
     assert np.linalg.norm(c_gmres - c_dense) <= 1e-10 * np.linalg.norm(c_dense)
@@ -1479,8 +1481,9 @@ def near_field_nh6():
 
 
 def test_stored_near_field_reaches_superlu_uncopied(near_field_nh6, monkeypatch):
-    # the stored near field is exactly symmetric: its CSR arrays go to
-    # SuperLU as CSC, uncopied, with the fill and solve of its `tocsc()` copy
+    # the stored near field is exactly symmetric: its CSR index arrays go to
+    # SuperLU as CSC, uncopied, with its data cast to complex64, and the
+    # single-precision LU has the fill of the double one of its `tocsc()` copy
     forms, space, system, ref = near_field_nh6
     monkeypatch.setattr(cem, "DENSE_LIMIT", 0)
     factorized, factorize = [], kernels.factorize
@@ -1493,11 +1496,10 @@ def test_stored_near_field_reaches_superlu_uncopied(near_field_nh6, monkeypatch)
     cem.solve_multiscale(system, space, forms=forms)
     ((A, F),) = factorized
     G = space.G
-    assert A.format == "csc" and all(np.shares_memory(a, b) for a, b in zip(
-        (A.data, A.indices, A.indptr), (G.data, G.indices, G.indptr)))
-    copied = factorize(G.tocsc())
-    assert F.fill == copied.fill
-    assert F.solve(system.b).tobytes() == copied.solve(system.b).tobytes()
+    assert A.format == "csc" and A.dtype == F.dtype == np.complex64
+    assert np.shares_memory(A.indices, G.indices) and np.shares_memory(A.indptr, G.indptr)
+    assert np.array_equal(A.data, G.data.astype(np.complex64))
+    assert F.fill == factorize(G.tocsc()).fill
 
 def test_near_field_build_and_solve_log_their_operator(caplog, monkeypatch):
     g, c, forms, P = make_setup(nx=24, NH=6, nbf=2)
@@ -1509,16 +1511,62 @@ def test_near_field_build_and_solve_log_their_operator(caplog, monkeypatch):
     (gmres,) = [r for r in caplog.records if r.msg.startswith("coarse GMRES")]
     assert build.args[6:9] == (c.NH, cem.NEAR_FIELD, space.G.nnz)
     assert gmres.args[3] == "the matrix-free Psi^T B Psi"
+    # the preconditioner's precision and L+U fill, and the Arnoldi estimate
+    # of the relative residual, which met the target
+    precision, fill, estimate = gmres.args[4:]
+    assert precision == np.complex64 and estimate <= 1e-13
+    assert fill == kernels.factorize(space.G.tocsc().astype(np.complex64)).fill
 
 
 def test_near_field_gmres_failure_assembles_whole_g(near_field_nh6, monkeypatch):
     forms, space, system, ref = near_field_nh6
     monkeypatch.setattr(cem, "DENSE_LIMIT", 0)
-    monkeypatch.setattr(
-        scipy.sparse.linalg, "gmres", lambda A, b, **kw: (np.zeros_like(b), 2)
-    )
+    monkeypatch.setattr(kernels, "fgmres", _not_converged)
     _, c = cem.solve_multiscale(system, space, forms=forms)
     assert np.array_equal(c, kernels.factorize(ref).solve(system.b))
+
+
+class _NanLU:
+    """A SuperLU factor whose solves come back not finite."""
+
+    def __init__(self, lu):
+        self.nnz = lu.nnz
+
+    def solve(self, b):
+        return np.full_like(b, np.nan)
+
+
+@pytest.mark.parametrize("trigger", ["singular", "overflow", "nan"])
+def test_near_field_preconditioner_failure_assembles_whole_g(near_field_nh6, trigger,
+                                                             caplog, monkeypatch):
+    # a single-precision near-field LU that is singular, a near field beyond
+    # complex64's range, or a preconditioner output that is not finite:
+    # the whole G is solved by its double LU, and nothing is raised
+    forms, space, system, ref = near_field_nh6
+    monkeypatch.setattr(cem, "DENSE_LIMIT", 0)
+    factorize = kernels.factorize
+    if trigger == "overflow":  # a power of two scales every product exactly
+        scale = 2.0 ** 140
+        assert np.abs(space.G.data).max() * scale > np.finfo(np.complex64).max
+        operator = cem._MatrixFreeG(forms.B * scale, space.trial)
+        system = cem.CoarseSystem(space.G * scale, system.b, system.nbf, operator=operator)
+        ref = ref * scale
+
+    def spy(A, **kw):
+        if A.dtype == np.complex64 and trigger == "singular":
+            raise SingularMatrix("singular in single precision")
+        F = factorize(A, **kw)
+        if A.dtype == np.complex64 and trigger == "nan":
+            F._lu = _NanLU(F._lu)
+        return F
+
+    monkeypatch.setattr(kernels, "factorize", spy)
+    caplog.set_level(logging.DEBUG, logger="cemhelm.cem")
+    _, c = cem.solve_multiscale(system, space, forms=forms)
+    assert np.array_equal(c, factorize(ref).solve(system.b))
+    failed = [r for r in caplog.records if r.msg.startswith("coarse near-field preconditioner")]
+    assert [r.args[0] for r in failed] == [system.n]
+    assert not [r for r in caplog.records if r.msg.startswith("coarse GMRES")]
 
 
 def test_near_field_dense_branch_assembles_whole_g(near_field_nh6):

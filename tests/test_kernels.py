@@ -195,3 +195,65 @@ def test_eig_not_positive_definite():
 def test_eig_count_exceeds_dimension():
     with pytest.raises(DimensionMismatch):
         kernels.generalized_sym_eig(np.eye(2), np.eye(2), 3)
+
+
+def _helmholtz_system(n=24, seed=0):
+    """An indefinite, damped, complex symmetric 5-point Helmholtz matrix on an
+    n x n grid, with a random complex symmetric perturbation of its pattern,
+    and a random right-hand side."""
+    rng = np.random.default_rng(seed)
+    lap = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(n, n)) * (n + 1) ** 2
+    A = sp.kron(sp.identity(n), lap) + sp.kron(lap, sp.identity(n))
+    A = (A - (3.0 * np.pi) ** 2 * (1.0 - 0.05j) * sp.identity(n * n)).tocsc()
+    E = sp.triu(A, 1).tocsc()
+    E.data = rng.normal(size=E.nnz) + 1j * rng.normal(size=E.nnz)
+    A = (A + 5.0 * (E + E.T)).tocsc()
+    assert abs(A - A.T).max() == 0.0
+    return A, rng.normal(size=n * n) + 1j * rng.normal(size=n * n)
+
+
+def test_fgmres_exact_preconditioner_converges_in_one_iteration():
+    A, b = _helmholtz_system()
+    M = kernels.factorize(A).solve
+    x, info, iterations, estimate = kernels.fgmres(A, b, M, 1e-13, 100, 2)
+    assert (info, iterations) == (0, 1) and estimate <= 1e-13
+    assert _relative_residual(A, x, b) <= 1e-13
+
+
+def test_fgmres_single_precision_lu_reaches_target_on_true_residual():
+    # the preconditioner computes in complex64; the iterate keeps double
+    # precision, far below complex64's own accuracy
+    A, b = _helmholtz_system(seed=1)
+    F = kernels.factorize(A.astype(np.complex64))
+    assert F.dtype == np.complex64 and F.solve(b).dtype == np.complex64
+    assert _relative_residual(A, F.solve(b), b) > 1e-8
+    x, info, iterations, estimate = kernels.fgmres(A, b, F.solve, 1e-13, 100, 2)
+    assert info == 0 and 1 < iterations < 10 and estimate <= 1e-13
+    assert x.dtype == complex
+    r = b - A.toarray() @ x  # a dense product, apart from fgmres's sparse one
+    assert np.linalg.norm(r) <= 1e-13 * np.linalg.norm(b)
+
+
+def test_fgmres_restarts_converge_across_cycles():
+    A, b = _helmholtz_system(seed=2)
+    F = kernels.factorize(A.astype(np.complex64))
+    x, info, iterations, _ = kernels.fgmres(A, b, F.solve, 1e-13, restart=2, maxiter=10)
+    assert info == 0 and iterations > 2
+    assert _relative_residual(A, x, b) <= 1e-13
+
+
+@pytest.mark.parametrize("restart", [1, 10])
+def test_fgmres_reports_non_convergence_with_a_finite_iterate(restart):
+    # unpreconditioned iterations on an indefinite system, far from the
+    # target: the Arnoldi estimate is the true residual, to rounding
+    A, b = _helmholtz_system(seed=3)
+    x, info, iterations, estimate = kernels.fgmres(A, b, lambda v: v, 1e-13, restart, maxiter=1)
+    assert info == iterations == restart and estimate > 1e-13
+    assert np.all(np.isfinite(x)) and _relative_residual(A, x, b) < 1.0
+    assert abs(estimate - _relative_residual(A, x, b)) <= 1e-12
+
+
+def test_fgmres_zero_rhs():
+    A, _ = _helmholtz_system(n=4)
+    x, info, iterations, _ = kernels.fgmres(A, np.zeros(16), lambda v: v, 1e-13, 100, 2)
+    assert (info, iterations) == (0, 0) and not x.any()

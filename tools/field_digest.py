@@ -9,6 +9,16 @@ its data sets.  The digest covers, solve after solve, the trial matrix and
 G (data, indices, indptr), the corrector, the coefficients c and the field
 u, so two checkouts that print the same digest computed the same fields
 bit for bit.
+
+Fields that move inside rounding show with a saved run:
+
+    python3 tools/field_digest.py --workload plane-wave-h40 --save old.npz
+    python3 tools/field_digest.py --workload plane-wave-h40 --against old.npz
+
+`--save` also writes each solve's c, u and corrector to an npz file;
+`--against` also prints, for each of the three, the largest relative
+difference |x - x_saved|_2 / |x_saved|_2 over the solves, against a file
+that `--save` wrote for the same workload, seed and rounds.
 """
 
 import argparse
@@ -18,6 +28,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import run  # noqa: E402  (sets the benchmark's BLAS threads before numpy loads BLAS)
+import numpy as np  # noqa: E402
 from spans import Tracer  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
@@ -27,9 +38,13 @@ def main(argv=None):
     parser.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--rounds", type=int, default=2)
+    parser.add_argument("--save", metavar="PATH", help="write each solve's c, u and corrector")
+    parser.add_argument("--against", metavar="PATH",
+                        help="compare c, u and corrector with a file written by --save")
     args = parser.parse_args(argv)
     sv, wl = run.import_solver(), WORKLOADS[args.workload]
     bench, digest = run.Run(sv, wl, Tracer(enabled=False)), hashlib.sha256()
+    fields = {}  # "c 0.1": c of solve 1 of round 0, ...
     for r in range(args.rounds):
         setup = bench.set_up(wl.inputs(args.seed, r), f"set-up {r}")
         for s, spec in enumerate(setup.specs):
@@ -38,7 +53,19 @@ def main(argv=None):
             for a in (space.trial.data, space.trial.indices, space.trial.indptr, space.G.data,
                       space.G.indices, space.G.indptr, space.corrector, c, u):
                 digest.update(a.tobytes())
+            fields.update({f"{name} {r}.{s}": a for name, a in
+                           (("c", c), ("u", u), ("corrector", space.corrector))})
     print(f"{wl.name} seed {args.seed} rounds {args.rounds}: {digest.hexdigest()}")
+    if args.save:
+        np.savez(args.save, **fields)
+    if args.against:
+        with np.load(args.against) as saved:
+            if set(saved.files) != set(fields):
+                sys.exit(f"{args.against} holds other solves: {sorted(saved.files)}")
+            for name in ("c", "u", "corrector"):
+                diff, key = max((np.linalg.norm(a - saved[key]) / np.linalg.norm(saved[key]), key)
+                                for key, a in fields.items() if key.split()[0] == name)
+                print(f"{name}: largest relative difference {diff:.2e} (solve {key.split()[1]})")
 
 
 if __name__ == "__main__":
