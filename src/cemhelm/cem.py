@@ -27,11 +27,12 @@ complement S_e on its 4r rim nodes (see `Condensation`).  Z_e and its
 coupling C_e to the rim are real, as the boundary mass lives on rim nodes;
 only B_RR carries -ik Mb.  So Z_e and C_e are equal across a kind of
 element (`P.kinds`, see `spectral`) and solved once per kind, as the DEBUG
-log counts.  A patch system is then the sum of S_e over the
-patch's elements on its free rim nodes, the skeleton, with a fraction of the
-patch's unknowns and LU fill; its right-hand sides enter through one
-element's rim, and the interiors come back from a product with the real
-Z_e^-1 C_e of the patch's elements.  Patches of one shape (`_layout_key`:
+log counts, and the real interior map W = Z_e^-1 C_e is kept once per
+kind.  A patch system is then the sum of S_e over the patch's elements on
+its free rim nodes, the skeleton, with a fraction of the patch's unknowns
+and LU fill; its right-hand sides enter through one element's rim, and the
+interiors come back from one product per kind with that kind's W, over
+all the batch's elements of the kind.  Patches of one shape (`_layout_key`:
 the element's distances to the domain edges, clipped at m + 1) differ by a
 translation, so a shape class shares the skeleton's index maps, its CSC
 pattern and the offsets that place them on a patch (`_Layout`), and also
@@ -68,10 +69,14 @@ strip (B Psi_b)^T Psi_near over the trial columns of rows b - (2m + 1)
 L, and G, stored CSR, is completed once as L plus the transpose of L's
 strict part (`_CoarseStrips`).  Each lower entry is summed in the order of
 the one product (B Psi)^T Psi, so G's lower triangle is bitwise that of
-the product, and G is exactly symmetric.  Above DENSE_LIMIT coarse dofs
-(the sparse regime, see below) the strips reach only NEAR_FIELD element
-rows and keep only the entries of G's near field, so the space's G is the
-near field alone, bitwise in its lower triangle and exactly symmetric.
+the product, and G is exactly symmetric.  Each strip also adds the
+magnitudes of its entries, in double, to the row sums of |G| in G's own
+order, so |G|_inf is bitwise that of the double G.  Above DENSE_LIMIT
+coarse dofs (the sparse regime, see below) the strips reach only
+NEAR_FIELD element rows, keep only the entries of G's near field and are
+cast to complex64 as they are formed, so the space's G is the near field
+alone in single precision: its lower triangle bitwise the product's cast,
+exactly symmetric, with the indices and |G|_inf of the double near field.
 The split follows the GIL: the patch loop is Python and small numpy calls
 that hold it, and SuperLU on these small skeletons gains nothing from a
 second thread, while the finishing work is mostly whole-array numpy
@@ -134,17 +139,18 @@ solved by flexible GMRES on G (`kernels.fgmres`), preconditioned by the
 sparse LU of its near field, the entries between elements within
 Chebyshev distance NEAR_FIELD, which holds a sixth of G's entries and a
 quarter of its LU fill at H = 1/40, m = 3.  That LU only preconditions, so
-it is formed in single precision, from a complex64 copy of the near
-field's values on its index arrays: the same fill in about half the
-memory, while GMRES iterates in double precision.  A space of that size
-stores only the near field; GMRES applies the whole G matrix-free, as
-Psi^T (B (Psi x)) (`_MatrixFreeG`).  GMRES stops when its Arnoldi estimate
-of the relative residual reaches 1e-13 (at 1e-12 small generated systems
-missed a 1e-10 agreement with the dense solve; 1e-14 lies below the true
-residual's rounding floor on contrast-1e-3 channels at H = 1/40, m = 3).
-When it does not get there
+it is formed in single precision: the same fill in about half the memory,
+while GMRES iterates in double precision.  A space of that size stores
+only the near field, in complex64, and SuperLU reads its CSR arrays as
+CSC, uncopied; GMRES applies the whole G matrix-free, as Psi^T (B (Psi
+x)) (`_MatrixFreeG`), and keeps the preconditioned vectors in complex64.
+GMRES stops when its Arnoldi estimate of the relative residual reaches
+1e-13 (at 1e-12 small generated systems missed a 1e-10 agreement with the
+dense solve; 1e-14 lies below the true residual's rounding floor on
+contrast-1e-3 channels at H = 1/40, m = 3).  When it does not get there
 in two cycles of 100 iterations, or the near field is beyond single
-precision's range, its LU singular or a preconditioned vector not finite,
+precision's range (cast, an entry turns infinite), its LU singular or a
+preconditioned vector not finite,
 the near-field LU is dropped, and the whole G, assembled as (B Psi)^T Psi
 if the space stores only its near field, is solved by its own double LU.
 The GMRES logs at DEBUG its iterations, its flag, the operator it applied,
@@ -156,9 +162,11 @@ hand-made system is factorized when solved.  GMRES does not check.
 Either branch, dense or sparse, ends with a backward error guard: a
 solution with |G c - b| > 1e-10 (|G| |c| + |b|), in max norms, raises
 SingularCoarseSystem instead of returning a field.  Its residual applies
-the whole G; its scale |G| is the stored G's |G|_inf, formed once per
-space, which for a near-field space is |G_near|_inf, a lower bound of
-|G|_inf, so the guard can only be stricter.
+the whole G; its scale |G| is |G|_inf of the stored G in double, formed
+once per space, which for a near-field space is |G_near|_inf, a lower
+bound of |G|_inf, so the guard can only be stricter.  It logs at DEBUG the
+backward error and the relative residual |b - G c|_2 / |b|_2 of the same
+residual, the measured counterpart of GMRES's estimate.
 """
 
 import csv
@@ -308,13 +316,18 @@ class Condensation:
     Element e's nodes split into interior nodes (`interior_nodes[e]`) and the
     4r rim nodes it shares with its neighbours (`rim_nodes[e]`, the first
     one its bottom-left corner); `on_rim` marks the fine nodes on some
-    element's rim.  Z_e couples the interior nodes and the border unknowns
-    y_e, C_e = [B_IR; U_R^T] couples them to the rim, and both are real.
-    Stacked by element:
+    element's rim, and `kind[e]` is e's kind (`P.kinds`).  Z_e couples the
+    interior nodes and the border unknowns y_e, C_e = [B_IR; U_R^T] couples
+    them to the rim, and both are real, so equal across a kind.  Stacked by
+    kind:
+
+    - W (kinds, n_I, 4r), real: the interior rows of Z^-1 C, element e's
+      block W[kind[e]];
+
+    and by element:
 
     - S (N, 4r, 4r), complex: the Schur complement B_RR - C^T Z^-1 C;
     - diag (N, 4r), complex: the diagonal of B_RR;
-    - W (N, n_I, 4r), real: the interior rows of Z^-1 C;
     - trial_rim (N, 4r, nbf), real: U_R - C^T Z^-1 [U_I; 0], the condensed
       right-hand sides of the element's trial columns;
     - trial_interior (N, n_I, nbf), real: the interior rows of Z^-1 [U_I; 0].
@@ -323,6 +336,7 @@ class Condensation:
     interior_nodes: np.ndarray
     rim_nodes: np.ndarray
     on_rim: np.ndarray
+    kind: np.ndarray
     S: np.ndarray
     diag: np.ndarray
     W: np.ndarray
@@ -336,8 +350,9 @@ class Condensation:
 
 def _condense(forms, P):
     """Eliminate every element's interior and border unknowns: Z_e and C_e
-    are solved once per kind (`P.kinds`), a chunk of kinds at a time, and
-    written to the elements of each kind with their own B_RR."""
+    are solved once per kind (`P.kinds`), a chunk of kinds at a time; W is
+    kept per kind, the rest written to the elements of each kind with their
+    own B_RR."""
     nodes = forms.coarse.element_nodes
     (N, p), nbf = nodes.shape, P.nbf
     first, kind = P.kinds
@@ -349,9 +364,10 @@ def _condense(forms, P):
         interior_nodes=nodes[:, interior],
         rim_nodes=nodes[:, rim],
         on_rim=on_rim,
+        kind=kind.view(),  # frozen below, P's own array is not
         S=np.empty((N, n_r, n_r), dtype=complex),
         diag=np.empty((N, n_r), dtype=complex),
-        W=np.empty((N, n_i, n_r)),
+        W=np.empty((first.size, n_i, n_r)),
         trial_rim=np.empty((N, n_r, nbf)),
         trial_interior=np.empty((N, n_i, nbf)),
     )
@@ -367,7 +383,7 @@ def _condense(forms, P):
         B_RR = B_RR[of] - 1j * forms.k * _rim_boundary_mass(forms, es)
         cond.S[es] = B_RR - (Ct @ X[:, :, :n_r])[of]
         cond.diag[es] = np.diagonal(B_RR, axis1=1, axis2=2)
-        cond.W[es] = X[of, :n_i, :n_r]
+        cond.W[chunk] = X[:, :n_i, :n_r]
         cond.trial_rim[es] = P.sphi[es][:, rim] - (Ct @ X[:, :, n_r:])[of]
         cond.trial_interior[es] = X[of, :n_i, n_r:]
     for arr in vars(cond).values():
@@ -621,9 +637,10 @@ def _solve_batch(cond, layout, js, m, sources, n_cols, error=SingularLocalSystem
 def _finish_batch(cond, layout, js, sources, solved):
     """The patch solutions of a batch from its skeleton solutions `solved`
     (see `_solve_batch`, whose arguments these are): the element interiors
-    -W_e x, gathered and upcast one patch's W at a time, plus the sources'
-    interior particular solutions.  Returns (free rows, shape (patches,
-    rows); the solutions on them, (patches, rows, n_cols)).
+    -W_e x, one product with the kind's W for all the batch's elements of
+    each kind, plus the sources' interior particular solutions.  Returns
+    (free rows, shape (patches, rows); the solutions on them, (patches,
+    rows, n_cols)).
     """
     js = np.asarray(js)
     firsts = js - layout.element_shift
@@ -633,8 +650,10 @@ def _finish_batch(cond, layout, js, sources, solved):
     solved[:, n] = 0.0  # the constrained nodes' values
     n_cols = solved.shape[2]
     interior = np.empty((js.size,) + layout.interior.shape + (n_cols,), dtype=complex)
-    for p, first in enumerate(firsts):
-        interior[p] = -(cond.W[layout.elements + first] @ solved[p, layout.local])
+    kinds = cond.kind[layout.elements + firsts[:, None]]  # (patches, elements)
+    for k in np.unique(kinds):
+        p, q = np.nonzero(kinds == k)  # patch p's element q
+        interior[p, q] = -(cond.W[k] @ solved[p[:, None], layout.local[q]])
     np.add.at(interior, (patches[:, None], e[:, None], np.arange(interior.shape[2]),
                          src_cols[:, None]), src_interior)
     vals = np.empty((js.size, layout.rows.size, n_cols), dtype=complex)
@@ -676,11 +695,12 @@ def test_basis(trial):
 class MultiscaleSpace:
     """Trial vectors as columns of a sparse matrix, column p = j*nbf + i.
 
-    `G` is the coarse matrix Psi^T B Psi of `forms.B` or, with `near_field`
-    (a space of more than DENSE_LIMIT dofs, see `build_space`), only its
-    near field, the entries between elements within Chebyshev distance
-    NEAR_FIELD.  `G_norm` is the max-norm |G|_inf of the stored G (see
-    `_inf_norm`), so in the near-field case |G_near|_inf; `G_lu` is G's
+    `G` is the coarse matrix Psi^T B Psi of `forms.B`, in complex128, or,
+    with `near_field` (a space of more than DENSE_LIMIT dofs, see
+    `build_space`), only its near field, the entries between elements
+    within Chebyshev distance NEAR_FIELD, in complex64.  `G_norm` is the
+    max-norm |G|_inf of the stored G in double (see `_inf_norm`), so in
+    the near-field case |G_near|_inf before the cast; `G_lu` is G's
     dense LU (lu, piv, rcond) of `_dense_lu` for a space of at most
     DENSE_LIMIT dofs, formed once with G, and None above; `condensation` is
     the element condensation the patch solves read, and `layouts` the
@@ -740,13 +760,14 @@ def _inf_norm(G):
     return (abs(G) @ np.ones(G.shape[1])).max()
 
 
-def _new_space(forms, m, strict_zero_trace, trial, G, corrector, condensation, layouts,
-               near_field):
-    """The space of a newly built trial matrix and its G: freezes both and,
-    up to DENSE_LIMIT dofs, factorizes G once (`_dense_lu`)."""
+def _new_space(forms, m, strict_zero_trace, trial, G, G_norm, corrector, condensation,
+               layouts, near_field):
+    """The space of a newly built trial matrix and its G with |G|_inf
+    `G_norm` (see `_CoarseStrips`): freezes both and, up to DENSE_LIMIT
+    dofs, factorizes G once (`_dense_lu`)."""
     trial, G = _read_only(trial), _read_only(G)
     G_lu = _dense_lu(G) if G.shape[0] <= DENSE_LIMIT else None
-    return MultiscaleSpace(forms, m, strict_zero_trace, trial, G, _inf_norm(G), G_lu,
+    return MultiscaleSpace(forms, m, strict_zero_trace, trial, G, G_norm, G_lu,
                            condensation, layouts, near_field, corrector)
 
 
@@ -784,13 +805,16 @@ def _lower_strip(B, trial, b, lo, w, near_field):
     """The lower strip of element row b: the lower triangle of G's rows
     (B Psi_b)^T Psi_near, Psi_near the trial columns of element rows lo
     ... b (w columns per row), as CSR rows over all of G's columns.  With
-    `near_field` it keeps only the entries of G's near field."""
+    `near_field` it keeps only the entries of G's near field, cast to
+    complex64 (`_single`).  Returns (the strip, the magnitude |x| of each of
+    its entries x in double)."""
     L = _coarse_rows(B, _slice(trial, b * w, (b + 1) * w), _slice(trial, lo * w, (b + 1) * w),
                      lo * w, trial.shape[1])
     rows = np.repeat(np.arange(b * w, (b + 1) * w), np.diff(L.indptr))
     NH = trial.shape[1] // w
     keep = _near_mask(L, NH, w // NH, b * w) if near_field else True
-    return _kept(L, keep & (L.indices <= rows))
+    L = _kept(L, keep & (L.indices <= rows))
+    return (_single(L) if near_field else L), np.abs(L.data)
 
 
 def _symmetric(L):
@@ -803,6 +827,23 @@ def _symmetric(L):
     return L + _kept(L, strict).T.tocsr()  # the strict part's copy goes before the sum
 
 
+def _add_row_sums(sums, strip, magnitude, first):
+    """Add the lower strip `strip` (rows first, first + 1, ...), whose
+    entries have the magnitudes `magnitude` in double, to the row sums
+    `sums` of |G|, G = `_symmetric` of the stacked strips: its own rows
+    are summed afresh, then each strict entry is added to the sum of its
+    column, in strip order.  Added strip by strip from the first, row i sums
+    its entries in L and then those of column i of L's strict part by
+    increasing row, G's order of row i, so each sum is bitwise that of
+    `_inf_norm` of G in double (a zero entry that `_symmetric` drops adds
+    nothing)."""
+    n = strip.shape[0]
+    rows = np.repeat(np.arange(first, first + n), np.diff(strip.indptr))
+    sums[first:first + n] = np.bincount(rows - first, weights=magnitude, minlength=n)
+    strict = strip.indices < rows
+    np.add.at(sums, strip.indices[strict], magnitude[strict])  # in order, as bincount
+
+
 class _CoarseStrips:
     """G = (B Psi)^T Psi, its lower triangle formed on worker threads, strip
     by strip, while the patch solves of later element rows go on.
@@ -813,13 +854,17 @@ class _CoarseStrips:
     lower triangle is formed.  Once the trial columns of element row b are
     final, a worker forms the lower strip of row b (`_lower_strip`): the
     lower triangle of (B Psi_b)^T Psi_near, with Psi_near the columns of
-    rows b - reach ... b.  After the last row, `matrix` stacks the strips
-    into G's lower triangle L, drops them and completes G once, on the
-    calling thread, as L plus the transpose of L's strict part
-    (`_symmetric`).  Each lower entry is summed in the order of the one
-    product (B Psi)^T Psi, so G's lower triangle is bitwise that of the
-    product (of its near field) and G is exactly symmetric, whatever the
-    number of workers or the order the strips finish in.  G is stored CSR.
+    rows b - reach ... b, and, once the strip above it has, adds it to the
+    row sums of |G| (`_add_row_sums`), from the magnitudes of its entries in
+    double, which it then drops.  With `near_field` the strips are kept in
+    complex64.  After the last row, `matrix` stacks the strips into G's
+    lower triangle L, drops them and completes G once, on the calling
+    thread, as L plus the transpose of L's strict part (`_symmetric`).
+    Each lower entry is summed in the order of the one product
+    (B Psi)^T Psi, so G's lower triangle is bitwise that of the product (of
+    its near field, cast) and G is exactly symmetric, and each row sum of
+    |G| is summed in G's order, whatever the number of workers or the order
+    the strips finish in.  G is stored CSR.
 
     The patch loop also hands the workers the tasks that write the trial
     columns (`defer`).  They run one at a time, in the order deferred,
@@ -835,6 +880,7 @@ class _CoarseStrips:
         self._width = trial.shape[1] // NH
         self._pool = ThreadPoolExecutor(_g_workers(), thread_name_prefix="cemhelm-G")
         self._lower = []  # futures of the solved rows' lower strips
+        self._sums = np.zeros(trial.shape[1])  # row sums of |G|, strip by strip
         self._rows = []  # futures of the deferred strip submissions, one per row
         self._last = None  # future of the last task deferred
         self.busy = []  # seconds of each lower strip formed
@@ -860,12 +906,18 @@ class _CoarseStrips:
         run; a failed task raises from `row_solved` or `matrix`."""
         self._last = self._pool.submit(self._after, self._last, fn, *args)
 
+    def _strip(self, b, above):
+        strip, magnitude = self._timed(
+            self.busy, _lower_strip, self._B, self._trial, b, max(b - self.reach, 0),
+            self._width, self._near_field)
+        if above is not None:
+            above.result()  # its rows are summed first; a failed strip fails the rest
+        _add_row_sums(self._sums, strip, magnitude, b * self._width)
+        return strip
+
     def _next_strip(self):
         b = len(self._lower)
-        self._lower.append(self._pool.submit(
-            self._timed, self.busy, _lower_strip, self._B, self._trial, b,
-            max(b - self.reach, 0), self._width, self._near_field,
-        ))
+        self._lower.append(self._pool.submit(self._strip, b, self._lower[-1] if b else None))
 
     def _await(self, future):
         start = time.perf_counter()
@@ -882,8 +934,8 @@ class _CoarseStrips:
             self._await(self._rows[-3])
 
     def matrix(self):
-        """G in CSR form, once every element row is solved; a strip or a
-        deferred task that failed raises here."""
+        """(G in CSR form, |G|_inf), once every element row is solved; a
+        strip or a deferred task that failed raises here."""
         if self._last is not None:
             self._await(self._last)
         start = time.perf_counter()
@@ -893,7 +945,7 @@ class _CoarseStrips:
         self._lower = None  # the strips go before G is completed
         G = _symmetric(L)
         self.wait = time.perf_counter() - start
-        return G
+        return G, self._sums.max()
 
     def close(self):
         """Stop the workers: queued tasks are dropped, running ones finish."""
@@ -952,7 +1004,7 @@ def _solve_patches(cond, forms, P, m, strict_zero_trace, load_blocks, plan=None,
     an element row recur only in the rows of the same distances to the
     bottom and top edges, which follow it, so the layouts are dropped
     whenever those change.  Returns (trial matrix or None, G or None,
-    corrector or None, the plan).
+    |G|_inf or None, corrector or None, the plan).
     """
     coarse = forms.coarse
     n, N, NH = forms.grid.n_nodes, coarse.n_elements, coarse.NH
@@ -966,7 +1018,7 @@ def _solve_patches(cond, forms, P, m, strict_zero_trace, load_blocks, plan=None,
         loaded_at[loaded] = np.arange(loaded.size)
         corrector = np.zeros(n, dtype=complex)
     elements = np.arange(N) if with_trial else np.flatnonzero(loaded_at >= 0)
-    trial = strips = G = None
+    trial = strips = G = G_norm = None
     if with_trial:
         trial = _empty_trial(coarse, m, strict_zero_trace, nbf)
         strips = _CoarseStrips(
@@ -1026,7 +1078,7 @@ def _solve_patches(cond, forms, P, m, strict_zero_trace, load_blocks, plan=None,
             if with_trial:
                 strips.row_solved()
         if strips is not None:
-            G = strips.matrix()
+            G, G_norm = strips.matrix()
     finally:
         if strips is not None:
             strips.close()
@@ -1042,7 +1094,7 @@ def _solve_patches(cond, forms, P, m, strict_zero_trace, load_blocks, plan=None,
            strips.deferred_wait) if strips else (0, 0, 0, 0.0, 0.0, 0.0, 0.0)),
         built, taken, plan.nbytes,
     )
-    return trial, G, corrector, plan
+    return trial, G, G_norm, corrector, plan
 
 
 def build_space(forms, P, m, strict_zero_trace=False, load_blocks=None):
@@ -1067,18 +1119,18 @@ def build_space(forms, P, m, strict_zero_trace=False, load_blocks=None):
     space = P.space
     if (space is not None and space.forms is forms and space.m == m
             and space.strict_zero_trace == strict_zero_trace):
-        _, _, corrector, _ = _solve_patches(
+        _, _, _, corrector, _ = _solve_patches(
             space.condensation, forms, P, m, strict_zero_trace, load_blocks, space.layouts
         )
         return replace(space, corrector=corrector)
     P.space = space = None  # the previous trial, G, LU, condensation and plan go first
     cond = _condense(forms, P)
     near_field = coarse.n_elements * P.nbf > DENSE_LIMIT  # the branch of `solve_multiscale`
-    trial, G, corrector, layouts = _solve_patches(
+    trial, G, G_norm, corrector, layouts = _solve_patches(
         cond, forms, P, m, strict_zero_trace, load_blocks, near_field=near_field
     )
-    P.space = _new_space(forms, m, strict_zero_trace, trial, G, corrector, cond, layouts,
-                         near_field)
+    P.space = _new_space(forms, m, strict_zero_trace, trial, G, G_norm, corrector, cond,
+                         layouts, near_field)
     return P.space
 
 
@@ -1113,10 +1165,11 @@ def build_global_space(forms, P, loads=None, strict_zero_trace=False):
     trial = sp.csc_matrix(full[:, :N * P.nbf])
     strips = _CoarseStrips(forms.B, trial, NH, NH)
     try:
-        G = strips.matrix()
+        G, G_norm = strips.matrix()
     finally:
         strips.close()
-    return _new_space(forms, -1, strict_zero_trace, trial, G, corrector, cond, None, False)
+    return _new_space(forms, -1, strict_zero_trace, trial, G, G_norm, corrector, cond, None,
+                      False)
 
 
 class _MatrixFreeG:
@@ -1141,7 +1194,8 @@ class _MatrixFreeG:
 @dataclass
 class CoarseSystem:
     """G c = b; `G_norm` is |G|_inf of the stored `G`, the space's when
-    `assemble_coarse` made the system, else computed here, and `G_lu` the
+    `assemble_coarse` made the system (for a near-field space, of its near
+    field in double), else computed here, and `G_lu` the
     space's dense LU of G (see `MultiscaleSpace`), which the dense solve
     reuses; a system without one is factorized when solved.  A hand-made
     system's G may be sparse in any format or dense, and is the system's
@@ -1209,24 +1263,28 @@ def _near_field(G, NH, nbf):
 
 
 def _single(A):
-    """A CSR or CSC matrix in complex64, sharing A's indices and indptr;
-    SingularMatrix if an entry is beyond single precision's range."""
+    """The CSR or CSC matrix A in complex64 on A's own indices and indptr,
+    and on A's data too when A is complex64 already; an entry beyond single
+    precision's range turns infinite."""
     with np.errstate(over="ignore"):
-        data = A.data.astype(np.complex64)
-    if not np.isfinite(data).all():
-        raise SingularMatrix("near field beyond single precision's range")
+        data = A.data.astype(np.complex64, copy=False)
     return type(A)((data, A.indices, A.indptr), shape=A.shape)
 
 
 def _near_field_solve(G, A, b, NH, nbf):
     """Solve A c = b by flexible GMRES preconditioned with the complex64 LU
-    of the near field of G (CSR or CSC), or, when it does not converge or
-    that LU is singular or gives a non-finite output, by the LU of A.
-    A is G, or, when G holds only the near field and is factorized as it
-    is, the `_MatrixFreeG` of the whole G, which the fallback assembles;
-    that G is exactly symmetric, so G.T (its CSR arrays as CSC) is G, uncopied."""
+    of the near field of G (CSR or CSC), or, when it does not converge, the
+    near field is beyond single precision's range or its LU is singular or
+    gives a non-finite output, by the LU of A.  A is G, whose near field is
+    cast, or, when G is a near-field space's stored complex64 near field,
+    the `_MatrixFreeG` of the whole G, which the fallback assembles; that G
+    is exactly symmetric, so G.T (its CSR arrays as CSC) is G, factorized
+    on its stored data, indices and indptr, uncopied."""
     try:
-        F = kernels.factorize(_single(_near_field(G, NH, nbf) if A is G else G.T))
+        near = _single(_near_field(G, NH, nbf) if A is G else G.T)
+        if not np.isfinite(near.data).all():
+            raise SingularMatrix("near field beyond single precision's range")
+        F, near = kernels.factorize(near), None  # a cast copy goes once factorized
         c, info, iterations, estimate = kernels.fgmres(A, b, F.solve, 1e-13, restart=100,
                                                        maxiter=2)
     except SingularMatrix as exc:  # of the factorization or a preconditioner solve
@@ -1239,7 +1297,7 @@ def _near_field_solve(G, A, b, NH, nbf):
                   "the assembled G" if A is G else "the matrix-free Psi^T B Psi",
                   F.dtype, F.fill, estimate)
     if info != 0:
-        F = None  # free the near-field LU before factorizing all of G
+        near = F = None  # free the near field's cast and LU before factorizing all of G
         c = kernels.factorize(A.tocsr()).solve(b)
     return c
 
@@ -1277,10 +1335,13 @@ def _check_backward_error(A, b, c, scale, diag):
     """Raise SingularCoarseSystem unless the normwise backward error
     |A c - b| / (|G| |c| + |b|), in max norms, is at most 1e-10; `scale` is
     |G|_inf of the stored G, a lower bound of |A|_inf when G holds only
-    A's near field."""
-    residual = np.abs(A @ c - b).max()
+    A's near field.  Logs it with the relative residual |b - A c|_2 / |b|_2."""
+    r = A @ c - b
+    residual = np.abs(r).max()
     eta = residual / (scale * np.abs(c).max() + np.abs(b).max()) if residual else 0.0
-    log.debug("coarse solve on %d dofs: backward error %.2e", A.shape[0], eta)
+    relative = np.linalg.norm(r) / np.linalg.norm(b) if residual else 0.0
+    log.debug("coarse solve on %d dofs: backward error %.2e, relative residual %.2e",
+              A.shape[0], eta, relative)
     if not eta <= 1e-10:
         raise SingularCoarseSystem(
             f"coarse solve of {A.shape[0]} dofs has backward error {eta:.2e} "
@@ -1291,8 +1352,10 @@ def _check_backward_error(A, b, c, scale, diag):
 def solve_multiscale(system, space, forms=None):
     """Coefficients and fine-grid expansion of the multiscale solution.
 
-    The system's matrix is its G, or, when G holds only the near field of a
-    near-field space, the whole G applied matrix-free (`CoarseSystem`).  Up
+    The system's matrix is its G, in complex128 (a hand-made system of a
+    near-field space's complex64 G is upcast), or, when G holds only the
+    near field of a near-field space, the whole G applied matrix-free
+    (`CoarseSystem`).  Up
     to DENSE_LIMIT coarse dofs, it is solved by a dense LU: the space's,
     which `assemble_coarse` passes on, or else one formed here (a
     near-field system first assembles its whole G).  Larger systems are
@@ -1310,15 +1373,19 @@ def solve_multiscale(system, space, forms=None):
     one field), for an exactly singular G in the sparse branch (a singular
     near field only sends the solve to G's LU), and, in either, for a solution whose backward error
     |G c - b| / (|G| |c| + |b|), in max norms, exceeds 1e-10, with |G| the
-    stored G's |G|_inf (|G_near|_inf for a near-field system, which only
+    system's `G_norm` (|G_near|_inf for a near-field system, which only
     makes the guard stricter).  The dense LU used (the space's or the
     system's own) with its reciprocal condition estimate, the GMRES
     iteration count, the operator GMRES applied, its preconditioner's
-    precision and fill, its residual estimate and the backward error are
+    precision and fill, its residual estimate, the backward error and the
+    relative residual |b - G c|_2 / |b|_2 are
     logged at DEBUG.
     """
     G, b = sp.csr_matrix(system.G), system.b
-    A = G if system.operator is None else system.operator  # the system's matrix
+    if system.operator is None:  # the system's matrix is G, in double
+        A = G = G.astype(complex, copy=False)
+    else:
+        A = system.operator
     diag = ""
     if forms is not None:
         khe = forms.k * forms.coarse.H / forms.medium.epsilon

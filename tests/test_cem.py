@@ -10,7 +10,7 @@ import weakref
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import assume, given, seed
+from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
 from cemhelm import assembly, cem, kernels, spectral
@@ -286,9 +286,13 @@ def test_kinds_are_bitwise_the_per_element_solves(setup48, case, monkeypatch):
         assert _same_bytes(getattr(P, name), getattr(ref, name)), name
     for name in ("data", "indices", "indptr"):
         assert _same_bytes(getattr(P.S, name), getattr(ref.S, name)), name
+    # W is kept per kind: each element's block is that of its own solve
     cond, cond_ref = cem._condense(forms, P), cem._condense(forms, ref)
+    assert _same_bytes(cond.kind, kind) and _same_bytes(cond_ref.kind, np.arange(N))
+    assert cond.W.shape[0] == first.size and _same_bytes(cond.W[cond.kind], cond_ref.W)
     for name, a in vars(cond).items():
-        assert _same_bytes(a, getattr(cond_ref, name)), name
+        if name not in ("kind", "W"):
+            assert _same_bytes(a, getattr(cond_ref, name)), name
 
 
 def test_kind_counts_of_channel_and_homogeneous_media(setup48):
@@ -977,10 +981,14 @@ def test_generated_sparse_coarse_solve(cfg, data):
                                load_blocks=element_loads(g, c, f, gd))
         system = cem.assemble_coarse(near, forms, loads)
         _, c_near = cem.solve_multiscale(system, near, forms=forms)
+    # (stored in complex64: the product's near field is cast, and G_norm is
+    # the largest row sum of the double near field)
     G, ref = near.G, _g_oracle(forms, near)
     assert near.near_field and G.format == "csr" and G.has_canonical_format
-    assert _bitwise_equal(_lower_triangle(G), _lower_triangle(cem._near_field(ref, c.NH, P.nbf)))
+    L = _lower_triangle(cem._near_field(ref, c.NH, P.nbf))
+    assert G.dtype == np.complex64 and _bitwise_equal(_lower_triangle(G), L.astype(np.complex64))
     assert (G != G.T).nnz == 0
+    G = _mirrored(L)
     rows = np.repeat(np.arange(G.shape[0]), np.diff(G.indptr))
     assert near.G_norm == np.bincount(rows, weights=np.abs(G.data), minlength=G.shape[0]).max()
     if not singular:
@@ -1424,7 +1432,16 @@ def _g_oracle(forms, space):
 
 def _bitwise_equal(A, B):
     return (A.shape == B.shape and np.array_equal(A.indptr, B.indptr)
-            and np.array_equal(A.indices, B.indices) and np.array_equal(A.data, B.data))
+            and np.array_equal(A.indices, B.indices) and A.dtype == B.dtype
+            and np.array_equal(A.data, B.data))
+
+
+def _mirrored(L):
+    """The complex symmetric CSR matrix of lower triangle L, each entry one
+    of L's."""
+    G = (L + sp.tril(L, -1).T).tocsr()
+    G.sum_duplicates()
+    return G
 
 
 def _lower_triangle(A):
@@ -1441,6 +1458,7 @@ def _assert_mirrored_product(forms, space):
     assert _bitwise_equal(_lower_triangle(G), _lower_triangle(ref))
     assert (G != G.T).nnz == 0
     assert abs(G - ref).max() <= 1e-12 * abs(ref).max()
+    assert space.G_norm == cem._inf_norm(G)  # summed strip by strip, in G's order
 
 
 @seed(6)
@@ -1481,9 +1499,10 @@ def near_field_nh6():
 
 
 def test_stored_near_field_reaches_superlu_uncopied(near_field_nh6, monkeypatch):
-    # the stored near field is exactly symmetric: its CSR index arrays go to
-    # SuperLU as CSC, uncopied, with its data cast to complex64, and the
-    # single-precision LU has the fill of the double one of its `tocsc()` copy
+    # the stored near field is complex64 and exactly symmetric: its CSR data,
+    # indices and indptr go to SuperLU as CSC, all uncopied (canonical, with
+    # intc indices, so splu casts and sorts nothing), and the single-precision
+    # LU has the fill of the double one of its `tocsc()` copy
     forms, space, system, ref = near_field_nh6
     monkeypatch.setattr(cem, "DENSE_LIMIT", 0)
     factorized, factorize = [], kernels.factorize
@@ -1496,17 +1515,18 @@ def test_stored_near_field_reaches_superlu_uncopied(near_field_nh6, monkeypatch)
     cem.solve_multiscale(system, space, forms=forms)
     ((A, F),) = factorized
     G = space.G
-    assert A.format == "csc" and A.dtype == F.dtype == np.complex64
-    assert np.shares_memory(A.indices, G.indices) and np.shares_memory(A.indptr, G.indptr)
-    assert np.array_equal(A.data, G.data.astype(np.complex64))
-    assert F.fill == factorize(G.tocsc()).fill
+    assert A.format == "csc" and A.dtype == F.dtype == G.dtype == np.complex64
+    assert all(np.shares_memory(getattr(A, name), getattr(G, name))
+               for name in ("data", "indices", "indptr"))
+    assert A.indices.dtype == A.indptr.dtype == np.intc and A.has_canonical_format
+    assert F.fill == factorize(G.tocsc().astype(complex)).fill
 
 def test_near_field_build_and_solve_log_their_operator(caplog, monkeypatch):
     g, c, forms, P = make_setup(nx=24, NH=6, nbf=2)
     monkeypatch.setattr(cem, "DENSE_LIMIT", 0)
     caplog.set_level(logging.DEBUG, logger="cemhelm.cem")
     space, system = _plane_wave_system(forms, P, 2)
-    cem.solve_multiscale(system, space, forms=forms)
+    _, coefficients = cem.solve_multiscale(system, space, forms=forms)
     (build,) = [r for r in caplog.records if r.msg.startswith("build_space")]
     (gmres,) = [r for r in caplog.records if r.msg.startswith("coarse GMRES")]
     assert build.args[6:9] == (c.NH, cem.NEAR_FIELD, space.G.nnz)
@@ -1516,6 +1536,12 @@ def test_near_field_build_and_solve_log_their_operator(caplog, monkeypatch):
     precision, fill, estimate = gmres.args[4:]
     assert precision == np.complex64 and estimate <= 1e-13
     assert fill == kernels.factorize(space.G.tocsc().astype(np.complex64)).fill
+    # the guard's record: the backward error, then the true relative residual
+    # |b - A c|_2 / |b|_2 of the residual it formed, near the target
+    (guard,) = [r for r in caplog.records if r.msg.startswith("coarse solve on")]
+    r = system.operator @ coefficients - system.b
+    assert guard.args[0] == system.n and guard.args[1] <= 1e-10
+    assert guard.args[2] == np.linalg.norm(r) / np.linalg.norm(system.b) <= 2e-13
 
 
 def test_near_field_gmres_failure_assembles_whole_g(near_field_nh6, monkeypatch):
@@ -1536,20 +1562,26 @@ class _NanLU:
         return np.full_like(b, np.nan)
 
 
-@pytest.mark.parametrize("trigger", ["singular", "overflow", "nan"])
+@pytest.mark.parametrize("trigger", ["singular", "overflow", "stored-overflow", "nan"])
 def test_near_field_preconditioner_failure_assembles_whole_g(near_field_nh6, trigger,
                                                              caplog, monkeypatch):
     # a single-precision near-field LU that is singular, a near field beyond
-    # complex64's range, or a preconditioner output that is not finite:
-    # the whole G is solved by its double LU, and nothing is raised
+    # complex64's range (a double one, cast when solved, or one stored in
+    # complex64, whose cast made it infinite), or a preconditioner output
+    # that is not finite: the whole G is solved by its double LU, and nothing
+    # is raised
     forms, space, system, ref = near_field_nh6
     monkeypatch.setattr(cem, "DENSE_LIMIT", 0)
     factorize = kernels.factorize
-    if trigger == "overflow":  # a power of two scales every product exactly
+    if trigger.endswith("overflow"):  # a power of two scales every product exactly
         scale = 2.0 ** 140
-        assert np.abs(space.G.data).max() * scale > np.finfo(np.complex64).max
+        near = space.G.astype(complex) * scale
+        assert np.abs(near.data).max() > np.finfo(np.complex64).max
+        if trigger == "stored-overflow":
+            near = cem._single(near)
+            assert near.dtype == np.complex64 and np.isinf(near.data).any()
         operator = cem._MatrixFreeG(forms.B * scale, space.trial)
-        system = cem.CoarseSystem(space.G * scale, system.b, system.nbf, operator=operator)
+        system = cem.CoarseSystem(near, system.b, system.nbf, operator=operator)
         ref = ref * scale
 
     def spy(A, **kw):
@@ -1612,6 +1644,111 @@ def test_hand_made_system_is_solved_against_its_own_g(near_field_nh6, monkeypatc
     singular.eliminate_zeros()
     with pytest.raises(SingularCoarseSystem, match="k\\*H/eps"):
         cem.solve_multiscale(cem.CoarseSystem(singular, system.b, system.nbf), space, forms=forms)
+
+
+def _finish_batch_per_element(cond, layout, js, sources, solved):
+    """`cem._finish_batch` recovering the interiors patch by patch, from the
+    W of the patch's elements gathered one element at a time and upcast."""
+    W = cond.W[cond.kind]
+    js = np.asarray(js)
+    firsts = js - layout.element_shift
+    n = layout.indptr.size - 1
+    patches, src_elements, src_cols, _, src_interior = sources
+    e = np.searchsorted(layout.elements, src_elements - firsts[patches])
+    solved[:, n] = 0.0
+    n_cols = solved.shape[2]
+    interior = np.empty((js.size,) + layout.interior.shape + (n_cols,), dtype=complex)
+    for p, first in enumerate(firsts):
+        interior[p] = -(W[layout.elements + first] @ solved[p, layout.local])
+    np.add.at(interior, (patches[:, None], e[:, None], np.arange(interior.shape[2]),
+                         src_cols[:, None]), src_interior)
+    vals = np.empty((js.size, layout.rows.size, n_cols), dtype=complex)
+    vals[:, layout.skeleton] = solved[:, :n]
+    vals[:, layout.interior] = interior
+    return layout.rows + (cond.rim_nodes[js, 0] - layout.node_shift)[:, None], vals
+
+
+def _near_field_run(forms, nbf, m, strict, blocks, double=False):
+    """Above DENSE_LIMIT, an offline solve on a fresh projection, then online
+    ones, one per element load blocks of `blocks`: (space, c, u) of each, c
+    and u None for a singular G.  With `double` the strips are not cast, so
+    the space keeps its near field in double, and GMRES upcasts each
+    preconditioned vector to complex128."""
+    P, runs = spectral.build_projection(forms, nbf), []
+    fgmres = kernels.fgmres
+
+    def upcast(A, b, M, *args, **kw):
+        return fgmres(A, b, lambda v: np.asarray(M(v), dtype=complex), *args, **kw)
+
+    for b in blocks:
+        loads = np.zeros(forms.grid.n_nodes, dtype=complex)
+        np.add.at(loads, forms.coarse.element_nodes, b)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cem, "DENSE_LIMIT", 0)
+            if double:
+                mp.setattr(cem, "_single", lambda A: A)
+            space = cem.build_space(forms, P, m, strict, load_blocks=b)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cem, "DENSE_LIMIT", 0)
+            if double:
+                mp.setattr(kernels, "fgmres", upcast)
+            try:
+                u, c = cem.solve_multiscale(cem.assemble_coarse(space, forms, loads), space,
+                                            forms)
+            except SingularCoarseSystem:
+                u = c = None
+        runs.append((space, c, u))
+    return runs
+
+
+@seed(11)
+@settings(max_examples=40)
+@given(cfg=configurations(), data=st.data())
+def test_generated_single_precision_near_field(cfg, data):
+    # above DENSE_LIMIT the space keeps its near field in complex64 and W
+    # per kind: the stored G is the product's near field cast, exactly
+    # symmetric, with the double near field's |G|_inf; every coefficient,
+    # field and corrector is bitwise that of a run that keeps the double near
+    # field and upcasts each preconditioned vector (its LU cast when solved),
+    # and every batch's interiors bitwise those of the per-element product
+    c = _generated_coarse(cfg)
+    assume(cfg["NH"] > 1)  # 40 examples of more than one element, some beyond the near field
+    assume(c.n_elements * cfg["nbf"] <= oversample(c, 0, c.NH - 1).free_nodes(cfg["strict"]).size)
+    rng, g, c, forms, P = _generated_setup(cfg, c)
+    m = data.draw(st.integers(1, max(1, cfg["NH"] - 1)), label="m")
+    blocks = [element_loads(g, c, _random_complex(rng, g.n_nodes),
+                            _random_complex(rng, g.n_nodes)) for _ in range(2)]
+    blocks[1][rng.random(c.n_elements) < 0.5] = 0.0
+    finish_batch, finished = cem._finish_batch, []
+
+    def checked(cond, layout, js, sources, solved):
+        expected = _finish_batch_per_element(cond, layout, js, sources, solved.copy())
+        got = finish_batch(cond, layout, js, sources, solved)
+        finished.append(all(_same_bytes(a, b) for a, b in zip(got, expected)))
+        return got
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cem, "_finish_batch", checked)
+        runs = _near_field_run(forms, P.nbf, m, cfg["strict"], blocks)
+        refs = _near_field_run(forms, P.nbf, m, cfg["strict"], blocks, double=True)
+        # W per kind: each element's block that of its own interior solve
+        mp.setattr(spectral, "_element_kinds", _per_element_kinds)
+        per_element = cem._condense(forms, spectral.build_projection(forms, P.nbf))
+    assert finished and all(finished)
+    for (space, c_, u), (ref, c_ref, u_ref) in zip(runs, refs):
+        assert space.near_field and ref.near_field and ref.G.dtype == complex
+        assert space.G.dtype == np.complex64
+        assert _bitwise_equal(space.G, ref.G.astype(np.complex64))
+        assert space.G_norm == ref.G_norm == cem._inf_norm(ref.G)
+        assert _same_bytes(space.corrector, ref.corrector)
+        assert (c_ is None) == (c_ref is None)
+        if c_ is not None:
+            assert _same_bytes(c_, c_ref) and _same_bytes(u, u_ref)
+    G = runs[0][0].G
+    L = _lower_triangle(cem._near_field(_g_oracle(forms, runs[0][0]), c.NH, P.nbf))
+    assert _bitwise_equal(_lower_triangle(G), L.astype(np.complex64)) and (G != G.T).nnz == 0
+    cond = runs[0][0].condensation
+    assert _same_bytes(cond.W[cond.kind], per_element.W)
 
 
 @seed(7)
@@ -1680,7 +1817,7 @@ def test_strips_under_many_workers_and_fast_switching(monkeypatch):
             assert space.trial.data.tobytes() == ref.trial.data.tobytes()
             assert space.trial.indices.tobytes() == ref.trial.indices.tobytes()
             assert space.corrector.tobytes() == ref.corrector.tobytes()
-            assert _bitwise_equal(space.G, ref.G)
+            assert _bitwise_equal(space.G, ref.G) and space.G_norm == ref.G_norm
     finally:
         sys.setswitchinterval(interval)
     assert _g_threads() == []
