@@ -143,7 +143,7 @@ it is formed in single precision: the same fill in about half the memory,
 while GMRES iterates in double precision.  A space of that size stores
 only the near field, in complex64, and SuperLU reads its CSR arrays as
 CSC, uncopied; GMRES applies the whole G matrix-free, as Psi^T (B (Psi
-x)) (`_MatrixFreeG`), and keeps the preconditioned vectors in complex64.
+x)) (`_MatrixFreeG`), with the preconditioned vectors upcast to complex128.
 GMRES stops when its Arnoldi estimate of the relative residual reaches
 1e-13 (at 1e-12 small generated systems missed a 1e-10 agreement with the
 dense solve; 1e-14 lies below the true residual's rounding floor on
@@ -172,6 +172,7 @@ residual, the measured counterpart of GMRES's estimate.
 import csv
 import logging
 import os
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -854,9 +855,11 @@ class _CoarseStrips:
     lower triangle is formed.  Once the trial columns of element row b are
     final, a worker forms the lower strip of row b (`_lower_strip`): the
     lower triangle of (B Psi_b)^T Psi_near, with Psi_near the columns of
-    rows b - reach ... b, and, once the strip above it has, adds it to the
-    row sums of |G| (`_add_row_sums`), from the magnitudes of its entries in
-    double, which it then drops.  With `near_field` the strips are kept in
+    rows b - reach ... b.  The strips go into the row sums of |G|
+    (`_add_row_sums`) in row order, from the magnitudes of their entries in
+    double, which are then dropped: the worker that forms the next strip to
+    be summed adds it and every later one already formed, so no worker
+    waits for another's strip.  With `near_field` the strips are kept in
     complex64.  After the last row, `matrix` stacks the strips into G's
     lower triangle L, drops them and completes G once, on the calling
     thread, as L plus the transpose of L's strict part (`_symmetric`).
@@ -881,6 +884,9 @@ class _CoarseStrips:
         self._pool = ThreadPoolExecutor(_g_workers(), thread_name_prefix="cemhelm-G")
         self._lower = []  # futures of the solved rows' lower strips
         self._sums = np.zeros(trial.shape[1])  # row sums of |G|, strip by strip
+        self._summing = threading.Lock()
+        self._unsummed = {}  # formed strips waiting for a strip above, by row
+        self._summed = 0  # element rows whose strips are in the sums
         self._rows = []  # futures of the deferred strip submissions, one per row
         self._last = None  # future of the last task deferred
         self.busy = []  # seconds of each lower strip formed
@@ -906,18 +912,20 @@ class _CoarseStrips:
         run; a failed task raises from `row_solved` or `matrix`."""
         self._last = self._pool.submit(self._after, self._last, fn, *args)
 
-    def _strip(self, b, above):
+    def _strip(self, b):
         strip, magnitude = self._timed(
             self.busy, _lower_strip, self._B, self._trial, b, max(b - self.reach, 0),
             self._width, self._near_field)
-        if above is not None:
-            above.result()  # its rows are summed first; a failed strip fails the rest
-        _add_row_sums(self._sums, strip, magnitude, b * self._width)
+        with self._summing:  # rows in order, by whichever worker formed the next strip
+            self._unsummed[b] = strip, magnitude
+            while self._summed in self._unsummed:
+                row = self._summed
+                _add_row_sums(self._sums, *self._unsummed.pop(row), row * self._width)
+                self._summed += 1
         return strip
 
     def _next_strip(self):
-        b = len(self._lower)
-        self._lower.append(self._pool.submit(self._strip, b, self._lower[-1] if b else None))
+        self._lower.append(self._pool.submit(self._strip, len(self._lower)))
 
     def _await(self, future):
         start = time.perf_counter()
@@ -1193,11 +1201,12 @@ class _MatrixFreeG:
 
 @dataclass
 class CoarseSystem:
-    """G c = b; `G_norm` is |G|_inf of the stored `G`, the space's when
-    `assemble_coarse` made the system (for a near-field space, of its near
-    field in double), else computed here, and `G_lu` the
-    space's dense LU of G (see `MultiscaleSpace`), which the dense solve
-    reuses; a system without one is factorized when solved.  A hand-made
+    """G c = b; `G_norm` is |G|_inf of the stored `G` in double, the space's
+    when `assemble_coarse` made the system (for a near-field space, of its
+    near field before the cast), else computed here from G upcast to
+    complex128, and `G_lu` the space's dense LU of G (see
+    `MultiscaleSpace`), which the dense solve reuses; a system without one
+    is factorized when solved.  A hand-made
     system's G may be sparse in any format or dense, and is the system's
     matrix.  For a near-field space (see `MultiscaleSpace`) `G` holds only
     the near field, and `operator` (a `_MatrixFreeG`) carries the action of
@@ -1211,8 +1220,8 @@ class CoarseSystem:
     G_lu: tuple = None
 
     def __post_init__(self):
-        if self.G_norm is None:
-            self.G_norm = _inf_norm(self.G)
+        if self.G_norm is None:  # in double, whatever G's precision
+            self.G_norm = _inf_norm(self.G.astype(complex, copy=False))
 
     @property
     def n(self):

@@ -40,9 +40,10 @@ Every other system is factorized in complex128.
 `fgmres` is flexible GMRES (Saad, SIAM J. Sci. Comput. 14, 1993): right
 preconditioned, it keeps the preconditioned vectors z_j = M(v_j) and
 updates x from them, so M need not be one fixed linear map, as a solve in
-another precision is not.  Each z_j stays in M's precision (complex64 for
-the near-field LU), as the products A z_j and y_j z_j upcast it exactly;
-A, the Arnoldi vectors and x stay in complex128.
+another precision is not.  A, the Arnoldi vectors and the z_j stay in
+complex128, each z_j upcast from M's precision: under numpy 1.x's
+value-based casting a complex64 z_j would round each update y_j z_j of x
+to single precision.
 """
 
 import numpy as np
@@ -120,14 +121,14 @@ def fgmres(A, b, M, rtol, restart, maxiter):
     """Solve A x = b from x = 0 by flexible GMRES, right preconditioned by M.
 
     A is anything with `@` and M a callable approximating A^-1; both take
-    and return vectors, A's in complex128.  Each cycle builds up to
-    `restart` Arnoldi vectors in complex128 and their preconditioned images
-    in M's dtype, one by one, orthogonal by modified Gram-Schmidt; a cycle
-    ends when the Arnoldi estimate of |b - A x|_2 / |b|_2 is at most
-    `rtol`, and at most `maxiter` cycles run, each after the first from the
-    true residual.  Returns (x, info, iterations, estimate): info is 0 when
-    the estimate reached `rtol`, else the iteration count, as in scipy's
-    `gmres`, and estimate is the last Arnoldi estimate.
+    and return vectors.  Each cycle builds up to `restart` Arnoldi vectors
+    and their preconditioned images in complex128, one by one, orthogonal
+    by modified Gram-Schmidt; a cycle ends when the Arnoldi estimate of
+    |b - A x|_2 / |b|_2 is at most `rtol`, and at most `maxiter` cycles
+    run, each after the first from the true residual.  Returns (x, info,
+    iterations, estimate): info is 0 when the estimate reached `rtol`,
+    else the iteration count, as in scipy's `gmres`, and estimate is the
+    last Arnoldi estimate.
     """
     b = np.asarray(b, dtype=complex)
     x, b_norm = np.zeros_like(b), np.linalg.norm(b)
@@ -142,7 +143,7 @@ def fgmres(A, b, M, rtol, restart, maxiter):
         rotations, g = [], np.zeros(restart + 1, dtype=complex)
         g[0] = beta
         for j in range(restart):
-            Z.append(np.asarray(M(V[j])))
+            Z.append(np.asarray(M(V[j]), dtype=complex))
             w = A @ Z[j]
             for i, v in enumerate(V):
                 H[i, j] = np.vdot(v, w)

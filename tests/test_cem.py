@@ -972,15 +972,26 @@ def test_generated_sparse_coarse_solve(cfg, data):
     # only G's near field: its lower triangle is bitwise that of the
     # product's near field, it is exactly symmetric and G_norm is its largest
     # row sum; the solve applies the whole G matrix-free and gives the
-    # coefficients of the whole G's dense solve
+    # coefficients of the whole G's dense solve, and every batch's interiors
+    # are bitwise those of the per-element product
     workers = data.draw(st.sampled_from([1, 3]), label="workers")
+    finish_batch, finished = cem._finish_batch, []
+
+    def checked(cond, layout, js, sources, solved):
+        expected = _finish_batch_per_element(cond, layout, js, sources, solved.copy())
+        got = finish_batch(cond, layout, js, sources, solved)
+        finished.append(all(_same_bytes(a, b) for a, b in zip(got, expected)))
+        return got
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cem, "DENSE_LIMIT", 0)
         mp.setattr(cem, "_g_workers", lambda: workers)
+        mp.setattr(cem, "_finish_batch", checked)
         near = cem.build_space(forms, spectral.build_projection(forms, P.nbf), m, cfg["strict"],
                                load_blocks=element_loads(g, c, f, gd))
         system = cem.assemble_coarse(near, forms, loads)
-        _, c_near = cem.solve_multiscale(system, near, forms=forms)
+        u_near, c_near = cem.solve_multiscale(system, near, forms=forms)
+    assert finished and all(finished)
     # (stored in complex64: the product's near field is cast, and G_norm is
     # the largest row sum of the double near field)
     G, ref = near.G, _g_oracle(forms, near)
@@ -994,6 +1005,27 @@ def test_generated_sparse_coarse_solve(cfg, data):
     if not singular:
         c_ref = np.linalg.solve(ref.toarray(), system.b)
         assert np.linalg.norm(c_near - c_ref) <= 1e-10 * np.linalg.norm(c_ref)
+    # a build that keeps the near field in double (strips left uncast, the
+    # solve casting the near field afresh) stores the same G before the cast
+    # and gives the same G_norm, corrector, coefficients and field, bitwise
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cem, "DENSE_LIMIT", 0)
+        mp.setattr(cem, "_single", lambda A: A)
+        double = cem.build_space(forms, spectral.build_projection(forms, P.nbf), m,
+                                 cfg["strict"], load_blocks=element_loads(g, c, f, gd))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cem, "DENSE_LIMIT", 0)
+        u_double, c_double = cem.solve_multiscale(cem.assemble_coarse(double, forms, loads),
+                                                  double, forms=forms)
+    assert double.G.dtype == complex and _bitwise_equal(near.G, double.G.astype(np.complex64))
+    assert near.G_norm == double.G_norm and _same_bytes(near.corrector, double.corrector)
+    assert _same_bytes(c_near, c_double) and _same_bytes(u_near, u_double)
+    # W is kept per kind: each element's block that of its own interior solve
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectral, "_element_kinds", _per_element_kinds)
+        per_element = cem._condense(forms, spectral.build_projection(forms, P.nbf))
+    cond = near.condensation
+    assert _same_bytes(cond.W[cond.kind], per_element.W)
 
 
 @seed(4)
@@ -1630,6 +1662,8 @@ def test_hand_made_system_is_solved_against_its_own_g(near_field_nh6, monkeypatc
     forms, space, system, ref = near_field_nh6
     monkeypatch.setattr(cem, "DENSE_LIMIT", 0)
     hand_made = cem.CoarseSystem(space.G, system.b, system.nbf)
+    # its scale is |G|_inf of the complex64 G in double
+    assert hand_made.G_norm == cem._inf_norm(space.G.astype(complex))
     _, c_near = cem.solve_multiscale(hand_made, space, forms=forms)
     _, c_whole = cem.solve_multiscale(system, space, forms=forms)
     near = np.linalg.solve(space.G.toarray(), system.b)
@@ -1666,89 +1700,6 @@ def _finish_batch_per_element(cond, layout, js, sources, solved):
     vals[:, layout.skeleton] = solved[:, :n]
     vals[:, layout.interior] = interior
     return layout.rows + (cond.rim_nodes[js, 0] - layout.node_shift)[:, None], vals
-
-
-def _near_field_run(forms, nbf, m, strict, blocks, double=False):
-    """Above DENSE_LIMIT, an offline solve on a fresh projection, then online
-    ones, one per element load blocks of `blocks`: (space, c, u) of each, c
-    and u None for a singular G.  With `double` the strips are not cast, so
-    the space keeps its near field in double, and GMRES upcasts each
-    preconditioned vector to complex128."""
-    P, runs = spectral.build_projection(forms, nbf), []
-    fgmres = kernels.fgmres
-
-    def upcast(A, b, M, *args, **kw):
-        return fgmres(A, b, lambda v: np.asarray(M(v), dtype=complex), *args, **kw)
-
-    for b in blocks:
-        loads = np.zeros(forms.grid.n_nodes, dtype=complex)
-        np.add.at(loads, forms.coarse.element_nodes, b)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(cem, "DENSE_LIMIT", 0)
-            if double:
-                mp.setattr(cem, "_single", lambda A: A)
-            space = cem.build_space(forms, P, m, strict, load_blocks=b)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(cem, "DENSE_LIMIT", 0)
-            if double:
-                mp.setattr(kernels, "fgmres", upcast)
-            try:
-                u, c = cem.solve_multiscale(cem.assemble_coarse(space, forms, loads), space,
-                                            forms)
-            except SingularCoarseSystem:
-                u = c = None
-        runs.append((space, c, u))
-    return runs
-
-
-@seed(11)
-@settings(max_examples=40)
-@given(cfg=configurations(), data=st.data())
-def test_generated_single_precision_near_field(cfg, data):
-    # above DENSE_LIMIT the space keeps its near field in complex64 and W
-    # per kind: the stored G is the product's near field cast, exactly
-    # symmetric, with the double near field's |G|_inf; every coefficient,
-    # field and corrector is bitwise that of a run that keeps the double near
-    # field and upcasts each preconditioned vector (its LU cast when solved),
-    # and every batch's interiors bitwise those of the per-element product
-    c = _generated_coarse(cfg)
-    assume(cfg["NH"] > 1)  # 40 examples of more than one element, some beyond the near field
-    assume(c.n_elements * cfg["nbf"] <= oversample(c, 0, c.NH - 1).free_nodes(cfg["strict"]).size)
-    rng, g, c, forms, P = _generated_setup(cfg, c)
-    m = data.draw(st.integers(1, max(1, cfg["NH"] - 1)), label="m")
-    blocks = [element_loads(g, c, _random_complex(rng, g.n_nodes),
-                            _random_complex(rng, g.n_nodes)) for _ in range(2)]
-    blocks[1][rng.random(c.n_elements) < 0.5] = 0.0
-    finish_batch, finished = cem._finish_batch, []
-
-    def checked(cond, layout, js, sources, solved):
-        expected = _finish_batch_per_element(cond, layout, js, sources, solved.copy())
-        got = finish_batch(cond, layout, js, sources, solved)
-        finished.append(all(_same_bytes(a, b) for a, b in zip(got, expected)))
-        return got
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cem, "_finish_batch", checked)
-        runs = _near_field_run(forms, P.nbf, m, cfg["strict"], blocks)
-        refs = _near_field_run(forms, P.nbf, m, cfg["strict"], blocks, double=True)
-        # W per kind: each element's block that of its own interior solve
-        mp.setattr(spectral, "_element_kinds", _per_element_kinds)
-        per_element = cem._condense(forms, spectral.build_projection(forms, P.nbf))
-    assert finished and all(finished)
-    for (space, c_, u), (ref, c_ref, u_ref) in zip(runs, refs):
-        assert space.near_field and ref.near_field and ref.G.dtype == complex
-        assert space.G.dtype == np.complex64
-        assert _bitwise_equal(space.G, ref.G.astype(np.complex64))
-        assert space.G_norm == ref.G_norm == cem._inf_norm(ref.G)
-        assert _same_bytes(space.corrector, ref.corrector)
-        assert (c_ is None) == (c_ref is None)
-        if c_ is not None:
-            assert _same_bytes(c_, c_ref) and _same_bytes(u, u_ref)
-    G = runs[0][0].G
-    L = _lower_triangle(cem._near_field(_g_oracle(forms, runs[0][0]), c.NH, P.nbf))
-    assert _bitwise_equal(_lower_triangle(G), L.astype(np.complex64)) and (G != G.T).nnz == 0
-    cond = runs[0][0].condensation
-    assert _same_bytes(cond.W[cond.kind], per_element.W)
 
 
 @seed(7)
@@ -1807,10 +1758,34 @@ def test_strips_under_many_workers_and_fast_switching(monkeypatch):
     blocks = element_loads(g, c, _random_complex(rng, g.n_nodes), _random_complex(rng, g.n_nodes))
     monkeypatch.setattr(cem, "_g_workers", lambda: 1)
     ref = cem.build_space(forms, P, 1, load_blocks=blocks)
+    # the last build forms the first strip only once the second is formed,
+    # whose row sums then wait for it without holding a worker; every build
+    # sums its strips in row order
+    lower_strip, formed, second = cem._lower_strip, [], threading.Event()
+    add_row_sums, summed = cem._add_row_sums, []
+
+    def in_order(sums, strip, magnitude, first):
+        summed.append(first)
+        add_row_sums(sums, strip, magnitude, first)
+
+    monkeypatch.setattr(cem, "_add_row_sums", in_order)
+
+    def second_first(B, trial, b, *args):
+        if b == 0:
+            assert second.wait(10)
+        strip = lower_strip(B, trial, b, *args)
+        formed.append(b)
+        if b == 1:
+            second.set()
+        return strip
+
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        for workers in (1, 3, 6, 6):
+        for workers in (1, 3, 6, 6, None):
+            if workers is None:
+                workers = 6
+                monkeypatch.setattr(cem, "_lower_strip", second_first)
             monkeypatch.setattr(cem, "_g_workers", lambda: workers)
             space = cem.build_space(forms, spectral.build_projection(forms, P.nbf), 1,
                                     load_blocks=blocks)
@@ -1818,8 +1793,11 @@ def test_strips_under_many_workers_and_fast_switching(monkeypatch):
             assert space.trial.indices.tobytes() == ref.trial.indices.tobytes()
             assert space.corrector.tobytes() == ref.corrector.tobytes()
             assert _bitwise_equal(space.G, ref.G) and space.G_norm == ref.G_norm
+            assert summed == sorted(summed) and len(summed) == c.NH
+            del summed[:]
     finally:
         sys.setswitchinterval(interval)
+    assert formed[:2] == [1, 0] and sorted(formed) == list(range(c.NH))
     assert _g_threads() == []
 
 

@@ -258,13 +258,3 @@ def test_fgmres_zero_rhs():
     x, info, iterations, _ = kernels.fgmres(A, np.zeros(16), lambda v: v, 1e-13, 100, 2)
     assert (info, iterations) == (0, 0) and not x.any()
 
-
-def test_fgmres_keeps_preconditioned_vectors_in_their_precision():
-    # complex64 preconditioned vectors give the iterate of their complex128
-    # upcasts bit for bit: A z and y z upcast them exactly
-    A, b = _helmholtz_system(seed=1)
-    F = kernels.factorize(A.astype(np.complex64))
-    x, info, iterations, estimate = kernels.fgmres(A, b, F.solve, 1e-13, 100, 2)
-    ref = kernels.fgmres(A, b, lambda v: F.solve(v).astype(complex), 1e-13, 100, 2)
-    assert x.dtype == ref[0].dtype == complex and x.tobytes() == ref[0].tobytes()
-    assert (info, iterations, estimate) == ref[1:]
