@@ -46,16 +46,28 @@ right-hand sides, so only the numeric LU, its solve and the product
 recovering the interiors are per patch.  A singular or ill-conditioned Z_e
 (k H / eps far beyond the resolution condition) raises SingularLocalSystem
 naming the element (for a kind, its lowest-index element).  Test vectors
-are the conjugates of the trial vectors; the independent adjoint solve
-(the condensation of conj(B), which conjugates only S_e and the B_RR
-diagonals) is kept for cross-validation.
+are the conjugates of the trial vectors, as the local systems are complex
+symmetric with real right-hand sides.
+
+So on each element e of its patch a trial vector is fixed by its values
+x_e on e's rim: its interior is -W_k x_e, plus the interior particular
+solution of its mode on its own element.  The space keeps the trial
+vectors condensed on the rims (`CondensedTrial`): each column's values on
+its free rim nodes, and the few values on the rims of elements outside
+its patch, where the free-node rule keeps the patch's nodes on the domain
+boundary and the interior is zero, not -W_k x_e.  That halves the entries
+stored at H = 1/40, m = 3 (1.24e6 of 2.39e6) and keeps a seventh of them
+at H = 1/10, m = 2 on 120 x 120 cells.  Psi x and Psi^T y take one product
+per kind with W; the fine matrix is formed only on request (`tocsc`).
 
 The offline build is streamed over element rows.  The main thread solves
 the patches row by row; of each batch it keeps the gather of the skeleton
 values and right-hand sides and SuperLU's factorization and solve
 (`_solve_batch`), and defers the rest to a worker thread: the interior
-recovery -W_e x, the particular terms and the writes of the trial and data
-columns into arrays allotted in advance (`_finish_batch`).  The deferred
+recovery -W_e x, the particular terms (`_finish_batch`) and the writes of
+the trial columns' rim values into the condensed storage allotted in
+advance, and of their fine columns into a window of element rows.  The
+deferred
 tasks run one at a time, in the order deferred, whatever the number of
 workers, each row's corrector sum after its batches; the main thread goes
 on at most two element rows ahead of them, so the pending right-hand sides
@@ -64,8 +76,11 @@ element rows apart: two patches whose elements lie 2m + 1 elements apart
 still meet through B where a patch edge on the domain boundary keeps its
 free nodes.  G is complex symmetric, so only its lower triangle is formed:
 as soon as the deferred tasks of row b have run, a worker forms the lower
-strip (B Psi_b)^T Psi_near over the trial columns of rows b - (2m + 1)
-... b.  After the last row the strips are stacked into G's lower triangle
+strip (B Psi_b)^T Psi_near over the fine trial columns of rows
+b - (2m + 1) ... b, read from the window, and the strip of row b + 2m + 1,
+the last to read row b, drops it from the window; so the window holds a
+few element rows (~3.4 MB at H = 1/40) and the whole fine trial matrix
+never exists.  After the last row the strips are stacked into G's lower triangle
 L, and G, stored CSR, is completed once as L plus the transpose of L's
 strict part (`_CoarseStrips`).  Each lower entry is summed in the order of
 the one product (B Psi)^T Psi, so G's lower triangle is bitwise that of
@@ -86,8 +101,9 @@ same inputs as on one thread, so the fields do not depend on the worker
 count.  The worker count is the number of CPUs the process may use, less
 one, and at least one; nothing else sets it.  Online solves,
 `local_cem_solve` and `build_global_space` finish each batch inline.
-`build_global_space` forms its G through the same strips, each reaching
-over the whole domain.
+`build_global_space` stores its trial space in the same condensed form,
+without exceptions, and forms its G through the same strips, each
+reaching over the whole domain, from the space's `tocsc`.
 
 Patch systems constrain the fine nodes on the patch boundary away from the
 domain boundary (`Patch.free_nodes`, the one free-node rule); where a patch
@@ -108,10 +124,10 @@ far below them.
 
 The trial vectors depend on the medium, k, the coarse grid, the projection
 and m, never on the data.  A `MultiscaleSpace` therefore carries, besides
-its own data corrector, the read-only trial matrix, G = Psi^T B Psi (or
-its near field, see below), G's dense LU up to DENSE_LIMIT dofs, the
-element condensation and the plain layout of every shape class, kept
-compactly (`_LayoutPlan`), all formed once, when the trial matrix is built;
+its own data corrector, the read-only condensed trial space, G = Psi^T B
+Psi (or its near field, see below), G's dense LU up to DENSE_LIMIT dofs,
+the element condensation and the plain layout of every shape class, kept
+compactly (`_LayoutPlan`), all formed once, when the trial space is built;
 `build_space` keeps the space it last built on the projection
 (`P.space`).
 A later call for the same forms object, m and strict_zero_trace returns
@@ -129,9 +145,11 @@ a reused class ordering and how many fresh, their skeleton unknowns, the
 summed L+U fill, and the G strips with their reach, the G entries stored,
 the seconds spent forming the lower strips, the final wait from the last
 deferred task to G, offline, the seconds the workers spent finishing
-the batches and the seconds the patch loop waited for them, and the
+the batches and the seconds the patch loop waited for them, the
 layouts it built, those it took from the space's plan and the plan's
-bytes; the dense LU of G logs its own line with its rcond.
+bytes, and, offline, the condensed trial's stored entries and bytes and
+the most element rows of fine columns the window held at once; the dense
+LU of G logs its own line with its rcond.
 
 The basis vectors decay exponentially away from their element, and so do
 the entries of G.  A coarse system larger than DENSE_LIMIT is therefore
@@ -143,7 +161,8 @@ it is formed in single precision: the same fill in about half the memory,
 while GMRES iterates in double precision.  A space of that size stores
 only the near field, in complex64, and SuperLU reads its CSR arrays as
 CSC, uncopied; GMRES applies the whole G matrix-free, as Psi^T (B (Psi
-x)) (`_MatrixFreeG`), with the preconditioned vectors upcast to complex128.
+x)) (`_MatrixFreeG`) with the condensed trial products, and with the
+preconditioned vectors upcast to complex128.
 GMRES stops when its Arnoldi estimate of the relative residual reaches
 1e-13 (at 1e-12 small generated systems missed a 1e-10 agreement with the
 dense solve; 1e-14 lies below the true residual's rounding floor on
@@ -152,7 +171,8 @@ in two cycles of 100 iterations, or the near field is beyond single
 precision's range (cast, an entry turns infinite), its LU singular or a
 preconditioned vector not finite,
 the near-field LU is dropped, and the whole G, assembled as (B Psi)^T Psi
-if the space stores only its near field, is solved by its own double LU.
+from the fine trial matrix (`CondensedTrial.tocsc`) if the space stores
+only its near field, is solved by its own double LU.
 The GMRES logs at DEBUG its iterations, its flag, the operator it applied,
 the preconditioner's precision and L+U fill and its last residual
 estimate.  Up to DENSE_LIMIT dofs the space keeps G's dense LU with its
@@ -207,9 +227,9 @@ __all__ = [
     "DENSE_LIMIT",
     "NEAR_FIELD",
     "MultiscaleSpace",
+    "CondensedTrial",
     "CoarseSystem",
     "local_cem_solve",
-    "test_basis",
     "build_space",
     "build_global_space",
     "assemble_coarse",
@@ -343,10 +363,6 @@ class Condensation:
     W: np.ndarray
     trial_rim: np.ndarray
     trial_interior: np.ndarray
-
-    def conj(self):
-        """The condensation of conj(B): Z_e and C_e are real."""
-        return replace(self, S=self.S.conj(), diag=self.diag.conj())
 
 
 def _condense(forms, P):
@@ -670,15 +686,11 @@ def _solve_now(cond, layout, js, m, sources, n_cols, error=SingularLocalSystem):
     return _finish_batch(cond, layout, js, sources, solved)
 
 
-def local_cem_solve(j, m, forms, P, strict_zero_trace=False, adjoint=False):
-    """All nbf trial vectors of element j on its m-layer patch, zero-extended.
-
-    With `adjoint` the patch system of conj(B) is solved instead (an
-    independent check of the conjugate test vectors)."""
+def local_cem_solve(j, m, forms, P, strict_zero_trace=False):
+    """All nbf trial vectors of element j on its m-layer patch, zero-extended."""
     cond = _condense(forms, P)
     rows, vals = _solve_now(
-        cond.conj() if adjoint else cond,
-        _skeleton_layout(cond, forms.coarse, j, m, strict_zero_trace), [j], m,
+        cond, _skeleton_layout(cond, forms.coarse, j, m, strict_zero_trace), [j], m,
         _trial_sources(cond, [j], [0]), P.nbf,
     )
     psi = np.zeros((forms.grid.n_nodes, P.nbf), dtype=complex)
@@ -686,15 +698,142 @@ def local_cem_solve(j, m, forms, P, strict_zero_trace=False, adjoint=False):
     return psi, oversample(forms.coarse, j, m)
 
 
-def test_basis(trial):
-    """Test vectors: conjugates of the trial vectors (the local systems are
-    complex symmetric with real right-hand sides)."""
-    return np.conj(trial) if isinstance(trial, np.ndarray) else trial.conj()
+def _stacked(A, stack):
+    """A @ x for each (p, q) slice x of `stack` (elements, p, q): one matrix
+    product over all the slices."""
+    return np.tensordot(A, stack, axes=(1, 1)).transpose(1, 0, 2)
+
+
+class CondensedTrial:
+    """The trial matrix Psi (fine nodes x N nbf, column p = j*nbf + i), kept
+    condensed on the element rims.
+
+    On an element e of column p's patch the column's interior is fixed by
+    its values x_e on e's rim: -W_k x_e + T_e a, with W_k the interior map of
+    e's kind, T_e = `trial_interior[e]` of the condensation and a the unit
+    vector of the column's mode when e is the column's own element, else 0;
+    on an element outside the patch it is zero.  So the space stores:
+
+    - `skeleton`, CSC over the fine rows: each column's values on its free
+      rim nodes, zeros included (bitwise the entries the patch solve gave);
+    - `exceptions`, CSC over the N 4r element-rim slots (e * 4r + rim
+      position): the values of a column on the rim of an element e outside
+      its patch, where the free-node rule keeps the patch's nodes on the
+      domain boundary, and whose interior on e is zero, not -W_k x_e.
+
+    `Psi @ x` is then `skeleton @ x` on the rims and, on each element e,
+    -W_k (rim_e(skeleton @ x) - (exceptions @ x)_e) + T_e x_e inside, one
+    product per kind; `Psi.T @ y` is skeleton^T (y - R^T z) + exceptions^T z
+    + T^T y_I with z_e = W_k^T y_I(e), y_I the interior values of y and R the
+    gather of the element rims.  A column's patch holds the elements within
+    Chebyshev distance `m` of its own element on the NH x NH coarse grid.
+
+    `tocsc` forms the fine matrix, each column's entries on its patch's free
+    nodes.  It recovers the interiors of element j's columns in products of
+    `widths[j]` columns (nbf by default), as many as the patch solve that
+    gave them had (nbf + 1 where it also solved a data column), so they are
+    bitwise those of the solve, which a product of another width is not.
+    """
+
+    def __init__(self, skeleton, exceptions, cond, m, NH, widths=None):
+        self.skeleton, self.exceptions = _read_only(skeleton), _read_only(exceptions)
+        self.shape, self._cond, self._m, self._NH = skeleton.shape, cond, m, NH
+        nbf = skeleton.shape[1] // cond.kind.size
+        self._widths = np.full(cond.kind.size, nbf) if widths is None else widths
+        N, r4 = cond.rim_nodes.shape
+        self._scatter = sp.csc_matrix(  # R^T: element-rim slots to fine nodes
+            (np.ones(N * r4), cond.rim_nodes.ravel(), np.arange(N * r4 + 1)),
+            shape=(skeleton.shape[0], N * r4))
+        kinds = np.argsort(cond.kind, kind="stable")
+        self._kinds = np.split(kinds, np.flatnonzero(np.diff(cond.kind[kinds])) + 1)
+
+    @property
+    def nnz(self):
+        """Stored entries: the skeleton's and the exceptions'."""
+        return self.skeleton.nnz + self.exceptions.nnz
+
+    @property
+    def nbytes(self):
+        return sum(a.nbytes for A in (self.skeleton, self.exceptions)
+                   for a in (A.data, A.indices, A.indptr))
+
+    @property
+    def T(self):
+        return _TransposedTrial(self)
+
+    def __matmul__(self, x):
+        cond, x = self._cond, np.asarray(x)
+        N, r4 = cond.rim_nodes.shape
+        X = x.reshape(self.shape[1], -1)
+        out = self.skeleton @ X
+        rims = out[cond.rim_nodes] - (self.exceptions @ X).reshape(N, r4, -1)
+        interior = np.einsum("eib,ebk->eik", cond.trial_interior, X.reshape(N, -1, X.shape[1]),
+                             dtype=complex)
+        for k, es in enumerate(self._kinds):
+            interior[es] -= _stacked(cond.W[k], rims[es])
+        out[cond.interior_nodes] = interior
+        return out.reshape((self.shape[0],) + x.shape[1:])
+
+    def rmatmul(self, y):
+        """Psi^T y."""
+        cond, y = self._cond, np.asarray(y)
+        N, r4 = cond.rim_nodes.shape
+        Y = y.reshape(self.shape[0], -1)
+        inner = Y[cond.interior_nodes]  # (N, n_I, columns)
+        z = np.empty((N, r4, Y.shape[1]), dtype=np.result_type(Y, float))
+        for k, es in enumerate(self._kinds):
+            z[es] = _stacked(cond.W[k].T, inner[es])
+        z = z.reshape(N * r4, -1)
+        out = self.skeleton.T @ (Y - self._scatter @ z) + self.exceptions.T @ z
+        out += np.einsum("eib,eik->ebk", cond.trial_interior, inner).reshape(out.shape)
+        return out.reshape((self.shape[1],) + y.shape[1:])
+
+    def tocsc(self):
+        """The fine trial matrix in canonical CSC form, each column holding
+        its patch's free nodes: the skeleton's entries and the interiors of
+        the patch's elements."""
+        cond, S = self._cond, self.skeleton
+        N, r4 = cond.rim_nodes.shape
+        nbf, NH = self.shape[1] // N, self._NH
+        I, J = np.arange(N) % NH, np.arange(N) // NH
+        j, e = np.nonzero((np.abs(I[:, None] - I) <= self._m) & (np.abs(J[:, None] - J) <= self._m))
+        cols = (j * nbf)[:, None] + np.arange(nbf)  # (pairs, nbf): element e in j's patch
+        shape = (j.size, r4, nbf)
+        rims = np.asarray(S[np.broadcast_to(cond.rim_nodes[e][:, :, None], shape).ravel(),
+                            np.broadcast_to(cols[:, None], shape).ravel()]).reshape(shape)
+        interior = np.empty((j.size, cond.interior_nodes.shape[1], nbf), dtype=complex)
+        groups = cond.kind[e] * (self._widths.max() + 1) + self._widths[j]  # (kind, width)
+        for group in np.unique(groups):
+            at = np.flatnonzero(groups == group)
+            x = np.zeros(rims[at].shape[:2] + (self._widths[j[at[0]]],), dtype=complex)
+            x[:, :, :nbf] = rims[at]
+            interior[at] = -(cond.W[cond.kind[e[at[0]]]] @ x)[:, :, :nbf]
+        own = np.flatnonzero(e == j)
+        interior[own] += cond.trial_interior[e[own]]
+        rows = np.broadcast_to(cond.interior_nodes[e][:, :, None], interior.shape)
+        return sp.csc_matrix(
+            (np.concatenate([S.data, interior.ravel()]),
+             (np.concatenate([S.indices, rows.ravel()]),
+              np.concatenate([np.repeat(np.arange(self.shape[1]), np.diff(S.indptr)),
+                              np.broadcast_to(cols[:, None], interior.shape).ravel()]))),
+            shape=self.shape)
+
+
+class _TransposedTrial:
+    """Psi^T of a `CondensedTrial` Psi, for `Psi.T @ y`."""
+
+    def __init__(self, trial):
+        self._trial, self.shape = trial, trial.shape[::-1]
+
+    def __matmul__(self, y):
+        return self._trial.rmatmul(y)
 
 
 @dataclass
 class MultiscaleSpace:
-    """Trial vectors as columns of a sparse matrix, column p = j*nbf + i.
+    """Trial vectors as the columns of `trial`, a `CondensedTrial`, column
+    p = j*nbf + i: stored on the element rims, applied as `trial @ x` and
+    `trial.T @ y`, and formed as a fine matrix only by `trial.tocsc()`.
 
     `G` is the coarse matrix Psi^T B Psi of `forms.B`, in complex128, or,
     with `near_field` (a space of more than DENSE_LIMIT dofs, see
@@ -717,7 +856,7 @@ class MultiscaleSpace:
     forms: object
     m: int
     strict_zero_trace: bool
-    trial: sp.csc_matrix
+    trial: CondensedTrial
     G: sp.csr_matrix
     G_norm: float
     G_lu: tuple
@@ -739,7 +878,9 @@ class MultiscaleSpace:
         return j * self.nbf + i
 
     def vector(self, j, i):
-        return self.trial[:, [self.index(j, i)]].toarray().ravel()
+        unit = np.zeros(self.n_basis)
+        unit[self.index(j, i)] = 1.0
+        return self.trial @ unit
 
 
 def _check_basis(j, i, n_elements, nbf):
@@ -763,10 +904,10 @@ def _inf_norm(G):
 
 def _new_space(forms, m, strict_zero_trace, trial, G, G_norm, corrector, condensation,
                layouts, near_field):
-    """The space of a newly built trial matrix and its G with |G|_inf
-    `G_norm` (see `_CoarseStrips`): freezes both and, up to DENSE_LIMIT
-    dofs, factorizes G once (`_dense_lu`)."""
-    trial, G = _read_only(trial), _read_only(G)
+    """The space of a newly built `CondensedTrial` (frozen already) and its
+    G with |G|_inf `G_norm` (see `_CoarseStrips`): freezes G and, up to
+    DENSE_LIMIT dofs, factorizes it once (`_dense_lu`)."""
+    G = _read_only(G)
     G_lu = _dense_lu(G) if G.shape[0] <= DENSE_LIMIT else None
     return MultiscaleSpace(forms, m, strict_zero_trace, trial, G, G_norm, G_lu,
                            condensation, layouts, near_field, corrector)
@@ -794,25 +935,30 @@ def _g_workers():
     return max(1, (cpus or 1) - 1)
 
 
-def _coarse_rows(B, trial_b, trial_near, first, n):
+def _coarse_rows(B, trial_b, near, first, n):
     """Rows (B Psi_b)^T Psi_near of G in canonical CSR form over all n of
-    G's columns, Psi_near being the trial columns first, first + 1, ..."""
-    strip = ((B @ trial_b).T @ trial_near).tocsr()
+    G's columns, Psi_near being the trial columns first, first + 1, ...,
+    given as the CSC blocks `near` side by side.  Each column of the CSC
+    product is summed from its own column of Psi_near alone, so the product
+    of each block, put side by side, is bitwise the product of Psi_near,
+    without copying Psi_near whole."""
+    BPsi = (B @ trial_b).T
+    strip = sp.hstack([BPsi @ block for block in near], format="csc").tocsr()
     return sp.csr_matrix((strip.data, strip.indices + first, strip.indptr),
                          shape=(strip.shape[0], n))
 
 
-def _lower_strip(B, trial, b, lo, w, near_field):
+def _lower_strip(B, near, b, w, n, near_field):
     """The lower strip of element row b: the lower triangle of G's rows
-    (B Psi_b)^T Psi_near, Psi_near the trial columns of element rows lo
-    ... b (w columns per row), as CSR rows over all of G's columns.  With
-    `near_field` it keeps only the entries of G's near field, cast to
-    complex64 (`_single`).  Returns (the strip, the magnitude |x| of each of
-    its entries x in double)."""
-    L = _coarse_rows(B, _slice(trial, b * w, (b + 1) * w), _slice(trial, lo * w, (b + 1) * w),
-                     lo * w, trial.shape[1])
+    (B Psi_b)^T Psi_near, Psi_near the fine trial columns of element rows
+    b + 1 - len(near) ... b (`near`, one CSC matrix of w columns per row),
+    as CSR rows over all n of G's columns.  With `near_field` it keeps only
+    the entries of G's near field, cast to complex64 (`_single`).  Returns
+    (the strip, the magnitude |x| of each of its entries x in double)."""
+    lo = b + 1 - len(near)
+    L = _coarse_rows(B, near[-1], near, lo * w, n)
     rows = np.repeat(np.arange(b * w, (b + 1) * w), np.diff(L.indptr))
-    NH = trial.shape[1] // w
+    NH = n // w
     keep = _near_mask(L, NH, w // NH, b * w) if near_field else True
     L = _kept(L, keep & (L.indices <= rows))
     return (_single(L) if near_field else L), np.abs(L.data)
@@ -877,13 +1023,13 @@ class _CoarseStrips:
     unwritten column.
     """
 
-    def __init__(self, B, trial, NH, reach, near_field=False):
-        self._B, self._trial, self._NH, self.reach = B, trial, NH, reach
+    def __init__(self, B, window, n, NH, reach, near_field=False):
+        self._B, self._window, self._n, self._NH, self.reach = B, window, n, NH, reach
         self._near_field = near_field
-        self._width = trial.shape[1] // NH
+        self._width = n // NH
         self._pool = ThreadPoolExecutor(_g_workers(), thread_name_prefix="cemhelm-G")
         self._lower = []  # futures of the solved rows' lower strips
-        self._sums = np.zeros(trial.shape[1])  # row sums of |G|, strip by strip
+        self._sums = np.zeros(n)  # row sums of |G|, strip by strip
         self._summing = threading.Lock()
         self._unsummed = {}  # formed strips waiting for a strip above, by row
         self._summed = 0  # element rows whose strips are in the sums
@@ -912,10 +1058,9 @@ class _CoarseStrips:
         run; a failed task raises from `row_solved` or `matrix`."""
         self._last = self._pool.submit(self._after, self._last, fn, *args)
 
-    def _strip(self, b):
+    def _strip(self, b, near):
         strip, magnitude = self._timed(
-            self.busy, _lower_strip, self._B, self._trial, b, max(b - self.reach, 0),
-            self._width, self._near_field)
+            self.busy, _lower_strip, self._B, near, b, self._width, self._n, self._near_field)
         with self._summing:  # rows in order, by whichever worker formed the next strip
             self._unsummed[b] = strip, magnitude
             while self._summed in self._unsummed:
@@ -925,7 +1070,12 @@ class _CoarseStrips:
         return strip
 
     def _next_strip(self):
-        self._lower.append(self._pool.submit(self._strip, len(self._lower)))
+        b = len(self._lower)
+        lo = max(b - self.reach, 0)
+        near = [self._window[r] for r in range(lo, b + 1)]
+        if b - lo == self.reach:
+            del self._window[lo]  # no later strip reads row lo
+        self._lower.append(self._pool.submit(self._strip, b, near))
 
     def _await(self, future):
         start = time.perf_counter()
@@ -949,6 +1099,7 @@ class _CoarseStrips:
         start = time.perf_counter()
         while len(self._lower) < self._NH:
             self._next_strip()
+        self._window.clear()
         L = sp.vstack([f.result() for f in self._lower], format="csr")
         self._lower = None  # the strips go before G is completed
         G = _symmetric(L)
@@ -960,22 +1111,28 @@ class _CoarseStrips:
         self._pool.shutdown(wait=True, cancel_futures=True)
 
 
-def _empty_trial(coarse, m, strict_zero_trace, nbf):
-    """The CSC trial matrix with its column pointers set, each column
-    holding its patch's free nodes (counted once per shape class), and its
-    row indices and values still to be written."""
+def _column_counts(coarse, m, strict_zero_trace, nbf, on_rim):
+    """Per trial column, the free nodes of its patch and, of them, those on
+    element rims (its skeleton), counted once per shape class."""
     counts, per_key = [], {}
     for j in range(coarse.n_elements):
         key = _layout_key(coarse, j, m)
         if key not in per_key:
-            per_key[key] = oversample(coarse, j, m).free_nodes(strict_zero_trace).size
+            rows = oversample(coarse, j, m).free_nodes(strict_zero_trace)
+            per_key[key] = rows.size, np.count_nonzero(on_rim[rows])
         counts += [per_key[key]] * nbf
-    n, nnz = coarse.fine.n_nodes, sum(counts)
+    return np.array(counts, dtype=np.int64).T
+
+
+def _empty_csc(n, counts):
+    """An n-row CSC matrix with its column pointers set for columns of
+    `counts` entries, and its row indices and values still to be written."""
+    nnz = int(counts.sum())
     index = np.int32 if max(nnz, n) <= np.iinfo(np.int32).max else np.int64
     return sp.csc_matrix(
         (np.empty(nnz, dtype=complex), np.zeros(nnz, dtype=index),
          np.concatenate([[0], np.cumsum(counts)]).astype(index)),
-        shape=(n, len(counts)),
+        shape=(n, counts.size),
     )
 
 
@@ -988,6 +1145,29 @@ def _shape_classes(coarse, m, elements):
     return [(key, np.array(js)) for key, js in groups.items()]
 
 
+def _write_columns(A, starts, rows, vals):
+    """Write into the preallocated CSC matrix A, for each patch q of a batch,
+    its c columns starts[q] ... starts[q] + c - 1: rows `rows[q]` with the
+    values vals[q] (rows, c), through views of the patch's block of A."""
+    c = vals.shape[2]
+    for q, start in enumerate(starts):
+        lo, hi = A.indptr[start], A.indptr[start + c]
+        A.data[lo:hi].reshape(c, -1)[...] = vals[q].T
+        A.indices[lo:hi].reshape(c, -1)[...] = rows[q]
+
+
+def _exception_entries(layout, js, solved, nbf):
+    """(element-rim slots, columns, values) of the exceptions (see
+    `CondensedTrial`) of a batch's trial columns: their skeleton solutions
+    `solved` (see `_solve_batch`) at the free nodes each patch shares with
+    the rims of the elements around it, its layout's outer terms."""
+    slots = (js - layout.element_shift)[:, None] * layout.local.shape[1] + layout.outer_take
+    shape = slots.shape + (nbf,)
+    return (np.broadcast_to(slots[:, :, None], shape).ravel(),
+            np.broadcast_to(((js * nbf)[:, None] + np.arange(nbf))[:, None], shape).ravel(),
+            solved[:, layout.indices[layout.outer], :nbf].ravel())
+
+
 def _solve_patches(cond, forms, P, m, strict_zero_trace, load_blocks, plan=None,
                    near_field=False):
     """Skeleton solves on the patches of every element (offline, without a
@@ -995,11 +1175,15 @@ def _solve_patches(cond, forms, P, m, strict_zero_trace, load_blocks, plan=None,
     offline build), element row by element row, in one batch per shape
     class of a row (`_solve_batch`).
 
-    Offline, each patch solves its nbf trial columns, written
-    into the preallocated arrays of the trial matrix; each batch's
-    `_finish_batch` and writes, and then each element row's end, are
-    deferred to the G workers (`_CoarseStrips`), which form all of G or,
-    with `near_field`, only its near field.  The patch of an element
+    Offline, each patch solves its nbf trial columns.  Their values on the
+    patch's free rim nodes are written into the preallocated skeleton of the
+    `CondensedTrial`, those on the rims of the elements around the patch
+    into its exceptions (`_exception_entries`), and their fine columns into
+    the window of element rows that the G strips read (`_CoarseStrips`),
+    each row allotted as it starts and dropped after its last strip, so the
+    whole fine trial matrix never exists.  Each batch's `_finish_batch` and
+    writes, and then each element row's end, are deferred to the G workers,
+    which form all of G or, with `near_field`, only its near field.  The patch of an element
     with a nonzero load block also solves its data column, summed into the
     corrector in element order as each element row ends.  Online, every
     batch is finished inline.  Offline, the first
@@ -1011,8 +1195,8 @@ def _solve_patches(cond, forms, P, m, strict_zero_trace, load_blocks, plan=None,
     the plan: online solves build no layout.  The classes of
     an element row recur only in the rows of the same distances to the
     bottom and top edges, which follow it, so the layouts are dropped
-    whenever those change.  Returns (trial matrix or None, G or None,
-    |G|_inf or None, corrector or None, the plan).
+    whenever those change.  Returns (the `CondensedTrial` or None, G or
+    None, |G|_inf or None, corrector or None, the plan).
     """
     coarse = forms.coarse
     n, N, NH = forms.grid.n_nodes, coarse.n_elements, coarse.NH
@@ -1027,10 +1211,12 @@ def _solve_patches(cond, forms, P, m, strict_zero_trace, load_blocks, plan=None,
         corrector = np.zeros(n, dtype=complex)
     elements = np.arange(N) if with_trial else np.flatnonzero(loaded_at >= 0)
     trial = strips = G = G_norm = None
+    window, per_row, exceptions, most = {}, NH * nbf, [], 0  # `most`: rows held at once
     if with_trial:
-        trial = _empty_trial(coarse, m, strict_zero_trace, nbf)
+        free, on_rim = _column_counts(coarse, m, strict_zero_trace, nbf, cond.on_rim)
+        skeleton, widths = _empty_csc(n, on_rim), np.empty(N, dtype=int)
         strips = _CoarseStrips(
-            forms.B, trial, NH, NEAR_FIELD if near_field else 2 * m + 1, near_field)
+            forms.B, window, N * nbf, NH, NEAR_FIELD if near_field else 2 * m + 1, near_field)
     batches = reused = unknowns = fill = built = taken = 0
     defer = strips.defer if with_trial else (lambda fn, *args: fn(*args))  # online: inline
 
@@ -1046,15 +1232,17 @@ def _solve_patches(cond, forms, P, m, strict_zero_trace, load_blocks, plan=None,
         batches, reused = batches + 1, reused + layout.ordered * js.size
         unknowns += (layout.indptr.size - 1) * js.size
         fill += batch_fill
-        defer(finish, layout, js, sources, solved, p)
+        defer(finish, layout, js, sources, solved, p, window.get(js[0] // NH))
         return perm_c
 
-    def finish(layout, js, sources, solved, p):
+    def finish(layout, js, sources, solved, p, fine):
         rows, vals = _finish_batch(cond, layout, js, sources, solved)
         if with_trial:
-            at_trial = trial.indptr[js * nbf][:, None] + np.arange(nbf * rows.shape[1])
-            trial.data[at_trial] = vals[:, :, :nbf].transpose(0, 2, 1).reshape(js.size, -1)
-            trial.indices[at_trial] = np.tile(rows, nbf)
+            widths[js] = solved.shape[2]
+            _write_columns(fine, js * nbf % per_row, rows, vals[:, :, :nbf])
+            on = np.sort(layout.skeleton)  # the free rim nodes, in node order
+            _write_columns(skeleton, js * nbf, rows[:, on], vals[:, on, :nbf])
+            exceptions.append(_exception_entries(layout, js, solved, nbf))
         data.extend((js[q], rows[q], vals[q, :, nbf]) for q in p)
 
     def add_data():
@@ -1065,6 +1253,9 @@ def _solve_patches(cond, forms, P, m, strict_zero_trace, load_blocks, plan=None,
     layouts, orders, edges = {}, {}, None
     try:
         for b in range(NH):
+            if with_trial:
+                window[b] = _empty_csc(n, free[b * per_row:(b + 1) * per_row])
+                most = max(most, len(window))
             row = elements[(elements >= b * NH) & (elements < (b + 1) * NH)]
             for key, js in _shape_classes(coarse, m, row):
                 if key[2:] != edges:
@@ -1087,6 +1278,11 @@ def _solve_patches(cond, forms, P, m, strict_zero_trace, load_blocks, plan=None,
                 strips.row_solved()
         if strips is not None:
             G, G_norm = strips.matrix()
+            slots, columns, values = _join(*exceptions)
+            trial = CondensedTrial(
+                skeleton, sp.csc_matrix((values, (slots, columns)),
+                                        shape=(cond.rim_nodes.size, N * nbf)),
+                cond, m, NH, widths)
     finally:
         if strips is not None:
             strips.close()
@@ -1096,11 +1292,12 @@ def _solve_patches(cond, forms, P, m, strict_zero_trace, load_blocks, plan=None,
         "%d fresh), %d skeleton unknowns, L+U fill %d; %d G strips of reach %d, %d G entries "
         "stored, %.2f s forming them, final wait %.2f s; %.2f s finishing the batches on the "
         "G workers, %.2f s waiting for them; %d layouts built, %d taken from the space's "
-        "plan of %d bytes",
+        "plan of %d bytes; trial stored condensed in %d entries of %d bytes, its fine "
+        "columns held in at most %d element rows at once",
         patches, batches, reused, patches - reused, unknowns, fill,
         *((NH, strips.reach, G.nnz, sum(strips.busy), strips.wait, sum(strips.deferred),
            strips.deferred_wait) if strips else (0, 0, 0, 0.0, 0.0, 0.0, 0.0)),
-        built, taken, plan.nbytes,
+        built, taken, plan.nbytes, *((trial.nnz, trial.nbytes) if trial else (0, 0)), most,
     )
     return trial, G, G_norm, corrector, plan
 
@@ -1110,7 +1307,7 @@ def build_space(forms, P, m, strict_zero_trace=False, load_blocks=None):
 
     With `load_blocks` (per-element data loads, shape (N, p), see
     assembly.element_loads) the space also carries the summed localized
-    data solve as its corrector.  The trial matrix and G do not depend on
+    data solve as its corrector.  The trial space and G do not depend on
     the data: P keeps the space it last built, and a call for the same
     forms object, m and strict_zero_trace reuses its trial, G, element
     condensation and class layouts and solves only the loaded patches (see
@@ -1149,7 +1346,8 @@ def build_global_space(forms, P, loads=None, strict_zero_trace=False):
     fine load vector) the global data corrector is solved alongside; a
     vector without one entry per fine node raises DimensionMismatch.  G
     comes from the same strips as in `build_space`, each reaching over all
-    element rows."""
+    element rows, which read the fine columns of the space's
+    `CondensedTrial.tocsc`."""
     coarse = forms.coarse
     N, n, NH = coarse.n_elements, forms.grid.n_nodes, coarse.NH
     cond = _condense(forms, P)
@@ -1167,11 +1365,18 @@ def build_global_space(forms, P, loads=None, strict_zero_trace=False):
         cond, _skeleton_layout(cond, coarse, 0, NH - 1, strict_zero_trace), [0], NH - 1,
         _join(*sources), N * P.nbf + (loads is not None), error=SingularGlobalSystem,
     )
-    full = np.zeros((n, vals.shape[2]), dtype=complex)
-    full[rows[0]] = vals[0]
-    corrector = None if loads is None else full[:, N * P.nbf].copy()
-    trial = sp.csc_matrix(full[:, :N * P.nbf])
-    strips = _CoarseStrips(forms.B, trial, NH, NH)
+    corrector = None
+    if loads is not None:
+        corrector = np.zeros(n, dtype=complex)
+        corrector[rows[0]] = vals[0, :, N * P.nbf]
+    on = np.flatnonzero(cond.on_rim[rows[0]])  # the free rim nodes
+    skeleton = _empty_csc(n, np.full(N * P.nbf, on.size))
+    _write_columns(skeleton, np.zeros(1, dtype=int), rows[:, on], vals[:, on, :N * P.nbf])
+    trial = CondensedTrial(skeleton, sp.csc_matrix((cond.rim_nodes.size, N * P.nbf),
+                                                   dtype=complex), cond, NH - 1, NH)
+    fine, width = trial.tocsc(), NH * P.nbf
+    strips = _CoarseStrips(forms.B, {b: _slice(fine, b * width, (b + 1) * width)
+                                     for b in range(NH)}, N * P.nbf, NH, NH)
     try:
         G, G_norm = strips.matrix()
     finally:
@@ -1183,8 +1388,9 @@ def build_global_space(forms, P, loads=None, strict_zero_trace=False):
 class _MatrixFreeG:
     """The whole coarse matrix G = (B Psi)^T Psi of a near-field space,
     applied as Psi^T (B (Psi x)) without forming it (B is complex
-    symmetric); `tocsr` assembles it, as a sparse matrix's `tocsr` returns
-    the matrix itself."""
+    symmetric), with the products of the `CondensedTrial` Psi; `tocsr`
+    assembles it from the fine trial matrix, as a sparse matrix's `tocsr`
+    returns the matrix itself."""
 
     def __init__(self, B, trial):
         self.B, self.trial = B, trial
@@ -1194,7 +1400,8 @@ class _MatrixFreeG:
         return self.trial.T @ (self.B @ (self.trial @ x))
 
     def tocsr(self):
-        G = ((self.B @ self.trial).T @ self.trial).tocsr()
+        trial = self.trial.tocsc()
+        G = ((self.B @ trial).T @ trial).tocsr()
         G.sum_duplicates()
         return G
 

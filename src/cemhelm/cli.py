@@ -254,6 +254,8 @@ def run(config):
         "errors": {"e_l2": report.e_l2, "e_energy": report.e_energy},
         "norms": report.norms,
         "coarse_dofs": space.n_basis,
+        "trial_entries": space.trial.nnz,
+        "trial_bytes": space.trial.nbytes,
         "resolution": {k: v for k, v in resolution.items()},
         "timings": pipe.timings,
     }

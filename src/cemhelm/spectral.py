@@ -76,7 +76,7 @@ class ProjectionOperator:
     `_element_kinds`, the elements each eigenproblem was solved for.  `space` is the
     `cem.MultiscaleSpace` that `cem.build_space` last built on this
     projection (None before the first build); holding it is what lets later
-    calls for the same forms, m and strict_zero_trace reuse its trial matrix
+    calls for the same forms, m and strict_zero_trace reuse its trial space
     and coarse matrix.
     """
 

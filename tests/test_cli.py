@@ -84,8 +84,14 @@ def test_run_report_and_json(tmp_path):
     assert report["errors"]["e_l2"] > 0.0
     assert report["coarse_dofs"] == 16 * 2
     assert set(report["timings"]) >= {"forms", "spectral", "basis", "coarse_solve"}
+    # the entries and bytes the space stores its condensed trial vectors in
+    _, space, _, _ = cli._Pipeline(cfg).solve(cfg.m)
+    assert (report["trial_entries"], report["trial_bytes"]) == (
+        space.trial.nnz, space.trial.nbytes)
+    assert 0 < space.trial.nnz < space.trial.tocsc().nnz
     on_disk = json.loads(out.read_text())
     assert on_disk["errors"] == report["errors"]
+    assert on_disk["trial_entries"] == report["trial_entries"]
 
 
 def test_errors_solve_the_reference_before_the_space(monkeypatch):

@@ -5,10 +5,11 @@
 Run from the root of a checkout.  It imports the benchmark (perfbench/),
 which imports the solver from ./src, and makes the benchmark's calls for
 rounds 0 .. rounds - 1: each round's set-up, then `Run.solve` for each of
-its data sets.  The digest covers, solve after solve, the trial matrix and
-G (data, indices, indptr), the corrector, the coefficients c and the field
-u, so two checkouts that print the same digest computed the same fields
-bit for bit.
+its data sets.  The digest covers, solve after solve, the stored trial
+space (the skeleton and the exceptions of `cem.CondensedTrial`) and G
+(data, indices, indptr of each), the corrector, the coefficients c and the
+field u, so two checkouts that print the same digest computed the same
+fields bit for bit.
 
 Fields that move inside rounding show with a saved run:
 
@@ -50,8 +51,9 @@ def main(argv=None):
         for s, spec in enumerate(setup.specs):
             u, space, system = bench.solve(setup, spec, f"solve {r}.{s}")
             _, c = sv.cem.solve_multiscale(system, space, setup.forms)  # `Run.solve` drops c
-            for a in (space.trial.data, space.trial.indices, space.trial.indptr, space.G.data,
-                      space.G.indices, space.G.indptr, space.corrector, c, u):
+            stored = (space.trial.skeleton, space.trial.exceptions, space.G)
+            for a in [*(getattr(A, name) for A in stored for name in ("data", "indices", "indptr")),
+                      space.corrector, c, u]:
                 digest.update(a.tobytes())
             fields.update({f"{name} {r}.{s}": a for name, a in
                            (("c", c), ("u", u), ("corrector", space.corrector))})
