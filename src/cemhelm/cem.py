@@ -78,11 +78,12 @@ free nodes.  G is complex symmetric, so only its lower triangle is formed:
 as soon as the deferred tasks of row b have run, a worker forms the lower
 strip (B Psi_b)^T Psi_near over the fine trial columns of rows
 b - (2m + 1) ... b, read from the window, and the strip of row b + 2m + 1,
-the last to read row b, drops it from the window; so the window holds a
-few element rows (~3.4 MB at H = 1/40) and the whole fine trial matrix
-never exists.  After the last row the strips are stacked into G's lower triangle
-L, and G, stored CSR, is completed once as L plus the transpose of L's
-strict part (`_CoarseStrips`).  Each lower entry is summed in the order of
+the last to read row b, drops it from the window; so the window holds the
+rows the next strips read and the rows solved ahead of them (at most 5 of
+40 rows, ~5.7 MB, at H = 1/40, m = 3 in the near field), and the whole
+fine trial matrix never exists.  After the last row the strips are stacked
+into G's lower triangle L, and G, stored CSR, is completed once as L plus
+the transpose of L's strict part (`_CoarseStrips`).  Each lower entry is summed in the order of
 the one product (B Psi)^T Psi, so G's lower triangle is bitwise that of
 the product, and G is exactly symmetric.  Each strip also adds the
 magnitudes of its entries, in double, to the row sums of |G| in G's own
