@@ -19,7 +19,6 @@ __all__ = [
     "element_boundary_matrix",
     "assemble_stiffness",
     "assemble_mass",
-    "assemble_weighted_mass",
     "assemble_boundary_mass",
     "assemble_B",
     "load_volume",
@@ -78,12 +77,6 @@ def assemble_stiffness(grid, medium, cells=None):
     a = np.asarray(getattr(medium, "values", medium), dtype=float)
     Ke, _ = _rect_element(grid.hx, grid.hy)
     return _scatter(grid, Ke, a, cells)
-
-
-def assemble_weighted_mass(grid, weights, cells=None):
-    w = np.asarray(getattr(weights, "values", weights), dtype=float)
-    _, Me = _rect_element(grid.hx, grid.hy)
-    return _scatter(grid, Me, w, cells)
 
 
 def assemble_mass(grid, cells=None):

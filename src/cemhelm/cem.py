@@ -58,53 +58,57 @@ its patch, where the free-node rule keeps the patch's nodes on the domain
 boundary and the interior is zero, not -W_k x_e.  That halves the entries
 stored at H = 1/40, m = 3 (1.24e6 of 2.39e6) and keeps a seventh of them
 at H = 1/10, m = 2 on 120 x 120 cells.  Psi x and Psi^T y take one product
-per kind with W; the fine matrix is formed only on request (`tocsc`).
+per kind with W, and the fine trial matrix is never formed.
+
+G is summed from the same rim values (`_ElementProducts`): B is the sum
+of the element matrices B_e, and on an element e of kind k a column's
+values are E_k (x, a, z), from its rim values x and mode a on an element
+of its patch, or its exceptions z on one outside it.  So G = sum_e V_e^T
+S_e V_e, with V_e the coordinates of the columns touching e (4r + nbf
+rows, 8r + nbf where e carries exceptions, against 169 fine nodes at
+H = 1/10 on 120 x 120 cells), gathered from the skeleton through each
+shape class's `_LayoutPlan.rim_offsets`, and S_e = E_k^T B_e E_k, real
+and formed once per kind, plus -ik Mb_e on the rim blocks of a boundary
+element.  G is (B Psi)^T Psi to rounding (5e-15 of its largest entry at
+H = 1/10, m = 2 on 120 x 120 cells), with the product's pattern there
+and at H = 1/40, m = 3.
 
 The offline build is streamed over element rows.  The main thread solves
 the patches row by row; of each batch it keeps the gather of the skeleton
 values and right-hand sides and SuperLU's factorization and solve
-(`_solve_batch`), and defers the rest to a worker thread: the interior
-recovery -W_e x, the particular terms (`_finish_batch`) and the writes of
-the trial columns' rim values into the condensed storage allotted in
-advance, and of their fine columns into a window of element rows.  The
-deferred
-tasks run one at a time, in the order deferred, whatever the number of
-workers, each row's corrector sum after its batches; the main thread goes
-on at most two element rows ahead of them, so the pending right-hand sides
-stay bounded.  G = (B Psi)^T Psi couples two elements at most 2m + 1
-element rows apart: two patches whose elements lie 2m + 1 elements apart
-still meet through B where a patch edge on the domain boundary keeps its
-free nodes.  G is complex symmetric, so only its lower triangle is formed:
-as soon as the deferred tasks of row b have run, a worker forms the lower
-strip (B Psi_b)^T Psi_near over the fine trial columns of rows
-b - (2m + 1) ... b, read from the window, and the strip of row b + 2m + 1,
-the last to read row b, drops it from the window; so the window holds the
-rows the next strips read and the rows solved ahead of them (at most 5 of
-40 rows, ~5.7 MB, at H = 1/40, m = 3 in the near field), and the whole
-fine trial matrix never exists.  After the last row the strips are stacked
-into G's lower triangle L, and G, stored CSR, is completed once as L plus
-the transpose of L's strict part (`_CoarseStrips`).  Each lower entry is summed in the order of
-the one product (B Psi)^T Psi, so G's lower triangle is bitwise that of
-the product, and G is exactly symmetric.  Each strip also adds the
-magnitudes of its entries, in double, to the row sums of |G| in G's own
-order, so |G|_inf is bitwise that of the double G.  Above DENSE_LIMIT
-coarse dofs (the sparse regime, see below) the strips reach only
-NEAR_FIELD element rows, keep only the entries of G's near field and are
-cast to complex64 as they are formed, so the space's G is the near field
-alone in single precision: its lower triangle bitwise the product's cast,
-exactly symmetric, with the indices and |G|_inf of the double near field.
-The split follows the GIL: the patch loop is Python and small numpy calls
-that hold it, and SuperLU on these small skeletons gains nothing from a
-second thread, while the finishing work is mostly whole-array numpy
-copies and BLAS products and the strips are scipy's sparse products, all
-of which release it.  Every number is computed by the same call on the
-same inputs as on one thread, so the fields do not depend on the worker
-count.  The worker count is the number of CPUs the process may use, less
-one, and at least one; nothing else sets it.  Online solves,
-`local_cem_solve` and `build_global_space` finish each batch inline.
-`build_global_space` stores its trial space in the same condensed form,
-without exceptions, and forms its G through the same strips, each
-reaching over the whole domain, from the space's `tocsc`.
+(`_solve_batch`), and defers the rest to a worker thread (`_Worker`): the
+writes of the trial columns' rim values into the skeleton allotted in
+advance and into the exceptions, and the data column's interiors
+(`_finish_batch`).  The deferred tasks run one at a time, in the order
+deferred, whatever the number of workers, each row's corrector sum after
+its batches; the main thread goes on at most two element rows ahead of
+them, so the pending right-hand sides stay bounded.  A column touches the
+elements within m + 1 rows of its own, so once patch row b + m + 1 is
+written the worker adds the products of element row b, in chunks whose
+V_e stay within a few MB, in double and in a fixed order, to the lower
+blocks of G's element rows, and G's row b - m - 1 is final.  G is complex
+symmetric and couples elements at most 2m + 1 rows apart (patches 2m + 1
+elements apart still meet through B where a patch edge on the domain
+boundary keeps its free nodes), so only its lower blocks within 2m + 1
+rows are summed.  Each final row's lower strip is cut from them in
+canonical CSR order, keeping the nonzero entries, and the magnitudes of
+its entries go, in double, into the row sums of |G| in G's own order.
+After the last row G, stored CSR, is completed once as the stacked strips
+L plus the transpose of L's strict part, so G is exactly symmetric and
+|G|_inf is bitwise that of the stored double G.  Above DENSE_LIMIT coarse
+dofs (the sparse regime, see below) the blocks reach only NEAR_FIELD
+rows, and each strip is cast to complex64 once cut: the space's G is the
+near field alone in single precision, with the indices and |G|_inf of
+the double near field.  The split follows the GIL: the patch loop is
+Python and small numpy calls that hold it, and SuperLU on these small
+skeletons gains nothing from a second thread, while the deferred work is
+mostly whole-array numpy copies and BLAS products, which release it.
+Every number is computed by the same call on the same inputs as on one
+thread, so the fields do not depend on the worker count, the CPUs the
+process may use, less one, and at least one.  Online solves,
+`local_cem_solve` and `build_global_space` finish each batch inline;
+`build_global_space` stores its trial space condensed, without
+exceptions, and forms its G by the same element products.
 
 Patch systems constrain the fine nodes on the patch boundary away from the
 domain boundary (`Patch.free_nodes`, the one free-node rule); where a patch
@@ -141,16 +145,14 @@ Skipping the other patches is exact, as the data column of a zero block is
 exactly zero.  `assemble_coarse`
 forms only Psi^T (b - B q), and the dense coarse solve of every source
 only back-substitutes with the space's LU.  Each `build_space` logs at
-DEBUG the patches it factorized, in how many batches, how many of them in
-a reused class ordering and how many fresh, their skeleton unknowns, the
-summed L+U fill, and the G strips with their reach, the G entries stored,
-the seconds spent forming the lower strips, the final wait from the last
-deferred task to G, offline, the seconds the workers spent finishing
-the batches and the seconds the patch loop waited for them, the
-layouts it built, those it took from the space's plan and the plan's
-bytes, and, offline, the condensed trial's stored entries and bytes and
-the most element rows of fine columns the window held at once; the dense
-LU of G logs its own line with its rcond.
+DEBUG the patches it factorized, in how many batches, how many in a
+reused class ordering and how many fresh, their skeleton unknowns and
+summed L+U fill; offline, the elements whose products formed G, the
+element rows G reaches, its stored entries, the seconds of the products,
+the final wait for G, the seconds the workers ran and the patch loop
+waited for them; the layouts it built, those it took from the space's
+plan and the plan's bytes; offline, the condensed trial's stored entries
+and bytes.  The dense LU of G logs its own line with its rcond.
 
 The basis vectors decay exponentially away from their element, and so do
 the entries of G.  A coarse system larger than DENSE_LIMIT is therefore
@@ -171,9 +173,9 @@ contrast-1e-3 channels at H = 1/40, m = 3).  When it does not get there
 in two cycles of 100 iterations, or the near field is beyond single
 precision's range (cast, an entry turns infinite), its LU singular or a
 preconditioned vector not finite,
-the near-field LU is dropped, and the whole G, assembled as (B Psi)^T Psi
-from the fine trial matrix (`CondensedTrial.tocsc`) if the space stores
-only its near field, is solved by its own double LU.
+the near-field LU is dropped, and the whole G, formed in double by the
+element products at reach 2m + 1 (`_whole_g`) if the space stores only
+its near field, is solved by its own double LU.
 The GMRES logs at DEBUG its iterations, its flag, the operator it applied,
 the preconditioner's precision and L+U fill and its last residual
 estimate.  Up to DENSE_LIMIT dofs the space keeps G's dense LU with its
@@ -192,8 +194,8 @@ residual, the measured counterpart of GMRES's estimate.
 
 import csv
 import logging
+import math
 import os
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -268,27 +270,31 @@ def _element_split(coarse):
     return np.flatnonzero(~on_rim), np.flatnonzero(on_rim)
 
 
+def _element_forms(forms, elements):
+    """Re B_e = K_e - k^2 M_e of `elements`, stacked, scattered from the
+    element stencil with the interior nodes numbered first."""
+    grid, coarse = forms.grid, forms.coarse
+    interior, rim = _element_split(coarse)
+    Ke, Me = element_matrices(grid.h, 1.0)
+    coeffs = forms.medium.values[coarse.element_cells[elements]]
+    stencil = np.argsort(np.concatenate([interior, rim]))[element_stencil(grid, coarse)]
+    rows, cols, vals = element_triplets(stencil, Ke, coeffs)
+    vals = vals - (forms.k * forms.k) * np.tile(Me.ravel(), coeffs.size)
+    return element_blocks(rows, cols, vals, len(coeffs), coarse.element_nodes.shape[1])
+
+
 def _element_systems(forms, P, elements):
     """Z_e, C_e and Re B_RR of `elements`, stacked (see `Condensation`).
 
-    The element forms K_e - k^2 M_e are scattered from the element stencil
-    with the interior nodes numbered first; in Z_e the border unknowns y_e
-    follow the interior nodes.  The boundary mass of B lives on rim nodes
-    only (`_rim_boundary_mass`), so -ik Mb enters B_RR alone.
+    In Z_e the border unknowns y_e follow the interior nodes of
+    `_element_forms`.  The boundary mass of B lives on rim nodes only
+    (`_rim_boundary_mass`), so -ik Mb enters B_RR alone.
     """
-    grid, coarse = forms.grid, forms.coarse
-    p = coarse.element_nodes.shape[1]
-    interior, rim = _element_split(coarse)
-    order = np.concatenate([interior, rim])
+    interior, rim = _element_split(forms.coarse)
     n_i, nbf = interior.size, P.nbf
-    Ke, Me = element_matrices(grid.h, 1.0)
-    coeffs = forms.medium.values[coarse.element_cells[elements]]
-    stencil = np.argsort(order)[element_stencil(grid, coarse)]  # interior nodes first
-    rows, cols, vals = element_triplets(stencil, Ke, coeffs)
-    vals = vals - (forms.k * forms.k) * np.tile(Me.ravel(), coeffs.size)
-    blocks = element_blocks(rows, cols, vals, len(coeffs), p)
-    U = P.sphi[elements][:, order]
-    Z = np.zeros((len(coeffs), n_i + nbf, n_i + nbf))
+    blocks = _element_forms(forms, elements)
+    U = P.sphi[elements][:, np.concatenate([interior, rim])]
+    Z = np.zeros((len(blocks), n_i + nbf, n_i + nbf))
     Z[:, :n_i, :n_i] = blocks[:, :n_i, :n_i]
     Z[:, :n_i, n_i:] = U[:, :n_i]
     Z[:, n_i:, :n_i] = U[:, :n_i].transpose(0, 2, 1)
@@ -529,6 +535,13 @@ class _LayoutPlan(dict):
             np.searchsorted(rows, cond.interior_nodes[elements + first] - node), elements,
             local, position, outer_take, shared, ordered=False)
 
+    def rim_offsets(self, key, NH, radius):
+        """`_rim_offsets` of class `key`, its slots within `radius` (at most
+        m + 1) of an element of the class."""
+        _, shift, _, elements, local, *_ = self[key]
+        return _rim_offsets(elements.astype(np.intp), local.astype(np.intp), shift, key, NH,
+                            radius)
+
     @property
     def nbytes(self):
         return sum(a.nbytes for packed in self.values() for a in packed[2:])
@@ -654,7 +667,8 @@ def _solve_batch(cond, layout, js, m, sources, n_cols, error=SingularLocalSystem
 
 def _finish_batch(cond, layout, js, sources, solved):
     """The patch solutions of a batch from its skeleton solutions `solved`
-    (see `_solve_batch`, whose arguments these are): the element interiors
+    (see `_solve_batch`, whose arguments these are, for the columns of
+    `solved` alone; offline, only the data columns): the element interiors
     -W_e x, one product with the kind's W for all the batch's elements of
     each kind, plus the sources' interior particular solutions.  Returns
     (free rows, shape (patches, rows); the solutions on them, (patches,
@@ -726,21 +740,13 @@ class CondensedTrial:
     -W_k (rim_e(skeleton @ x) - (exceptions @ x)_e) + T_e x_e inside, one
     product per kind; `Psi.T @ y` is skeleton^T (y - R^T z) + exceptions^T z
     + T^T y_I with z_e = W_k^T y_I(e), y_I the interior values of y and R the
-    gather of the element rims.  A column's patch holds the elements within
-    Chebyshev distance `m` of its own element on the NH x NH coarse grid.
-
-    `tocsc` forms the fine matrix, each column's entries on its patch's free
-    nodes.  It recovers the interiors of element j's columns in products of
-    `widths[j]` columns (nbf by default), as many as the patch solve that
-    gave them had (nbf + 1 where it also solved a data column), so they are
-    bitwise those of the solve, which a product of another width is not.
+    gather of the element rims.  G is formed from the same rim values, by
+    element products (`_ElementProducts`); the fine matrix is never formed.
     """
 
-    def __init__(self, skeleton, exceptions, cond, m, NH, widths=None):
+    def __init__(self, skeleton, exceptions, cond):
         self.skeleton, self.exceptions = _read_only(skeleton), _read_only(exceptions)
-        self.shape, self._cond, self._m, self._NH = skeleton.shape, cond, m, NH
-        nbf = skeleton.shape[1] // cond.kind.size
-        self._widths = np.full(cond.kind.size, nbf) if widths is None else widths
+        self.shape, self._cond = skeleton.shape, cond
         N, r4 = cond.rim_nodes.shape
         self._scatter = sp.csc_matrix(  # R^T: element-rim slots to fine nodes
             (np.ones(N * r4), cond.rim_nodes.ravel(), np.arange(N * r4 + 1)),
@@ -789,36 +795,6 @@ class CondensedTrial:
         out += np.einsum("eib,eik->ebk", cond.trial_interior, inner).reshape(out.shape)
         return out.reshape((self.shape[1],) + y.shape[1:])
 
-    def tocsc(self):
-        """The fine trial matrix in canonical CSC form, each column holding
-        its patch's free nodes: the skeleton's entries and the interiors of
-        the patch's elements."""
-        cond, S = self._cond, self.skeleton
-        N, r4 = cond.rim_nodes.shape
-        nbf, NH = self.shape[1] // N, self._NH
-        I, J = np.arange(N) % NH, np.arange(N) // NH
-        j, e = np.nonzero((np.abs(I[:, None] - I) <= self._m) & (np.abs(J[:, None] - J) <= self._m))
-        cols = (j * nbf)[:, None] + np.arange(nbf)  # (pairs, nbf): element e in j's patch
-        shape = (j.size, r4, nbf)
-        rims = np.asarray(S[np.broadcast_to(cond.rim_nodes[e][:, :, None], shape).ravel(),
-                            np.broadcast_to(cols[:, None], shape).ravel()]).reshape(shape)
-        interior = np.empty((j.size, cond.interior_nodes.shape[1], nbf), dtype=complex)
-        groups = cond.kind[e] * (self._widths.max() + 1) + self._widths[j]  # (kind, width)
-        for group in np.unique(groups):
-            at = np.flatnonzero(groups == group)
-            x = np.zeros(rims[at].shape[:2] + (self._widths[j[at[0]]],), dtype=complex)
-            x[:, :, :nbf] = rims[at]
-            interior[at] = -(cond.W[cond.kind[e[at[0]]]] @ x)[:, :, :nbf]
-        own = np.flatnonzero(e == j)
-        interior[own] += cond.trial_interior[e[own]]
-        rows = np.broadcast_to(cond.interior_nodes[e][:, :, None], interior.shape)
-        return sp.csc_matrix(
-            (np.concatenate([S.data, interior.ravel()]),
-             (np.concatenate([S.indices, rows.ravel()]),
-              np.concatenate([np.repeat(np.arange(self.shape[1]), np.diff(S.indptr)),
-                              np.broadcast_to(cols[:, None], interior.shape).ravel()]))),
-            shape=self.shape)
-
 
 class _TransposedTrial:
     """Psi^T of a `CondensedTrial` Psi, for `Psi.T @ y`."""
@@ -833,10 +809,11 @@ class _TransposedTrial:
 @dataclass
 class MultiscaleSpace:
     """Trial vectors as the columns of `trial`, a `CondensedTrial`, column
-    p = j*nbf + i: stored on the element rims, applied as `trial @ x` and
-    `trial.T @ y`, and formed as a fine matrix only by `trial.tocsc()`.
+    p = j*nbf + i: stored on the element rims and applied as `trial @ x`
+    and `trial.T @ y`; the fine trial matrix is never formed.
 
-    `G` is the coarse matrix Psi^T B Psi of `forms.B`, in complex128, or,
+    `G` is the coarse matrix Psi^T B Psi of `forms.B`, summed from element
+    products of the condensed trial (`_ElementProducts`), in complex128, or,
     with `near_field` (a space of more than DENSE_LIMIT dofs, see
     `build_space`), only its near field, the entries between elements
     within Chebyshev distance NEAR_FIELD, in complex64.  `G_norm` is the
@@ -847,8 +824,8 @@ class MultiscaleSpace:
     the element condensation the patch solves read, and `layouts` the
     compact plain layout of each shape class (`_LayoutPlan`, ~3.3 MB at
     H = 1/10, m = 2 on 120 x 120 cells, ~0.7 MB at H = 1/40, m = 3), from
-    which the online solves take their layouts (None for the global
-    space).  All are read-only, and
+    which the online solves take their layouts and the whole-G fallback
+    its rim offsets (None for the global space).  All are read-only, and
     the spaces `build_space` returns for one (forms, P, m,
     strict_zero_trace) share them.  `corrector` is the space's own summed
     localized data solve (None when it was built without load blocks).
@@ -906,20 +883,12 @@ def _inf_norm(G):
 def _new_space(forms, m, strict_zero_trace, trial, G, G_norm, corrector, condensation,
                layouts, near_field):
     """The space of a newly built `CondensedTrial` (frozen already) and its
-    G with |G|_inf `G_norm` (see `_CoarseStrips`): freezes G and, up to
+    G with |G|_inf `G_norm` (see `_ElementProducts`): freezes G and, up to
     DENSE_LIMIT dofs, factorizes it once (`_dense_lu`)."""
     G = _read_only(G)
     G_lu = _dense_lu(G) if G.shape[0] <= DENSE_LIMIT else None
     return MultiscaleSpace(forms, m, strict_zero_trace, trial, G, G_norm, G_lu,
                            condensation, layouts, near_field, corrector)
-
-
-def _slice(A, start, stop):
-    """Columns start:stop of the CSC matrix A, or rows of the CSR matrix A,
-    sharing its data and indices."""
-    lo, hi = A.indptr[start], A.indptr[stop]
-    shape = (A.shape[0], stop - start) if A.format == "csc" else (stop - start, A.shape[1])
-    return type(A)((A.data[lo:hi], A.indices[lo:hi], A.indptr[start:stop + 1] - lo), shape=shape)
 
 
 def _kept(A, keep):
@@ -930,46 +899,17 @@ def _kept(A, keep):
 
 
 def _g_workers():
-    """Worker threads forming G: the CPUs this process may run on, less the
-    one that solves the patches, and at least one."""
+    """Worker threads of the offline build: the CPUs this process may run
+    on, less the one that solves the patches, and at least one."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     return max(1, (cpus or 1) - 1)
-
-
-def _coarse_rows(B, trial_b, near, first, n):
-    """Rows (B Psi_b)^T Psi_near of G in canonical CSR form over all n of
-    G's columns, Psi_near being the trial columns first, first + 1, ...,
-    given as the CSC blocks `near` side by side.  Each column of the CSC
-    product is summed from its own column of Psi_near alone, so the product
-    of each block, put side by side, is bitwise the product of Psi_near,
-    without copying Psi_near whole."""
-    BPsi = (B @ trial_b).T
-    strip = sp.hstack([BPsi @ block for block in near], format="csc").tocsr()
-    return sp.csr_matrix((strip.data, strip.indices + first, strip.indptr),
-                         shape=(strip.shape[0], n))
-
-
-def _lower_strip(B, near, b, w, n, near_field):
-    """The lower strip of element row b: the lower triangle of G's rows
-    (B Psi_b)^T Psi_near, Psi_near the fine trial columns of element rows
-    b + 1 - len(near) ... b (`near`, one CSC matrix of w columns per row),
-    as CSR rows over all n of G's columns.  With `near_field` it keeps only
-    the entries of G's near field, cast to complex64 (`_single`).  Returns
-    (the strip, the magnitude |x| of each of its entries x in double)."""
-    lo = b + 1 - len(near)
-    L = _coarse_rows(B, near[-1], near, lo * w, n)
-    rows = np.repeat(np.arange(b * w, (b + 1) * w), np.diff(L.indptr))
-    NH = n // w
-    keep = _near_mask(L, NH, w // NH, b * w) if near_field else True
-    L = _kept(L, keep & (L.indices <= rows))
-    return (_single(L) if near_field else L), np.abs(L.data)
 
 
 def _symmetric(L):
     """The complex symmetric CSR matrix whose lower triangle is the CSR
     matrix L: L plus the transpose of its strict part.  The two parts share
     no entry, so each entry of the sum is one of L's plus zero, which keeps
-    its value (a -0.0 part turns +0.0; a product's sums hold none)."""
+    its value (a -0.0 part turns +0.0; L holds none)."""
     rows = np.arange(L.shape[0], dtype=L.indices.dtype)
     strict = L.indices < np.repeat(rows, np.diff(L.indptr))
     return L + _kept(L, strict).T.tocsr()  # the strict part's copy goes before the sum
@@ -983,8 +923,7 @@ def _add_row_sums(sums, strip, magnitude, first):
     column, in strip order.  Added strip by strip from the first, row i sums
     its entries in L and then those of column i of L's strict part by
     increasing row, G's order of row i, so each sum is bitwise that of
-    `_inf_norm` of G in double (a zero entry that `_symmetric` drops adds
-    nothing)."""
+    `_inf_norm` of G in double."""
     n = strip.shape[0]
     rows = np.repeat(np.arange(first, first + n), np.diff(strip.indptr))
     sums[first:first + n] = np.bincount(rows - first, weights=magnitude, minlength=n)
@@ -992,137 +931,274 @@ def _add_row_sums(sums, strip, magnitude, first):
     np.add.at(sums, strip.indices[strict], magnitude[strict])  # in order, as bincount
 
 
-class _CoarseStrips:
-    """G = (B Psi)^T Psi, its lower triangle formed on worker threads, strip
-    by strip, while the patch solves of later element rows go on.
+def _slot_offsets(radius):
+    """The element offsets (dJ, dI), |dJ|, |dI| <= radius, row by row, so
+    the offset of slot s is minus that of slot S - 1 - s."""
+    d = np.arange(-radius, radius + 1)
+    return np.repeat(d, d.size), np.tile(d, d.size)
 
-    The entries kept couple elements at most `reach` element rows and
-    columns apart: all of G's with reach 2m + 1 or more, its near field with
-    `near_field` and reach NEAR_FIELD.  G is complex symmetric, so only its
-    lower triangle is formed.  Once the trial columns of element row b are
-    final, a worker forms the lower strip of row b (`_lower_strip`): the
-    lower triangle of (B Psi_b)^T Psi_near, with Psi_near the columns of
-    rows b - reach ... b.  The strips go into the row sums of |G|
-    (`_add_row_sums`) in row order, from the magnitudes of their entries in
-    double, which are then dropped: the worker that forms the next strip to
-    be summed adds it and every later one already formed, so no worker
-    waits for another's strip.  With `near_field` the strips are kept in
-    complex64.  After the last row, `matrix` stacks the strips into G's
-    lower triangle L, drops them and completes G once, on the calling
-    thread, as L plus the transpose of L's strict part (`_symmetric`).
-    Each lower entry is summed in the order of the one product
-    (B Psi)^T Psi, so G's lower triangle is bitwise that of the product (of
-    its near field, cast) and G is exactly symmetric, and each row sum of
-    |G| is summed in G's order, whatever the number of workers or the order
-    the strips finish in.  G is stored CSR.
 
-    The patch loop also hands the workers the tasks that write the trial
-    columns (`defer`).  They run one at a time, in the order deferred,
-    whatever the number of workers: each waits for the one before it, which
-    a worker took from the queue first.  `row_solved` defers the submission
-    of a row's strip behind the tasks of its patches, so no strip reads an
-    unwritten column.
+def _rim_offsets(elements, local, shift, key, NH, radius):
+    """For each slot (dJ, dI) of `_slot_offsets(radius)`, the offsets of the
+    rim nodes of element j + (dJ, dI) in the CSC segment of a trial column
+    of element j (-1 where a node is constrained or the element lies
+    outside j's patch or the domain): j's patch holds the elements
+    `elements` + j - shift with the rim positions `local` of a plain
+    `_Layout`, and `key` holds j's distances to the four domain edges as
+    `_layout_key` does, clipped at `radius` or beyond."""
+    dJ, dI = _slot_offsets(radius)
+    rel = dJ * NH + dI + shift
+    q = np.searchsorted(elements, rel).clip(max=elements.size - 1)
+    inside = ((-key[0] <= dI) & (dI <= key[1]) & (-key[2] <= dJ) & (dJ <= key[3])
+              & (elements[q] == rel))
+    return np.where(inside[:, None], local[q], -1)
+
+
+def _product_forms(forms, cond):
+    """S_k = E_k^T Re B_e E_k of every kind k (see `_ElementProducts`),
+    (kinds, 8r + nbf, 8r + nbf) real: E_k = [[-W_k, T_k, 0], [I, 0, I]]
+    maps a column's coordinates (x, a, z) on an element of kind k to its
+    values there, interior nodes first (`_element_forms`)."""
+    first = np.unique(cond.kind, return_index=True)[1]  # the lowest element of each kind
+    n_i, r4 = cond.W.shape[1:]
+    nbf = cond.trial_interior.shape[2]
+    out = np.empty((first.size, 2 * r4 + nbf, 2 * r4 + nbf))
+    for chunk in _element_chunks(first.size, n_i + r4):
+        E = np.zeros((len(chunk), n_i + r4, 2 * r4 + nbf))
+        E[:, :n_i, :r4] = -cond.W[chunk]
+        E[:, :n_i, r4:r4 + nbf] = cond.trial_interior[first[chunk]]
+        E[:, n_i:, :r4] = E[:, n_i:, r4 + nbf:] = np.eye(r4)
+        out[chunk] = E.transpose(0, 2, 1) @ (_element_forms(forms, first[chunk]) @ E)
+    return out
+
+
+class _ElementProducts:
+    """G = Psi^T B Psi, or its near field, summed element row by element
+    row as sum_e V_e^T S_e V_e (see the module docstring).
+
+    V_e holds the coordinates (x, a) of the columns in the slots within
+    Chebyshev distance m of e, nbf columns per element, zero outside the
+    domain; on an element with exceptions the slots reach m + 1 and the
+    coordinates add z.  The offsets of a column's rim values in its CSC
+    segment come from `offsets(key, NH, radius)` (see `_rim_offsets`), once
+    per class `_layout_key(coarse, j, m)` of its element j.  `exceptions`
+    collects the (slots, columns, values) of `_exception_entries`.  G's
+    lower blocks within `reach` element rows (NEAR_FIELD with `near_field`)
+    are summed in double, a chunk of elements and a band of slot rows at a
+    time; `ready` adds the element rows whose columns are final and cuts
+    the strips of the G rows they complete, and `matrix` returns
+    (G, |G|_inf).
     """
 
-    def __init__(self, B, window, n, NH, reach, near_field=False):
-        self._B, self._window, self._n, self._NH, self.reach = B, window, n, NH, reach
-        self._near_field = near_field
-        self._width = n // NH
-        self._pool = ThreadPoolExecutor(_g_workers(), thread_name_prefix="cemhelm-G")
-        self._lower = []  # futures of the solved rows' lower strips
-        self._sums = np.zeros(n)  # row sums of |G|, strip by strip
-        self._summing = threading.Lock()
-        self._unsummed = {}  # formed strips waiting for a strip above, by row
-        self._summed = 0  # element rows whose strips are in the sums
-        self._rows = []  # futures of the deferred strip submissions, one per row
-        self._last = None  # future of the last task deferred
-        self.busy = []  # seconds of each lower strip formed
-        self.deferred = []  # seconds of each deferred task run
-        self.deferred_wait = 0.0  # seconds the caller waited for deferred tasks
-        self.wait = 0.0  # seconds `matrix` took after the deferred tasks
+    def __init__(self, forms, cond, skeleton, m, reach, near_field, offsets):
+        coarse = forms.coarse
+        NH, N = coarse.NH, coarse.n_elements
+        self._NH, self._cond, self._skeleton, self._k = NH, cond, skeleton, forms.k
+        self._r4, self._nbf = cond.rim_nodes.shape[1], skeleton.shape[1] // N
+        self._near_field, self._reach = near_field, min(reach, NH - 1)
+        self._forms = _product_forms(forms, cond)
+        I, J = np.arange(N) % NH, np.arange(N) // NH
+        edge = np.flatnonzero((I == 0) | (I == NH - 1) | (J == 0) | (J == NH - 1))
+        self._edge = np.full(N, -1)
+        self._edge[edge] = np.arange(edge.size)
+        self._mass = _rim_boundary_mass(forms, edge)
+        self._radius, self._ring = min(m, NH - 1), min(m + 1, NH - 1)
+        ids = {}
+        self._class = np.array([ids.setdefault(_layout_key(coarse, j, m), len(ids))
+                                for j in range(N)])
+        self._keys, self._offsets = list(ids), offsets
+        self._tables = np.full((len(ids), (2 * self._ring + 1) ** 2, self._r4), -1, dtype=np.intc)
+        self._made = np.zeros(len(ids), dtype=bool)
+        self.exceptions = []  # (element-rim slots, columns, values), as `_exception_entries`
+        self._blocks = {}  # element row of G -> its lower blocks, being summed
+        self._strips = []
+        self._sums = np.zeros(skeleton.shape[1])
+        self._added = 0
+        self.seconds = 0.0
 
-    @staticmethod
-    def _timed(times, fn, *args):
+    def _coordinates(self, elements, radius):
+        """(x, a) of the columns in the slots within `radius` of `elements`,
+        shape (elements, 4r + nbf, slots * nbf)."""
+        NH, r4, nbf, ring = self._NH, self._r4, self._nbf, self._ring
+        sJ, sI = _slot_offsets(radius)
+        jI, jJ = elements[:, None] % NH + sI, elements[:, None] // NH + sJ
+        valid = (jI >= 0) & (jI < NH) & (jJ >= 0) & (jJ < NH)
+        j = np.where(valid, jJ * NH + jI, 0)
+        classes = self._class[j]
+        for c in np.unique(classes[valid & ~self._made[classes]]):
+            self._tables[c] = self._offsets(self._keys[c], NH, ring)
+            self._made[c] = True
+        seen = (ring - sJ) * (2 * ring + 1) + ring - sI  # e seen from j, among the ring's slots
+        local = np.where(valid[:, :, None], self._tables[classes, seen], -1)
+        starts = self._skeleton.indptr[(j * nbf)[:, :, None] + np.arange(nbf)]
+        at = starts[:, :, :, None] + local[:, :, None]
+        free = local[:, :, None] >= 0
+        x = np.where(free, self._skeleton.data.take(at, mode="clip"), 0) if self._skeleton.nnz \
+            else np.zeros(at.shape, dtype=complex)  # (e, S, nbf, 4r)
+        V = np.zeros((elements.size, r4 + nbf, sJ.size, nbf), dtype=complex)
+        V[:, :r4] = x.transpose(0, 3, 1, 2)
+        V[:, r4 + np.arange(nbf), sJ.size // 2, np.arange(nbf)] = 1.0
+        return V.reshape(elements.size, r4 + nbf, -1)
+
+    def _add(self, b, elements, radius, exceptions=None):
+        """Add V_e^T S_e V_e of `elements` of element row b, with their
+        `exceptions` (slots, columns, values) if given, to G's blocks."""
+        NH, r4, nbf = self._NH, self._r4, self._nbf
+        side = 2 * radius + 1
+        V = self._coordinates(elements, radius)
+        if exceptions is not None:
+            slots, columns, values = exceptions
+            e = np.searchsorted(elements, slots // r4)
+            j, at = columns // nbf, elements[e]
+            slot = (j // NH - at // NH + radius) * side + j % NH - at % NH + radius
+            Z = np.zeros((elements.size, r4, side * side, nbf), dtype=complex)
+            Z[e, slots % r4, slot, columns % nbf] = values
+            V = np.concatenate([V, Z.reshape(elements.size, r4, -1)], axis=1)
+        # away from the boundary mass, with real columns only, V_e^T S_e V_e is real
+        real = ~V.imag.any(axis=(1, 2)) & (self._edge[elements] < 0)
+        for part in (np.flatnonzero(real), np.flatnonzero(~real)):
+            if part.size:
+                self._add_bands(b, elements[part], V[part].real if real[part[0]] else V[part],
+                                radius, exceptions is not None)
+
+    def _add_bands(self, b, elements, V, radius, exceptions):
+        """Add V_e^T S_e V_e of `elements` of element row b, their
+        coordinates V, real or complex, to G's blocks, band by band."""
+        NH, r4, nbf, R = self._NH, self._r4, self._nbf, self._reach
+        side, n = 2 * radius + 1, V.shape[1]
+        S = self._forms[self._cond.kind[elements]][:, :n, :n]
+        Y = S @ V if V.dtype == float else (S @ V.view(float)).view(complex)
+        on = np.flatnonzero(self._edge[elements] >= 0)
+        if on.size:  # -ik Mb_e, on the rim values x + z
+            mass = -1j * self._k * self._mass[self._edge[elements[on]]]
+            rims = (slice(0, r4), slice(n - r4, n)) if exceptions else (slice(0, r4),)
+            for rows in rims:
+                Y[on, rows] += sum(mass @ V[on, cols] for cols in rims)
+        V = V.reshape(elements.size, n, side, side * nbf)
+        I = elements % NH + self._ring
+        if I[-1] - I[0] == I.size - 1:  # consecutive elements add to a view
+            I = np.s_[I[0]:I[-1] + 1]
+        for sJ in range(max(-radius, -b), min(radius, NH - 1 - b) + 1):  # slot rows in the domain
+            lo = max(-radius, sJ - R, -b)  # the lowest slot row of the band
+            P = V[:, :, sJ + radius].transpose(0, 2, 1) @ Y[:, :, (lo + radius) * side * nbf:
+                                                             (sJ + radius + 1) * side * nbf]
+            P = P.reshape(elements.size, side, nbf, sJ - lo + 1, side, nbf)
+            blocks = self._blocks.get(b + sJ)
+            if blocks is None:
+                blocks = self._blocks[b + sJ] = np.zeros(
+                    (NH + 2 * self._ring, nbf, R + 1, 2 * R + 1, nbf), dtype=complex)
+            for sI in range(-radius, radius + 1):
+                tlo, thi = max(-radius, sI - R), min(radius, sI + R) + 1  # slot columns reached
+                rows = np.s_[I.start + sI:I.stop + sI] if isinstance(I, slice) else I + sI
+                blocks[rows, :, lo - sJ + R:, tlo - sI + R:thi - sI + R] += P[
+                    :, sI + radius, :, :, tlo + radius:thi + radius]
+
+    def _add_row(self, b):
+        NH, r4, nbf = self._NH, self._r4, self._nbf
+        slots, columns, values = (_join(*self.exceptions) if self.exceptions
+                                  else (np.empty(0, dtype=int),) * 3)
+        mine = slots // r4 // NH == b
+        slots, columns, values = slots[mine], columns[mine], values[mine]
+        ring = np.unique(slots // r4)
+        # each chunk's complex V stack within a quarter of an `_element_chunks`
+        # stack, as the products hold a few such stacks; larger chunks lift
+        # the peak resident set of a later coarse solve
+        for elements, exceptions in ((np.setdiff1d(np.arange(b * NH, (b + 1) * NH), ring), False),
+                                     (ring, True)):
+            radius = self._ring if exceptions else self._radius
+            size = 8 * ((1 + exceptions) * r4 + nbf) * nbf
+            for chunk in _element_chunks(elements.size, math.isqrt(size * (2 * radius + 1) ** 2)):
+                these = np.isin(slots // r4, elements[chunk])
+                self._add(b, elements[chunk], radius,
+                          (slots[these], columns[these], values[these]) if exceptions else None)
+
+    def _finish(self, J):
+        """Cut the lower strip of G's element row J from its blocks."""
+        NH, nbf, R = self._NH, self._nbf, self._reach
+        values = self._blocks.pop(J)[self._ring:self._ring + NH]  # (element, i, dJ, dI, i')
+        dJ, dI = np.arange(-R, 1)[:, None], np.arange(-R, R + 1)
+        I = np.arange(NH)[:, None, None] + dI  # the columns' elements, (element, dJ, dI)
+        column = ((J + dJ) * NH + I)[:, None, :, :, None] * nbf + np.arange(nbf)
+        lower = (dJ < 0) | (dI < 0)
+        keep = (((I >= 0) & (I < NH) & (J + dJ >= 0) & (lower | (dI == 0)))[:, None, :, :, None]
+                & (lower[:, :, None] | (np.arange(nbf)[:, None, None, None] >= np.arange(nbf))))
+        keep = (keep & (values != 0)).reshape(NH * nbf, -1)
+        L = sp.csr_matrix(
+            (values.reshape(keep.shape)[keep],
+             np.broadcast_to(column, values.shape).reshape(keep.shape)[keep].astype(np.intc),
+             np.concatenate([[0], np.cumsum(keep.sum(axis=1))]).astype(np.intc)),
+            shape=(NH * nbf, self._sums.size))
+        _add_row_sums(self._sums, L, np.abs(L.data), J * NH * nbf)
+        self._strips.append(_single(L) if self._near_field else L)
+
+    def ready(self, t):
+        """Add the element rows whose columns are final once patch rows
+        0 ... t are, and cut the strips of G's rows they complete; t =
+        NH - 1 completes G."""
+        start, NH = time.perf_counter(), self._NH
+        while self._added <= (NH - 1 if t >= NH - 1 else t - self._ring):
+            self._add_row(self._added)
+            self._added += 1
+            final = NH if self._added == NH else self._added - self._ring  # G rows now final
+            while len(self._strips) < final:
+                self._finish(len(self._strips))
+        self.seconds += time.perf_counter() - start
+
+    def matrix(self):
+        """(G in CSR form, |G|_inf in double) once every row is ready."""
+        L = sp.vstack(self._strips, format="csr")
+        self._strips = None  # the strips go before G is completed
+        return _symmetric(L), self._sums.max()
+
+
+class _Worker:
+    """Tasks deferred by the patch loop, run on worker threads one at a
+    time, in the order deferred, whatever the number of workers: each waits
+    for the one before it, and a failed task fails every later one."""
+
+    def __init__(self):
+        self._pool = ThreadPoolExecutor(_g_workers(), thread_name_prefix="cemhelm-G")
+        self._rows, self._last = [], None  # the last task of each element row, of all
+        self.seconds = self.waited = 0.0  # running the tasks; the caller waiting for them
+
+    def _after(self, previous, fn, *args):
+        if previous is not None:
+            previous.result()
         start = time.perf_counter()
         try:
             return fn(*args)
         finally:
-            times.append(time.perf_counter() - start)
-
-    def _after(self, previous, fn, *args):
-        if previous is not None:
-            previous.result()  # a failed task fails every later one with its error
-        return self._timed(self.deferred, fn, *args)
+            self.seconds += time.perf_counter() - start
 
     def defer(self, fn, *args):
-        """Run fn(*args) on a worker once every task deferred before it has
-        run; a failed task raises from `row_solved` or `matrix`."""
+        """Run fn(*args) once every task deferred before it has run."""
         self._last = self._pool.submit(self._after, self._last, fn, *args)
 
-    def _strip(self, b, near):
-        strip, magnitude = self._timed(
-            self.busy, _lower_strip, self._B, near, b, self._width, self._n, self._near_field)
-        with self._summing:  # rows in order, by whichever worker formed the next strip
-            self._unsummed[b] = strip, magnitude
-            while self._summed in self._unsummed:
-                row = self._summed
-                _add_row_sums(self._sums, *self._unsummed.pop(row), row * self._width)
-                self._summed += 1
-        return strip
-
-    def _next_strip(self):
-        b = len(self._lower)
-        lo = max(b - self.reach, 0)
-        near = [self._window[r] for r in range(lo, b + 1)]
-        if b - lo == self.reach:
-            del self._window[lo]  # no later strip reads row lo
-        self._lower.append(self._pool.submit(self._strip, b, near))
-
-    def _await(self, future):
-        start = time.perf_counter()
-        future.result()
-        self.deferred_wait += time.perf_counter() - start
-
-    def row_solved(self):
-        """The trial columns of the next element row are final once the
-        tasks deferred so far have run, and its strip is submitted then.
-        Returns once the deferred tasks lag at most two rows behind."""
-        self.defer(self._next_strip)
+    def row_solved(self, lag=2):
+        """Mark the end of an element row's tasks and return once they lag
+        at most `lag` rows behind; a failed task raises here."""
         self._rows.append(self._last)
-        if len(self._rows) > 2:
-            self._await(self._rows[-3])
-
-    def matrix(self):
-        """(G in CSR form, |G|_inf), once every element row is solved; a
-        strip or a deferred task that failed raises here."""
-        if self._last is not None:
-            self._await(self._last)
-        start = time.perf_counter()
-        while len(self._lower) < self._NH:
-            self._next_strip()
-        self._window.clear()
-        L = sp.vstack([f.result() for f in self._lower], format="csr")
-        self._lower = None  # the strips go before G is completed
-        G = _symmetric(L)
-        self.wait = time.perf_counter() - start
-        return G, self._sums.max()
+        if len(self._rows) > lag:
+            start = time.perf_counter()
+            self._rows[-1 - lag].result()
+            self.waited += time.perf_counter() - start
 
     def close(self):
         """Stop the workers: queued tasks are dropped, running ones finish."""
         self._pool.shutdown(wait=True, cancel_futures=True)
 
 
-def _column_counts(coarse, m, strict_zero_trace, nbf, on_rim):
-    """Per trial column, the free nodes of its patch and, of them, those on
-    element rims (its skeleton), counted once per shape class."""
+def _skeleton_counts(coarse, m, strict_zero_trace, nbf, on_rim):
+    """Per trial column, the free nodes of its patch on element rims (its
+    skeleton), counted once per shape class."""
     counts, per_key = [], {}
     for j in range(coarse.n_elements):
         key = _layout_key(coarse, j, m)
         if key not in per_key:
-            rows = oversample(coarse, j, m).free_nodes(strict_zero_trace)
-            per_key[key] = rows.size, np.count_nonzero(on_rim[rows])
+            per_key[key] = np.count_nonzero(on_rim[oversample(coarse, j, m).free_nodes(
+                strict_zero_trace)])
         counts += [per_key[key]] * nbf
-    return np.array(counts, dtype=np.int64).T
+    return np.array(counts, dtype=np.int64)
 
 
 def _empty_csc(n, counts):
@@ -1146,15 +1222,17 @@ def _shape_classes(coarse, m, elements):
     return [(key, np.array(js)) for key, js in groups.items()]
 
 
-def _write_columns(A, starts, rows, vals):
-    """Write into the preallocated CSC matrix A, for each patch q of a batch,
-    its c columns starts[q] ... starts[q] + c - 1: rows `rows[q]` with the
-    values vals[q] (rows, c), through views of the patch's block of A."""
-    c = vals.shape[2]
-    for q, start in enumerate(starts):
-        lo, hi = A.indptr[start], A.indptr[start + c]
-        A.data[lo:hi].reshape(c, -1)[...] = vals[q].T
-        A.indices[lo:hi].reshape(c, -1)[...] = rows[q]
+def _write_skeleton(A, cond, layout, js, solved, nbf):
+    """Write the first nbf skeleton solutions `solved` (see `_solve_batch`)
+    of each patch q of a batch into its columns js[q] * nbf ... of the
+    preallocated skeleton A, in node order, through views of A."""
+    order = np.argsort(layout.skeleton)  # the free rim nodes in node order
+    shift = cond.rim_nodes[js, 0] - layout.node_shift
+    rows = layout.rows[layout.skeleton[order]] + shift[:, None]
+    for q, start in enumerate(js * nbf):
+        lo, hi = A.indptr[start], A.indptr[start + nbf]
+        A.data[lo:hi].reshape(nbf, -1)[...] = solved[q, order, :nbf].T
+        A.indices[lo:hi].reshape(nbf, -1)[...] = rows[q]
 
 
 def _exception_entries(layout, js, solved, nbf):
@@ -1176,28 +1254,24 @@ def _solve_patches(cond, forms, P, m, strict_zero_trace, load_blocks, plan=None,
     offline build), element row by element row, in one batch per shape
     class of a row (`_solve_batch`).
 
-    Offline, each patch solves its nbf trial columns.  Their values on the
-    patch's free rim nodes are written into the preallocated skeleton of the
-    `CondensedTrial`, those on the rims of the elements around the patch
-    into its exceptions (`_exception_entries`), and their fine columns into
-    the window of element rows that the G strips read (`_CoarseStrips`),
-    each row allotted as it starts and dropped after its last strip, so the
-    whole fine trial matrix never exists.  Each batch's `_finish_batch` and
-    writes, and then each element row's end, are deferred to the G workers,
-    which form all of G or, with `near_field`, only its near field.  The patch of an element
-    with a nonzero load block also solves its data column, summed into the
-    corrector in element order as each element row ends.  Online, every
-    batch is finished inline.  Offline, the first
-    patch of each shape class is factorized alone, in a minimum-degree
-    order of its own, which renumbers the layout for the rest of the class,
-    and its plain layout goes into the plan.
-    Online, the few loaded patches rarely repay the renumbering, so each is
-    factorized in its own order, in its class's plain layout, rebuilt from
-    the plan: online solves build no layout.  The classes of
-    an element row recur only in the rows of the same distances to the
-    bottom and top edges, which follow it, so the layouts are dropped
-    whenever those change.  Returns (the `CondensedTrial` or None, G or
-    None, |G|_inf or None, corrector or None, the plan).
+    Offline, each patch solves its nbf trial columns, whose rim values go
+    into the `CondensedTrial`'s preallocated skeleton and its exceptions
+    (`_exception_entries`).  These writes, each element row's end and the
+    element products of G (`_ElementProducts`, its near field alone with
+    `near_field`) are deferred to the G workers (`_Worker`).  The patch of
+    an element with a nonzero load block also solves its data column, whose
+    interiors `_finish_batch` recovers, summed into the corrector in element
+    order as each element row ends.  Online, every batch is finished
+    inline.  Offline, the first patch of
+    each shape class is factorized alone, in a minimum-degree order of its
+    own, which renumbers the layout for the rest of the class, and its plain
+    layout goes into the plan.  Online, the few loaded patches rarely repay
+    the renumbering, so each is factorized in its own order, in its class's
+    plain layout, rebuilt from the plan: online solves build no layout.
+    The classes of an element row recur only in the rows of the same
+    distances to the bottom and top edges, which follow it, so the layouts
+    are dropped whenever those change.  Returns (the `CondensedTrial` or
+    None, G or None, |G|_inf or None, corrector or None, the plan).
     """
     coarse = forms.coarse
     n, N, NH = forms.grid.n_nodes, coarse.n_elements, coarse.NH
@@ -1211,15 +1285,15 @@ def _solve_patches(cond, forms, P, m, strict_zero_trace, load_blocks, plan=None,
         loaded_at[loaded] = np.arange(loaded.size)
         corrector = np.zeros(n, dtype=complex)
     elements = np.arange(N) if with_trial else np.flatnonzero(loaded_at >= 0)
-    trial = strips = G = G_norm = None
-    window, per_row, exceptions, most = {}, NH * nbf, [], 0  # `most`: rows held at once
+    trial = worker = products = G = G_norm = None
     if with_trial:
-        free, on_rim = _column_counts(coarse, m, strict_zero_trace, nbf, cond.on_rim)
-        skeleton, widths = _empty_csc(n, on_rim), np.empty(N, dtype=int)
-        strips = _CoarseStrips(
-            forms.B, window, N * nbf, NH, NEAR_FIELD if near_field else 2 * m + 1, near_field)
+        skeleton = _empty_csc(n, _skeleton_counts(coarse, m, strict_zero_trace, nbf, cond.on_rim))
+        products = _ElementProducts(forms, cond, skeleton, m,
+                                    NEAR_FIELD if near_field else 2 * m + 1, near_field,
+                                    plan.rim_offsets)
+        worker = _Worker()
     batches = reused = unknowns = fill = built = taken = 0
-    defer = strips.defer if with_trial else (lambda fn, *args: fn(*args))  # online: inline
+    defer = worker.defer if with_trial else (lambda fn, *args: fn(*args))  # online: inline
 
     def solve(layout, js):
         nonlocal batches, reused, unknowns, fill
@@ -1228,23 +1302,23 @@ def _solve_patches(cond, forms, P, m, strict_zero_trace, load_blocks, plan=None,
         sources = [_trial_sources(cond, js, np.arange(js.size))] if with_trial else []
         if p.size:
             sources.append((p, js[p], np.full(p.size, nbf), load_rim[at[p]], load_interior[at[p]]))
-        sources = _join(*sources)
-        solved, batch_fill, perm_c = _solve_batch(cond, layout, js, m, sources, nbf + (p.size > 0))
+        solved, batch_fill, perm_c = _solve_batch(
+            cond, layout, js, m, _join(*sources), nbf + (p.size > 0))
         batches, reused = batches + 1, reused + layout.ordered * js.size
         unknowns += (layout.indptr.size - 1) * js.size
         fill += batch_fill
-        defer(finish, layout, js, sources, solved, p, window.get(js[0] // NH))
+        data_sources = (np.arange(p.size), js[p], np.zeros(p.size, dtype=int),
+                        load_rim[at[p]], load_interior[at[p]]) if p.size else None
+        defer(finish, layout, js, solved, p, data_sources)
         return perm_c
 
-    def finish(layout, js, sources, solved, p, fine):
-        rows, vals = _finish_batch(cond, layout, js, sources, solved)
+    def finish(layout, js, solved, p, data_sources):
         if with_trial:
-            widths[js] = solved.shape[2]
-            _write_columns(fine, js * nbf % per_row, rows, vals[:, :, :nbf])
-            on = np.sort(layout.skeleton)  # the free rim nodes, in node order
-            _write_columns(skeleton, js * nbf, rows[:, on], vals[:, on, :nbf])
-            exceptions.append(_exception_entries(layout, js, solved, nbf))
-        data.extend((js[q], rows[q], vals[q, :, nbf]) for q in p)
+            _write_skeleton(skeleton, cond, layout, js, solved, nbf)
+            products.exceptions.append(_exception_entries(layout, js, solved, nbf))
+        if p.size:
+            rows, vals = _finish_batch(cond, layout, js[p], data_sources, solved[p][:, :, nbf:])
+            data.extend(zip(js[p], rows, vals[:, :, 0]))
 
     def add_data():
         for _, rows, column in sorted(data, key=lambda d: d[0]):
@@ -1254,9 +1328,6 @@ def _solve_patches(cond, forms, P, m, strict_zero_trace, load_blocks, plan=None,
     layouts, orders, edges = {}, {}, None
     try:
         for b in range(NH):
-            if with_trial:
-                window[b] = _empty_csc(n, free[b * per_row:(b + 1) * per_row])
-                most = max(most, len(window))
             row = elements[(elements >= b * NH) & (elements < (b + 1) * NH)]
             for key, js in _shape_classes(coarse, m, row):
                 if key[2:] != edges:
@@ -1276,29 +1347,31 @@ def _solve_patches(cond, forms, P, m, strict_zero_trace, load_blocks, plan=None,
                     solve(layouts[key], js)
             defer(add_data)
             if with_trial:
-                strips.row_solved()
-        if strips is not None:
-            G, G_norm = strips.matrix()
-            slots, columns, values = _join(*exceptions)
+                defer(products.ready, b)
+                worker.row_solved(2 if b < NH - 1 else 0)
+        if with_trial:
+            start = time.perf_counter()
+            G, G_norm = products.matrix()
+            wait = time.perf_counter() - start
+            slots, columns, values = _join(*products.exceptions)
             trial = CondensedTrial(
                 skeleton, sp.csc_matrix((values, (slots, columns)),
-                                        shape=(cond.rim_nodes.size, N * nbf)),
-                cond, m, NH, widths)
+                                        shape=(cond.rim_nodes.size, N * nbf)), cond)
     finally:
-        if strips is not None:
-            strips.close()
+        if worker is not None:
+            worker.close()
     patches = elements.size
     log.debug(
         "build_space: %d patches factorized in %d batches (%d in a reused class ordering, "
-        "%d fresh), %d skeleton unknowns, L+U fill %d; %d G strips of reach %d, %d G entries "
-        "stored, %.2f s forming them, final wait %.2f s; %.2f s finishing the batches on the "
-        "G workers, %.2f s waiting for them; %d layouts built, %d taken from the space's "
-        "plan of %d bytes; trial stored condensed in %d entries of %d bytes, its fine "
-        "columns held in at most %d element rows at once",
+        "%d fresh), %d skeleton unknowns, L+U fill %d; G from the products of %d elements "
+        "within %d element rows, %d G entries stored, %.2f s forming them, final wait "
+        "%.2f s; %.2f s on the G workers in all, %.2f s waiting for them; %d layouts built, "
+        "%d taken from the space's plan of %d bytes; trial stored condensed in %d entries "
+        "of %d bytes",
         patches, batches, reused, patches - reused, unknowns, fill,
-        *((NH, strips.reach, G.nnz, sum(strips.busy), strips.wait, sum(strips.deferred),
-           strips.deferred_wait) if strips else (0, 0, 0, 0.0, 0.0, 0.0, 0.0)),
-        built, taken, plan.nbytes, *((trial.nnz, trial.nbytes) if trial else (0, 0)), most,
+        *((N, NEAR_FIELD if near_field else 2 * m + 1, G.nnz, products.seconds, wait,
+           worker.seconds, worker.waited) if with_trial else (0, 0, 0, 0.0, 0.0, 0.0, 0.0)),
+        built, taken, plan.nbytes, *((trial.nnz, trial.nbytes) if trial else (0, 0)),
     )
     return trial, G, G_norm, corrector, plan
 
@@ -1346,11 +1419,10 @@ def build_global_space(forms, P, loads=None, strict_zero_trace=False):
     right-hand sides, as `build_space` with m = NH - 1.  With `loads` (full
     fine load vector) the global data corrector is solved alongside; a
     vector without one entry per fine node raises DimensionMismatch.  G
-    comes from the same strips as in `build_space`, each reaching over all
-    element rows, which read the fine columns of the space's
-    `CondensedTrial.tocsc`."""
+    comes from the same element products as in `build_space`, each column
+    reaching over the whole domain."""
     coarse = forms.coarse
-    N, n, NH = coarse.n_elements, forms.grid.n_nodes, coarse.NH
+    N, n, NH, nbf = coarse.n_elements, forms.grid.n_nodes, coarse.NH, P.nbf
     cond = _condense(forms, P)
     sources = [_trial_sources(cond, np.arange(N), np.zeros(N, dtype=int))]
     if loads is not None:
@@ -1360,51 +1432,59 @@ def build_global_space(forms, P, loads=None, strict_zero_trace=False):
         # each node's load shared equally among the elements that hold it
         shares = np.bincount(coarse.element_nodes.ravel(), minlength=n)
         blocks = (loads / shares)[coarse.element_nodes]
-        sources.append((np.zeros(N, dtype=int), np.arange(N), np.full(N, N * P.nbf),
+        sources.append((np.zeros(N, dtype=int), np.arange(N), np.full(N, N * nbf),
                         *_load_sources(forms, P, np.arange(N), blocks)))
-    rows, vals = _solve_now(
-        cond, _skeleton_layout(cond, coarse, 0, NH - 1, strict_zero_trace), [0], NH - 1,
-        _join(*sources), N * P.nbf + (loads is not None), error=SingularGlobalSystem,
-    )
+    layout = _skeleton_layout(cond, coarse, 0, NH - 1, strict_zero_trace)
+    solved, _, _ = _solve_batch(cond, layout, [0], NH - 1, _join(*sources),
+                                N * nbf + (loads is not None), error=SingularGlobalSystem)
     corrector = None
     if loads is not None:
         corrector = np.zeros(n, dtype=complex)
-        corrector[rows[0]] = vals[0, :, N * P.nbf]
-    on = np.flatnonzero(cond.on_rim[rows[0]])  # the free rim nodes
-    skeleton = _empty_csc(n, np.full(N * P.nbf, on.size))
-    _write_columns(skeleton, np.zeros(1, dtype=int), rows[:, on], vals[:, on, :N * P.nbf])
-    trial = CondensedTrial(skeleton, sp.csc_matrix((cond.rim_nodes.size, N * P.nbf),
-                                                   dtype=complex), cond, NH - 1, NH)
-    fine, width = trial.tocsc(), NH * P.nbf
-    strips = _CoarseStrips(forms.B, {b: _slice(fine, b * width, (b + 1) * width)
-                                     for b in range(NH)}, N * P.nbf, NH, NH)
-    try:
-        G, G_norm = strips.matrix()
-    finally:
-        strips.close()
+        data = (np.zeros(N, dtype=int), np.arange(N), np.zeros(N, dtype=int), *sources[1][3:])
+        rows, vals = _finish_batch(cond, layout, [0], data, solved[:, :, N * nbf:])
+        corrector[rows[0]] = vals[0, :, 0]
+    skeleton = _empty_csc(n, np.full(N * nbf, layout.skeleton.size))
+    _write_skeleton(skeleton, cond, layout, np.zeros(1, dtype=int), solved, N * nbf)
+    trial = CondensedTrial(skeleton, sp.csc_matrix((cond.rim_nodes.size, N * nbf), dtype=complex),
+                           cond)
+    products = _ElementProducts(  # each element its own class, its distances to the edges
+        forms, cond, skeleton, NH - 1, NH - 1, False, lambda key, NH, radius: _rim_offsets(
+            np.arange(N), layout.local, key[2] * NH + key[0], key, NH, radius))
+    products.ready(NH - 1)
+    G, G_norm = products.matrix()
     return _new_space(forms, -1, strict_zero_trace, trial, G, G_norm, corrector, cond, None,
                       False)
 
 
+def _whole_g(space):
+    """All of G of a space built by `build_space`, in CSR form, from the
+    element products of its condensed trial (`_ElementProducts`) at reach
+    2m + 1, in double."""
+    products = _ElementProducts(space.forms, space.condensation, space.trial.skeleton, space.m,
+                                2 * space.m + 1, False, space.layouts.rim_offsets)
+    E = space.trial.exceptions
+    products.exceptions.append(
+        (E.indices, np.repeat(np.arange(E.shape[1]), np.diff(E.indptr)), E.data))
+    products.ready(space.forms.coarse.NH - 1)
+    return products.matrix()[0]
+
+
 class _MatrixFreeG:
-    """The whole coarse matrix G = (B Psi)^T Psi of a near-field space,
+    """The whole coarse matrix G = Psi^T B Psi of a near-field space,
     applied as Psi^T (B (Psi x)) without forming it (B is complex
     symmetric), with the products of the `CondensedTrial` Psi; `tocsr`
-    assembles it from the fine trial matrix, as a sparse matrix's `tocsr`
-    returns the matrix itself."""
+    forms it by element products (`_whole_g`), as a sparse matrix's
+    `tocsr` returns the matrix itself."""
 
-    def __init__(self, B, trial):
-        self.B, self.trial = B, trial
-        self.shape = (trial.shape[1], trial.shape[1])
+    def __init__(self, space):
+        self.B, self.trial, self._space = space.forms.B, space.trial, space
+        self.shape = (space.trial.shape[1], space.trial.shape[1])
 
     def __matmul__(self, x):
         return self.trial.T @ (self.B @ (self.trial @ x))
 
     def tocsr(self):
-        trial = self.trial.tocsc()
-        G = ((self.B @ trial).T @ trial).tocsr()
-        G.sum_duplicates()
-        return G
+        return _whole_g(self._space)
 
 
 @dataclass
@@ -1457,26 +1537,19 @@ def assemble_coarse(space, forms, loads):
     if space.corrector is not None:
         rhs_fine = rhs_fine - forms.B @ space.corrector
     b = space.trial.T @ rhs_fine
-    operator = _MatrixFreeG(forms.B, space.trial) if space.near_field else None
+    operator = _MatrixFreeG(space) if space.near_field else None
     return CoarseSystem(space.G, np.asarray(b).ravel(), space.nbf, space.G_norm, operator,
                         space.G_lu)
 
 
-def _near_mask(A, NH, nbf, first=0):
-    """For each stored entry of the CSR or CSC matrix A, whether its two
-    coarse dofs' elements lie within Chebyshev distance NEAR_FIELD; A's
-    rows (CSR) or columns (CSC) are the coarse dofs first, first + 1, ....
-    Element e of coarse dof p is p // nbf, at position (e % NH, e // NH)."""
-    e = np.repeat(np.arange(first, first + A.indptr.size - 1, dtype=A.indices.dtype) // nbf,
-                  np.diff(A.indptr))
-    f = A.indices // nbf
-    return (np.abs(e % NH - f % NH) <= NEAR_FIELD) & (np.abs(e // NH - f // NH) <= NEAR_FIELD)
-
-
 def _near_field(G, NH, nbf):
-    """The entries of the CSR or CSC matrix G whose two coarse elements lie
-    within Chebyshev distance NEAR_FIELD (`_near_mask`), in G's format."""
-    return _kept(G, _near_mask(G, NH, nbf))
+    """The entries of the CSR or CSC matrix G whose two coarse dofs'
+    elements lie within Chebyshev distance NEAR_FIELD, in G's format.
+    Element e of coarse dof p is p // nbf, at position (e % NH, e // NH)."""
+    e = np.repeat(np.arange(G.indptr.size - 1, dtype=G.indices.dtype) // nbf, np.diff(G.indptr))
+    f = G.indices // nbf
+    near = (np.abs(e % NH - f % NH) <= NEAR_FIELD) & (np.abs(e // NH - f // NH) <= NEAR_FIELD)
+    return _kept(G, near)
 
 
 def _single(A):
@@ -1581,9 +1654,9 @@ def solve_multiscale(system, space, forms=None):
     single-precision sparse LU of G's near field: its entries between
     coarse elements within Chebyshev distance NEAR_FIELD.  If GMRES does not
     converge, or that LU cannot be formed or applied in single precision,
-    the near-field LU is dropped and the whole G, assembled as
-    (B Psi)^T Psi when the system stores only its near field, is solved by
-    its own double sparse LU.
+    the near-field LU is dropped and the whole G, formed by element
+    products (`_whole_g`) when the system stores only its near field, is
+    solved by its own double sparse LU.
     SingularCoarseSystem is raised
     for a G singular to working precision in the dense branch
     (`_dense_solve`; GMRES does not check, and returns coefficients of the

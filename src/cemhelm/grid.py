@@ -43,9 +43,6 @@ class FineGrid:
     def h(self):
         return self.hx
 
-    def node_index(self, i, j):
-        return j * (self.nx + 1) + i
-
 
 def build_fine_grid(nx, ny):
     if nx < 1 or ny < 1:
@@ -83,9 +80,6 @@ class CoarseGrid:
         if j < 0 or j >= self.n_elements:
             raise InvalidElement(f"element {j} out of range [0, {self.n_elements})")
         return j % self.NH, j // self.NH
-
-    def element_index(self, I, J):
-        return J * self.NH + I
 
 
 def build_coarse_grid(fine, NH):
@@ -141,13 +135,6 @@ class Patch:
         else:
             constrained = self.on_patch_boundary & ~self.on_domain_boundary
         return self.nodes[~constrained]
-
-    @property
-    def covers_domain(self):
-        return (
-            self.I_range == (0, self.coarse.NH - 1)
-            and self.J_range == (0, self.coarse.NH - 1)
-        )
 
 
 def oversample(coarse, j, m):

@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, ZeroReference
 
-__all__ = ["l2_norm", "a_norm", "s_norm", "k_weighted_norm", "relative_errors", "ErrorReport"]
+__all__ = ["l2_norm", "a_norm", "relative_errors", "ErrorReport"]
 
 
 def _quad(W, u):
@@ -26,14 +26,6 @@ def l2_norm(u, M):
 
 def a_norm(u, K):
     return np.sqrt(max(_quad(K, u), 0.0))
-
-
-def s_norm(u, S):
-    return np.sqrt(max(_quad(S, u), 0.0))
-
-
-def k_weighted_norm(u, K, M, k):
-    return np.sqrt(max(k * k * _quad(M, u) + _quad(K, u), 0.0))
 
 
 @dataclass

@@ -33,10 +33,10 @@ boundary values as well.  The automatic weight (negative trace_weight) is
 gamma = 96 H^-2 times the local coefficient.
 
 Zero-extension sums of per-element functions are discontinuous across
-element interfaces; they live in the broken space  prod_j V(K_j), modeled
-here by `BrokenField` (one nodal block per element).  The projection maps
-into that space, which is what makes idempotence and the Pythagoras split
-exact identities at the discrete level.
+element interfaces; they live in the broken space  prod_j V(K_j), one
+nodal block per element.  The projection maps into that space, which is
+what makes idempotence and the Pythagoras split exact identities at the
+discrete level.
 """
 
 import csv
@@ -53,17 +53,7 @@ log = logging.getLogger(__name__)
 
 TRACE_WEIGHT_SCALE = 96.0  # default gamma = 96 / H^2, times the local coefficient
 
-__all__ = [
-    "ProjectionOperator",
-    "BrokenField",
-    "build_projection",
-    "pi_coeffs",
-    "pi_apply",
-    "pi_gram_correction",
-    "pi_rhs",
-    "broken_s_norm_sq",
-    "dump_eigenvalues",
-]
+__all__ = ["ProjectionOperator", "build_projection", "pi_coeffs", "dump_eigenvalues"]
 
 
 class ProjectionOperator:
@@ -147,70 +137,11 @@ def build_projection(forms, nbf, trace_weight=0.0):
     return ProjectionOperator(coarse, eigenvalues, bases, sphi, S, (first, kind))
 
 
-class BrokenField:
-    """Element-blockwise function: blocks[j] holds nodal values on element j."""
-
-    def __init__(self, coarse, blocks):
-        self.coarse = coarse
-        self.blocks = np.asarray(blocks)
-
-    @classmethod
-    def from_nodal(cls, coarse, v):
-        v = np.asarray(v)
-        return cls(coarse, v[coarse.element_nodes])
-
-    @classmethod
-    def zero_extension(cls, coarse, j, local_values):
-        blocks = np.zeros(coarse.element_nodes.shape, dtype=np.asarray(local_values).dtype)
-        blocks[j] = local_values
-        return cls(coarse, blocks)
-
-
-def _blocks_of(P, v):
-    if isinstance(v, BrokenField):
-        return v.blocks
-    return np.asarray(v)[P.coarse.element_nodes]
-
-
 def pi_coeffs(P, v):
-    """Per-element expansion coefficients of the projection, shape (N, nbf)."""
-    blocks = _blocks_of(P, v)
+    """Per-element expansion coefficients of the projection of the nodal
+    vector v, shape (N, nbf)."""
+    blocks = np.asarray(v)[P.coarse.element_nodes]
     return (blocks[:, None, :] @ P.sphi)[:, 0, :]
-
-
-def pi_apply(P, v):
-    """Projection onto the auxiliary space, returned as a broken field."""
-    coeffs = pi_coeffs(P, v)
-    field = BrokenField(P.coarse, (P.bases @ coeffs[:, :, None])[:, :, 0])
-    field.coeffs = coeffs
-    return field
-
-
-def pi_gram_correction(P):
-    """Sparse C with v^T C w = s(pi v, pi w); rank = N*nbf."""
-    nodes = P.coarse.element_nodes
-    blocks = P.sphi @ P.sphi.transpose(0, 2, 1)  # S_j Phi_j Phi_j^T S_j
-    rows = np.broadcast_to(nodes[:, :, None], blocks.shape)
-    cols = np.broadcast_to(nodes[:, None, :], blocks.shape)
-    n = P.coarse.fine.n_nodes
-    return sp.csr_matrix((blocks.ravel(), (rows.ravel(), cols.ravel())), shape=(n, n))
-
-
-def pi_rhs(P, j, i):
-    """Right-hand side functional of basis problem (j, i): S_j phi_j^i, zero-extended."""
-    r = np.zeros(P.coarse.fine.n_nodes)
-    r[P.coarse.element_nodes[j]] = P.sphi[j, :, i]
-    return r
-
-
-def broken_s_norm_sq(P, v):
-    """Sum of the s_j-norms squared over all elements.
-
-    For a global nodal vector this equals the global s-norm squared; for a
-    broken field the blocks are integrated element by element.
-    """
-    b = _blocks_of(P, v).ravel()
-    return float(np.real(np.vdot(b, P.S @ b)))
 
 
 def dump_eigenvalues(P, path):

@@ -7,9 +7,109 @@ does, and no solver path calls them.
 from dataclasses import replace
 
 import numpy as np
+import scipy.sparse as sp
 
-from cemhelm import cem
+from cemhelm import assembly, cem
 from cemhelm.grid import oversample
+from cemhelm.metrics import _quad
+
+
+def s_norm(u, S):
+    """The norm sqrt(u^H S u) of the auxiliary form S."""
+    return np.sqrt(max(_quad(S, u), 0.0))
+
+
+def k_weighted_norm(u, K, M, k):
+    """The wavenumber-weighted energy norm sqrt(k^2 |u|_M^2 + |u|_K^2)."""
+    return np.sqrt(max(k * k * _quad(M, u) + _quad(K, u), 0.0))
+
+
+def node_index(grid, i, j):
+    """The index of the fine node in column i and row j of `grid`."""
+    return j * (grid.nx + 1) + i
+
+
+def element_index(coarse, I, J):
+    """The index of the coarse element in column I and row J of `coarse`."""
+    return J * coarse.NH + I
+
+
+def covers_domain(patch):
+    """Whether the elements of `patch` span the whole coarse grid."""
+    return patch.I_range == (0, patch.coarse.NH - 1) and patch.J_range == (0, patch.coarse.NH - 1)
+
+
+def assemble_weighted_mass(grid, weights, cells=None):
+    """The mass matrix weighted per cell by `weights` (an array, or an
+    object with `values`), over all cells or only `cells`."""
+    w = np.asarray(getattr(weights, "values", weights), dtype=float)
+    _, Me = assembly._rect_element(grid.hx, grid.hy)
+    return assembly._scatter(grid, Me, w, cells)
+
+
+class BrokenField:
+    """Element-blockwise function: blocks[j] holds nodal values on element j."""
+
+    def __init__(self, coarse, blocks):
+        self.coarse = coarse
+        self.blocks = np.asarray(blocks)
+
+    @classmethod
+    def from_nodal(cls, coarse, v):
+        v = np.asarray(v)
+        return cls(coarse, v[coarse.element_nodes])
+
+    @classmethod
+    def zero_extension(cls, coarse, j, local_values):
+        blocks = np.zeros(coarse.element_nodes.shape, dtype=np.asarray(local_values).dtype)
+        blocks[j] = local_values
+        return cls(coarse, blocks)
+
+
+def _blocks_of(P, v):
+    if isinstance(v, BrokenField):
+        return v.blocks
+    return np.asarray(v)[P.coarse.element_nodes]
+
+
+def pi_coeffs(P, v):
+    """`spectral.pi_coeffs` of a nodal vector or a broken field."""
+    return (_blocks_of(P, v)[:, None, :] @ P.sphi)[:, 0, :]
+
+
+def pi_apply(P, v):
+    """Projection onto the auxiliary space, returned as a broken field."""
+    coeffs = pi_coeffs(P, v)
+    field = BrokenField(P.coarse, (P.bases @ coeffs[:, :, None])[:, :, 0])
+    field.coeffs = coeffs
+    return field
+
+
+def pi_gram_correction(P):
+    """Sparse C with v^T C w = s(pi v, pi w); rank = N*nbf."""
+    nodes = P.coarse.element_nodes
+    blocks = P.sphi @ P.sphi.transpose(0, 2, 1)  # S_j Phi_j Phi_j^T S_j
+    rows = np.broadcast_to(nodes[:, :, None], blocks.shape)
+    cols = np.broadcast_to(nodes[:, None, :], blocks.shape)
+    n = P.coarse.fine.n_nodes
+    return sp.csr_matrix((blocks.ravel(), (rows.ravel(), cols.ravel())), shape=(n, n))
+
+
+def pi_rhs(P, j, i):
+    """Right-hand side functional of basis problem (j, i): S_j phi_j^i, zero-extended."""
+    r = np.zeros(P.coarse.fine.n_nodes)
+    r[P.coarse.element_nodes[j]] = P.sphi[j, :, i]
+    return r
+
+
+def broken_s_norm_sq(P, v):
+    """Sum of the s_j-norms squared over all elements.
+
+    For a global nodal vector this equals the global s-norm squared; for a
+    broken field the blocks are integrated element by element.
+    """
+    b = _blocks_of(P, v).ravel()
+    return float(np.real(np.vdot(b, P.S @ b)))
 
 
 def conjugate_basis(trial):
@@ -37,3 +137,43 @@ def adjoint_cem_solve(j, m, forms, P, strict_zero_trace=False):
     psi = np.zeros((forms.grid.n_nodes, P.nbf), dtype=complex)
     psi[rows[0]] = vals[0]
     return psi, oversample(forms.coarse, j, m)
+
+
+def fine_trial(space, widths=None):
+    """The fine trial matrix of `space` (a `cem.CondensedTrial` as its
+    `trial`) in canonical CSC form, each column holding its patch's free
+    nodes: the skeleton's entries and the interiors of the patch's elements,
+    -W_k x_e + T_e a (see `cem.CondensedTrial`).  It recovers the interiors
+    of element j's columns in products of `widths[j]` columns (nbf by
+    default), as many as the patch solve that gave them had (nbf + 1 where
+    it also solved a data column), so they are bitwise those of
+    `cem._finish_batch` on that solve, which a product of another width is
+    not.  A global space (m = -1) has the domain for every patch."""
+    trial, cond, NH = space.trial, space.condensation, space.forms.coarse.NH
+    m = space.m if space.m >= 0 else NH - 1
+    S = trial.skeleton
+    N, r4 = cond.rim_nodes.shape
+    nbf = trial.shape[1] // N
+    widths = np.full(N, nbf) if widths is None else np.asarray(widths)
+    I, J = np.arange(N) % NH, np.arange(N) // NH
+    j, e = np.nonzero((np.abs(I[:, None] - I) <= m) & (np.abs(J[:, None] - J) <= m))
+    cols = (j * nbf)[:, None] + np.arange(nbf)  # (pairs, nbf): element e in j's patch
+    shape = (j.size, r4, nbf)
+    rims = np.asarray(S[np.broadcast_to(cond.rim_nodes[e][:, :, None], shape).ravel(),
+                        np.broadcast_to(cols[:, None], shape).ravel()]).reshape(shape)
+    interior = np.empty((j.size, cond.interior_nodes.shape[1], nbf), dtype=complex)
+    groups = cond.kind[e] * (widths.max() + 1) + widths[j]  # (kind, width)
+    for group in np.unique(groups):
+        at = np.flatnonzero(groups == group)
+        x = np.zeros(rims[at].shape[:2] + (widths[j[at[0]]],), dtype=complex)
+        x[:, :, :nbf] = rims[at]
+        interior[at] = -(cond.W[cond.kind[e[at[0]]]] @ x)[:, :, :nbf]
+    own = np.flatnonzero(e == j)
+    interior[own] += cond.trial_interior[e[own]]
+    rows = np.broadcast_to(cond.interior_nodes[e][:, :, None], interior.shape)
+    return sp.csc_matrix(
+        (np.concatenate([S.data, interior.ravel()]),
+         (np.concatenate([S.indices, rows.ravel()]),
+          np.concatenate([np.repeat(np.arange(trial.shape[1]), np.diff(S.indptr)),
+                          np.broadcast_to(cols[:, None], interior.shape).ravel()]))),
+        shape=trial.shape)

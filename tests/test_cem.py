@@ -100,10 +100,10 @@ def test_local_solve_matches_dense_oracle():
     # single-element domain, k=0: (K + C) psi = r solved densely
     g, c, forms, P = make_setup(nx=4, NH=1, nbf=2, k=0.0)
     psi, patch = cem.local_cem_solve(0, 0, forms, P)
-    C = spectral.pi_gram_correction(P).toarray()
+    C = oracles.pi_gram_correction(P).toarray()
     A = forms.B.toarray() + C
     for i in range(2):
-        r = spectral.pi_rhs(P, 0, i)
+        r = oracles.pi_rhs(P, 0, i)
         ref = np.linalg.solve(A, r.astype(complex))
         assert np.abs(psi[:, i] - ref).max() <= 1e-10 * np.abs(ref).max()
 
@@ -112,9 +112,9 @@ def test_local_solve_with_wavenumber_matches_dense_oracle():
     g, c, forms, P = make_setup(nx=8, NH=2, nbf=2, k=3.0)
     psi, patch = cem.local_cem_solve(1, 1, forms, P)
     idx = patch.free_nodes()
-    C = spectral.pi_gram_correction(P)
+    C = oracles.pi_gram_correction(P)
     A = (forms.B + C).toarray()[np.ix_(idx, idx)]
-    r = spectral.pi_rhs(P, 1, 0)[idx]
+    r = oracles.pi_rhs(P, 1, 0)[idx]
     ref = np.linalg.solve(A, r.astype(complex))
     assert np.abs(psi[idx, 0] - ref).max() <= 1e-9 * np.abs(ref).max()
 
@@ -380,8 +380,8 @@ def test_global_space_residual_identity():
     g, c, forms, P = make_setup(nx=16, NH=4, nbf=2, k=2.0)
     j, i = 5, 1
     w = cem.build_global_space(forms, P).vector(j, i)
-    C = spectral.pi_gram_correction(P)
-    r = spectral.pi_rhs(P, j, i)
+    C = oracles.pi_gram_correction(P)
+    r = oracles.pi_rhs(P, j, i)
     resid = forms.B @ w + C @ w - r
     rng = np.random.default_rng(0)
     for _ in range(20):
@@ -425,7 +425,7 @@ def test_coarse_system_matches_dense_oracle_full_patches():
         )
     )
     system = cem.assemble_coarse(space, forms, loads)
-    Psi = space.trial.tocsc().toarray()
+    Psi = oracles.fine_trial(space).toarray()
     G_ref = Psi.T @ (forms.B.toarray() @ Psi)
     assert np.abs(system.G.toarray() - G_ref).max() <= 1e-12 * np.abs(G_ref).max()
     b_ref = Psi.T @ loads
@@ -547,7 +547,7 @@ def test_corrector_full_patch_matches_direct_solve():
     # patch = domain: q solves (B + C) q = b exactly
     g, c, forms, P = make_setup(nx=8, NH=2, nbf=2, k=2.0)
     from cemhelm.assembly import element_loads
-    from cemhelm.spectral import pi_gram_correction
+    from oracles import pi_gram_correction
 
     rng = np.random.default_rng(3)
     f = rng.normal(size=g.n_nodes) + 1j * rng.normal(size=g.n_nodes)
@@ -567,7 +567,7 @@ def test_global_space_corrector():
     rng = np.random.default_rng(4)
     b = rng.normal(size=g.n_nodes) + 1j * rng.normal(size=g.n_nodes)
     gspace = cem.build_global_space(forms, P, loads=b)
-    from cemhelm.spectral import pi_gram_correction
+    from oracles import pi_gram_correction
 
     A = forms.B.toarray() + pi_gram_correction(P).toarray()
     q_ref = np.linalg.solve(A, b)
@@ -646,7 +646,7 @@ def test_dependent_trial_vectors_refused_by_dense_solve(monkeypatch):
     f, gd = _random_complex(rng, g.n_nodes), _random_complex(rng, g.n_nodes)
     loads = forms.M @ f + forms.Mb @ gd
     space = cem.build_space(forms, P, 1, True, load_blocks=element_loads(g, c, f, gd))
-    assert np.linalg.matrix_rank(space.trial.tocsc().toarray()) == 45 < space.n_basis
+    assert np.linalg.matrix_rank(oracles.fine_trial(space).toarray()) == 45 < space.n_basis
     # the build factorizes G and keeps the estimate; only the solve refuses
     assert space.G_lu[2] < np.finfo(float).eps
     system = cem.assemble_coarse(space, forms, loads)
@@ -780,10 +780,10 @@ def _bmat_oracle(forms, P, idx, elements, rhs_cols, adjoint=False, extra_rhs=Non
     if adjoint:
         B_loc = B_loc.conj()
     cols = (np.asarray(elements)[:, None] * P.nbf + np.arange(P.nbf)[None, :]).ravel()
-    U = np.column_stack([spectral.pi_rhs(P, *divmod(q, P.nbf)) for q in cols])
+    U = np.column_stack([oracles.pi_rhs(P, *divmod(q, P.nbf)) for q in cols])
     U_loc = sp.csr_matrix(U[idx])
     A = sp.bmat([[B_loc, U_loc], [U_loc.T, -sp.identity(cols.size)]]).toarray()
-    R = np.column_stack([spectral.pi_rhs(P, *divmod(q, P.nbf)) for q in rhs_cols])[idx]
+    R = np.column_stack([oracles.pi_rhs(P, *divmod(q, P.nbf)) for q in rhs_cols])[idx]
     if extra_rhs is not None:
         R = np.hstack([R, extra_rhs])
     rhs = np.vstack([R, np.zeros((cols.size, R.shape[1]))])
@@ -849,7 +849,7 @@ def test_global_bordered_assembly_matches_bmat_oracle(channel_setup):
     cols = np.arange(c.n_elements * P.nbf)
     corrector_rhs = _random_complex(np.random.default_rng(1), g.n_nodes)
     gspace = cem.build_global_space(forms, P, loads=corrector_rhs)
-    vals = np.column_stack([gspace.trial.tocsc().toarray(), gspace.corrector])
+    vals = np.column_stack([oracles.fine_trial(gspace).toarray(), gspace.corrector])
     ref = _bmat_oracle(forms, P, idx, elements, cols, extra_rhs=corrector_rhs[:, None])
     assert np.abs(vals - ref).max() <= 1e-10 * np.abs(ref).max()
 
@@ -931,7 +931,7 @@ def test_generated_domain_patch_space_equals_global_space(cfg):
     gspace = cem.build_global_space(
         forms, P, loads=forms.M @ f + forms.Mb @ gd, strict_zero_trace=cfg["strict"]
     )
-    for loc, glo in ((space.trial.tocsc().toarray(), gspace.trial.tocsc().toarray()),
+    for loc, glo in ((oracles.fine_trial(space).toarray(), oracles.fine_trial(gspace).toarray()),
                      (space.corrector, gspace.corrector)):
         assert np.abs(loc - glo).max() <= 1e-10 * np.abs(glo).max()
 
@@ -959,7 +959,7 @@ def test_generated_sparse_coarse_solve(cfg, data):
     # so do linearly dependent trial vectors, which the count above does not
     # rule out (nx = 8, NH = 4, nbf = 3, strict, m = 1: rank 45 of 48): the
     # dense branch refuses such a G, GMRES returns coefficients of its field
-    singular = np.linalg.matrix_rank(space.trial.tocsc().toarray()) < space.n_basis
+    singular = np.linalg.matrix_rank(oracles.fine_trial(space).toarray()) < space.n_basis
     if singular:
         with pytest.raises(SingularCoarseSystem, match="reciprocal condition estimate"):
             cem.solve_multiscale(system, space, forms=forms)
@@ -973,11 +973,12 @@ def test_generated_sparse_coarse_solve(cfg, data):
     resid = space.trial.T @ (loads - forms.B @ u)
     assert np.linalg.norm(resid) <= 1e-10 * np.linalg.norm(space.trial.T @ loads)
     # built above DENSE_LIMIT, under one or three workers, the space stores
-    # only G's near field: its lower triangle is bitwise that of the
-    # product's near field, it is exactly symmetric and G_norm is its largest
-    # row sum; the solve applies the whole G matrix-free and gives the
-    # coefficients of the whole G's dense solve, and every batch's interiors
-    # are bitwise those of the per-element product
+    # only G's near field: its lower triangle is that of the product's near
+    # field to 1e-12 and complex64's rounding, it is exactly symmetric and
+    # G_norm is its largest row sum; the solve applies the whole G
+    # matrix-free and gives the coefficients of the whole G's dense solve,
+    # and every batch's data interiors are bitwise those of the per-element
+    # product
     workers = data.draw(st.sampled_from([1, 3]), label="workers")
     finish_batch, finished = cem._finish_batch, []
 
@@ -996,16 +997,14 @@ def test_generated_sparse_coarse_solve(cfg, data):
         system = cem.assemble_coarse(near, forms, loads)
         u_near, c_near = cem.solve_multiscale(system, near, forms=forms)
     assert finished and all(finished)
-    # (stored in complex64: the product's near field is cast, and G_norm is
-    # the largest row sum of the double near field)
+    # (stored in complex64: the near field is cast, and G_norm is the
+    # largest row sum of the double near field, checked below)
     G, ref = near.G, _g_oracle(forms, near)
     assert near.near_field and G.format == "csr" and G.has_canonical_format
     L = _lower_triangle(cem._near_field(ref, c.NH, P.nbf))
-    assert G.dtype == np.complex64 and _bitwise_equal(_lower_triangle(G), L.astype(np.complex64))
+    assert G.dtype == np.complex64
+    _assert_close_lower(G, L)
     assert (G != G.T).nnz == 0
-    G = _mirrored(L)
-    rows = np.repeat(np.arange(G.shape[0]), np.diff(G.indptr))
-    assert near.G_norm == np.bincount(rows, weights=np.abs(G.data), minlength=G.shape[0]).max()
     if not singular:
         c_ref = np.linalg.solve(ref.toarray(), system.b)
         assert np.linalg.norm(c_near - c_ref) <= 1e-10 * np.linalg.norm(c_ref)
@@ -1022,7 +1021,9 @@ def test_generated_sparse_coarse_solve(cfg, data):
         u_double, c_double = cem.solve_multiscale(cem.assemble_coarse(double, forms, loads),
                                                   double, forms=forms)
     assert double.G.dtype == complex and _bitwise_equal(near.G, double.G.astype(np.complex64))
-    assert near.G_norm == double.G_norm and _same_bytes(near.corrector, double.corrector)
+    _assert_close_lower(double.G, L)
+    assert near.G_norm == double.G_norm == cem._inf_norm(double.G)
+    assert _same_bytes(near.corrector, double.corrector)
     assert _same_bytes(c_near, c_double) and _same_bytes(u_near, u_double)
     # W is kept per kind: each element's block that of its own interior solve
     with pytest.MonkeyPatch.context() as mp:
@@ -1061,7 +1062,7 @@ def test_generated_online_space_equals_offline(cfg, data):
     first = cem.build_space(forms, P, m, cfg["strict"])
     # linearly dependent trial vectors (nx = 6, NH = 3, nbf = 2, strict,
     # m = 2: rank 17 of 18) make G singular, and both dense solves refuse it
-    singular = np.linalg.matrix_rank(first.trial.tocsc().toarray()) < first.n_basis
+    singular = np.linalg.matrix_rank(oracles.fine_trial(first).toarray()) < first.n_basis
     results = []
     for proj in (P, spectral.build_projection(forms, P.nbf)):
         space = cem.build_space(forms, proj, m, cfg["strict"], load_blocks=blocks)
@@ -1151,15 +1152,14 @@ def test_build_space_logs_patch_work(caplog, monkeypatch):
     # one DEBUG line per call: the patches it factorized (the loaded ones
     # online), in how many batches, how many in a reused class ordering and
     # how many fresh (one per shape class offline, all online), their
-    # skeleton unknowns, the summed L+U fill of their LUs, and the G strips
-    # with their reach, the G entries stored, the seconds spent forming the
-    # lower strips and the final wait; then, offline, the seconds the G
-    # workers spent finishing the batches and the seconds the patch loop
+    # skeleton unknowns, the summed L+U fill of their LUs, and the element
+    # products G was formed from with their reach, the G entries stored, the
+    # seconds spent forming the products and the final wait; then, offline,
+    # the seconds the G workers ran in all and the seconds the patch loop
     # waited for them (none online, where each batch is finished inline);
     # then the layouts the call built, those it took from the space's plan
     # and the plan's bytes; last, offline, the condensed trial's stored
-    # entries and bytes and the most element rows of fine trial columns
-    # held at once for the strips
+    # entries and bytes
     g, c, forms, P = make_setup(nx=24, NH=6, nbf=3)
     work, batches, built = [], [], []
     factorize, solve_batch, skeleton_layout = (
@@ -1186,23 +1186,23 @@ def test_build_space_logs_patch_work(caplog, monkeypatch):
     f = _bump_source(g, (0.58, 0.41))
     loaded = np.flatnonzero(np.any(element_loads(g, c, f, zero) != 0, axis=1))
     assert 0 < loaded.size < c.n_elements
-    for source, elements, strips in ((_bump_source(g, (0.2, 0.2)), range(c.n_elements), c.NH),
-                                     (f, loaded, 0)):
+    for source, elements, products in ((_bump_source(g, (0.2, 0.2)), range(c.n_elements),
+                                        c.n_elements), (f, loaded, 0)):
         del work[:], batches[:], built[:], caplog.records[:]
         space, _, _ = _three_calls(forms, P, 1, source, zero)
         (record,) = [r for r in caplog.records if r.msg.startswith("build_space")]
-        (patches, n_batches, reused, fresh, unknowns, fill, n_strips, reach, stored, busy,
-         wait, finish, finish_wait, n_built, taken, plan_bytes, entries, trial_bytes,
-         held) = record.args
+        (patches, n_batches, reused, fresh, unknowns, fill, n_products, reach, stored, busy,
+         wait, finish, finish_wait, n_built, taken, plan_bytes, entries,
+         trial_bytes) = record.args
         assert n_built == len(built) and plan_bytes == space.layouts.nbytes > 0
         assert (patches, unknowns, fill) == (
             len(work), sum(n for n, _, _ in work), sum(lu for _, lu, _ in work))
         assert n_batches == len(batches) and sum(batches) == patches
         assert reused == sum(ordered for _, _, ordered in work) == patches - fresh
-        assert n_strips == strips and busy >= 0.0 and wait >= 0.0
-        # offline, all of G (108 dofs, the dense regime) from strips of reach 2m + 1
-        assert (reach, stored) == ((3, space.G.nnz) if strips else (0, 0))
-        if strips:  # offline: 36 patches in 25 shape classes, the first of each alone
+        assert n_products == products and busy >= 0.0 and wait >= 0.0
+        # offline, all of G (108 dofs, the dense regime), reaching 2m + 1 rows
+        assert (reach, stored) == ((3, space.G.nnz) if products else (0, 0))
+        if products:  # offline: 36 patches in 25 shape classes, the first of each alone
             assert fresh == len({cem._layout_key(c, j, 1) for j in elements}) == 25
             assert n_batches == 35 and max(batches) == 2
             assert finish > 0.0 and finish_wait >= 0.0
@@ -1210,18 +1210,17 @@ def test_build_space_logs_patch_work(caplog, monkeypatch):
             # later patches in a row, unless the previous row left one (11
             # reused patches in 10 batches, 9 ordered layouts)
             assert (n_built, taken) == (25 + 9, 0) and len(space.layouts) == 25
-            # the rows the next strips read, and at most two being solved ahead
             assert (entries, trial_bytes) == (space.trial.nnz, space.trial.nbytes)
-            assert 0 < entries < space.trial.tocsc().nnz and 1 <= held <= min(c.NH, reach + 3)
+            assert 0 < entries < oracles.fine_trial(space).nnz
         else:  # online: each loaded patch in its own ordering
             assert reused == 0 and n_batches <= patches
             assert finish == finish_wait == 0.0
             # every layout taken from the plan, one per batch, none built
             assert (n_built, taken) == (0, n_batches)
-            assert (entries, trial_bytes, held) == (0, 0, 0)
+            assert (entries, trial_bytes) == (0, 0)
         # the work of the inline build the pipeline replaced (the fill is
         # that of this scipy's SuperLU)
-        assert (n_batches, unknowns, fill) == ((35, 1604, 42316) if strips else (2, 93, 3480))
+        assert (n_batches, unknowns, fill) == ((35, 1604, 42316) if products else (2, 93, 3480))
         # a skeleton holds fewer unknowns than the patch's free nodes
         assert unknowns < len(work) * oversample(c, 14, 1).free_nodes().size
     assert patches == loaded.size  # online: the loaded patches only
@@ -1357,7 +1356,7 @@ def test_assemble_coarse_rejects_foreign_forms():
     assert system.G is space.G
     _assert_mirrored_product(forms, space)
     # (B Psi)^T Psi is Psi^T B Psi summed in another order (B is complex symmetric)
-    Psi = space.trial.tocsc()
+    Psi = oracles.fine_trial(space)
     ref = ((forms.B @ Psi).T @ Psi).toarray()
     sym = (Psi.T @ (forms.B @ Psi)).toarray()
     assert np.abs(ref - sym).max() <= 1e-12 * np.abs(sym).max()
@@ -1467,11 +1466,11 @@ def test_trial_and_coarse_matrix_freed_with_projection_and_spaces():
     assert all(ref() is None for ref in kept)
 
 
-# --- the streamed offline build: G from row strips on worker threads
+# --- the streamed offline build: G from element products on worker threads
 
 
 def _g_oracle(forms, space):
-    Psi = space.trial.tocsc()
+    Psi = oracles.fine_trial(space)
     G = ((forms.B @ Psi).T @ Psi).tocsr()
     G.sum_duplicates()
     return G
@@ -1489,26 +1488,28 @@ def _same_trial(a, b):
                for A, B in ((a.skeleton, b.skeleton), (a.exceptions, b.exceptions)))
 
 
-def _mirrored(L):
-    """The complex symmetric CSR matrix of lower triangle L, each entry one
-    of L's."""
-    G = (L + sp.tril(L, -1).T).tocsr()
-    G.sum_duplicates()
-    return G
-
-
 def _lower_triangle(A):
     L = sp.tril(A).tocsr()
     L.sum_duplicates()
     return L
 
 
+def _assert_close_lower(G, ref):
+    # G's lower triangle is ref's to 1e-12 of ref's largest entry, plus the
+    # rounding of a complex64 G: G is summed element by element, not as the
+    # one product, so an entry that one sum gives exactly zero, and so
+    # leaves out, the other may give at the 1e-18 level
+    L, ref = _lower_triangle(G).toarray(), _lower_triangle(ref).toarray()
+    cast = np.finfo(G.dtype).eps * np.abs(ref) if G.dtype == np.complex64 else 0.0
+    assert np.all(np.abs(L - ref) <= 1e-12 * np.abs(ref).max() + cast)
+
+
 def _assert_mirrored_product(forms, space):
-    # G's lower triangle is bitwise that of (B Psi)^T Psi, its upper one
-    # the mirror image, and all of G the product to rounding
+    # G's lower triangle is (B Psi)^T Psi to 1e-12, its upper one the
+    # mirror image, and |G|_inf is summed in G's own order
     G, ref = space.G, _g_oracle(forms, space)
     assert G.format == "csr" and G.has_canonical_format
-    assert _bitwise_equal(_lower_triangle(G), _lower_triangle(ref))
+    _assert_close_lower(G, ref)
     assert (G != G.T).nnz == 0
     assert abs(G - ref).max() <= 1e-12 * abs(ref).max()
     assert space.G_norm == cem._inf_norm(G)  # summed strip by strip, in G's order
@@ -1517,8 +1518,8 @@ def _assert_mirrored_product(forms, space):
 @seed(6)
 @given(cfg=configurations(), data=st.data())
 def test_generated_streamed_coarse_matrix_is_the_one_product(cfg, data):
-    # every lower entry of G is summed as in (B Psi)^T Psi, whatever the
-    # number of workers and the order their strips finish in
+    # every lower entry of G is that of (B Psi)^T Psi to 1e-12, and G is
+    # bitwise the same whatever the number of workers
     c = _generated_coarse(cfg)
     m = data.draw(st.integers(0, cfg["NH"]), label="m")
     assume(all(oversample(c, j, m).free_nodes(cfg["strict"]).size for j in range(c.n_elements)))
@@ -1537,12 +1538,47 @@ def test_generated_streamed_coarse_matrix_is_the_one_product(cfg, data):
     _assert_mirrored_product(forms, gspace)
 
 
+@seed(12)
+@given(cfg=configurations(), data=st.data())
+def test_generated_element_products_are_the_product(cfg, data):
+    # G summed from element products is (B Psi)^T Psi to 1e-12 (and
+    # complex64's rounding), exactly symmetric, for every m from 0 to NH:
+    # all of G at the default DENSE_LIMIT, its near field with DENSE_LIMIT
+    # at 0, where the whole G of the fallback is all of G; and for the
+    # global space
+    c = _generated_coarse(cfg)
+    m = data.draw(st.integers(0, cfg["NH"]), label="m")
+    assume(all(oversample(c, j, m).free_nodes(cfg["strict"]).size for j in range(c.n_elements)))
+    rng, g, c, forms, P = _generated_setup(cfg, c)
+    for limit in (cem.DENSE_LIMIT, 0):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cem, "DENSE_LIMIT", limit)
+            space = cem.build_space(forms, spectral.build_projection(forms, P.nbf), m,
+                                    cfg["strict"])
+        ref = _g_oracle(forms, space)
+        assert space.near_field == (limit == 0) and (space.G != space.G.T).nnz == 0
+        if space.near_field:
+            _assert_close_lower(space.G, cem._near_field(ref, c.NH, P.nbf))
+            whole = cem.assemble_coarse(space, forms, np.ones(g.n_nodes)).operator.tocsr()
+            assert whole.dtype == complex and (whole != whole.T).nnz == 0
+            _assert_close_lower(whole, ref)
+        else:
+            _assert_close_lower(space.G, ref)
+    gspace = cem.build_global_space(forms, P, strict_zero_trace=cfg["strict"])
+    assert (gspace.G != gspace.G.T).nnz == 0
+    _assert_close_lower(gspace.G, _g_oracle(forms, gspace))
+
+
 def _fine_columns(n, nbf, finished):
-    """The fine trial matrix (n rows) that `_finish_batch` gave a build: its
-    calls' (elements, rows, values) in `finished`, written as the build
-    wrote them before it stored its trial condensed."""
-    columns = {j * nbf + i: (rows[q], vals[q, :, i])
-               for js, rows, vals in finished for q, j in enumerate(js) for i in range(nbf)}
+    """The fine trial matrix (n rows) of a build's patch solves: the
+    interiors `_finish_batch` recovers from each batch's skeleton solutions
+    `solved`, recorded with its other arguments in `finished`, written as
+    the build wrote them before it stored its trial condensed."""
+    columns = {}
+    for cond, layout, js, sources, solved in finished:
+        rows, vals = cem._finish_batch(cond, layout, js, sources, solved)
+        columns.update({j * nbf + i: (rows[q], vals[q, :, i])
+                        for q, j in enumerate(js) for i in range(nbf)})
     rows, vals = (np.concatenate([columns[p][a] for p in range(len(columns))]) for a in (0, 1))
     indptr = np.cumsum([0] + [columns[p][0].size for p in range(len(columns))])
     return sp.csc_matrix((vals, rows, indptr), shape=(n, len(columns)))
@@ -1553,9 +1589,10 @@ def _fine_columns(n, nbf, finished):
 def test_generated_condensed_trial_is_the_fine_trial(cfg, data):
     # the space keeps its trial vectors condensed on the element rims, in
     # the dense regime or with DENSE_LIMIT at 0, with and without data
-    # columns: `tocsc` is bitwise the fine columns `_finish_batch` gave the
-    # build, the condensed products are those of that matrix, and the
-    # stored G is bitwise that of the strips over it
+    # columns: the fine trial they define (`oracles.fine_trial`) is bitwise
+    # the fine columns `_finish_batch` recovers from the patch solves, the
+    # condensed products are those of that matrix, and the stored G is the
+    # product over it to 1e-12 (and complex64's rounding)
     c = _generated_coarse(cfg)
     m = data.draw(st.integers(0, cfg["NH"]), label="m")
     assume(all(oversample(c, j, m).free_nodes(cfg["strict"]).size for j in range(c.n_elements)))
@@ -1564,20 +1601,23 @@ def test_generated_condensed_trial_is_the_fine_trial(cfg, data):
     if data.draw(st.booleans(), label="loaded"):
         blocks = element_loads(g, c, _random_complex(rng, g.n_nodes),
                                _random_complex(rng, g.n_nodes))
-    finish_batch, finished = cem._finish_batch, []
+    solve_batch, solved_batches = cem._solve_batch, []
 
-    def kept(cond, layout, js, sources, solved):
-        rows, vals = finish_batch(cond, layout, js, sources, solved)
-        finished.append((js, rows, vals[:, :, :P.nbf].copy()))
-        return rows, vals
+    def kept(cond, layout, js, m, sources, n_cols, *args):
+        solved = solve_batch(cond, layout, js, m, sources, n_cols, *args)
+        solved_batches.append((cond, layout, js, sources, solved[0].copy()))
+        return solved
 
     with pytest.MonkeyPatch.context() as mp:
         if data.draw(st.booleans(), label="near field"):
             mp.setattr(cem, "DENSE_LIMIT", 0)
-        mp.setattr(cem, "_finish_batch", kept)
+        mp.setattr(cem, "_solve_batch", kept)
         space = cem.build_space(forms, P, m, cfg["strict"], load_blocks=blocks)
-    fine, trial = _fine_columns(g.n_nodes, P.nbf, finished), space.trial
-    formed = trial.tocsc()
+    fine, trial = _fine_columns(g.n_nodes, P.nbf, solved_batches), space.trial
+    widths = np.empty(c.n_elements, dtype=int)
+    for _, _, js, _, solved in solved_batches:
+        widths[js] = solved.shape[2]
+    formed = oracles.fine_trial(space, widths)
     assert _bitwise_equal(formed, fine) and _same_bytes(formed.data, fine.data)
     assert trial.nnz == trial.skeleton.nnz + trial.exceptions.nnz
     for x, y in ((_random_complex(rng, space.n_basis), _random_complex(rng, g.n_nodes)),
@@ -1586,22 +1626,24 @@ def test_generated_condensed_trial_is_the_fine_trial(cfg, data):
         assert np.linalg.norm(trial.T @ y - fine.T @ y) <= 1e-13 * np.linalg.norm(fine.T @ y)
     ref = ((forms.B @ fine).T @ fine).tocsr()
     ref.sum_duplicates()
-    L = _lower_triangle(cem._near_field(ref, c.NH, P.nbf) if space.near_field else ref)
-    assert _bitwise_equal(_lower_triangle(space.G), L.astype(space.G.dtype))
+    _assert_close_lower(space.G, cem._near_field(ref, c.NH, P.nbf) if space.near_field else ref)
 
 
 @pytest.fixture(scope="module")
 def near_field_nh6():
     # the problem of `system_nh6` built above DENSE_LIMIT: G holds only its
-    # near field, and G reaches beyond it
+    # near field, and G reaches beyond it; the whole G that a fallback
+    # factorizes is formed by element products, (B Psi)^T Psi to 1e-12
     g, c, forms, P = make_setup(nx=24, NH=6, nbf=2)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cem, "DENSE_LIMIT", 0)
         space, system = _plane_wave_system(forms, P, 2)
-    ref = _g_oracle(forms, space)
+    whole, ref = system.operator.tocsr(), _g_oracle(forms, space)
+    assert whole.format == "csr" and whole.dtype == complex and (whole != whole.T).nnz == 0
+    _assert_close_lower(whole, ref)
     assert space.near_field and system.G is space.G and space.G_lu is None
     assert space.G.nnz == cem._near_field(ref, 6, 2).nnz < ref.nnz
-    return forms, space, system, ref
+    return forms, space, system, whole
 
 
 def test_stored_near_field_reaches_superlu_uncopied(near_field_nh6, monkeypatch):
@@ -1635,7 +1677,7 @@ def test_near_field_build_and_solve_log_their_operator(caplog, monkeypatch):
     _, coefficients = cem.solve_multiscale(system, space, forms=forms)
     (build,) = [r for r in caplog.records if r.msg.startswith("build_space")]
     (gmres,) = [r for r in caplog.records if r.msg.startswith("coarse GMRES")]
-    assert build.args[6:9] == (c.NH, cem.NEAR_FIELD, space.G.nnz)
+    assert build.args[6:9] == (c.n_elements, cem.NEAR_FIELD, space.G.nnz)
     assert gmres.args[3] == "the matrix-free Psi^T B Psi"
     # the preconditioner's precision and L+U fill, and the Arnoldi estimate
     # of the relative residual, which met the target
@@ -1656,6 +1698,20 @@ def test_near_field_gmres_failure_assembles_whole_g(near_field_nh6, monkeypatch)
     monkeypatch.setattr(kernels, "fgmres", _not_converged)
     _, c = cem.solve_multiscale(system, space, forms=forms)
     assert np.array_equal(c, kernels.factorize(ref).solve(system.b))
+
+
+class _Scaled:
+    """The coarse operator A scaled by `scale`: applied and formed as A's,
+    times `scale`."""
+
+    def __init__(self, A, scale):
+        self.A, self.scale, self.shape = A, scale, A.shape
+
+    def __matmul__(self, x):
+        return self.scale * (self.A @ x)
+
+    def tocsr(self):
+        return self.A.tocsr() * self.scale
 
 
 class _NanLU:
@@ -1686,7 +1742,7 @@ def test_near_field_preconditioner_failure_assembles_whole_g(near_field_nh6, tri
         if trigger == "stored-overflow":
             near = cem._single(near)
             assert near.dtype == np.complex64 and np.isinf(near.data).any()
-        operator = cem._MatrixFreeG(forms.B * scale, space.trial)
+        operator = _Scaled(system.operator, scale)
         system = cem.CoarseSystem(near, system.b, system.nbf, operator=operator)
         ref = ref * scale
 
@@ -1789,7 +1845,7 @@ def test_generated_batched_build_matches_local_solves(cfg, data):
     space = cem.build_space(forms, P, m, cfg["strict"])
     for j in range(c.n_elements):
         psi, _ = cem.local_cem_solve(j, m, forms, P, cfg["strict"])
-        columns = space.trial.tocsc()[:, j * P.nbf:(j + 1) * P.nbf].toarray()
+        columns = oracles.fine_trial(space)[:, j * P.nbf:(j + 1) * P.nbf].toarray()
         assert np.abs(columns - psi).max() <= 1e-12 * np.abs(psi).max()
     _assert_mirrored_product(forms, space)
 
@@ -1817,49 +1873,54 @@ def test_wide_row_batches_match_local_solves(contrast, strict, monkeypatch):
     assert _rel(online.corrector, offline.corrector) <= 1e-12
     for j in range(c.n_elements):
         psi, _ = cem.local_cem_solve(j, 1, forms, P, strict)
-        columns = offline.trial.tocsc()[:, j * P.nbf:(j + 1) * P.nbf].toarray()
+        columns = oracles.fine_trial(offline)[:, j * P.nbf:(j + 1) * P.nbf].toarray()
         assert np.abs(columns - psi).max() <= 1e-12 * np.abs(psi).max()
     _assert_mirrored_product(forms, offline)
 
 
 def test_strips_under_many_workers_and_fast_switching(monkeypatch):
     # more workers than cores and a short switch interval: whichever thread
-    # finishes each batch or forms each lower strip, and in whatever order
-    # the strips finish, the trial matrix, G and the corrector of a loaded
-    # build are the same
+    # finishes each batch or forms each element row's products and G's
+    # lower strips, and however far the patch loop runs ahead of them, the
+    # trial matrix, G and the corrector of a loaded build are the same
     g, c, forms, P = make_setup(nx=32, NH=8, nbf=2)
     rng = np.random.default_rng(3)
     blocks = element_loads(g, c, _random_complex(rng, g.n_nodes), _random_complex(rng, g.n_nodes))
     monkeypatch.setattr(cem, "_g_workers", lambda: 1)
     ref = cem.build_space(forms, P, 1, load_blocks=blocks)
-    # the last build forms the first strip only once the second is formed,
-    # whose row sums then wait for it without holding a worker; every build
-    # sums its strips in row order
-    lower_strip, formed, second = cem._lower_strip, [], threading.Event()
+    # in the last build the products of element row 0, which the end of
+    # patch row 2 releases (m = 1), start only once the patch loop solves
+    # row 4, the farthest ahead of them it may run; every build forms the
+    # rows' products and sums G's strips in row order
+    add_row, added, reached, held = cem._ElementProducts._add_row, [], threading.Event(), []
     add_row_sums, summed = cem._add_row_sums, []
+    solve_batch = cem._solve_batch
 
     def in_order(sums, strip, magnitude, first):
         summed.append(first)
         add_row_sums(sums, strip, magnitude, first)
 
+    def watched(cond, layout, js, *args):
+        if js[0] >= 4 * c.NH:
+            reached.set()
+        return solve_batch(cond, layout, js, *args)
+
+    def late(self, b):
+        if b == 0 and held:
+            assert reached.wait(10)
+        added.append(b)
+        add_row(self, b)
+
     monkeypatch.setattr(cem, "_add_row_sums", in_order)
-
-    def second_first(B, trial, b, *args):
-        if b == 0:
-            assert second.wait(10)
-        strip = lower_strip(B, trial, b, *args)
-        formed.append(b)
-        if b == 1:
-            second.set()
-        return strip
-
+    monkeypatch.setattr(cem, "_solve_batch", watched)
+    monkeypatch.setattr(cem._ElementProducts, "_add_row", late)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
         for workers in (1, 3, 6, 6, None):
             if workers is None:
                 workers = 6
-                monkeypatch.setattr(cem, "_lower_strip", second_first)
+                held.append(True)
             monkeypatch.setattr(cem, "_g_workers", lambda: workers)
             space = cem.build_space(forms, spectral.build_projection(forms, P.nbf), 1,
                                     load_blocks=blocks)
@@ -1867,10 +1928,11 @@ def test_strips_under_many_workers_and_fast_switching(monkeypatch):
             assert space.corrector.tobytes() == ref.corrector.tobytes()
             assert _bitwise_equal(space.G, ref.G) and space.G_norm == ref.G_norm
             assert summed == sorted(summed) and len(summed) == c.NH
-            del summed[:]
+            assert added == list(range(c.NH))
+            del summed[:], added[:]
     finally:
         sys.setswitchinterval(interval)
-    assert formed[:2] == [1, 0] and sorted(formed) == list(range(c.NH))
+    assert reached.is_set()
     assert _g_threads() == []
 
 
@@ -1935,14 +1997,15 @@ def test_patch_without_free_nodes_named_in_build():
 
 
 def test_failed_strip_raises_from_build_space():
-    # a lower strip fails on the worker, or G's completion from the strips
-    # fails after the last one
+    # the element products fail on the worker, in their rim offsets or in a
+    # lower strip's row sums, or G's completion from the strips fails after
+    # the last one
     g, c, forms, P = make_setup(nx=24, NH=6, nbf=2)
 
     def out_of_memory(*args):
         raise MemoryError("strip")
 
-    for step in ("_coarse_rows", "_symmetric"):
+    for step in ("_rim_offsets", "_add_row_sums", "_symmetric"):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(cem, step, out_of_memory)
             with pytest.raises(MemoryError, match="strip"):
@@ -1953,21 +2016,22 @@ def test_failed_strip_raises_from_build_space():
 
 @pytest.mark.parametrize("last", [False, True], ids=["mid-stream", "last-batch"])
 def test_failed_finish_raises_from_build_space(last, monkeypatch):
-    # a batch's finish fails on the worker while the main thread solves
-    # later rows (the 10th of 45 batches on an 8 x 8 coarse grid with
-    # m = 1), or in the last batch, whose error surfaces when G is formed;
-    # the next build on the same projection is the undisturbed one
+    # a batch's finish (the write of its skeleton) fails on the worker
+    # while the main thread solves later rows (the 10th of 45 batches on an
+    # 8 x 8 coarse grid with m = 1), or in the last batch, whose error
+    # surfaces when G is formed; the next build on the same projection is
+    # the undisturbed one
     g, c, forms, P = make_setup(nx=32, NH=8, nbf=2)
-    calls, finish_batch = [], cem._finish_batch
+    calls, write_skeleton = [], cem._write_skeleton
     fails_at = None
 
     def failing(*args):
         calls.append(None)
         if len(calls) == fails_at:
             raise MemoryError("finish")
-        return finish_batch(*args)
+        return write_skeleton(*args)
 
-    monkeypatch.setattr(cem, "_finish_batch", failing)
+    monkeypatch.setattr(cem, "_write_skeleton", failing)
     ref = cem.build_space(forms, spectral.build_projection(forms, P.nbf), 1)
     assert len(calls) == 45
     fails_at, calls[:] = 45 if last else 10, []

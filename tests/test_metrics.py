@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 
-from cemhelm.assembly import assemble_weighted_mass, build_forms
+from cemhelm.assembly import build_forms
 from cemhelm.errors import DimensionMismatch, ZeroReference
 from cemhelm.grid import build_coarse_grid, build_fine_grid
 from cemhelm.medium import constant_medium
-from cemhelm.metrics import a_norm, k_weighted_norm, l2_norm, relative_errors, s_norm
+from cemhelm.metrics import a_norm, l2_norm, relative_errors
 from cemhelm.reference import plane_wave
+
+import oracles
+from oracles import k_weighted_norm, s_norm
 
 
 @pytest.fixture(scope="module")
@@ -50,7 +53,7 @@ def test_k_weighted_identity(forms):
 def test_norm_homogeneity_and_triangle(forms):
     rng = np.random.default_rng(1)
     n = forms.grid.n_nodes
-    S = assemble_weighted_mass(forms.grid, forms.weights)
+    S = oracles.assemble_weighted_mass(forms.grid, forms.weights)
     for _ in range(5):
         u = rng.normal(size=n) + 1j * rng.normal(size=n)
         v = rng.normal(size=n) + 1j * rng.normal(size=n)

@@ -16,10 +16,13 @@ Fields that move inside rounding show with a saved run:
     python3 tools/field_digest.py --workload plane-wave-h40 --save old.npz
     python3 tools/field_digest.py --workload plane-wave-h40 --against old.npz
 
-`--save` also writes each solve's c, u and corrector to an npz file;
-`--against` also prints, for each of the three, the largest relative
-difference |x - x_saved|_2 / |x_saved|_2 over the solves, against a file
-that `--save` wrote for the same workload, seed and rounds.
+`--save` also writes each solve's c, u and corrector, and each round's G,
+to an npz file; `--against` also prints, for each of the three, the
+largest relative difference |x - x_saved|_2 / |x_saved|_2 over the solves,
+and for G whether its pattern (indices and indptr) is bitwise the saved
+one's and the largest relative difference max |G - G_saved| / max
+|G_saved| of its entries over the rounds, against a file that `--save`
+wrote for the same workload, seed and rounds.
 """
 
 import argparse
@@ -39,9 +42,10 @@ def main(argv=None):
     parser.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--rounds", type=int, default=2)
-    parser.add_argument("--save", metavar="PATH", help="write each solve's c, u and corrector")
+    parser.add_argument("--save", metavar="PATH",
+                        help="write each solve's c, u and corrector, and each round's G")
     parser.add_argument("--against", metavar="PATH",
-                        help="compare c, u and corrector with a file written by --save")
+                        help="compare c, u, corrector and G with a file written by --save")
     args = parser.parse_args(argv)
     sv, wl = run.import_solver(), WORKLOADS[args.workload]
     bench, digest = run.Run(sv, wl, Tracer(enabled=False)), hashlib.sha256()
@@ -57,6 +61,8 @@ def main(argv=None):
                 digest.update(a.tobytes())
             fields.update({f"{name} {r}.{s}": a for name, a in
                            (("c", c), ("u", u), ("corrector", space.corrector))})
+        fields.update({f"G.{name} {r}": getattr(space.G, name)
+                       for name in ("data", "indices", "indptr")})
     print(f"{wl.name} seed {args.seed} rounds {args.rounds}: {digest.hexdigest()}")
     if args.save:
         np.savez(args.save, **fields)
@@ -68,6 +74,14 @@ def main(argv=None):
                 diff, key = max((np.linalg.norm(a - saved[key]) / np.linalg.norm(saved[key]), key)
                                 for key, a in fields.items() if key.split()[0] == name)
                 print(f"{name}: largest relative difference {diff:.2e} (solve {key.split()[1]})")
+            rounds = range(args.rounds)
+            same = all(np.array_equal(fields[f"G.{name} {r}"], saved[f"G.{name} {r}"])
+                       for name in ("indices", "indptr") for r in rounds)
+            print(f"G pattern: {'bitwise equal' if same else 'differs'}")
+            if same:
+                diff, r = max((np.abs(fields[f"G.data {r}"] - saved[f"G.data {r}"]).max()
+                               / np.abs(saved[f"G.data {r}"]).max(), r) for r in rounds)
+                print(f"G: largest relative difference {diff:.2e} (round {r})")
 
 
 if __name__ == "__main__":
