@@ -32,14 +32,15 @@ kind.  A patch system is then the sum of S_e over the patch's elements on
 its free rim nodes, the skeleton, with a fraction of the patch's unknowns
 and LU fill; its right-hand sides enter through one element's rim, and the
 interiors come back from one product per kind with that kind's W, over
-all the batch's elements of the kind.  Patches of one shape (`_layout_key`:
+all the batch's elements of the kind.  Patches of one shape (`_layout_keys`:
 the element's distances to the domain edges, clipped at m + 1) differ by a
 translation, so a shape class shares the skeleton's index maps, its CSC
 pattern and the offsets that place them on a patch (`_Layout`), and also
-its fill-reducing ordering: the first patch of a class is factorized by
-the minimum-degree LU of `kernels.factorize`, and its ordering renumbers
-the skeleton of the rest of the class, which is gathered straight into the
-ordered pattern and factorized as it is.  The patches of one class in one
+its fill-reducing order.  The skeleton is a grid of element rims, which
+nested dissection along the element lines orders from the geometry alone
+(`_dissection`), so the layout numbers the skeleton in that order and
+every patch is gathered straight into the ordered pattern and factorized
+as it is.  The patches of one class in one
 element row are solved as one batch (`_solve_batch`, then
 `_finish_batch`): one gather of all their skeleton values and one block of
 right-hand sides, so only the numeric LU, its solve and the product
@@ -131,7 +132,7 @@ The trial vectors depend on the medium, k, the coarse grid, the projection
 and m, never on the data.  A `MultiscaleSpace` therefore carries, besides
 its own data corrector, the read-only condensed trial space, G = Psi^T B
 Psi (or its near field, see below), G's dense LU up to DENSE_LIMIT dofs,
-the element condensation and the plain layout of every shape class, kept
+the element condensation and the layout of every shape class, kept
 compactly (`_LayoutPlan`), all formed once, when the trial space is built;
 `build_space` keeps the space it last built on the projection
 (`P.space`).
@@ -145,14 +146,14 @@ Skipping the other patches is exact, as the data column of a zero block is
 exactly zero.  `assemble_coarse`
 forms only Psi^T (b - B q), and the dense coarse solve of every source
 only back-substitutes with the space's LU.  Each `build_space` logs at
-DEBUG the patches it factorized, in how many batches, how many in a
-reused class ordering and how many fresh, their skeleton unknowns and
-summed L+U fill; offline, the elements whose products formed G, the
-element rows G reaches, its stored entries, the seconds of the products,
-the final wait for G, the seconds the workers ran and the patch loop
-waited for them; the layouts it built, those it took from the space's
-plan and the plan's bytes; offline, the condensed trial's stored entries
-and bytes.  The dense LU of G logs its own line with its rcond.
+DEBUG the patches it factorized, in how many batches, their skeleton
+unknowns and summed L+U fill; offline, the elements whose products formed
+G, the element rows G reaches, its stored entries, the seconds of the
+products, the final wait for G, the seconds the workers ran and the patch
+loop waited for them; the layouts it built, those it took from the
+space's plan, the plan's bytes and the seconds spent ordering and building
+or taking the layouts; offline, the condensed trial's stored entries and
+bytes.  The dense LU of G logs its own line with its rcond.
 
 The basis vectors decay exponentially away from their element, and so do
 the entries of G.  A coarse system larger than DENSE_LIMIT is therefore
@@ -457,29 +458,31 @@ def _join(*sources):
 @dataclass(frozen=True)
 class _Layout:
     """Index maps of a patch's skeleton system, relative to the patch's first
-    node and first element, so every patch of one shape (see `_layout_key`)
+    node and first element, so every patch of one shape (see `_layout_keys`)
     shares them.  The patch of element j starts at node
     rim_nodes[j, 0] - node_shift and element j - element_shift.
 
     `rows` are the free nodes and `skeleton` the positions in `rows` of the
-    skeleton unknowns, in skeleton order; `interior` (elements, n_I) holds
-    the positions in `rows` of each element's interior nodes, `elements`
-    the patch's elements and `local` (elements, 4r) the skeleton position of
-    each element's rim nodes (-1 where constrained).  The skeleton matrix in
-    CSC form has the pattern (`indices`, `indptr`); its stored entry q sums
-    the flattened S at (first element) * 16 r^2 + take[starts[q]:starts[q+1]],
-    the patch's S_e entries, whose positions in the patch's own (elements,
-    4r, 4r) stack are `position`, and entry outer[t] also gets the flattened
-    diag at (first element) * 4r + outer_take[t], the B_RR diagonals of the
-    elements around the patch.  In an `ordered` layout the
-    skeleton is numbered in the fill-reducing order of its class, so its
-    matrix is factorized as it is.
+    skeleton unknowns, in the nested-dissection order of the shape
+    (`_dissection`), so the skeleton matrix is factorized as it is; unknown
+    i is the order[i]-th free rim node in node order.  `interior` (elements,
+    n_I) holds the positions in `rows` of each element's interior nodes,
+    `elements` the patch's elements and `local` (elements, 4r) the skeleton
+    position of each element's rim nodes (-1 where constrained).  The
+    skeleton matrix in CSC form has the pattern (`indices`, `indptr`); its
+    stored entry q sums the flattened S at (first element) * 16 r^2 +
+    take[starts[q]:starts[q+1]], in increasing order, the patch's S_e
+    entries, whose positions in the patch's own (elements, 4r, 4r) stack are
+    `position`, and entry outer[t] also gets the flattened diag at (first
+    element) * 4r + outer_take[t], the B_RR diagonals of the elements around
+    the patch.
     """
 
     node_shift: int
     element_shift: int
     rows: np.ndarray
     skeleton: np.ndarray
+    order: np.ndarray
     interior: np.ndarray
     elements: np.ndarray
     local: np.ndarray
@@ -490,7 +493,6 @@ class _Layout:
     outer_take: np.ndarray
     indices: np.ndarray
     indptr: np.ndarray
-    ordered: bool
 
 
 def _smallest(a):
@@ -503,62 +505,119 @@ def _smallest(a):
 
 
 class _LayoutPlan(dict):
-    """The plain layout (`_skeleton_layout` without an order) of every shape
-    class of an offline build, by `_layout_key`, kept compactly.
+    """The layout (`_skeleton_layout`) of every shape class of an offline
+    build, by its row of `_layout_keys` as a tuple, kept compactly.
 
     A class holds its two shifts and, each in its `_smallest` type, the
-    arrays that `_with_pattern` does not derive: `rows`, `elements`,
-    `local`, `position`, `outer_take` and the skeleton positions of the
-    outer diagonal terms.  `position` takes a sort to make and is most of
-    the plan; it is uint16 up to 65536 S_e entries per patch (a patch of
-    25 elements with 4r = 48 has 57600).  The plan of H = 1/10, m = 2 on
-    120 x 120 cells (49 classes) holds ~3.3 MB, that of H = 1/40, m = 3
-    (81 classes) ~0.7 MB.  `layout` rebuilds a class's `_Layout`, array by
-    array equal to a fresh `_skeleton_layout`, without sorting.
+    arrays that `_with_pattern` does not derive: `rows`, `order`,
+    `elements`, `local`, `position`, `outer_take` and the skeleton positions
+    of the outer diagonal terms.  `position` takes a sort to make and is
+    most of the plan; it is uint16 up to 65536 S_e entries per patch (a
+    patch of 25 elements with 4r = 48 has 57600), as is `order` up to 65536
+    skeleton unknowns.  The plan of H = 1/10, m = 2 on 120 x 120 cells (49
+    classes) holds ~3.3 MB, that of H = 1/40, m = 3 (81 classes) ~0.7 MB.
+    `layout` rebuilds a class's `_Layout`, array by array equal to a fresh
+    `_skeleton_layout`, without ordering or sorting.
     """
 
     def pack(self, key, layout):
-        """Keep the plain `layout` of class `key`."""
-        arrays = (layout.rows, layout.elements, layout.local, layout.position,
+        """Keep the `layout` of class `key`."""
+        arrays = (layout.rows, layout.order, layout.elements, layout.local, layout.position,
                   layout.outer_take, layout.indices[layout.outer])
         self[key] = (layout.node_shift, layout.element_shift, *map(_smallest, arrays))
 
     def layout(self, key, cond, j):
-        """The plain `_Layout` of class `key`, its skeleton and interiors
-        read from `cond` on the patch of j, an element of the class."""
+        """The `_Layout` of class `key`, its skeleton and interiors read from
+        `cond` on the patch of j, an element of the class."""
         node_shift, element_shift, *arrays = self[key]
         # widened, as the derivation multiplies them
-        rows, elements, local, position, outer_take, shared = (a.astype(np.intp) for a in arrays)
+        rows, order, elements, local, position, outer_take, shared = (
+            a.astype(np.intp) for a in arrays)
         node, first = cond.rim_nodes[j, 0] - node_shift, j - element_shift
+        skeleton = np.flatnonzero(cond.on_rim[rows + node])[order]
         return _with_pattern(
-            node_shift, element_shift, rows, np.flatnonzero(cond.on_rim[rows + node]),
+            node_shift, element_shift, rows, skeleton, order,
             np.searchsorted(rows, cond.interior_nodes[elements + first] - node), elements,
-            local, position, outer_take, shared, ordered=False)
+            local, position, _entry_keys(local, skeleton.size)[position], outer_take, shared)
 
     def rim_offsets(self, key, NH, radius):
         """`_rim_offsets` of class `key`, its slots within `radius` (at most
         m + 1) of an element of the class."""
-        _, shift, _, elements, local, *_ = self[key]
-        return _rim_offsets(elements.astype(np.intp), local.astype(np.intp), shift, key, NH,
-                            radius)
+        _, shift, _, order, elements, local, *_ = self[key]
+        return _rim_offsets(*(a.astype(np.intp) for a in (elements, local, order)), shift, key,
+                            NH, radius)
 
     @property
     def nbytes(self):
         return sum(a.nbytes for packed in self.values() for a in packed[2:])
 
 
-def _layout_key(coarse, j, m):
-    """The m-layer patches of elements with equal keys differ only by a
-    translation (see `_Layout`): the key holds element j's distances to the
-    four domain edges, in elements, clipped at m + 1."""
-    I, J = coarse.element_ij(j)
-    return tuple(min(d, m + 1) for d in (I, coarse.NH - 1 - I, J, coarse.NH - 1 - J))
+def _layout_keys(coarse, m):
+    """Every element's shape class of m-layer patches, (N, 4): element j's
+    distances to the four domain edges, in elements, clipped at m + 1.  The
+    patches of elements with equal keys differ only by a translation (see
+    `_Layout`)."""
+    I, J = np.arange(coarse.n_elements) % coarse.NH, np.arange(coarse.n_elements) // coarse.NH
+    return np.minimum(np.stack([I, coarse.NH - 1 - I, J, coarse.NH - 1 - J], axis=1), m + 1)
 
 
-def _skeleton_layout(cond, coarse, j, m, strict_zero_trace, order=None):
-    """The skeleton layout of element j's m-layer patch (see `_Layout`),
-    numbered in `order` (a `kernels.Factorization.perm_c` of the layout
-    without one) if given.
+def _shape_classes(keys, elements):
+    """`elements` grouped by their `keys` (`_layout_keys`), as (key tuple,
+    elements) pairs, each group in element order and the groups in the
+    order of their first elements."""
+    elements = np.asarray(elements, dtype=np.intp)
+    code = keys[elements] @ (keys.max() + 1) ** np.arange(4)  # one integer per class
+    _, first, inverse = np.unique(code, return_index=True, return_inverse=True)
+    return [(tuple(keys[elements[first[c]]].tolist()), elements[inverse == c])
+            for c in np.argsort(first)]
+
+
+def _dissection(x, y, r, size):
+    """A nested-dissection order (George, SIAM J. Numer. Anal. 10, 1973) of
+    the skeleton nodes at the fine-node coordinates (x, y), given in node
+    order, of a patch of size = (across, up) elements of r x r cells: the
+    rank of the node at each skeleton position.
+
+    An element rectangle is split at the rim line nearest the middle of its
+    longer side, down to single elements.  The line's nodes separate the
+    two halves, as S_e couples only the rim nodes of one element, and are
+    numbered after both; a single element numbers the free nodes on its
+    rim's patch-edge sides, the only ones no line takes.  The order is read
+    from a table over the rectangle's cells, (2 up + 1, 2 across + 1), whose
+    even rows and columns are the rim lines: each cell holds the rank of
+    its group, line or element, in the order of numbering.  A rectangle's
+    table is pasted from its halves' tables, the second's ranks after the
+    first's, and then its line, so a line's ends keep the rank of the
+    shallowest line through them; rectangles of one size share a table.
+    """
+    tables = {}  # (width, height) in elements -> (table, groups)
+
+    def table(w, h):
+        if (w, h) not in tables:
+            t, groups = np.zeros((2 * h + 1, 2 * w + 1), dtype=np.intp), 1
+            if w >= max(h, 2):
+                s = (w + 1) // 2
+                (a, na), (b, nb) = table(s, h), table(w - s, h)
+                t[:, :2 * s + 1], t[:, 2 * s:], t[:, 2 * s] = a, b + na, na + nb
+                groups += na + nb
+            elif h >= 2:
+                s = (h + 1) // 2
+                (a, na), (b, nb) = table(w, s), table(w, h - s)
+                t[:2 * s + 1], t[2 * s:], t[2 * s] = a, b + na, na + nb
+                groups += na + nb
+            tables[w, h] = t, groups
+        return tables[w, h]
+
+    rank = table(*size)[0][2 * (y // r) + (y % r > 0), 2 * (x // r) + (x % r > 0)]
+    return np.argsort(rank, kind="stable")
+
+
+def _skeleton_layout(cond, coarse, j, m, strict_zero_trace):
+    """The skeleton layout of element j's m-layer patch (see `_Layout`), its
+    unknowns in nested-dissection order (`_dissection`).  Its S_e entries
+    are put in CSC order by one sort of words packing each entry's key
+    above its position, so the duplicates of one entry follow each other
+    by position whatever sort numpy runs.
 
     A free rim node on the domain boundary at the edge of the patch also
     carries the B_RR diagonal of the elements outside the patch that share
@@ -567,26 +626,32 @@ def _skeleton_layout(cond, coarse, j, m, strict_zero_trace, order=None):
     """
     patch = oversample(coarse, j, m)
     rows = patch.free_nodes(strict_zero_trace)
-    skeleton = np.flatnonzero(cond.on_rim[rows])
+    ranked = np.flatnonzero(cond.on_rim[rows])  # the skeleton in node order
+    rel, width = rows[ranked] - patch.nodes[0], coarse.fine.nx + 1
+    order = _dissection(rel % width, rel // width, coarse.ratio,
+                        [hi - lo + 1 for lo, hi in (patch.I_range, patch.J_range)])
+    skeleton = ranked[order]
     n = skeleton.size
-    if order is not None:
-        skeleton = skeleton[np.argsort(order)]
     at = np.full(cond.on_rim.size, -1)
     at[rows[skeleton]] = np.arange(n)
     elements = patch.elements
-    outside = np.setdiff1d(oversample(coarse, j, m + 1).elements, elements)
+    (I0, I1), (J0, J1) = patch.I_range, patch.J_range
+    I, J = (np.arange(max(lo - 1, 0), min(hi + 2, coarse.NH)) for lo, hi in ((I0, I1), (J0, J1)))
+    outside = (J[:, None] * coarse.NH + I)[(I < I0) | (I > I1) | (J[:, None] < J0)
+                                           | (J[:, None] > J1)]  # the elements around the patch
     local = at[cond.rim_nodes[elements]]
     shared = at[cond.rim_nodes[outside]]
     r4 = local.shape[1]
     first = elements[0]
     kept = np.flatnonzero((local[:, :, None] >= 0) & (local[:, None, :] >= 0))
+    bits = int(kept[-1]).bit_length() if kept.size else 0
+    packed = np.sort(_entry_keys(local, n)[kept] << bits | kept)
     outer = np.flatnonzero(shared >= 0)
     return _with_pattern(
-        cond.rim_nodes[j, 0] - patch.nodes[0], j - first, rows - patch.nodes[0], skeleton,
+        cond.rim_nodes[j, 0] - patch.nodes[0], j - first, rows - patch.nodes[0], skeleton, order,
         np.searchsorted(rows, cond.interior_nodes[elements]), elements - first, local,
-        kept[np.argsort(_entry_keys(local, n)[kept])],  # CSC order
-        ((outside - first)[:, None] * r4 + np.arange(r4)).ravel()[outer],
-        shared.ravel()[outer], ordered=order is not None,
+        packed & ((1 << bits) - 1), packed >> bits,
+        ((outside - first)[:, None] * r4 + np.arange(r4)).ravel()[outer], shared.ravel()[outer],
     )
 
 
@@ -596,27 +661,38 @@ def _entry_keys(local, n):
     return (local[:, None, :] * n + local[:, :, None]).ravel()
 
 
-def _with_pattern(node_shift, element_shift, rows, skeleton, interior, elements, local,
-                  position, outer_take, shared, ordered):
+def _with_pattern(node_shift, element_shift, rows, skeleton, order, interior, elements, local,
+                  position, entry, outer_take, shared):
     """The `_Layout` of a skeleton from its geometry, the positions
-    `position` of its S_e entries in CSC order and the skeleton positions
-    `shared` of its outer diagonal terms: `take`, `starts`, `outer` and the
-    CSC pattern follow from them without sorting."""
+    `position` of its S_e entries in CSC order, their keys `entry`
+    (`_entry_keys`), and the skeleton positions `shared` of its outer
+    diagonal terms: `take`, `starts`, `outer` and the CSC pattern follow
+    from them without sorting."""
     n, r4 = skeleton.size, local.shape[1]
-    entry = _entry_keys(local, n)[position]
     starts = np.flatnonzero(np.diff(entry, prepend=-1) != 0)
     entry = entry[starts]
     indptr = np.searchsorted(entry, np.arange(n + 1) * n)
     return _Layout(
-        node_shift, element_shift, rows, skeleton, interior, elements, local, position,
+        node_shift, element_shift, rows, skeleton, order, interior, elements, local, position,
         take=(elements[:, None] * r4 * r4 + np.arange(r4 * r4)).ravel()[position],
         starts=starts,
         outer=np.searchsorted(entry, shared * (n + 1)),
         outer_take=outer_take,
         indices=(entry - n * np.repeat(np.arange(n), np.diff(indptr))).astype(np.intc),
         indptr=indptr.astype(np.intc),
-        ordered=ordered,
     )
+
+
+def _skeleton_values(cond, layout, firsts):
+    """The stored entries of the skeleton matrices (see `_Layout`) of the
+    patches of a class whose first elements are `firsts`, (patches,
+    entries)."""
+    r4 = layout.local.shape[1]
+    values = np.add.reduceat(
+        cond.S.ravel()[layout.take + firsts[:, None] * (r4 * r4)], layout.starts, axis=1)
+    np.add.at(values, (slice(None), layout.outer),
+              cond.diag.ravel()[layout.outer_take + firsts[:, None] * r4])
+    return values
 
 
 def _solve_batch(cond, layout, js, m, sources, n_cols, error=SingularLocalSystem):
@@ -625,44 +701,39 @@ def _solve_batch(cond, layout, js, m, sources, n_cols, error=SingularLocalSystem
     interiors are recovered by `_finish_batch`.
 
     Patch p's skeleton system sums the Schur complements S_e of its elements
-    on its free rim nodes (see `_skeleton_layout`).  The batch gathers the
-    values of all its skeletons and sets up all right-hand sides at once;
-    the factorization and its solve are per patch.  Source s of `sources` =
+    on its free rim nodes (see `_skeleton_layout`), in the nested-dissection
+    order of its class, which SuperLU keeps.  The batch gathers the values
+    of all its skeletons and sets up all right-hand sides at once; the
+    factorization and its solve are per patch.  Source s of `sources` =
     (patches, elements, columns, rim, interior) adds its condensed
     right-hand side rim[s] on the rim nodes of elements[s] in patch
     patches[s], column columns[s].  Returns (the solutions on the
     skeletons, shape (patches, unknowns + 1, n_cols), whose last row holds
-    the constrained nodes' sums; the summed L+U fill of the patches' LUs;
-    the ordering `perm_c` of the first patch's LU).  Each LU is dropped once
-    solved.  A patch without free nodes or with a singular system raises
-    `error` naming its element.
+    the constrained nodes' sums; the summed L+U fill of the patches' LUs).
+    Each LU is dropped once solved.  A patch without free nodes or with a
+    singular system raises `error` naming its element.
     """
     js = np.asarray(js)
     if layout.rows.size == 0:
         raise error(f"element {js[0]}, m={m}: patch has no unconstrained nodes")
     firsts = js - layout.element_shift
     n = layout.indptr.size - 1
-    r4 = layout.local.shape[1]
-    values = np.add.reduceat(
-        cond.S.ravel()[layout.take + firsts[:, None] * (r4 * r4)], layout.starts, axis=1)
-    np.add.at(values, (slice(None), layout.outer),
-              cond.diag.ravel()[layout.outer_take + firsts[:, None] * r4])
+    values = _skeleton_values(cond, layout, firsts)
     patches, src_elements, src_cols, src_rim, _ = sources
     e = np.searchsorted(layout.elements, src_elements - firsts[patches])
     rhs = np.zeros((js.size, n + 1, n_cols), dtype=complex)  # constrained nodes land in row n
     np.add.at(rhs, (patches[:, None], layout.local[e], src_cols[:, None]), src_rim)
-    fill, perm_c = 0, None
+    fill = 0
     S = sp.csc_matrix((values[0], layout.indices, layout.indptr), shape=(n, n))
     for p, j in enumerate(js):
         S.data = values[p]  # one pattern, each patch's values
         try:
-            F = kernels.factorize(S, ordered=layout.ordered)
+            F = kernels.factorize(S, ordered=True)
             rhs[p, :n] = F.solve(rhs[p, :n])
         except SingularMatrix as exc:
             raise error(f"element {j}, m={m}: constrained system is singular: {exc}") from exc
         fill += F.fill
-        perm_c = F.perm_c if perm_c is None else perm_c
-    return rhs, fill, perm_c
+    return rhs, fill
 
 
 def _finish_batch(cond, layout, js, sources, solved):
@@ -697,7 +768,7 @@ def _finish_batch(cond, layout, js, sources, solved):
 
 def _solve_now(cond, layout, js, m, sources, n_cols, error=SingularLocalSystem):
     """`_solve_batch` and `_finish_batch` in turn: (free rows, solutions)."""
-    solved, _, _ = _solve_batch(cond, layout, js, m, sources, n_cols, error)
+    solved, _ = _solve_batch(cond, layout, js, m, sources, n_cols, error)
     return _finish_batch(cond, layout, js, sources, solved)
 
 
@@ -822,7 +893,7 @@ class MultiscaleSpace:
     dense LU (lu, piv, rcond) of `_dense_lu` for a space of at most
     DENSE_LIMIT dofs, formed once with G, and None above; `condensation` is
     the element condensation the patch solves read, and `layouts` the
-    compact plain layout of each shape class (`_LayoutPlan`, ~3.3 MB at
+    compact layout of each shape class (`_LayoutPlan`, ~3.3 MB at
     H = 1/10, m = 2 on 120 x 120 cells, ~0.7 MB at H = 1/40, m = 3), from
     which the online solves take their layouts and the whole-G fallback
     its rim offsets (None for the global space).  All are read-only, and
@@ -938,20 +1009,22 @@ def _slot_offsets(radius):
     return np.repeat(d, d.size), np.tile(d, d.size)
 
 
-def _rim_offsets(elements, local, shift, key, NH, radius):
+def _rim_offsets(elements, local, order, shift, key, NH, radius):
     """For each slot (dJ, dI) of `_slot_offsets(radius)`, the offsets of the
     rim nodes of element j + (dJ, dI) in the CSC segment of a trial column
     of element j (-1 where a node is constrained or the element lies
     outside j's patch or the domain): j's patch holds the elements
-    `elements` + j - shift with the rim positions `local` of a plain
-    `_Layout`, and `key` holds j's distances to the four domain edges as
-    `_layout_key` does, clipped at `radius` or beyond."""
+    `elements` + j - shift with the skeleton positions `local` and node
+    ranks `order` of a `_Layout`, as the segment holds the column's
+    skeleton values in node order, and `key` holds j's distances to the
+    four domain edges as `_layout_keys` does, clipped at `radius` or
+    beyond."""
     dJ, dI = _slot_offsets(radius)
     rel = dJ * NH + dI + shift
     q = np.searchsorted(elements, rel).clip(max=elements.size - 1)
     inside = ((-key[0] <= dI) & (dI <= key[1]) & (-key[2] <= dJ) & (dJ <= key[3])
               & (elements[q] == rel))
-    return np.where(inside[:, None], local[q], -1)
+    return np.where(inside[:, None], np.append(order, -1)[local[q]], -1)  # -1 stays -1
 
 
 def _product_forms(forms, cond):
@@ -981,7 +1054,8 @@ class _ElementProducts:
     domain; on an element with exceptions the slots reach m + 1 and the
     coordinates add z.  The offsets of a column's rim values in its CSC
     segment come from `offsets(key, NH, radius)` (see `_rim_offsets`), once
-    per class `_layout_key(coarse, j, m)` of its element j.  `exceptions`
+    per class of its element j, its row of `keys` (`_layout_keys` of m) as
+    a tuple.  `exceptions`
     collects the (slots, columns, values) of `_exception_entries`.  G's
     lower blocks within `reach` element rows (NEAR_FIELD with `near_field`)
     are summed in double, a chunk of elements and a band of slot rows at a
@@ -990,7 +1064,7 @@ class _ElementProducts:
     (G, |G|_inf).
     """
 
-    def __init__(self, forms, cond, skeleton, m, reach, near_field, offsets):
+    def __init__(self, forms, cond, skeleton, m, reach, near_field, keys, offsets):
         coarse = forms.coarse
         NH, N = coarse.NH, coarse.n_elements
         self._NH, self._cond, self._skeleton, self._k = NH, cond, skeleton, forms.k
@@ -1003,12 +1077,14 @@ class _ElementProducts:
         self._edge[edge] = np.arange(edge.size)
         self._mass = _rim_boundary_mass(forms, edge)
         self._radius, self._ring = min(m, NH - 1), min(m + 1, NH - 1)
-        ids = {}
-        self._class = np.array([ids.setdefault(_layout_key(coarse, j, m), len(ids))
-                                for j in range(N)])
-        self._keys, self._offsets = list(ids), offsets
-        self._tables = np.full((len(ids), (2 * self._ring + 1) ** 2, self._r4), -1, dtype=np.intc)
-        self._made = np.zeros(len(ids), dtype=bool)
+        classes = _shape_classes(keys, np.arange(N))
+        self._class = np.empty(N, dtype=np.intp)
+        for c, (_, js) in enumerate(classes):
+            self._class[js] = c
+        self._keys, self._offsets = [key for key, _ in classes], offsets
+        self._tables = np.full((len(classes), (2 * self._ring + 1) ** 2, self._r4), -1,
+                               dtype=np.intc)
+        self._made = np.zeros(len(classes), dtype=bool)
         self.exceptions = []  # (element-rim slots, columns, values), as `_exception_entries`
         self._blocks = {}  # element row of G -> its lower blocks, being summed
         self._strips = []
@@ -1188,17 +1264,14 @@ class _Worker:
         self._pool.shutdown(wait=True, cancel_futures=True)
 
 
-def _skeleton_counts(coarse, m, strict_zero_trace, nbf, on_rim):
+def _skeleton_counts(coarse, m, strict_zero_trace, nbf, on_rim, keys):
     """Per trial column, the free nodes of its patch on element rims (its
-    skeleton), counted once per shape class."""
-    counts, per_key = [], {}
-    for j in range(coarse.n_elements):
-        key = _layout_key(coarse, j, m)
-        if key not in per_key:
-            per_key[key] = np.count_nonzero(on_rim[oversample(coarse, j, m).free_nodes(
-                strict_zero_trace)])
-        counts += [per_key[key]] * nbf
-    return np.array(counts, dtype=np.int64)
+    skeleton), counted once per shape class of `keys` (`_layout_keys`)."""
+    counts = np.empty(coarse.n_elements, dtype=np.int64)
+    for _, js in _shape_classes(keys, np.arange(coarse.n_elements)):
+        counts[js] = np.count_nonzero(on_rim[oversample(coarse, js[0], m).free_nodes(
+            strict_zero_trace)])
+    return np.repeat(counts, nbf)
 
 
 def _empty_csc(n, counts):
@@ -1211,15 +1284,6 @@ def _empty_csc(n, counts):
          np.concatenate([[0], np.cumsum(counts)]).astype(index)),
         shape=(n, counts.size),
     )
-
-
-def _shape_classes(coarse, m, elements):
-    """`elements` grouped by `_layout_key`, each group in element order and
-    the groups in the order of their first elements."""
-    groups = {}
-    for j in elements:
-        groups.setdefault(_layout_key(coarse, j, m), []).append(j)
-    return [(key, np.array(js)) for key, js in groups.items()]
 
 
 def _write_skeleton(A, cond, layout, js, solved, nbf):
@@ -1262,16 +1326,14 @@ def _solve_patches(cond, forms, P, m, strict_zero_trace, load_blocks, plan=None,
     an element with a nonzero load block also solves its data column, whose
     interiors `_finish_batch` recovers, summed into the corrector in element
     order as each element row ends.  Online, every batch is finished
-    inline.  Offline, the first patch of
-    each shape class is factorized alone, in a minimum-degree order of its
-    own, which renumbers the layout for the rest of the class, and its plain
-    layout goes into the plan.  Online, the few loaded patches rarely repay
-    the renumbering, so each is factorized in its own order, in its class's
-    plain layout, rebuilt from the plan: online solves build no layout.
-    The classes of an element row recur only in the rows of the same
-    distances to the bottom and top edges, which follow it, so the layouts
-    are dropped whenever those change.  Returns (the `CondensedTrial` or
-    None, G or None, |G|_inf or None, corrector or None, the plan).
+    inline.  Every patch is factorized in the nested-dissection order of
+    its class's layout (`_skeleton_layout`): offline, the layout is built
+    for the class's first element and goes into the plan; online, it is
+    rebuilt from the plan, so online solves build no layout.  The classes
+    of an element row recur only in the rows of the same distances to the
+    bottom and top edges, which follow it, so the layouts are dropped
+    whenever those change.  Returns (the `CondensedTrial` or None, G or
+    None, |G|_inf or None, corrector or None, the plan).
     """
     coarse = forms.coarse
     n, N, NH = forms.grid.n_nodes, coarse.n_elements, coarse.NH
@@ -1285,32 +1347,33 @@ def _solve_patches(cond, forms, P, m, strict_zero_trace, load_blocks, plan=None,
         loaded_at[loaded] = np.arange(loaded.size)
         corrector = np.zeros(n, dtype=complex)
     elements = np.arange(N) if with_trial else np.flatnonzero(loaded_at >= 0)
+    keys = _layout_keys(coarse, m)
     trial = worker = products = G = G_norm = None
     if with_trial:
-        skeleton = _empty_csc(n, _skeleton_counts(coarse, m, strict_zero_trace, nbf, cond.on_rim))
+        skeleton = _empty_csc(
+            n, _skeleton_counts(coarse, m, strict_zero_trace, nbf, cond.on_rim, keys))
         products = _ElementProducts(forms, cond, skeleton, m,
-                                    NEAR_FIELD if near_field else 2 * m + 1, near_field,
+                                    NEAR_FIELD if near_field else 2 * m + 1, near_field, keys,
                                     plan.rim_offsets)
         worker = _Worker()
-    batches = reused = unknowns = fill = built = taken = 0
+    batches = unknowns = fill = built = taken = 0
+    layout_seconds = 0.0
     defer = worker.defer if with_trial else (lambda fn, *args: fn(*args))  # online: inline
 
     def solve(layout, js):
-        nonlocal batches, reused, unknowns, fill
+        nonlocal batches, unknowns, fill
         at = loaded_at[js]
         p = np.flatnonzero(at >= 0)  # the loaded patches of the batch
         sources = [_trial_sources(cond, js, np.arange(js.size))] if with_trial else []
         if p.size:
             sources.append((p, js[p], np.full(p.size, nbf), load_rim[at[p]], load_interior[at[p]]))
-        solved, batch_fill, perm_c = _solve_batch(
-            cond, layout, js, m, _join(*sources), nbf + (p.size > 0))
-        batches, reused = batches + 1, reused + layout.ordered * js.size
+        solved, batch_fill = _solve_batch(cond, layout, js, m, _join(*sources), nbf + (p.size > 0))
+        batches += 1
         unknowns += (layout.indptr.size - 1) * js.size
         fill += batch_fill
         data_sources = (np.arange(p.size), js[p], np.zeros(p.size, dtype=int),
                         load_rim[at[p]], load_interior[at[p]]) if p.size else None
         defer(finish, layout, js, solved, p, data_sources)
-        return perm_c
 
     def finish(layout, js, solved, p, data_sources):
         if with_trial:
@@ -1325,26 +1388,23 @@ def _solve_patches(cond, forms, P, m, strict_zero_trace, load_blocks, plan=None,
             corrector[rows] += column
         data.clear()
 
-    layouts, orders, edges = {}, {}, None
+    layouts, edges = {}, None
     try:
         for b in range(NH):
             row = elements[(elements >= b * NH) & (elements < (b + 1) * NH)]
-            for key, js in _shape_classes(coarse, m, row):
+            for key, js in _shape_classes(keys, row):
                 if key[2:] != edges:
-                    layouts, orders, edges = {}, {}, key[2:]
-                if key not in layouts and not with_trial:
-                    layouts[key], taken = plan.layout(key, cond, js[0]), taken + 1
-                elif key not in layouts:  # the class's first patch orders the rest of it
-                    layouts[key] = _skeleton_layout(cond, coarse, js[0], m, strict_zero_trace)
-                    plan.pack(key, layouts[key])
-                    orders[key] = solve(layouts[key], js[:1])
-                    js, built = js[1:], built + 1
-                if js.size and key in orders:
-                    layouts[key] = _skeleton_layout(
-                        cond, coarse, js[0], m, strict_zero_trace, orders.pop(key))
-                    built += 1
-                if js.size:
-                    solve(layouts[key], js)
+                    layouts, edges = {}, key[2:]
+                if key not in layouts:
+                    start = time.perf_counter()
+                    if with_trial:
+                        layouts[key] = _skeleton_layout(cond, coarse, js[0], m, strict_zero_trace)
+                        plan.pack(key, layouts[key])
+                        built += 1
+                    else:
+                        layouts[key], taken = plan.layout(key, cond, js[0]), taken + 1
+                    layout_seconds += time.perf_counter() - start
+                solve(layouts[key], js)
             defer(add_data)
             if with_trial:
                 defer(products.ready, b)
@@ -1362,16 +1422,16 @@ def _solve_patches(cond, forms, P, m, strict_zero_trace, load_blocks, plan=None,
             worker.close()
     patches = elements.size
     log.debug(
-        "build_space: %d patches factorized in %d batches (%d in a reused class ordering, "
-        "%d fresh), %d skeleton unknowns, L+U fill %d; G from the products of %d elements "
-        "within %d element rows, %d G entries stored, %.2f s forming them, final wait "
-        "%.2f s; %.2f s on the G workers in all, %.2f s waiting for them; %d layouts built, "
-        "%d taken from the space's plan of %d bytes; trial stored condensed in %d entries "
-        "of %d bytes",
-        patches, batches, reused, patches - reused, unknowns, fill,
+        "build_space: %d patches factorized in %d batches, %d skeleton unknowns, L+U fill %d; "
+        "G from the products of %d elements within %d element rows, %d G entries stored, "
+        "%.2f s forming them, final wait %.2f s; %.2f s on the G workers in all, %.2f s "
+        "waiting for them; %d layouts built and %d taken from the space's plan of %d bytes "
+        "in %.3f s, ordering included; trial stored condensed in %d entries of %d bytes",
+        patches, batches, unknowns, fill,
         *((N, NEAR_FIELD if near_field else 2 * m + 1, G.nnz, products.seconds, wait,
            worker.seconds, worker.waited) if with_trial else (0, 0, 0, 0.0, 0.0, 0.0, 0.0)),
-        built, taken, plan.nbytes, *((trial.nnz, trial.nbytes) if trial else (0, 0)),
+        built, taken, plan.nbytes, layout_seconds,
+        *((trial.nnz, trial.nbytes) if trial else (0, 0)),
     )
     return trial, G, G_norm, corrector, plan
 
@@ -1435,7 +1495,7 @@ def build_global_space(forms, P, loads=None, strict_zero_trace=False):
         sources.append((np.zeros(N, dtype=int), np.arange(N), np.full(N, N * nbf),
                         *_load_sources(forms, P, np.arange(N), blocks)))
     layout = _skeleton_layout(cond, coarse, 0, NH - 1, strict_zero_trace)
-    solved, _, _ = _solve_batch(cond, layout, [0], NH - 1, _join(*sources),
+    solved, _ = _solve_batch(cond, layout, [0], NH - 1, _join(*sources),
                                 N * nbf + (loads is not None), error=SingularGlobalSystem)
     corrector = None
     if loads is not None:
@@ -1448,8 +1508,9 @@ def build_global_space(forms, P, loads=None, strict_zero_trace=False):
     trial = CondensedTrial(skeleton, sp.csc_matrix((cond.rim_nodes.size, N * nbf), dtype=complex),
                            cond)
     products = _ElementProducts(  # each element its own class, its distances to the edges
-        forms, cond, skeleton, NH - 1, NH - 1, False, lambda key, NH, radius: _rim_offsets(
-            np.arange(N), layout.local, key[2] * NH + key[0], key, NH, radius))
+        forms, cond, skeleton, NH - 1, NH - 1, False, _layout_keys(coarse, NH - 1),
+        lambda key, NH, radius: _rim_offsets(np.arange(N), layout.local, layout.order,
+                                             key[2] * NH + key[0], key, NH, radius))
     products.ready(NH - 1)
     G, G_norm = products.matrix()
     return _new_space(forms, -1, strict_zero_trace, trial, G, G_norm, corrector, cond, None,
@@ -1461,7 +1522,8 @@ def _whole_g(space):
     element products of its condensed trial (`_ElementProducts`) at reach
     2m + 1, in double."""
     products = _ElementProducts(space.forms, space.condensation, space.trial.skeleton, space.m,
-                                2 * space.m + 1, False, space.layouts.rim_offsets)
+                                2 * space.m + 1, False, _layout_keys(space.forms.coarse, space.m),
+                                space.layouts.rim_offsets)
     E = space.trial.exceptions
     products.exceptions.append(
         (E.indices, np.repeat(np.arange(E.shape[1]), np.diff(E.indptr)), E.data))

@@ -16,19 +16,11 @@ applied to rows and columns alike, and a small diagonal pivot threshold
 (0.01) that keeps the diagonal pivots the ordering was chosen for unless
 one is below 1 % of its column's largest entry (zero and tiny diagonals
 still pivot off).  Against SuperLU's default column ordering (COLAMD on
-A^T A) this cuts fill and factorization time on all three systems.
+A^T A) this cuts fill and factorization time on all three systems.  A
+matrix already numbered in a fill-reducing order is factorized with
+`ordered=True`, in SuperLU's NATURAL ordering: the patch skeletons come
+numbered by nested dissection of their geometry (see `cem`).
 `Factorization.fill` reports the factors' stored L+U entries.
-
-Matrices of one sparsity pattern share their ordering, which depends on the
-pattern alone, so it can be computed once (Liu, SIAM J. Matrix Anal. Appl.
-11, 1990, on reusing the symbolic phase).  `Factorization.perm_c` is
-SuperLU's column permutation: column i of A is column perm_c[i] of the
-ordered matrix.  A matrix of the same pattern whose rows and columns are
-renumbered so that old index i becomes perm_c[i], i.e. A[p][:, p] with p =
-argsort(perm_c), is then factorized with `ordered=True` (SuperLU's NATURAL
-ordering), giving the same L+U fill as the minimum-degree run.  The inverse
-is a trap: A[perm_c][:, perm_c] applies the ordering backwards and on the
-patch skeletons triples the fill.
 
 `factorize` factorizes in the matrix's own precision.  The coarse near
 field alone is given to it in complex64: its LU only preconditions, and
@@ -69,12 +61,6 @@ class Factorization:
         """Nonzeros stored in the factors L and U (SuperLU's count, no copy)."""
         return self._lu.nnz
 
-    @property
-    def perm_c(self):
-        """The column ordering SuperLU applied (see the module docstring), as
-        a copy: SuperLU's own array would keep the factors alive."""
-        return self._lu.perm_c.copy()
-
     def solve(self, b):
         b = np.asarray(b)
         if b.shape[0] != self.shape[0]:
@@ -92,8 +78,8 @@ def factorize(A, ordered=False):
 
     Tuned for structurally symmetric matrices (see the module docstring);
     other square matrices are factorized too, with threshold pivoting.
-    With `ordered`, A is already in a fill-reducing order (the perm_c of an
-    earlier factorization of its pattern) and is factorized as it is.
+    With `ordered`, A is already in a fill-reducing order and is factorized
+    as it is.
     """
     if A.shape[0] != A.shape[1]:
         raise DimensionMismatch(f"matrix is not square: {A.shape}")

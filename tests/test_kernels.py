@@ -72,28 +72,6 @@ def test_factorization_fill_counts_stored_factors():
         assert kernels.factorize(full).fill == n * (n + 1)
 
 
-def test_reused_ordering_keeps_fill_and_solution():
-    # A renumbered so that column i goes to position perm_c[i] (A[p][:, p]
-    # with p = argsort(perm_c)) and factorized as it is gives the fill and,
-    # to rounding, the solution of the minimum-degree LU, while the inverse
-    # renumbering A[perm_c][:, perm_c] nearly triples the fill; perm_c is a
-    # copy that does not keep the factors alive
-    n = 12
-    lap = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(n, n))
-    A = sp.csc_matrix(sp.kron(sp.identity(n), lap) + sp.kron(lap, sp.identity(n)) * (1 + 0.5j))
-    b = np.arange(n * n) * (1.0 - 2.0j)
-    F = kernels.factorize(A)
-    assert F.perm_c.flags.owndata
-    p = np.argsort(F.perm_c)
-    G = kernels.factorize(sp.csc_matrix(A[p][:, p]), ordered=True)
-    assert G.fill == F.fill
-    q = F.perm_c
-    assert kernels.factorize(sp.csc_matrix(A[q][:, q]), ordered=True).fill > 2 * F.fill
-    x, y = F.solve(b), np.empty(n * n, dtype=complex)
-    y[p] = G.solve(b[p])
-    assert np.abs(y - x).max() <= 1e-12 * np.abs(x).max()
-
-
 def test_bordered_saddle_point_solve():
     # [[B, U], [U^T, -I]] with B complex symmetric and indefinite, the form
     # of the constrained patch systems
