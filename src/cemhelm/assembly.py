@@ -16,7 +16,6 @@ from .medium import stilde_weights
 
 __all__ = [
     "element_matrices",
-    "element_boundary_matrix",
     "assemble_stiffness",
     "assemble_mass",
     "assemble_boundary_mass",
@@ -57,56 +56,30 @@ def element_matrices(h, a_cell):
     return a_cell * Ke, Me
 
 
-def element_boundary_matrix(h):
-    """Mass of a boundary edge of length h (two-node line element)."""
-    return h / 6.0 * np.array([[2.0, 1.0], [1.0, 2.0]])
-
-
-def _scatter(grid, local, coeff, cells):
-    conn = grid.cell_nodes if cells is None else grid.cell_nodes[cells]
-    c = np.ones(conn.shape[0]) if coeff is None else np.asarray(coeff, dtype=float)
-    if cells is not None and c.shape[0] == grid.n_cells:
-        c = c[cells]
-    rows, cols, vals = element_triplets(conn, local, c[None, :])
+def _scatter(grid, local, coeff):
+    c = np.ones(grid.n_cells) if coeff is None else np.asarray(coeff, dtype=float)
+    rows, cols, vals = element_triplets(grid.cell_nodes, local, c[None, :])
     A = sp.coo_matrix((vals, (rows, cols)), shape=(grid.n_nodes, grid.n_nodes))
     return A.tocsr()
 
 
-def assemble_stiffness(grid, medium, cells=None):
-    """K = sum over (selected) cells of A_cell * Ke; symmetric, PSD."""
+def assemble_stiffness(grid, medium):
+    """K = sum over cells of A_cell * Ke; symmetric, PSD."""
     a = np.asarray(getattr(medium, "values", medium), dtype=float)
     Ke, _ = _rect_element(grid.hx, grid.hy)
-    return _scatter(grid, Ke, a, cells)
+    return _scatter(grid, Ke, a)
 
 
-def assemble_mass(grid, cells=None):
+def assemble_mass(grid):
     _, Me = _rect_element(grid.hx, grid.hy)
-    return _scatter(grid, Me, None, cells)
+    return _scatter(grid, Me, None)
 
 
-def assemble_boundary_mass(grid, coeff=None, cells=None, nodes=None):
-    """Line-element mass on the four outer edges; zero rows at interior nodes.
-
-    With `coeff` (per fine cell) each edge is weighted by the value of the
-    cell it borders, mirroring how the volume forms carry the coefficient.
-    `cells` keeps only the edges owned by those cells (edge ownership
-    follows the adjacent cell), so the parts kept for the cells of each
-    coarse element add up to the full matrix; `nodes` renumbers onto a
-    sorted node subset that holds every node of the kept edges.
-    """
-    c = None if coeff is None else np.asarray(getattr(coeff, "values", coeff), dtype=float)
-    n0, n1, owners, h = _outer_edges(grid)
-    if cells is not None:
-        keep = np.isin(owners, cells)
-        n0, n1, owners, h = n0[keep], n1[keep], owners[keep], h[keep]
-    rows, cols, vals = _edge_triplets(n0, n1, h, None if c is None else c[owners])
-    if nodes is None:
-        size = grid.n_nodes
-    else:
-        rows = np.searchsorted(nodes, rows)
-        cols = np.searchsorted(nodes, cols)
-        size = len(nodes)
-    A = sp.coo_matrix((vals, (rows, cols)), shape=(size, size))
+def assemble_boundary_mass(grid):
+    """Line-element mass on the four outer edges; zero rows at interior nodes."""
+    n0, n1, _, h = _outer_edges(grid)
+    rows, cols, vals = _edge_triplets(n0, n1, h)
+    A = sp.coo_matrix((vals, (rows, cols)), shape=(grid.n_nodes, grid.n_nodes))
     return A.tocsr()
 
 
@@ -126,7 +99,7 @@ def _outer_edges(grid):
 
 def _edge_triplets(n0, n1, h, weight=None):
     """COO triplets of the line-element masses (times `weight`) of edges n0 -> n1."""
-    d, o = h / 6.0 * 2.0, h / 6.0 * 1.0  # entries of element_boundary_matrix(h)
+    d, o = h / 6.0 * 2.0, h / 6.0 * 1.0  # the edge's line-element mass h/6 [[2, 1], [1, 2]]
     if weight is not None:
         d, o = weight * d, weight * o
     rows = np.concatenate([n0, n0, n1, n1])
@@ -137,9 +110,10 @@ def _edge_triplets(n0, n1, h, weight=None):
 def element_boundary_triplets(grid, coarse, coeff=None):
     """COO triplets, in broken numbering, of every coarse element's boundary mass.
 
-    Element e keeps the outer edges owned by its cells (the rule of
-    `assemble_boundary_mass(cells=...)`), weighted by `coeff` of the owning
-    cell when given; node a of element e is the broken row e*p + a.
+    Element e keeps the outer edges owned by its cells (an edge belongs to
+    the cell it borders, see `_outer_edges`), so the elements' parts add up
+    to `assemble_boundary_mass`; each edge is weighted by `coeff` of its
+    cell when given.  Node a of element e is the broken row e*p + a.
     """
     n0, n1, owners, h = _outer_edges(grid)
     c = None if coeff is None else np.asarray(getattr(coeff, "values", coeff), dtype=float)

@@ -81,9 +81,9 @@ values and right-hand sides and SuperLU's factorization and solve
 writes of the trial columns' rim values into the skeleton allotted in
 advance and into the exceptions, and the data column's interiors
 (`_finish_batch`).  The deferred tasks run one at a time, in the order
-deferred, whatever the number of workers, each row's corrector sum after
-its batches; the main thread goes on at most two element rows ahead of
-them, so the pending right-hand sides stay bounded.  A column touches the
+deferred, each row's corrector sum after its batches; the main thread
+goes on at most two element rows ahead of them, so the pending
+right-hand sides stay bounded.  A column touches the
 elements within m + 1 rows of its own, so once patch row b + m + 1 is
 written the worker adds the products of element row b, in chunks whose
 V_e stay within a few MB, in double and in a fixed order, to the lower
@@ -105,11 +105,8 @@ Python and small numpy calls that hold it, and SuperLU on these small
 skeletons gains nothing from a second thread, while the deferred work is
 mostly whole-array numpy copies and BLAS products, which release it.
 Every number is computed by the same call on the same inputs as on one
-thread, so the fields do not depend on the worker count, the CPUs the
-process may use, less one, and at least one.  Online solves,
-`local_cem_solve` and `build_global_space` finish each batch inline;
-`build_global_space` stores its trial space condensed, without
-exceptions, and forms its G by the same element products.
+thread, so the fields do not depend on the thread that computes them.
+Online solves and `local_cem_solve` finish each batch inline.
 
 Patch systems constrain the fine nodes on the patch boundary away from the
 domain boundary (`Patch.free_nodes`, the one free-node rule); where a patch
@@ -196,7 +193,6 @@ residual, the measured counterpart of GMRES's estimate.
 import csv
 import logging
 import math
-import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -210,14 +206,12 @@ from .errors import (
     DimensionMismatch,
     InvalidElement,
     SingularCoarseSystem,
-    SingularGlobalSystem,
     SingularLocalSystem,
     SingularMatrix,
 )
 from .assembly import (
     _element_chunks,
     _triplets_of,
-    assemble_stiffness,
     element_blocks,
     element_boundary_triplets,
     element_matrices,
@@ -235,7 +229,6 @@ __all__ = [
     "CoarseSystem",
     "local_cem_solve",
     "build_space",
-    "build_global_space",
     "assemble_coarse",
     "solve_multiscale",
     "measure_decay",
@@ -695,7 +688,7 @@ def _skeleton_values(cond, layout, firsts):
     return values
 
 
-def _solve_batch(cond, layout, js, m, sources, n_cols, error=SingularLocalSystem):
+def _solve_batch(cond, layout, js, m, sources, n_cols):
     """Solve the bordered systems of the m-layer patches of elements `js`,
     all of the shape class of `layout`, on their free rim nodes; the
     interiors are recovered by `_finish_batch`.
@@ -711,11 +704,11 @@ def _solve_batch(cond, layout, js, m, sources, n_cols, error=SingularLocalSystem
     skeletons, shape (patches, unknowns + 1, n_cols), whose last row holds
     the constrained nodes' sums; the summed L+U fill of the patches' LUs).
     Each LU is dropped once solved.  A patch without free nodes or with a
-    singular system raises `error` naming its element.
+    singular system raises SingularLocalSystem naming its element.
     """
     js = np.asarray(js)
     if layout.rows.size == 0:
-        raise error(f"element {js[0]}, m={m}: patch has no unconstrained nodes")
+        raise SingularLocalSystem(f"element {js[0]}, m={m}: patch has no unconstrained nodes")
     firsts = js - layout.element_shift
     n = layout.indptr.size - 1
     values = _skeleton_values(cond, layout, firsts)
@@ -731,7 +724,8 @@ def _solve_batch(cond, layout, js, m, sources, n_cols, error=SingularLocalSystem
             F = kernels.factorize(S, ordered=True)
             rhs[p, :n] = F.solve(rhs[p, :n])
         except SingularMatrix as exc:
-            raise error(f"element {j}, m={m}: constrained system is singular: {exc}") from exc
+            raise SingularLocalSystem(
+                f"element {j}, m={m}: constrained system is singular: {exc}") from exc
         fill += F.fill
     return rhs, fill
 
@@ -766,9 +760,9 @@ def _finish_batch(cond, layout, js, sources, solved):
     return rows, vals
 
 
-def _solve_now(cond, layout, js, m, sources, n_cols, error=SingularLocalSystem):
+def _solve_now(cond, layout, js, m, sources, n_cols):
     """`_solve_batch` and `_finish_batch` in turn: (free rows, solutions)."""
-    solved, _ = _solve_batch(cond, layout, js, m, sources, n_cols, error)
+    solved, _ = _solve_batch(cond, layout, js, m, sources, n_cols)
     return _finish_batch(cond, layout, js, sources, solved)
 
 
@@ -896,10 +890,10 @@ class MultiscaleSpace:
     compact layout of each shape class (`_LayoutPlan`, ~3.3 MB at
     H = 1/10, m = 2 on 120 x 120 cells, ~0.7 MB at H = 1/40, m = 3), from
     which the online solves take their layouts and the whole-G fallback
-    its rim offsets (None for the global space).  All are read-only, and
-    the spaces `build_space` returns for one (forms, P, m,
-    strict_zero_trace) share them.  `corrector` is the space's own summed
-    localized data solve (None when it was built without load blocks).
+    its rim offsets.  All are read-only, and the spaces `build_space`
+    returns for one (forms, P, m, strict_zero_trace) share them.
+    `corrector` is the space's own summed localized data solve (None when
+    it was built without load blocks).
     """
 
     forms: object
@@ -967,13 +961,6 @@ def _kept(A, keep):
     stored entry) holds, in A's format."""
     indptr = np.concatenate([[0], np.cumsum(keep)])[A.indptr]
     return type(A)((A.data[keep], A.indices[keep], indptr), shape=A.shape)
-
-
-def _g_workers():
-    """Worker threads of the offline build: the CPUs this process may run
-    on, less the one that solves the patches, and at least one."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return max(1, (cpus or 1) - 1)
 
 
 def _symmetric(L):
@@ -1228,12 +1215,12 @@ class _ElementProducts:
 
 
 class _Worker:
-    """Tasks deferred by the patch loop, run on worker threads one at a
-    time, in the order deferred, whatever the number of workers: each waits
-    for the one before it, and a failed task fails every later one."""
+    """Tasks deferred by the patch loop, run on one worker thread in the
+    order deferred: each waits for the one before it, so a failed task
+    fails every later one."""
 
     def __init__(self):
-        self._pool = ThreadPoolExecutor(_g_workers(), thread_name_prefix="cemhelm-G")
+        self._pool = ThreadPoolExecutor(1, thread_name_prefix="cemhelm-G")
         self._rows, self._last = [], None  # the last task of each element row, of all
         self.seconds = self.waited = 0.0  # running the tasks; the caller waiting for them
 
@@ -1260,7 +1247,7 @@ class _Worker:
             self.waited += time.perf_counter() - start
 
     def close(self):
-        """Stop the workers: queued tasks are dropped, running ones finish."""
+        """Stop the worker: queued tasks are dropped, a running one finishes."""
         self._pool.shutdown(wait=True, cancel_futures=True)
 
 
@@ -1322,7 +1309,7 @@ def _solve_patches(cond, forms, P, m, strict_zero_trace, load_blocks, plan=None,
     into the `CondensedTrial`'s preallocated skeleton and its exceptions
     (`_exception_entries`).  These writes, each element row's end and the
     element products of G (`_ElementProducts`, its near field alone with
-    `near_field`) are deferred to the G workers (`_Worker`).  The patch of
+    `near_field`) are deferred to the G worker (`_Worker`).  The patch of
     an element with a nonzero load block also solves its data column, whose
     interiors `_finish_batch` recovers, summed into the corrector in element
     order as each element row ends.  Online, every batch is finished
@@ -1424,7 +1411,7 @@ def _solve_patches(cond, forms, P, m, strict_zero_trace, load_blocks, plan=None,
     log.debug(
         "build_space: %d patches factorized in %d batches, %d skeleton unknowns, L+U fill %d; "
         "G from the products of %d elements within %d element rows, %d G entries stored, "
-        "%.2f s forming them, final wait %.2f s; %.2f s on the G workers in all, %.2f s "
+        "%.2f s forming them, final wait %.2f s; %.2f s on the G worker in all, %.2f s "
         "waiting for them; %d layouts built and %d taken from the space's plan of %d bytes "
         "in %.3f s, ordering included; trial stored condensed in %d entries of %d bytes",
         patches, batches, unknowns, fill,
@@ -1471,50 +1458,6 @@ def build_space(forms, P, m, strict_zero_trace=False, load_blocks=None):
     P.space = _new_space(forms, m, strict_zero_trace, trial, G, G_norm, corrector, cond,
                          layouts, near_field)
     return P.space
-
-
-def build_global_space(forms, P, loads=None, strict_zero_trace=False):
-    """Unlocalized bases: the constrained problem on the domain patch
-    `oversample(coarse, 0, NH - 1)`, one factorization for all N*nbf
-    right-hand sides, as `build_space` with m = NH - 1.  With `loads` (full
-    fine load vector) the global data corrector is solved alongside; a
-    vector without one entry per fine node raises DimensionMismatch.  G
-    comes from the same element products as in `build_space`, each column
-    reaching over the whole domain."""
-    coarse = forms.coarse
-    N, n, NH, nbf = coarse.n_elements, forms.grid.n_nodes, coarse.NH, P.nbf
-    cond = _condense(forms, P)
-    sources = [_trial_sources(cond, np.arange(N), np.zeros(N, dtype=int))]
-    if loads is not None:
-        loads = np.asarray(loads)
-        if loads.shape != (n,):
-            raise DimensionMismatch(f"load vector of shape {loads.shape} against {n} nodes")
-        # each node's load shared equally among the elements that hold it
-        shares = np.bincount(coarse.element_nodes.ravel(), minlength=n)
-        blocks = (loads / shares)[coarse.element_nodes]
-        sources.append((np.zeros(N, dtype=int), np.arange(N), np.full(N, N * nbf),
-                        *_load_sources(forms, P, np.arange(N), blocks)))
-    layout = _skeleton_layout(cond, coarse, 0, NH - 1, strict_zero_trace)
-    solved, _ = _solve_batch(cond, layout, [0], NH - 1, _join(*sources),
-                                N * nbf + (loads is not None), error=SingularGlobalSystem)
-    corrector = None
-    if loads is not None:
-        corrector = np.zeros(n, dtype=complex)
-        data = (np.zeros(N, dtype=int), np.arange(N), np.zeros(N, dtype=int), *sources[1][3:])
-        rows, vals = _finish_batch(cond, layout, [0], data, solved[:, :, N * nbf:])
-        corrector[rows[0]] = vals[0, :, 0]
-    skeleton = _empty_csc(n, np.full(N * nbf, layout.skeleton.size))
-    _write_skeleton(skeleton, cond, layout, np.zeros(1, dtype=int), solved, N * nbf)
-    trial = CondensedTrial(skeleton, sp.csc_matrix((cond.rim_nodes.size, N * nbf), dtype=complex),
-                           cond)
-    products = _ElementProducts(  # each element its own class, its distances to the edges
-        forms, cond, skeleton, NH - 1, NH - 1, False, _layout_keys(coarse, NH - 1),
-        lambda key, NH, radius: _rim_offsets(np.arange(N), layout.local, layout.order,
-                                             key[2] * NH + key[0], key, NH, radius))
-    products.ready(NH - 1)
-    G, G_norm = products.matrix()
-    return _new_space(forms, -1, strict_zero_trace, trial, G, G_norm, corrector, cond, None,
-                      False)
 
 
 def _whole_g(space):
@@ -1758,35 +1701,28 @@ def solve_multiscale(system, space, forms=None):
     return u, c
 
 
-def measure_decay(j, i, forms, P, m_list, w=None):
+def measure_decay(j, i, forms, P, m_list):
     """Tail energies of the unlocalized basis (j, i) outside each m-patch.
 
-    w defaults to the solve on element j's domain patch (m = NH - 1).
-    t(m) = |w|^2_{a, outside} + |pi w|^2_{s, outside}; returns the list of
+    w is the solve on element j's domain patch (m = NH - 1).  t(m) =
+    |w|^2_{a, outside} + |pi w|^2_{s, outside}, the sum of the element
+    energies |w|^2_{a, e} + |pi w|^2_{s, e} over the elements outside the
+    patch, each formed once from the element's cells; returns the list of
     t(m) and the geometric mean of consecutive ratios (decay factor).
     """
     _check_basis(j, i, forms.coarse.n_elements, P.nbf)
-    if w is None:
-        w = local_cem_solve(j, forms.coarse.NH - 1, forms, P)[0][:, i]
-    if np.shape(w) != (forms.grid.n_nodes,):
-        raise DimensionMismatch(f"w of shape {np.shape(w)} against {forms.grid.n_nodes} nodes")
-    coeffs = pi_coeffs(P, w)
-    per_element_s = np.sum(np.abs(coeffs) ** 2, axis=1)
+    grid, coarse = forms.grid, forms.coarse
+    w = local_cem_solve(j, coarse.NH - 1, forms, P)[0][:, i]
+    K_loc, _ = element_matrices(grid.h, 1.0)
+    w_cells = w[grid.cell_nodes]  # (cells, 4)
+    a_cells = forms.medium.values * np.real(np.sum(w_cells.conj() * (w_cells @ K_loc), axis=1))
+    energies = (a_cells[coarse.element_cells].sum(axis=1)
+                + np.sum(np.abs(pi_coeffs(P, w)) ** 2, axis=1))
     tails = []
     for m in m_list:
-        patch = oversample(forms.coarse, j, m)
-        cell_mask = np.ones(forms.grid.n_cells, dtype=bool)
-        cell_mask[patch.cells] = False
-        out_cells = np.flatnonzero(cell_mask)
-        if out_cells.size == 0:
-            tails.append(0.0)
-            continue
-        K_out = assemble_stiffness(forms.grid, forms.medium, cells=out_cells)
-        a_part = float(np.real(np.vdot(w, K_out @ w)))
-        el_mask = np.ones(forms.coarse.n_elements, dtype=bool)
-        el_mask[patch.elements] = False
-        s_part = float(per_element_s[el_mask].sum())
-        tails.append(a_part + s_part)
+        outside = np.ones(coarse.n_elements, dtype=bool)
+        outside[oversample(coarse, j, m).elements] = False
+        tails.append(float(energies[outside].sum()))
     ratios = [
         t1 / t0
         for t0, t1 in zip(tails, tails[1:])

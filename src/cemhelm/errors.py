@@ -21,10 +21,6 @@ class SingularLocalSystem(SingularMatrix):
     """A constrained patch system is singular (e.g. empty patch interior)."""
 
 
-class SingularGlobalSystem(SingularMatrix):
-    """The unlocalized basis system on the full domain is singular."""
-
-
 class SingularCoarseSystem(SingularMatrix):
     """The coarse multiscale system is singular; usually a resolution or
     oversampling problem.  The message carries a k*H/eps diagnostic."""

@@ -113,10 +113,6 @@ class Patch:
 
         r = coarse.ratio
         fine = coarse.fine
-        ci = np.arange(I_lo * r, (I_hi + 1) * r)
-        cj = np.arange(J_lo * r, (J_hi + 1) * r)
-        self.cells = (cj[:, None] * fine.nx + ci[None, :]).ravel().astype(np.int64)
-
         ni = np.arange(I_lo * r, (I_hi + 1) * r + 1)
         nj = np.arange(J_lo * r, (J_hi + 1) * r + 1)
         self.nodes = (nj[:, None] * (fine.nx + 1) + ni[None, :]).ravel().astype(np.int64)

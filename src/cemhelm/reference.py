@@ -1,5 +1,6 @@
-"""Fine-scale reference solver and the closed-form fields of the
-homogeneous benchmark (plane wave, matching Robin data, bump source)."""
+"""Fine-scale reference solver and the closed-form data of the
+homogeneous benchmark (the Robin data whose exact solution is the plane
+wave exp(i k (0.6, 0.8).x), bump source)."""
 
 import csv
 from dataclasses import dataclass, field
@@ -16,14 +17,11 @@ __all__ = [
     "Solution",
     "solve_fine",
     "fine_load",
-    "plane_wave",
     "robin_data_plane_wave",
     "bump_source",
     "piecewise_source",
     "export_field",
 ]
-
-PLANE_WAVE_DIRECTION = (0.6, 0.8)
 
 
 @dataclass
@@ -71,16 +69,6 @@ def solve_fine(spec, forms=None):
     except SingularMatrix as exc:
         raise SingularSystem(str(exc)) from exc
     return Solution(u, provenance="reference", meta={"k": spec.k})
-
-
-def plane_wave(grid, k, direction=PLANE_WAVE_DIRECTION):
-    """Nodal interpolant of exp(i*k*d.x) for a unit direction d."""
-    d = np.asarray(direction, dtype=float)
-    if not np.isclose(np.hypot(d[0], d[1]), 1.0):
-        raise ValueError(f"direction must be a unit vector, got {tuple(d)}")
-    xy = grid.node_coords
-    u = np.exp(1j * k * (xy @ d))
-    return Solution(u, provenance="exact", meta={"k": k, "direction": tuple(d)})
 
 
 def robin_data_plane_wave(grid, k):

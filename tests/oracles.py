@@ -10,6 +10,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from cemhelm import assembly, cem
+from cemhelm.errors import DimensionMismatch
 from cemhelm.grid import oversample
 from cemhelm.metrics import _quad
 
@@ -39,12 +40,60 @@ def covers_domain(patch):
     return patch.I_range == (0, patch.coarse.NH - 1) and patch.J_range == (0, patch.coarse.NH - 1)
 
 
+def _assemble_cells(grid, local, coeff, cells):
+    """The sum over `cells` (all cells if None) of coeff[c] * local on the
+    fine grid, coeff an array or an object with `values`."""
+    c = np.asarray(getattr(coeff, "values", coeff), dtype=float)
+    cells = np.arange(grid.n_cells) if cells is None else np.asarray(cells)
+    rows, cols, vals = assembly.element_triplets(grid.cell_nodes[cells], local, c[cells][None, :])
+    return sp.coo_matrix((vals, (rows, cols)), shape=(grid.n_nodes, grid.n_nodes)).tocsr()
+
+
+def assemble_stiffness(grid, medium, cells):
+    """The stiffness matrix over only `cells`."""
+    Ke, _ = assembly._rect_element(grid.hx, grid.hy)
+    return _assemble_cells(grid, Ke, medium, cells)
+
+
 def assemble_weighted_mass(grid, weights, cells=None):
-    """The mass matrix weighted per cell by `weights` (an array, or an
-    object with `values`), over all cells or only `cells`."""
-    w = np.asarray(getattr(weights, "values", weights), dtype=float)
+    """The mass matrix weighted per cell by `weights`, over all cells or
+    only `cells`."""
     _, Me = assembly._rect_element(grid.hx, grid.hy)
-    return assembly._scatter(grid, Me, w, cells)
+    return _assemble_cells(grid, Me, weights, cells)
+
+
+def assemble_boundary_mass(grid, coeff=None, cells=None, nodes=None):
+    """The boundary mass, each outer edge weighted by `coeff` of the cell it
+    borders when given, over the edges owned by `cells` only when given (an
+    edge belongs to the cell it borders), renumbered onto the sorted node
+    subset `nodes` (holding every node of the kept edges) when given."""
+    n0, n1, owners, h = assembly._outer_edges(grid)
+    if cells is not None:
+        keep = np.isin(owners, cells)
+        n0, n1, owners, h = n0[keep], n1[keep], owners[keep], h[keep]
+    c = None if coeff is None else np.asarray(getattr(coeff, "values", coeff), dtype=float)
+    rows, cols, vals = assembly._edge_triplets(n0, n1, h, None if c is None else c[owners])
+    size = grid.n_nodes
+    if nodes is not None:
+        rows, cols, size = np.searchsorted(nodes, rows), np.searchsorted(nodes, cols), len(nodes)
+    return sp.coo_matrix((vals, (rows, cols)), shape=(size, size)).tocsr()
+
+
+def element_boundary_matrix(h):
+    """The mass of one boundary edge of length h (two-node line element),
+    from the package's edge triplets."""
+    rows, cols, vals = assembly._edge_triplets(np.array([0]), np.array([1]), np.array([h]))
+    return sp.coo_matrix((vals, (rows, cols)), shape=(2, 2)).toarray()
+
+
+def plane_wave(grid, k, direction=(0.6, 0.8)):
+    """Nodal interpolant of exp(i*k*d.x) for a unit direction d: the exact
+    solution of the homogeneous benchmark's Robin data
+    (`reference.robin_data_plane_wave`) with the default d."""
+    d = np.asarray(direction, dtype=float)
+    if not np.isclose(np.hypot(d[0], d[1]), 1.0):
+        raise ValueError(f"direction must be a unit vector, got {tuple(d)}")
+    return np.exp(1j * k * (grid.node_coords @ d))
 
 
 class BrokenField:
@@ -110,6 +159,52 @@ def broken_s_norm_sq(P, v):
     """
     b = _blocks_of(P, v).ravel()
     return float(np.real(np.vdot(b, P.S @ b)))
+
+
+def build_global_space(forms, P, loads=None, strict_zero_trace=False):
+    """The space of the unlocalized bases (`cem.MultiscaleSpace` with m = -1
+    and no layouts): the constrained problem on the domain patch
+    `oversample(coarse, 0, NH - 1)`, one factorization for all N*nbf
+    right-hand sides, as `cem.build_space` with m = NH - 1.  With `loads`
+    (full fine load vector) the global data corrector is solved alongside;
+    a vector without one entry per fine node raises DimensionMismatch.  G
+    comes from the same element products as in `cem.build_space`, each
+    column reaching over the whole domain; the trial space is stored
+    condensed, without exceptions."""
+    coarse = forms.coarse
+    N, n, NH, nbf = coarse.n_elements, forms.grid.n_nodes, coarse.NH, P.nbf
+    cond = cem._condense(forms, P)
+    sources = [cem._trial_sources(cond, np.arange(N), np.zeros(N, dtype=int))]
+    if loads is not None:
+        loads = np.asarray(loads)
+        if loads.shape != (n,):
+            raise DimensionMismatch(f"load vector of shape {loads.shape} against {n} nodes")
+        # each node's load shared equally among the elements that hold it
+        shares = np.bincount(coarse.element_nodes.ravel(), minlength=n)
+        blocks = (loads / shares)[coarse.element_nodes]
+        sources.append((np.zeros(N, dtype=int), np.arange(N), np.full(N, N * nbf),
+                        *cem._load_sources(forms, P, np.arange(N), blocks)))
+    layout = cem._skeleton_layout(cond, coarse, 0, NH - 1, strict_zero_trace)
+    solved, _ = cem._solve_batch(cond, layout, [0], NH - 1, cem._join(*sources),
+                                 N * nbf + (loads is not None))
+    corrector = None
+    if loads is not None:
+        corrector = np.zeros(n, dtype=complex)
+        data = (np.zeros(N, dtype=int), np.arange(N), np.zeros(N, dtype=int), *sources[1][3:])
+        rows, vals = cem._finish_batch(cond, layout, [0], data, solved[:, :, N * nbf:])
+        corrector[rows[0]] = vals[0, :, 0]
+    skeleton = cem._empty_csc(n, np.full(N * nbf, layout.skeleton.size))
+    cem._write_skeleton(skeleton, cond, layout, np.zeros(1, dtype=int), solved, N * nbf)
+    trial = cem.CondensedTrial(
+        skeleton, sp.csc_matrix((cond.rim_nodes.size, N * nbf), dtype=complex), cond)
+    products = cem._ElementProducts(  # each element its own class, its distances to the edges
+        forms, cond, skeleton, NH - 1, NH - 1, False, cem._layout_keys(coarse, NH - 1),
+        lambda key, NH, radius: cem._rim_offsets(np.arange(N), layout.local, layout.order,
+                                                 key[2] * NH + key[0], key, NH, radius))
+    products.ready(NH - 1)
+    G, G_norm = products.matrix()
+    return cem._new_space(forms, -1, strict_zero_trace, trial, G, G_norm, corrector, cond, None,
+                          False)
 
 
 def conjugate_basis(trial):

@@ -19,7 +19,6 @@ from cemhelm.errors import (
     DimensionMismatch,
     InvalidElement,
     SingularCoarseSystem,
-    SingularGlobalSystem,
     SingularLocalSystem,
     SingularMatrix,
 )
@@ -336,7 +335,7 @@ def test_element_work_is_logged_per_kind(setup48, caplog, monkeypatch):
 def test_localization_consistency_full_patch(setup32):
     # patch = domain reproduces the unlocalized basis exactly
     g, c, forms, P = setup32
-    gspace = cem.build_global_space(forms, P)
+    gspace = oracles.build_global_space(forms, P)
     space = cem.build_space(forms, P, 4)
     for j in (0, 7, 15):
         for i in range(P.nbf):
@@ -348,7 +347,7 @@ def test_localization_consistency_full_patch(setup32):
 
 def test_localization_error_decreases_with_m():
     g, c, forms, P = make_setup(nx=32, NH=8, nbf=2)
-    glo = cem.build_global_space(forms, P).vector(20, 0)
+    glo = oracles.build_global_space(forms, P).vector(20, 0)
     errs = []
     for m in (1, 2, 3):
         psi, _ = cem.local_cem_solve(20, m, forms, P)
@@ -379,7 +378,7 @@ def test_global_space_residual_identity():
     # the unlocalized basis satisfies its defining variational identity
     g, c, forms, P = make_setup(nx=16, NH=4, nbf=2, k=2.0)
     j, i = 5, 1
-    w = cem.build_global_space(forms, P).vector(j, i)
+    w = oracles.build_global_space(forms, P).vector(j, i)
     C = oracles.pi_gram_correction(P)
     r = oracles.pi_rhs(P, j, i)
     resid = forms.B @ w + C @ w - r
@@ -501,13 +500,6 @@ def test_measure_decay_rejects_out_of_range_basis():
             cem.measure_decay(j, i, forms, P, [1, 2])
 
 
-def test_measure_decay_rejects_w_of_another_length():
-    g, c, forms, P = make_setup(nx=16, NH=4, nbf=2)
-    for size in (g.n_nodes - 5, g.n_nodes + 5):
-        with pytest.raises(DimensionMismatch, match=f"against {g.n_nodes} nodes"):
-            cem.measure_decay(5, 0, forms, P, [1, 2], w=np.ones(size, dtype=complex))
-
-
 def test_dump_basis(tmp_path, setup32):
     g, c, forms, P = setup32
     space = cem.build_space(forms, P, 1)
@@ -566,7 +558,7 @@ def test_global_space_corrector():
     g, c, forms, P = make_setup(nx=8, NH=2, nbf=2, k=2.0)
     rng = np.random.default_rng(4)
     b = rng.normal(size=g.n_nodes) + 1j * rng.normal(size=g.n_nodes)
-    gspace = cem.build_global_space(forms, P, loads=b)
+    gspace = oracles.build_global_space(forms, P, loads=b)
     from oracles import pi_gram_correction
 
     A = forms.B.toarray() + pi_gram_correction(P).toarray()
@@ -578,7 +570,7 @@ def test_global_space_rejects_loads_of_another_grid():
     g, c, forms, P = make_setup(nx=16, NH=4, nbf=2)
     for size in (build_fine_grid(32, 32).n_nodes, g.n_nodes - 1):
         with pytest.raises(DimensionMismatch):
-            cem.build_global_space(forms, P, loads=np.ones(size, dtype=complex))
+            oracles.build_global_space(forms, P, loads=np.ones(size, dtype=complex))
 
 
 def test_petrov_galerkin_orthogonality_with_corrector(setup32):
@@ -848,7 +840,7 @@ def test_global_bordered_assembly_matches_bmat_oracle(channel_setup):
     assert np.array_equal(patch.free_nodes(), idx)
     cols = np.arange(c.n_elements * P.nbf)
     corrector_rhs = _random_complex(np.random.default_rng(1), g.n_nodes)
-    gspace = cem.build_global_space(forms, P, loads=corrector_rhs)
+    gspace = oracles.build_global_space(forms, P, loads=corrector_rhs)
     vals = np.column_stack([oracles.fine_trial(gspace).toarray(), gspace.corrector])
     ref = _bmat_oracle(forms, P, idx, elements, cols, extra_rhs=corrector_rhs[:, None])
     assert np.abs(vals - ref).max() <= 1e-10 * np.abs(ref).max()
@@ -928,12 +920,36 @@ def test_generated_domain_patch_space_equals_global_space(cfg):
     f, gd = _random_complex(rng, g.n_nodes), _random_complex(rng, g.n_nodes)
     blocks = element_loads(g, c, f, gd)
     space = cem.build_space(forms, P, c.NH - 1, cfg["strict"], load_blocks=blocks)
-    gspace = cem.build_global_space(
+    gspace = oracles.build_global_space(
         forms, P, loads=forms.M @ f + forms.Mb @ gd, strict_zero_trace=cfg["strict"]
     )
     for loc, glo in ((oracles.fine_trial(space).toarray(), oracles.fine_trial(gspace).toarray()),
                      (space.corrector, gspace.corrector)):
         assert np.abs(loc - glo).max() <= 1e-10 * np.abs(glo).max()
+
+
+@seed(15)
+@given(cfg=configurations(), data=st.data())
+def test_generated_decay_tails_are_the_energies_outside(cfg, data):
+    # each tail is w^H K_out w, with K_out assembled over the cells outside
+    # the patch, plus |pi w|_s^2 over the elements outside it, to 1e-12; and
+    # exactly 0.0 where the patch covers the domain
+    rng, g, c, forms, P = _generated_setup(cfg)
+    j = data.draw(st.integers(0, c.n_elements - 1), label="j")
+    i = data.draw(st.integers(0, P.nbf - 1), label="i")
+    m_list = list(range(c.NH + 1))
+    tails, _ = cem.measure_decay(j, i, forms, P, m_list)
+    w = cem.local_cem_solve(j, c.NH - 1, forms, P)[0][:, i]
+    s_parts = np.sum(np.abs(oracles.pi_coeffs(P, w)) ** 2, axis=1)
+    for m, tail in zip(m_list, tails):
+        patch = oversample(c, j, m)
+        if oracles.covers_domain(patch):
+            assert tail == 0.0
+            continue
+        outside = np.setdiff1d(np.arange(c.n_elements), patch.elements)
+        K_out = oracles.assemble_stiffness(g, forms.medium, c.element_cells[outside].ravel())
+        ref = float(np.real(np.vdot(w, K_out @ w))) + s_parts[outside].sum()
+        assert abs(tail - ref) <= 1e-12 * ref
 
 
 # the examples of seed 10 hold a rank-deficient trial matrix (nx = 2, NH = 2,
@@ -972,14 +988,12 @@ def test_generated_sparse_coarse_solve(cfg, data):
         assert np.linalg.norm(c_sparse - c_dense) <= 1e-10 * np.linalg.norm(c_dense)
     resid = space.trial.T @ (loads - forms.B @ u)
     assert np.linalg.norm(resid) <= 1e-10 * np.linalg.norm(space.trial.T @ loads)
-    # built above DENSE_LIMIT, under one or three workers, the space stores
-    # only G's near field: its lower triangle is that of the product's near
-    # field to 1e-12 and complex64's rounding, it is exactly symmetric and
-    # G_norm is its largest row sum; the solve applies the whole G
-    # matrix-free and gives the coefficients of the whole G's dense solve,
-    # and every batch's data interiors are bitwise those of the per-element
-    # product
-    workers = data.draw(st.sampled_from([1, 3]), label="workers")
+    # built above DENSE_LIMIT, the space stores only G's near field: its
+    # lower triangle is that of the product's near field to 1e-12 and
+    # complex64's rounding, it is exactly symmetric and G_norm is its largest
+    # row sum; the solve applies the whole G matrix-free and gives the
+    # coefficients of the whole G's dense solve, and every batch's data
+    # interiors are bitwise those of the per-element product
     finish_batch, finished = cem._finish_batch, []
 
     def checked(cond, layout, js, sources, solved):
@@ -990,7 +1004,6 @@ def test_generated_sparse_coarse_solve(cfg, data):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cem, "DENSE_LIMIT", 0)
-        mp.setattr(cem, "_g_workers", lambda: workers)
         mp.setattr(cem, "_finish_batch", checked)
         near = cem.build_space(forms, spectral.build_projection(forms, P.nbf), m, cfg["strict"],
                                load_blocks=element_loads(g, c, f, gd))
@@ -1153,8 +1166,8 @@ def test_build_space_logs_patch_work(caplog, monkeypatch):
     # online), in how many batches, their skeleton unknowns, the summed L+U
     # fill of their LUs, and the element products G was formed from with
     # their reach, the G entries stored, the seconds spent forming the
-    # products and the final wait; then, offline, the seconds the G workers
-    # ran in all and the seconds the patch loop waited for them (none
+    # products and the final wait; then, offline, the seconds the G worker
+    # ran in all and the seconds the patch loop waited for it (none
     # online, where each batch is finished inline); then the layouts the
     # call built, those it took from the space's plan, the plan's bytes and
     # the seconds spent ordering and building or taking the layouts; last,
@@ -1352,7 +1365,7 @@ def test_layout_plan_is_compact_shared_and_freed_with_its_space():
     assert plan.nbytes == sum(a.nbytes for packed in plan.values() for a in packed[2:])
     # the spaces of later sources share the plan, the global space has none
     second, system, _ = _three_calls(forms, P, 1, _bump_source(g, (0.7, 0.7), 0.2), zero)
-    assert second.layouts is plan and cem.build_global_space(forms, P).layouts is None
+    assert second.layouts is plan and oracles.build_global_space(forms, P).layouts is None
     kept = weakref.ref(plan)
     del plan, P, first
     gc.collect()
@@ -1445,7 +1458,7 @@ def test_coarse_matrix_is_csr(setup32):
     # the format G's row strips stack into without a copy
     g, c, forms, P = setup32
     loads = np.ones(g.n_nodes, dtype=complex)
-    for space in (cem.build_space(forms, P, 1), cem.build_global_space(forms, P)):
+    for space in (cem.build_space(forms, P, 1), oracles.build_global_space(forms, P)):
         assert cem.assemble_coarse(space, forms, loads).G.format == "csr"
 
 
@@ -1466,7 +1479,7 @@ def test_spaces_from_one_cache_keep_independent_correctors():
 def test_shared_trial_and_coarse_matrix_are_read_only(setup32):
     g, c, forms, P = setup32
     space = cem.build_space(forms, P, 1)
-    for s in (space, cem.build_global_space(forms, P)):
+    for s in (space, oracles.build_global_space(forms, P)):
         lu, piv, _ = s.G_lu
         stored = (s.trial.skeleton, s.trial.exceptions, s.G)
         for arr in [*(getattr(A, name) for A in stored for name in ("data", "indices", "indptr")),
@@ -1532,7 +1545,7 @@ def test_trial_and_coarse_matrix_freed_with_projection_and_spaces():
     assert all(ref() is None for ref in kept)
 
 
-# --- the streamed offline build: G from element products on worker threads
+# --- the streamed offline build: G from element products on a worker thread
 
 
 def _g_oracle(forms, space):
@@ -1585,22 +1598,18 @@ def _assert_mirrored_product(forms, space):
 @given(cfg=configurations(), data=st.data())
 def test_generated_streamed_coarse_matrix_is_the_one_product(cfg, data):
     # every lower entry of G is that of (B Psi)^T Psi to 1e-12, and G is
-    # bitwise the same whatever the number of workers
+    # bitwise the same in a second build, whatever the worker's timing
     c = _generated_coarse(cfg)
     m = data.draw(st.integers(0, cfg["NH"]), label="m")
     assume(all(oversample(c, j, m).free_nodes(cfg["strict"]).size for j in range(c.n_elements)))
     rng, g, c, forms, P = _generated_setup(cfg, c)
-    spaces = []
-    for workers in (3, 1):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(cem, "_g_workers", lambda: workers)
-            spaces.append(cem.build_space(forms, spectral.build_projection(forms, P.nbf), m,
-                                          cfg["strict"]))
+    spaces = [cem.build_space(forms, spectral.build_projection(forms, P.nbf), m, cfg["strict"])
+              for _ in range(2)]
     for space in spaces:
         _assert_mirrored_product(forms, space)
     assert _same_trial(spaces[0].trial, spaces[1].trial)
     assert _bitwise_equal(spaces[0].G, spaces[1].G)
-    gspace = cem.build_global_space(forms, P, strict_zero_trace=cfg["strict"])
+    gspace = oracles.build_global_space(forms, P, strict_zero_trace=cfg["strict"])
     _assert_mirrored_product(forms, gspace)
 
 
@@ -1630,7 +1639,7 @@ def test_generated_element_products_are_the_product(cfg, data):
             _assert_close_lower(whole, ref)
         else:
             _assert_close_lower(space.G, ref)
-    gspace = cem.build_global_space(forms, P, strict_zero_trace=cfg["strict"])
+    gspace = oracles.build_global_space(forms, P, strict_zero_trace=cfg["strict"])
     assert (gspace.G != gspace.G.T).nnz == 0
     _assert_close_lower(gspace.G, _g_oracle(forms, gspace))
 
@@ -1944,15 +1953,14 @@ def test_wide_row_batches_match_local_solves(contrast, strict, monkeypatch):
     _assert_mirrored_product(forms, offline)
 
 
-def test_strips_under_many_workers_and_fast_switching(monkeypatch):
-    # more workers than cores and a short switch interval: whichever thread
-    # finishes each batch or forms each element row's products and G's
-    # lower strips, and however far the patch loop runs ahead of them, the
-    # trial matrix, G and the corrector of a loaded build are the same
+def test_strips_under_fast_switching(monkeypatch):
+    # a short switch interval: however the worker's finishing of each batch
+    # and its element row products and G's lower strips interleave with the
+    # patch loop, and however far the loop runs ahead of them, the trial
+    # matrix, G and the corrector of a loaded build are the same
     g, c, forms, P = make_setup(nx=32, NH=8, nbf=2)
     rng = np.random.default_rng(3)
     blocks = element_loads(g, c, _random_complex(rng, g.n_nodes), _random_complex(rng, g.n_nodes))
-    monkeypatch.setattr(cem, "_g_workers", lambda: 1)
     ref = cem.build_space(forms, P, 1, load_blocks=blocks)
     # in the last build the products of element row 0, which the end of
     # patch row 2 releases (m = 1), start only once the patch loop solves
@@ -1983,11 +1991,9 @@ def test_strips_under_many_workers_and_fast_switching(monkeypatch):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        for workers in (1, 3, 6, 6, None):
-            if workers is None:
-                workers = 6
+        for hold in (False, True):
+            if hold:
                 held.append(True)
-            monkeypatch.setattr(cem, "_g_workers", lambda: workers)
             space = cem.build_space(forms, spectral.build_projection(forms, P.nbf), 1,
                                     load_blocks=blocks)
             assert _same_trial(space.trial, ref.trial)
@@ -2010,7 +2016,7 @@ def test_coarse_matrix_norm_computed_once_per_space(system_nh6, monkeypatch):
     row_sums = np.bincount(rows, weights=np.abs(G.data), minlength=G.shape[0])
     assert space.G_norm == row_sums.max()
     assert system.G_norm == space.G_norm
-    gspace = cem.build_global_space(forms, spectral.build_projection(forms, space.nbf))
+    gspace = oracles.build_global_space(forms, spectral.build_projection(forms, space.nbf))
     assert gspace.G_norm == cem._inf_norm(gspace.G)
 
     def not_again(G):

@@ -83,7 +83,6 @@ def test_patch_m0_is_element():
     c = build_coarse_grid(g, 4)
     p = oversample(c, 5, 0)
     assert np.array_equal(p.elements, [5])
-    assert np.array_equal(np.sort(p.cells), np.sort(c.element_cells[5]))
 
 
 def test_patch_interior_m1_has_9_elements():
@@ -151,19 +150,17 @@ def test_invalid_element():
 
 
 def _meshgrid_patch(coarse, I_lo, I_hi, J_lo, J_hi):
-    # reference construction: index grids of elements, cells and nodes
+    # reference construction: index grids of elements and nodes
     r, fine = coarse.ratio, coarse.fine
     I, J = np.meshgrid(np.arange(I_lo, I_hi + 1), np.arange(J_lo, J_hi + 1))
     elements = J.ravel() * coarse.NH + I.ravel()
-    CI, CJ = np.meshgrid(np.arange(I_lo * r, (I_hi + 1) * r), np.arange(J_lo * r, (J_hi + 1) * r))
-    cells = CJ.ravel() * fine.nx + CI.ravel()
     ni = np.arange(I_lo * r, (I_hi + 1) * r + 1)
     nj = np.arange(J_lo * r, (J_hi + 1) * r + 1)
     NI, NJ = np.meshgrid(ni, nj)
     nodes = NJ.ravel() * (fine.nx + 1) + NI.ravel()
     on_patch = ((NI == ni[0]) | (NI == ni[-1]) | (NJ == nj[0]) | (NJ == nj[-1])).ravel()
     on_domain = ((NI == 0) | (NI == fine.nx) | (NJ == 0) | (NJ == fine.ny)).ravel()
-    return elements, cells, nodes, on_patch, on_domain
+    return elements, nodes, on_patch, on_domain
 
 
 @pytest.mark.parametrize("nx, NH, m", [(12, 1, 0), (12, 3, 1), (16, 4, 2), (20, 5, 1), (24, 6, 3)])
@@ -173,9 +170,9 @@ def test_patch_fields_match_meshgrid_construction(nx, NH, m):
         p = oversample(c, j, m)
         ref = _meshgrid_patch(c, *p.I_range, *p.J_range)
         for got, want in zip(
-            (p.elements, p.cells, p.nodes, p.on_patch_boundary, p.on_domain_boundary), ref
+            (p.elements, p.nodes, p.on_patch_boundary, p.on_domain_boundary), ref
         ):
             assert got.dtype == want.dtype and np.array_equal(got, want)
         for strict in (False, True):
-            constrained = ref[3] if strict else ref[3] & ~ref[4]
-            assert np.array_equal(p.free_nodes(strict), ref[2][~constrained])
+            constrained = ref[2] if strict else ref[2] & ~ref[3]
+            assert np.array_equal(p.free_nodes(strict), ref[1][~constrained])

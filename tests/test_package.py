@@ -1,7 +1,33 @@
+import ast
 import importlib
 import pkgutil
+import tomllib
+from pathlib import Path
 
 import cemhelm
+
+PACKAGE = Path(cemhelm.__file__).parent
+ROOT = PACKAGE.parents[1]
+
+# the public names that code outside the package calls: the benchmark
+# (perfbench/run.py) and tools/ through its solver modules, and the
+# `cemhelm` script
+ENTRY_POINTS = {
+    ("assembly", "build_forms"),
+    ("assembly", "element_loads"),
+    ("cem", "assemble_coarse"),
+    ("cem", "build_space"),
+    ("cem", "solve_multiscale"),
+    ("cli", "main"),
+    ("errors", "CemhelmError"),
+    ("grid", "build_coarse_grid"),
+    ("grid", "build_fine_grid"),
+    ("grid", "oversample"),
+    ("medium", "Medium"),
+    ("metrics", "relative_errors"),
+    ("reference", "ProblemSpec"),
+    ("spectral", "build_projection"),
+}
 
 
 def test_every_public_name_exists():
@@ -9,3 +35,53 @@ def test_every_public_name_exists():
         module = importlib.import_module(f"cemhelm.{info.name}")
         missing = [name for name in getattr(module, "__all__", []) if not hasattr(module, name)]
         assert not missing, (info.name, missing)
+
+
+def _public(tree):
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__"
+                                                for t in node.targets):
+            return [elt.value for elt in node.value.elts]
+    return []
+
+
+def _defines(node, name):
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return node.name == name
+    return isinstance(node, ast.Assign) and any(getattr(t, "id", None) == name
+                                                for t in node.targets)
+
+
+def _references(node):
+    """The names read in `node`: plain names and attributes (not imports,
+    strings or comments)."""
+    return ({n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+            | {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)})
+
+
+def test_every_public_name_is_used_or_an_entry_point():
+    # a public name that only the tests use belongs in tests/oracles.py
+    trees = {path.stem: ast.parse(path.read_text()) for path in PACKAGE.glob("*.py")}
+    unused = []
+    for module, tree in sorted(trees.items()):
+        for name in _public(tree):
+            if (module, name) in ENTRY_POINTS:
+                continue
+            if not any(name in _references(node) for other, t in trees.items() for node in t.body
+                       if not (other == module and _defines(node, name))):
+                unused.append(f"{module}.{name}")
+    assert unused == []
+
+
+def test_entry_points_are_called_from_outside():
+    # the benchmark and the tools reach the solver modules as `sv.<module>.<name>`
+    called = set()
+    for path in [ROOT / "perfbench" / "run.py", *sorted((ROOT / "tools").glob("*.py"))]:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Attribute):
+                called.add((node.value.attr, node.attr))
+    scripts = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["scripts"]
+    for target in scripts.values():
+        module, name = target.split(":")
+        called.add((module.removeprefix("cemhelm."), name))
+    assert ENTRY_POINTS <= called, ENTRY_POINTS - called
