@@ -153,41 +153,41 @@ or taking the layouts; offline, the condensed trial's stored entries and
 bytes.  The dense LU of G logs its own line with its rcond.
 
 The basis vectors decay exponentially away from their element, and so do
-the entries of G.  A coarse system larger than DENSE_LIMIT is therefore
-solved by flexible GMRES on G (`kernels.fgmres`), preconditioned by the
-sparse LU of its near field, the entries between elements within
-Chebyshev distance NEAR_FIELD, which holds a sixth of G's entries and a
-quarter of its LU fill at H = 1/40, m = 3.  That LU only preconditions, so
-it is formed in single precision: the same fill in about half the memory,
-while GMRES iterates in double precision.  A space of that size stores
-only the near field, in complex64, and SuperLU reads its CSR arrays as
-CSC, uncopied; GMRES applies the whole G matrix-free, as Psi^T (B (Psi
-x)) (`_MatrixFreeG`) with the condensed trial products, and with the
-preconditioned vectors upcast to complex128.
+the entries of G.  `build_space` fixes, once, the regime the coarse system
+is solved in (`MultiscaleSpace.near_field`), and `solve_multiscale` has one
+path per regime.  A space of at most DENSE_LIMIT dofs keeps G's dense LU
+with its reciprocal condition estimate, and each solve back-substitutes
+with it, refusing a G singular to working precision, as linearly
+dependent trial vectors make it.  A larger space is solved by flexible
+GMRES on G (`kernels.fgmres`), preconditioned by the sparse LU of its near
+field, the entries between elements within Chebyshev distance NEAR_FIELD,
+which holds a sixth of G's entries and a quarter of its LU fill at
+H = 1/40, m = 3.  That LU only preconditions, so it is formed in single
+precision: the same fill in about half the memory, while GMRES iterates in
+double precision.  Such a space stores only the near field, in complex64,
+and SuperLU reads its CSR arrays as CSC, uncopied; GMRES applies the whole
+G matrix-free, as Psi^T (B (Psi x)) (`_MatrixFreeG`) with the condensed
+trial products, and with the preconditioned vectors upcast to complex128.
 GMRES stops when its Arnoldi estimate of the relative residual reaches
 1e-13 (at 1e-12 small generated systems missed a 1e-10 agreement with the
 dense solve; 1e-14 lies below the true residual's rounding floor on
 contrast-1e-3 channels at H = 1/40, m = 3).  When it does not get there
 in two cycles of 100 iterations, or the near field is beyond single
-precision's range (cast, an entry turns infinite), its LU singular or a
-preconditioned vector not finite,
-the near-field LU is dropped, and the whole G, formed in double by the
-element products at reach 2m + 1 (`_whole_g`) if the space stores only
-its near field, is solved by its own double LU.
-The GMRES logs at DEBUG its iterations, its flag, the operator it applied,
-the preconditioner's precision and L+U fill and its last residual
-estimate.  Up to DENSE_LIMIT dofs the space keeps G's dense LU with its
-reciprocal condition estimate, and the solve refuses a G singular to
-working precision, as linearly dependent trial vectors make it; a
-hand-made system is factorized when solved.  GMRES does not check.
-Either branch, dense or sparse, ends with a backward error guard: a
-solution with |G c - b| > 1e-10 (|G| |c| + |b|), in max norms, raises
+precision's range (cast, an entry turned infinite), its LU singular or a
+preconditioned vector not finite, the near-field LU is dropped, and the
+whole G, formed in double by the element products at reach 2m + 1
+(`_whole_g`), is solved by its own double LU.  GMRES does not check for a
+singular G.  The GMRES logs at DEBUG its iterations, its flag, the
+preconditioner's precision and L+U fill and its last residual estimate.
+Either regime ends with a backward error guard: a solution with
+|G c - b| > 1e-10 (|G| |c| + |b|), in max norms, raises
 SingularCoarseSystem instead of returning a field.  Its residual applies
-the whole G; its scale |G| is |G|_inf of the stored G in double, formed
-once per space, which for a near-field space is |G_near|_inf, a lower
-bound of |G|_inf, so the guard can only be stricter.  It logs at DEBUG the
-backward error and the relative residual |b - G c|_2 / |b|_2 of the same
-residual, the measured counterpart of GMRES's estimate.
+the whole G; its scale |G| is the space's |G|_inf of the stored G in
+double, formed once per space, which for a near-field space is
+|G_near|_inf, a lower bound of |G|_inf, so the guard can only be stricter.
+It logs at DEBUG the backward error and the relative residual
+|b - G c|_2 / |b|_2 of the same residual, the measured counterpart of
+GMRES's estimate.
 """
 
 import csv
@@ -767,7 +767,8 @@ def _solve_now(cond, layout, js, m, sources, n_cols):
 
 
 def local_cem_solve(j, m, forms, P, strict_zero_trace=False):
-    """All nbf trial vectors of element j on its m-layer patch, zero-extended."""
+    """All nbf trial vectors of element j on its m-layer patch (`grid.oversample`),
+    zero-extended."""
     cond = _condense(forms, P)
     rows, vals = _solve_now(
         cond, _skeleton_layout(cond, forms.coarse, j, m, strict_zero_trace), [j], m,
@@ -775,7 +776,7 @@ def local_cem_solve(j, m, forms, P, strict_zero_trace=False):
     )
     psi = np.zeros((forms.grid.n_nodes, P.nbf), dtype=complex)
     psi[rows[0]] = vals[0]
-    return psi, oversample(forms.coarse, j, m)
+    return psi
 
 
 def _stacked(A, stack):
@@ -877,15 +878,16 @@ class MultiscaleSpace:
     p = j*nbf + i: stored on the element rims and applied as `trial @ x`
     and `trial.T @ y`; the fine trial matrix is never formed.
 
+    `near_field`, fixed by `build_space` (a space of more than DENSE_LIMIT
+    dofs), is the regime its coarse system is solved in (`solve_multiscale`).
     `G` is the coarse matrix Psi^T B Psi of `forms.B`, summed from element
     products of the condensed trial (`_ElementProducts`), in complex128, or,
-    with `near_field` (a space of more than DENSE_LIMIT dofs, see
-    `build_space`), only its near field, the entries between elements
+    with `near_field`, only its near field, the entries between elements
     within Chebyshev distance NEAR_FIELD, in complex64.  `G_norm` is the
-    max-norm |G|_inf of the stored G in double (see `_inf_norm`), so in
-    the near-field case |G_near|_inf before the cast; `G_lu` is G's
-    dense LU (lu, piv, rcond) of `_dense_lu` for a space of at most
-    DENSE_LIMIT dofs, formed once with G, and None above; `condensation` is
+    max-norm |G|_inf of the stored G in double, so in the near-field case
+    |G_near|_inf before the cast; `G_lu` is G's dense LU (lu, piv, rcond)
+    of `_dense_lu`, formed once with G, for a space that is not
+    `near_field`, and None for one that is; `condensation` is
     the element condensation the patch solves read, and `layouts` the
     compact layout of each shape class (`_LayoutPlan`, ~3.3 MB at
     H = 1/10, m = 2 on 120 x 120 cells, ~0.7 MB at H = 1/40, m = 3), from
@@ -940,18 +942,13 @@ def _read_only(A):
     return A
 
 
-def _inf_norm(G):
-    """|G|_inf, the largest absolute row sum of G, sparse in any format or dense."""
-    return (abs(G) @ np.ones(G.shape[1])).max()
-
-
 def _new_space(forms, m, strict_zero_trace, trial, G, G_norm, corrector, condensation,
                layouts, near_field):
     """The space of a newly built `CondensedTrial` (frozen already) and its
-    G with |G|_inf `G_norm` (see `_ElementProducts`): freezes G and, up to
-    DENSE_LIMIT dofs, factorizes it once (`_dense_lu`)."""
+    G with |G|_inf `G_norm` (see `_ElementProducts`): freezes G and, unless
+    the space is `near_field`, factorizes it once (`_dense_lu`)."""
     G = _read_only(G)
-    G_lu = _dense_lu(G) if G.shape[0] <= DENSE_LIMIT else None
+    G_lu = None if near_field else _dense_lu(G)
     return MultiscaleSpace(forms, m, strict_zero_trace, trial, G, G_norm, G_lu,
                            condensation, layouts, near_field, corrector)
 
@@ -973,6 +970,14 @@ def _symmetric(L):
     return L + _kept(L, strict).T.tocsr()  # the strict part's copy goes before the sum
 
 
+def _single(A):
+    """The CSR matrix A in complex64 on A's own indices and indptr; an
+    entry beyond single precision's range turns infinite."""
+    with np.errstate(over="ignore"):
+        data = A.data.astype(np.complex64)
+    return type(A)((data, A.indices, A.indptr), shape=A.shape)
+
+
 def _add_row_sums(sums, strip, magnitude, first):
     """Add the lower strip `strip` (rows first, first + 1, ...), whose
     entries have the magnitudes `magnitude` in double, to the row sums
@@ -980,8 +985,8 @@ def _add_row_sums(sums, strip, magnitude, first):
     are summed afresh, then each strict entry is added to the sum of its
     column, in strip order.  Added strip by strip from the first, row i sums
     its entries in L and then those of column i of L's strict part by
-    increasing row, G's order of row i, so each sum is bitwise that of
-    `_inf_norm` of G in double."""
+    increasing row, G's order of row i, so each sum is bitwise G's largest
+    absolute row sum formed from G in double."""
     n = strip.shape[0]
     rows = np.repeat(np.arange(first, first + n), np.diff(strip.indptr))
     sums[first:first + n] = np.bincount(rows - first, weights=magnitude, minlength=n)
@@ -1451,7 +1456,7 @@ def build_space(forms, P, m, strict_zero_trace=False, load_blocks=None):
         return replace(space, corrector=corrector)
     P.space = space = None  # the previous trial, G, LU, condensation and plan go first
     cond = _condense(forms, P)
-    near_field = coarse.n_elements * P.nbf > DENSE_LIMIT  # the branch of `solve_multiscale`
+    near_field = coarse.n_elements * P.nbf > DENSE_LIMIT  # the regime of `solve_multiscale`
     trial, G, G_norm, corrector, layouts = _solve_patches(
         cond, forms, P, m, strict_zero_trace, load_blocks, near_field=near_field
     )
@@ -1477,44 +1482,25 @@ def _whole_g(space):
 class _MatrixFreeG:
     """The whole coarse matrix G = Psi^T B Psi of a near-field space,
     applied as Psi^T (B (Psi x)) without forming it (B is complex
-    symmetric), with the products of the `CondensedTrial` Psi; `tocsr`
-    forms it by element products (`_whole_g`), as a sparse matrix's
-    `tocsr` returns the matrix itself."""
+    symmetric), with the products of the `CondensedTrial` Psi."""
 
     def __init__(self, space):
-        self.B, self.trial, self._space = space.forms.B, space.trial, space
+        self.B, self.trial = space.forms.B, space.trial
         self.shape = (space.trial.shape[1], space.trial.shape[1])
 
     def __matmul__(self, x):
         return self.trial.T @ (self.B @ (self.trial @ x))
 
-    def tocsr(self):
-        return _whole_g(self._space)
-
 
 @dataclass
 class CoarseSystem:
-    """G c = b; `G_norm` is |G|_inf of the stored `G` in double, the space's
-    when `assemble_coarse` made the system (for a near-field space, of its
-    near field before the cast), else computed here from G upcast to
-    complex128, and `G_lu` the space's dense LU of G (see
-    `MultiscaleSpace`), which the dense solve reuses; a system without one
-    is factorized when solved.  A hand-made
-    system's G may be sparse in any format or dense, and is the system's
-    matrix.  For a near-field space (see `MultiscaleSpace`) `G` holds only
-    the near field, and `operator` (a `_MatrixFreeG`) carries the action of
-    the whole G, which the coarse solve and its guard apply."""
+    """G c = b of a space, made by `assemble_coarse`: `G` is the space's
+    stored G (for a near-field space its complex64 near field, see
+    `MultiscaleSpace`) and `b` the coarse right-hand side.  How the
+    system is solved is the space's to decide (`solve_multiscale`)."""
 
     G: sp.csr_matrix
     b: np.ndarray
-    nbf: int
-    G_norm: float = None
-    operator: _MatrixFreeG = None
-    G_lu: tuple = None
-
-    def __post_init__(self):
-        if self.G_norm is None:  # in double, whatever G's precision
-            self.G_norm = _inf_norm(self.G.astype(complex, copy=False))
 
     @property
     def n(self):
@@ -1526,10 +1512,9 @@ def assemble_coarse(space, forms, loads):
 
     With psi*_p = conj(psi_p) the pairing collapses to psi_p^T B psi_q, so
     G = Psi^T B Psi is complex symmetric; the system stores the space's own
-    G (see `build_space`) and, for a near-field space, applies the whole G
-    matrix-free.  The rhs is Psi^T (fine loads), minus Psi^T B q when the
-    space carries a data corrector q.  `forms` must be the object the space
-    was built from.
+    G (see `build_space`).  The rhs is Psi^T (fine loads), minus Psi^T B q
+    when the space carries a data corrector q.  `forms` must be the object
+    the space was built from.
     """
     if forms is not space.forms:
         raise DimensionMismatch("forms differ from the forms the space was built from")
@@ -1542,58 +1527,35 @@ def assemble_coarse(space, forms, loads):
     if space.corrector is not None:
         rhs_fine = rhs_fine - forms.B @ space.corrector
     b = space.trial.T @ rhs_fine
-    operator = _MatrixFreeG(space) if space.near_field else None
-    return CoarseSystem(space.G, np.asarray(b).ravel(), space.nbf, space.G_norm, operator,
-                        space.G_lu)
+    return CoarseSystem(space.G, np.asarray(b).ravel())
 
 
-def _near_field(G, NH, nbf):
-    """The entries of the CSR or CSC matrix G whose two coarse dofs'
-    elements lie within Chebyshev distance NEAR_FIELD, in G's format.
-    Element e of coarse dof p is p // nbf, at position (e % NH, e // NH)."""
-    e = np.repeat(np.arange(G.indptr.size - 1, dtype=G.indices.dtype) // nbf, np.diff(G.indptr))
-    f = G.indices // nbf
-    near = (np.abs(e % NH - f % NH) <= NEAR_FIELD) & (np.abs(e // NH - f // NH) <= NEAR_FIELD)
-    return _kept(G, near)
-
-
-def _single(A):
-    """The CSR or CSC matrix A in complex64 on A's own indices and indptr,
-    and on A's data too when A is complex64 already; an entry beyond single
-    precision's range turns infinite."""
-    with np.errstate(over="ignore"):
-        data = A.data.astype(np.complex64, copy=False)
-    return type(A)((data, A.indices, A.indptr), shape=A.shape)
-
-
-def _near_field_solve(G, A, b, NH, nbf):
-    """Solve A c = b by flexible GMRES preconditioned with the complex64 LU
-    of the near field of G (CSR or CSC), or, when it does not converge, the
-    near field is beyond single precision's range or its LU is singular or
-    gives a non-finite output, by the LU of A.  A is G, whose near field is
-    cast, or, when G is a near-field space's stored complex64 near field,
-    the `_MatrixFreeG` of the whole G, which the fallback assembles; that G
-    is exactly symmetric, so G.T (its CSR arrays as CSC) is G, factorized
-    on its stored data, indices and indptr, uncopied."""
+def _near_field_solve(space, A, b):
+    """Solve A c = b, A the `_MatrixFreeG` of the near-field space `space`,
+    by flexible GMRES preconditioned with the LU of the space's complex64
+    near field, or, when it does not converge, the near field is beyond
+    single precision's range or its LU is singular or gives a non-finite
+    output, by the double LU of the whole G (`_whole_g`).  The stored near
+    field is exactly symmetric, so its transpose (its CSR arrays as CSC) is
+    itself, factorized on its stored data, indices and indptr, uncopied."""
+    n = A.shape[0]
     try:
-        near = _single(_near_field(G, NH, nbf) if A is G else G.T)
+        near = space.G.T
         if not np.isfinite(near.data).all():
             raise SingularMatrix("near field beyond single precision's range")
-        F, near = kernels.factorize(near), None  # a cast copy goes once factorized
+        F = kernels.factorize(near)
         c, info, iterations, estimate = kernels.fgmres(A, b, F.solve, 1e-13, restart=100,
                                                        maxiter=2)
     except SingularMatrix as exc:  # of the factorization or a preconditioner solve
         info = None
-        log.debug("coarse near-field preconditioner on %d dofs failed: %s", G.shape[0], exc)
+        log.debug("coarse near-field preconditioner on %d dofs failed: %s", n, exc)
     else:
-        log.debug("coarse GMRES on %d dofs: %d iterations, info %d, applying %s, "
-                  "preconditioner %s LU with %d L+U entries, residual estimate %.2e",
-                  G.shape[0], iterations, info,
-                  "the assembled G" if A is G else "the matrix-free Psi^T B Psi",
-                  F.dtype, F.fill, estimate)
+        log.debug("coarse GMRES on %d dofs: %d iterations, info %d, applying the matrix-free "
+                  "Psi^T B Psi, preconditioner %s LU with %d L+U entries, residual estimate "
+                  "%.2e", n, iterations, info, F.dtype, F.fill, estimate)
     if info != 0:
-        near = F = None  # free the near field's cast and LU before factorizing all of G
-        c = kernels.factorize(A.tocsr()).solve(b)
+        F = None  # free the near field's LU before factorizing all of G
+        c = kernels.factorize(_whole_g(space)).solve(b)
     return c
 
 
@@ -1612,14 +1574,12 @@ def _dense_lu(A):
     return lu, piv, rcond
 
 
-def _dense_solve(A, b, G_lu=None):
-    """Solve A c = b, A sparse, by the dense LU `G_lu` of A (`_dense_lu`),
-    formed here when None; raise SingularMatrix when A is singular to
-    working precision, its LU's reciprocal condition estimate below the
-    machine epsilon."""
-    source = "the system's own LU" if G_lu is None else "the space's LU"
-    lu, piv, rcond = _dense_lu(A) if G_lu is None else G_lu
-    log.debug("coarse dense solve on %d dofs by %s, rcond %.2e", A.shape[0], source, rcond)
+def _dense_solve(G_lu, b):
+    """Solve G c = b by the dense LU `G_lu` of G (`_dense_lu`); raise
+    SingularMatrix when G is singular to working precision, its LU's
+    reciprocal condition estimate below the machine epsilon."""
+    lu, piv, rcond = G_lu
+    log.debug("coarse dense solve on %d dofs by the space's LU, rcond %.2e", lu.shape[0], rcond)
     if not rcond >= np.finfo(float).eps:
         raise SingularMatrix(f"reciprocal condition estimate {rcond:.2e}")
     getrs = get_lapack_funcs("getrs", (lu, b))
@@ -1644,57 +1604,49 @@ def _check_backward_error(A, b, c, scale, diag):
         )
 
 
-def solve_multiscale(system, space, forms=None):
+def solve_multiscale(system, space, forms):
     """Coefficients and fine-grid expansion of the multiscale solution.
 
-    The system's matrix is its G, in complex128 (a hand-made system of a
-    near-field space's complex64 G is upcast), or, when G holds only the
-    near field of a near-field space, the whole G applied matrix-free
-    (`CoarseSystem`).  Up
-    to DENSE_LIMIT coarse dofs, it is solved by a dense LU: the space's,
-    which `assemble_coarse` passes on, or else one formed here (a
-    near-field system first assembles its whole G).  Larger systems are
-    solved by flexible GMRES (restart 100, at most two cycles) until its
-    estimate of |G c - b|_2 / |b|_2 reaches 1e-13, preconditioned by the
-    single-precision sparse LU of G's near field: its entries between
-    coarse elements within Chebyshev distance NEAR_FIELD.  If GMRES does not
-    converge, or that LU cannot be formed or applied in single precision,
-    the near-field LU is dropped and the whole G, formed by element
-    products (`_whole_g`) when the system stores only its near field, is
-    solved by its own double sparse LU.
-    SingularCoarseSystem is raised
-    for a G singular to working precision in the dense branch
-    (`_dense_solve`; GMRES does not check, and returns coefficients of the
-    one field), for an exactly singular G in the sparse branch (a singular
-    near field only sends the solve to G's LU), and, in either, for a solution whose backward error
-    |G c - b| / (|G| |c| + |b|), in max norms, exceeds 1e-10, with |G| the
-    system's `G_norm` (|G_near|_inf for a near-field system, which only
-    makes the guard stricter).  The dense LU used (the space's or the
-    system's own) with its reciprocal condition estimate, the GMRES
-    iteration count, the operator GMRES applied, its preconditioner's
-    precision and fill, its residual estimate, the backward error and the
-    relative residual |b - G c|_2 / |b|_2 are
-    logged at DEBUG.
+    `system` is the space's (`assemble_coarse`) and `forms` the object the
+    space was built from; DimensionMismatch is raised otherwise.  The space
+    fixed at its build how G is solved (`MultiscaleSpace.near_field`):
+
+    - a space of at most DENSE_LIMIT coarse dofs back-substitutes with the
+      dense LU of G it keeps, and refuses a G singular to working precision
+      (`_dense_solve`);
+    - a near-field space solves the whole G, applied matrix-free, by
+      flexible GMRES (restart 100, at most two cycles) until its estimate of
+      |G c - b|_2 / |b|_2 reaches 1e-13, preconditioned by the
+      single-precision sparse LU of its stored near field.  If GMRES does
+      not converge, or that LU cannot be formed or applied, the whole G is
+      formed by element products (`_whole_g`) and solved by its double
+      sparse LU, which refuses an exactly singular G.  GMRES does not check,
+      and returns coefficients of the one field.
+
+    Either regime ends with the backward error guard: SingularCoarseSystem
+    is raised for a solution whose |G c - b| / (|G| |c| + |b|), in max
+    norms, exceeds 1e-10, with |G| the space's `G_norm` (|G_near|_inf for a
+    near-field space, which only makes the guard stricter).  That refusal
+    and a singular G's name k*H/eps.  The dense LU's reciprocal condition
+    estimate, the GMRES iteration count, its preconditioner's precision and
+    fill, its residual estimate, the backward error and the relative
+    residual |b - G c|_2 / |b|_2 are logged at DEBUG.
     """
-    G, b = sp.csr_matrix(system.G), system.b
-    if system.operator is None:  # the system's matrix is G, in double
-        A = G = G.astype(complex, copy=False)
-    else:
-        A = system.operator
-    diag = ""
-    if forms is not None:
-        khe = forms.k * forms.coarse.H / forms.medium.epsilon
-        diag = f" (k*H/eps = {khe:.3g}; check resolution/oversampling)"
+    if forms is not space.forms:
+        raise DimensionMismatch("forms differ from the forms the space was built from")
+    if system.G is not space.G:
+        raise DimensionMismatch("coarse system was not assembled from this space")
+    b = system.b
+    khe = forms.k * forms.coarse.H / forms.medium.epsilon
+    diag = f" (k*H/eps = {khe:.3g}; check resolution/oversampling)"
+    A = _MatrixFreeG(space) if space.near_field else space.G
     try:
-        if G.shape[0] <= DENSE_LIMIT:
-            c = _dense_solve(A.tocsr(), b, system.G_lu)
-        else:
-            c = _near_field_solve(G, A, b, space.forms.coarse.NH, system.nbf)
+        c = _near_field_solve(space, A, b) if space.near_field else _dense_solve(space.G_lu, b)
     except SingularMatrix as exc:
         raise SingularCoarseSystem(f"coarse system is singular{diag}: {exc}") from exc
     if not np.all(np.isfinite(c)):
         raise SingularCoarseSystem("coarse solve produced non-finite coefficients")
-    _check_backward_error(A, b, c, system.G_norm, diag)
+    _check_backward_error(A, b, c, space.G_norm, diag)
     u = np.asarray(space.trial @ c).ravel()
     if space.corrector is not None:
         u = u + space.corrector
@@ -1712,7 +1664,7 @@ def measure_decay(j, i, forms, P, m_list):
     """
     _check_basis(j, i, forms.coarse.n_elements, P.nbf)
     grid, coarse = forms.grid, forms.coarse
-    w = local_cem_solve(j, coarse.NH - 1, forms, P)[0][:, i]
+    w = local_cem_solve(j, coarse.NH - 1, forms, P)[:, i]
     K_loc, _ = element_matrices(grid.h, 1.0)
     w_cells = w[grid.cell_nodes]  # (cells, 4)
     a_cells = forms.medium.values * np.real(np.sum(w_cells.conj() * (w_cells @ K_loc), axis=1))

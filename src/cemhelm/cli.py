@@ -219,9 +219,9 @@ class _Pipeline:
         self.timings["basis"] = time.perf_counter() - t0
         t0 = time.perf_counter()
         system = cem.assemble_coarse(space, self.forms, self.loads)
-        u_ms, coeffs = cem.solve_multiscale(system, space, forms=self.forms)
+        u_ms, _ = cem.solve_multiscale(system, space, forms=self.forms)
         self.timings["coarse_solve"] = time.perf_counter() - t0
-        return u_ms, space, system, coeffs
+        return u_ms, space
 
     def errors(self, m):
         """Errors of the multiscale solution with m layers against the fine
@@ -229,7 +229,7 @@ class _Pipeline:
         cem.DENSE_LIMIT dofs keeps the dense LU of its G (41 MB at 1600
         dofs), which would otherwise be held through the fine solve."""
         u_ref = self.reference()
-        u_ms, space, _, _ = self.solve(m)
+        u_ms, space = self.solve(m)
         t0 = time.perf_counter()
         report = relative_errors(
             u_ref, u_ms, self.forms,

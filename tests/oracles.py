@@ -11,7 +11,6 @@ import scipy.sparse as sp
 
 from cemhelm import assembly, cem
 from cemhelm.errors import DimensionMismatch
-from cemhelm.grid import oversample
 from cemhelm.metrics import _quad
 
 
@@ -231,7 +230,7 @@ def adjoint_cem_solve(j, m, forms, P, strict_zero_trace=False):
     )
     psi = np.zeros((forms.grid.n_nodes, P.nbf), dtype=complex)
     psi[rows[0]] = vals[0]
-    return psi, oversample(forms.coarse, j, m)
+    return psi
 
 
 def fine_trial(space, widths=None):
@@ -272,3 +271,21 @@ def fine_trial(space, widths=None):
           np.concatenate([np.repeat(np.arange(trial.shape[1]), np.diff(S.indptr)),
                           np.broadcast_to(cols[:, None], interior.shape).ravel()]))),
         shape=trial.shape)
+
+
+def near_field(G, NH, nbf):
+    """The entries of the CSR or CSC matrix G whose two coarse dofs'
+    elements lie within Chebyshev distance `cem.NEAR_FIELD`, in G's format:
+    the near field a space above `cem.DENSE_LIMIT` dofs stores.  Element e
+    of coarse dof p is p // nbf, at position (e % NH, e // NH)."""
+    e = np.repeat(np.arange(G.indptr.size - 1, dtype=G.indices.dtype) // nbf, np.diff(G.indptr))
+    f = G.indices // nbf
+    near = ((np.abs(e % NH - f % NH) <= cem.NEAR_FIELD)
+            & (np.abs(e // NH - f // NH) <= cem.NEAR_FIELD))
+    return cem._kept(G, near)
+
+
+def inf_norm(G):
+    """|G|_inf, the largest absolute row sum of G, sparse in any format or
+    dense: the scale `G_norm` a space keeps for its coarse solve's guard."""
+    return (abs(G) @ np.ones(G.shape[1])).max()

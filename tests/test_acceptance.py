@@ -249,8 +249,8 @@ def test_conjugate_test_space():
     worst_adj = 0.0
     for m in (1, 2):
         for j in range(16):
-            psi, _ = cem.local_cem_solve(j, m, forms, P)
-            adj, _ = oracles.adjoint_cem_solve(j, m, forms, P)
+            psi = cem.local_cem_solve(j, m, forms, P)
+            adj = oracles.adjoint_cem_solve(j, m, forms, P)
             w = oracles.conjugate_basis(psi)
             for i in range(nbf):
                 scale = np.linalg.norm(psi[:, i])

@@ -87,7 +87,7 @@ def test_run_report_and_json(tmp_path):
     assert report["coarse_dofs"] == 16 * 2
     assert set(report["timings"]) >= {"forms", "spectral", "basis", "coarse_solve"}
     # the entries and bytes the space stores its condensed trial vectors in
-    _, space, _, _ = cli._Pipeline(cfg).solve(cfg.m)
+    _, space = cli._Pipeline(cfg).solve(cfg.m)
     assert (report["trial_entries"], report["trial_bytes"]) == (
         space.trial.nnz, space.trial.nbytes)
     assert 0 < space.trial.nnz < oracles.fine_trial(space).nnz

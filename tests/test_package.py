@@ -85,3 +85,16 @@ def test_entry_points_are_called_from_outside():
         module, name = target.split(":")
         called.add((module.removeprefix("cemhelm."), name))
     assert ENTRY_POINTS <= called, ENTRY_POINTS - called
+
+
+def test_dense_limit_is_read_only_by_build_space():
+    # the space fixes the regime of its coarse solve once, when it is built;
+    # the solve reads the regime from the space, never DENSE_LIMIT again
+    readers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            for n in ast.walk(node):
+                if (isinstance(getattr(n, "ctx", None), ast.Load)
+                        and "DENSE_LIMIT" in (getattr(n, "id", None), getattr(n, "attr", None))):
+                    readers.add((path.stem, getattr(node, "name", None)))
+    assert readers == {("cem", "build_space")}
