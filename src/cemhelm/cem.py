@@ -74,39 +74,29 @@ element.  G is (B Psi)^T Psi to rounding (5e-15 of its largest entry at
 H = 1/10, m = 2 on 120 x 120 cells), with the product's pattern there
 and at H = 1/40, m = 3.
 
-The offline build is streamed over element rows.  The main thread solves
-the patches row by row; of each batch it keeps the gather of the skeleton
-values and right-hand sides and SuperLU's factorization and solve
-(`_solve_batch`), and defers the rest to a worker thread (`_Worker`): the
-writes of the trial columns' rim values into the skeleton allotted in
-advance and into the exceptions, and the data column's interiors
-(`_finish_batch`).  The deferred tasks run one at a time, in the order
-deferred, each row's corrector sum after its batches; the main thread
-goes on at most two element rows ahead of them, so the pending
-right-hand sides stay bounded.  A column touches the
-elements within m + 1 rows of its own, so once patch row b + m + 1 is
-written the worker adds the products of element row b, in chunks whose
-V_e stay within a few MB, in double and in a fixed order, to the lower
-blocks of G's element rows, and G's row b - m - 1 is final.  G is complex
-symmetric and couples elements at most 2m + 1 rows apart (patches 2m + 1
-elements apart still meet through B where a patch edge on the domain
-boundary keeps its free nodes), so only its lower blocks within 2m + 1
-rows are summed.  Each final row's lower strip is cut from them in
-canonical CSR order, keeping the nonzero entries, and the magnitudes of
-its entries go, in double, into the row sums of |G| in G's own order.
-After the last row G, stored CSR, is completed once as the stacked strips
-L plus the transpose of L's strict part, so G is exactly symmetric and
-|G|_inf is bitwise that of the stored double G.  Above DENSE_LIMIT coarse
-dofs (the sparse regime, see below) the blocks reach only NEAR_FIELD
-rows, and each strip is cast to complex64 once cut: the space's G is the
-near field alone in single precision, with the indices and |G|_inf of
-the double near field.  The split follows the GIL: the patch loop is
-Python and small numpy calls that hold it, and SuperLU on these small
-skeletons gains nothing from a second thread, while the deferred work is
-mostly whole-array numpy copies and BLAS products, which release it.
-Every number is computed by the same call on the same inputs as on one
-thread, so the fields do not depend on the thread that computes them.
-Online solves and `local_cem_solve` finish each batch inline.
+The offline build runs on one thread, element row by element row.  Each
+batch is finished as soon as it is solved (`_solve_batch`): its trial
+columns' rim values go into the skeleton allotted in advance and into the
+exceptions, and its data columns' interiors (`_finish_batch`) are summed
+into the corrector in element order as the row ends.  A column touches
+the elements within m + 1 rows of its own, so once patch row b + m + 1 is
+written the products of element row b are added, in chunks whose V_e stay
+within a few MB, in double and in a fixed order, to the lower blocks of
+G's element rows, and G's row b - m - 1 is final.  G is complex symmetric
+and couples elements at most 2m + 1 rows apart (patches 2m + 1 elements
+apart still meet through B where a patch edge on the domain boundary
+keeps its free nodes), so only its lower blocks within 2m + 1 rows are
+summed.  Each final row's lower strip is cut from them in canonical CSR
+order, keeping the nonzero entries, and the magnitudes of its entries go,
+in double, into the row sums of |G| in G's own order.  After the last row
+G, stored CSR, is completed once as the stacked strips L plus the
+transpose of L's strict part, so G is exactly symmetric and |G|_inf is
+bitwise that of the stored double G.  Above DENSE_LIMIT coarse dofs (the
+sparse regime, see below) the blocks reach only NEAR_FIELD rows, and each
+strip is cast to complex64 once cut: the space's G is the near field alone
+in single precision, with the indices and |G|_inf of the double near
+field.  Online solves and `local_cem_solve` finish their batches the same
+way.
 
 Patch systems constrain the fine nodes on the patch boundary away from the
 domain boundary (`Patch.free_nodes`, the one free-node rule); where a patch
@@ -145,11 +135,10 @@ forms only Psi^T (b - B q), and the dense coarse solve of every source
 only back-substitutes with the space's LU.  Each `build_space` logs at
 DEBUG the patches it factorized, in how many batches, their skeleton
 unknowns and summed L+U fill; offline, the elements whose products formed
-G, the element rows G reaches, its stored entries, the seconds of the
-products, the final wait for G, the seconds the workers ran and the patch
-loop waited for them; the layouts it built, those it took from the
-space's plan, the plan's bytes and the seconds spent ordering and building
-or taking the layouts; offline, the condensed trial's stored entries and
+G, the element rows G reaches, its stored entries and the seconds of the
+products; the layouts it built, those it took from the space's plan, the
+plan's bytes and the seconds spent ordering and building or taking the
+layouts; offline, the condensed trial's stored entries and
 bytes.  The dense LU of G logs its own line with its rcond.
 
 The basis vectors decay exponentially away from their element, and so do
@@ -194,7 +183,6 @@ import csv
 import logging
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -1219,43 +1207,6 @@ class _ElementProducts:
         return _symmetric(L), self._sums.max()
 
 
-class _Worker:
-    """Tasks deferred by the patch loop, run on one worker thread in the
-    order deferred: each waits for the one before it, so a failed task
-    fails every later one."""
-
-    def __init__(self):
-        self._pool = ThreadPoolExecutor(1, thread_name_prefix="cemhelm-G")
-        self._rows, self._last = [], None  # the last task of each element row, of all
-        self.seconds = self.waited = 0.0  # running the tasks; the caller waiting for them
-
-    def _after(self, previous, fn, *args):
-        if previous is not None:
-            previous.result()
-        start = time.perf_counter()
-        try:
-            return fn(*args)
-        finally:
-            self.seconds += time.perf_counter() - start
-
-    def defer(self, fn, *args):
-        """Run fn(*args) once every task deferred before it has run."""
-        self._last = self._pool.submit(self._after, self._last, fn, *args)
-
-    def row_solved(self, lag=2):
-        """Mark the end of an element row's tasks and return once they lag
-        at most `lag` rows behind; a failed task raises here."""
-        self._rows.append(self._last)
-        if len(self._rows) > lag:
-            start = time.perf_counter()
-            self._rows[-1 - lag].result()
-            self.waited += time.perf_counter() - start
-
-    def close(self):
-        """Stop the worker: queued tasks are dropped, a running one finishes."""
-        self._pool.shutdown(wait=True, cancel_futures=True)
-
-
 def _skeleton_counts(coarse, m, strict_zero_trace, nbf, on_rim, keys):
     """Per trial column, the free nodes of its patch on element rims (its
     skeleton), counted once per shape class of `keys` (`_layout_keys`)."""
@@ -1308,17 +1259,16 @@ def _solve_patches(cond, forms, P, m, strict_zero_trace, load_blocks, plan=None,
     """Skeleton solves on the patches of every element (offline, without a
     `plan`) or of the loaded ones (online, with the `_LayoutPlan` of the
     offline build), element row by element row, in one batch per shape
-    class of a row (`_solve_batch`).
+    class of a row (`_solve_batch`), each finished before the next.
 
     Offline, each patch solves its nbf trial columns, whose rim values go
     into the `CondensedTrial`'s preallocated skeleton and its exceptions
-    (`_exception_entries`).  These writes, each element row's end and the
-    element products of G (`_ElementProducts`, its near field alone with
-    `near_field`) are deferred to the G worker (`_Worker`).  The patch of
-    an element with a nonzero load block also solves its data column, whose
-    interiors `_finish_batch` recovers, summed into the corrector in element
-    order as each element row ends.  Online, every batch is finished
-    inline.  Every patch is factorized in the nested-dissection order of
+    (`_exception_entries`), and each element row's end adds the element
+    products of G whose columns are final (`_ElementProducts`, its near
+    field alone with `near_field`).  The patch of an element with a nonzero
+    load block also solves its data column, whose interiors `_finish_batch`
+    recovers, summed into the corrector in element order as each element
+    row ends.  Every patch is factorized in the nested-dissection order of
     its class's layout (`_skeleton_layout`): offline, the layout is built
     for the class's first element and goes into the plan; online, it is
     rebuilt from the plan, so online solves build no layout.  The classes
@@ -1340,88 +1290,69 @@ def _solve_patches(cond, forms, P, m, strict_zero_trace, load_blocks, plan=None,
         corrector = np.zeros(n, dtype=complex)
     elements = np.arange(N) if with_trial else np.flatnonzero(loaded_at >= 0)
     keys = _layout_keys(coarse, m)
-    trial = worker = products = G = G_norm = None
+    trial = products = G = G_norm = None
     if with_trial:
         skeleton = _empty_csc(
             n, _skeleton_counts(coarse, m, strict_zero_trace, nbf, cond.on_rim, keys))
         products = _ElementProducts(forms, cond, skeleton, m,
                                     NEAR_FIELD if near_field else 2 * m + 1, near_field, keys,
                                     plan.rim_offsets)
-        worker = _Worker()
     batches = unknowns = fill = built = taken = 0
     layout_seconds = 0.0
-    defer = worker.defer if with_trial else (lambda fn, *args: fn(*args))  # online: inline
-
-    def solve(layout, js):
-        nonlocal batches, unknowns, fill
-        at = loaded_at[js]
-        p = np.flatnonzero(at >= 0)  # the loaded patches of the batch
-        sources = [_trial_sources(cond, js, np.arange(js.size))] if with_trial else []
-        if p.size:
-            sources.append((p, js[p], np.full(p.size, nbf), load_rim[at[p]], load_interior[at[p]]))
-        solved, batch_fill = _solve_batch(cond, layout, js, m, _join(*sources), nbf + (p.size > 0))
-        batches += 1
-        unknowns += (layout.indptr.size - 1) * js.size
-        fill += batch_fill
-        data_sources = (np.arange(p.size), js[p], np.zeros(p.size, dtype=int),
-                        load_rim[at[p]], load_interior[at[p]]) if p.size else None
-        defer(finish, layout, js, solved, p, data_sources)
-
-    def finish(layout, js, solved, p, data_sources):
-        if with_trial:
-            _write_skeleton(skeleton, cond, layout, js, solved, nbf)
-            products.exceptions.append(_exception_entries(layout, js, solved, nbf))
-        if p.size:
-            rows, vals = _finish_batch(cond, layout, js[p], data_sources, solved[p][:, :, nbf:])
-            data.extend(zip(js[p], rows, vals[:, :, 0]))
-
-    def add_data():
+    layouts, edges = {}, None
+    for b in range(NH):
+        row = elements[(elements >= b * NH) & (elements < (b + 1) * NH)]
+        for key, js in _shape_classes(keys, row):
+            if key[2:] != edges:
+                layouts, edges = {}, key[2:]
+            if key not in layouts:
+                start = time.perf_counter()
+                if with_trial:
+                    layouts[key] = _skeleton_layout(cond, coarse, js[0], m, strict_zero_trace)
+                    plan.pack(key, layouts[key])
+                    built += 1
+                else:
+                    layouts[key], taken = plan.layout(key, cond, js[0]), taken + 1
+                layout_seconds += time.perf_counter() - start
+            layout, at = layouts[key], loaded_at[js]
+            p = np.flatnonzero(at >= 0)  # the loaded patches of the batch
+            sources = [_trial_sources(cond, js, np.arange(js.size))] if with_trial else []
+            if p.size:
+                rim, interior = load_rim[at[p]], load_interior[at[p]]
+                sources.append((p, js[p], np.full(p.size, nbf), rim, interior))
+            solved, batch_fill = _solve_batch(cond, layout, js, m, _join(*sources),
+                                              nbf + (p.size > 0))
+            batches += 1
+            unknowns += (layout.indptr.size - 1) * js.size
+            fill += batch_fill
+            if with_trial:
+                _write_skeleton(skeleton, cond, layout, js, solved, nbf)
+                products.exceptions.append(_exception_entries(layout, js, solved, nbf))
+            if p.size:
+                rows, vals = _finish_batch(
+                    cond, layout, js[p],
+                    (np.arange(p.size), js[p], np.zeros(p.size, dtype=int), rim, interior),
+                    solved[p][:, :, nbf:])
+                data.extend(zip(js[p], rows, vals[:, :, 0]))
         for _, rows, column in sorted(data, key=lambda d: d[0]):
             corrector[rows] += column
         data.clear()
-
-    layouts, edges = {}, None
-    try:
-        for b in range(NH):
-            row = elements[(elements >= b * NH) & (elements < (b + 1) * NH)]
-            for key, js in _shape_classes(keys, row):
-                if key[2:] != edges:
-                    layouts, edges = {}, key[2:]
-                if key not in layouts:
-                    start = time.perf_counter()
-                    if with_trial:
-                        layouts[key] = _skeleton_layout(cond, coarse, js[0], m, strict_zero_trace)
-                        plan.pack(key, layouts[key])
-                        built += 1
-                    else:
-                        layouts[key], taken = plan.layout(key, cond, js[0]), taken + 1
-                    layout_seconds += time.perf_counter() - start
-                solve(layouts[key], js)
-            defer(add_data)
-            if with_trial:
-                defer(products.ready, b)
-                worker.row_solved(2 if b < NH - 1 else 0)
         if with_trial:
-            start = time.perf_counter()
-            G, G_norm = products.matrix()
-            wait = time.perf_counter() - start
-            slots, columns, values = _join(*products.exceptions)
-            trial = CondensedTrial(
-                skeleton, sp.csc_matrix((values, (slots, columns)),
-                                        shape=(cond.rim_nodes.size, N * nbf)), cond)
-    finally:
-        if worker is not None:
-            worker.close()
-    patches = elements.size
+            products.ready(b)
+    if with_trial:
+        G, G_norm = products.matrix()
+        slots, columns, values = _join(*products.exceptions)
+        trial = CondensedTrial(
+            skeleton, sp.csc_matrix((values, (slots, columns)),
+                                    shape=(cond.rim_nodes.size, N * nbf)), cond)
     log.debug(
         "build_space: %d patches factorized in %d batches, %d skeleton unknowns, L+U fill %d; "
         "G from the products of %d elements within %d element rows, %d G entries stored, "
-        "%.2f s forming them, final wait %.2f s; %.2f s on the G worker in all, %.2f s "
-        "waiting for them; %d layouts built and %d taken from the space's plan of %d bytes "
+        "%.2f s forming them; %d layouts built and %d taken from the space's plan of %d bytes "
         "in %.3f s, ordering included; trial stored condensed in %d entries of %d bytes",
-        patches, batches, unknowns, fill,
-        *((N, NEAR_FIELD if near_field else 2 * m + 1, G.nnz, products.seconds, wait,
-           worker.seconds, worker.waited) if with_trial else (0, 0, 0, 0.0, 0.0, 0.0, 0.0)),
+        elements.size, batches, unknowns, fill,
+        *((N, NEAR_FIELD if near_field else 2 * m + 1, G.nnz, products.seconds) if with_trial
+          else (0, 0, 0, 0.0)),
         built, taken, plan.nbytes, layout_seconds,
         *((trial.nnz, trial.nbytes) if trial else (0, 0)),
     )

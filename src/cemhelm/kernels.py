@@ -22,6 +22,13 @@ matrix already numbered in a fill-reducing order is factorized with
 numbered by nested dissection of their geometry (see `cem`).
 `Factorization.fill` reports the factors' stored L+U entries.
 
+SuperLU's `splu` waits for the interpreter lock while another thread runs
+Python: the first 800 patch skeletons at H = 1/40, m = 3 on 120 x 120
+cells factorize in 0.24-0.27 s alone, in 0.82-0.94 s (once 18.8 s) beside
+a thread running a pure-Python loop, and in 0.27-0.29 s beside one running
+numpy matrix products, which release the lock (one BLAS thread, 2 cores).
+So the package factorizes, and builds its spaces, on one thread.
+
 `factorize` factorizes in the matrix's own precision.  The coarse near
 field alone is given to it in complex64: its LU only preconditions, and
 `fgmres` keeps a double-precision backward error with a single-precision

@@ -2,8 +2,6 @@ import dataclasses
 import gc
 import logging
 import re
-import sys
-import threading
 import tracemalloc
 import weakref
 
@@ -1192,11 +1190,8 @@ def test_build_space_logs_patch_work(caplog, monkeypatch):
     # one DEBUG line per call: the patches it factorized (the loaded ones
     # online), in how many batches, their skeleton unknowns, the summed L+U
     # fill of their LUs, and the element products G was formed from with
-    # their reach, the G entries stored, the seconds spent forming the
-    # products and the final wait; then, offline, the seconds the G worker
-    # ran in all and the seconds the patch loop waited for it (none
-    # online, where each batch is finished inline); then the layouts the
-    # call built, those it took from the space's plan, the plan's bytes and
+    # their reach, the G entries stored and the seconds spent forming the
+    # products (none online); then the layouts the call built, those it took from the space's plan, the plan's bytes and
     # the seconds spent ordering and building or taking the layouts; last,
     # offline, the condensed trial's stored entries and bytes
     g, c, forms, P = make_setup(nx=24, NH=6, nbf=3)
@@ -1231,9 +1226,8 @@ def test_build_space_logs_patch_work(caplog, monkeypatch):
         del work[:], batches[:], built[:], caplog.records[:]
         space, _, _ = _three_calls(forms, P, 1, source, zero)
         (record,) = [r for r in caplog.records if r.msg.startswith("build_space")]
-        (patches, n_batches, unknowns, fill, n_products, reach, stored, busy, wait, finish,
-         finish_wait, n_built, taken, plan_bytes, layout_seconds, entries,
-         trial_bytes) = record.args
+        (patches, n_batches, unknowns, fill, n_products, reach, stored, busy, n_built, taken,
+         plan_bytes, layout_seconds, entries, trial_bytes) = record.args
         assert n_built == len(built) and plan_bytes == space.layouts.nbytes > 0
         assert (patches, unknowns, fill) == (
             len(work), sum(n for n, _, _ in work), sum(lu for _, lu, _ in work))
@@ -1245,22 +1239,20 @@ def test_build_space_logs_patch_work(caplog, monkeypatch):
             len(cem._shape_classes(keys, [j for j in elements if j // c.NH == b]))
             for b in range(c.NH))
         assert sum(batches) == patches
-        assert n_products == products and busy >= 0.0 and wait >= 0.0
+        assert n_products == products and busy >= 0.0
         assert layout_seconds > 0.0
         # offline, all of G (108 dofs, the dense regime), reaching 2m + 1 rows
         assert (reach, stored) == ((3, space.G.nnz) if products else (0, 0))
         if products:  # offline: 36 patches in 25 shape classes, one layout each
             assert (n_built, taken) == (25, 0) and len(space.layouts) == 25
             assert len(set(map(tuple, keys.tolist()))) == 25
-            assert finish > 0.0 and finish_wait >= 0.0
             assert (entries, trial_bytes) == (space.trial.nnz, space.trial.nbytes)
             assert 0 < entries < oracles.fine_trial(space).nnz
         else:  # online: every layout taken from the plan, one per batch, none built
             assert (n_built, taken) == (0, n_batches)
-            assert finish == finish_wait == 0.0
+            assert busy == 0.0
             assert (entries, trial_bytes) == (0, 0)
-        # the work of the inline build the pipeline replaced (the fill is
-        # that of this scipy's SuperLU)
+        # the work of the build (the fill is that of this scipy's SuperLU)
         assert (n_batches, unknowns, fill) == ((30, 1604, 44398) if products
                                                else (2, 93, 2852))
         # a skeleton holds fewer unknowns than the patch's free nodes
@@ -1567,7 +1559,7 @@ def test_trial_and_coarse_matrix_freed_with_projection_and_spaces():
     assert all(ref() is None for ref in kept)
 
 
-# --- the streamed offline build: G from element products on a worker thread
+# --- the streamed offline build: G from element products, row by row
 
 
 def _g_oracle(forms, space):
@@ -1620,7 +1612,7 @@ def _assert_mirrored_product(forms, space):
 @given(cfg=configurations(), data=st.data())
 def test_generated_streamed_coarse_matrix_is_the_one_product(cfg, data):
     # every lower entry of G is that of (B Psi)^T Psi to 1e-12, and G is
-    # bitwise the same in a second build, whatever the worker's timing
+    # bitwise the same in a second build
     c = _generated_coarse(cfg)
     m = data.draw(st.integers(0, cfg["NH"]), label="m")
     assume(all(oversample(c, j, m).free_nodes(cfg["strict"]).size for j in range(c.n_elements)))
@@ -1919,61 +1911,6 @@ def test_wide_row_batches_match_local_solves(contrast, strict, monkeypatch):
     _assert_mirrored_product(forms, offline)
 
 
-def test_strips_under_fast_switching(monkeypatch):
-    # a short switch interval: however the worker's finishing of each batch
-    # and its element row products and G's lower strips interleave with the
-    # patch loop, and however far the loop runs ahead of them, the trial
-    # matrix, G and the corrector of a loaded build are the same
-    g, c, forms, P = make_setup(nx=32, NH=8, nbf=2)
-    rng = np.random.default_rng(3)
-    blocks = element_loads(g, c, _random_complex(rng, g.n_nodes), _random_complex(rng, g.n_nodes))
-    ref = cem.build_space(forms, P, 1, load_blocks=blocks)
-    # in the last build the products of element row 0, which the end of
-    # patch row 2 releases (m = 1), start only once the patch loop solves
-    # row 4, the farthest ahead of them it may run; every build forms the
-    # rows' products and sums G's strips in row order
-    add_row, added, reached, held = cem._ElementProducts._add_row, [], threading.Event(), []
-    add_row_sums, summed = cem._add_row_sums, []
-    solve_batch = cem._solve_batch
-
-    def in_order(sums, strip, magnitude, first):
-        summed.append(first)
-        add_row_sums(sums, strip, magnitude, first)
-
-    def watched(cond, layout, js, *args):
-        if js[0] >= 4 * c.NH:
-            reached.set()
-        return solve_batch(cond, layout, js, *args)
-
-    def late(self, b):
-        if b == 0 and held:
-            assert reached.wait(10)
-        added.append(b)
-        add_row(self, b)
-
-    monkeypatch.setattr(cem, "_add_row_sums", in_order)
-    monkeypatch.setattr(cem, "_solve_batch", watched)
-    monkeypatch.setattr(cem._ElementProducts, "_add_row", late)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        for hold in (False, True):
-            if hold:
-                held.append(True)
-            space = cem.build_space(forms, spectral.build_projection(forms, P.nbf), 1,
-                                    load_blocks=blocks)
-            assert _same_trial(space.trial, ref.trial)
-            assert space.corrector.tobytes() == ref.corrector.tobytes()
-            assert _bitwise_equal(space.G, ref.G) and space.G_norm == ref.G_norm
-            assert summed == sorted(summed) and len(summed) == c.NH
-            assert added == list(range(c.NH))
-            del summed[:], added[:]
-    finally:
-        sys.setswitchinterval(interval)
-    assert reached.is_set()
-    assert _g_threads() == []
-
-
 def test_coarse_matrix_norm_computed_once_per_space(system_nh6, near_field_nh6, monkeypatch):
     forms, space, system = system_nh6
     G = space.G
@@ -1998,14 +1935,10 @@ def test_coarse_matrix_norm_computed_once_per_space(system_nh6, near_field_nh6, 
     assert scales == [s.G_norm for s in spaces]
 
 
-def _g_threads():
-    return [t for t in threading.enumerate() if t.name.startswith("cemhelm-G")]
-
-
 def test_singular_patch_mid_stream_names_element(monkeypatch):
     # on an 8 x 8 coarse grid with m = 1, elements 26 ... 29 of element row 3
     # form one batch; the 28th factorization, element 27's, fails in the
-    # middle of it, while the G strips of rows 0 ... 2 are under way
+    # middle of it, after element row 0's products went into G's blocks
     g, c, forms, P = make_setup(nx=32, NH=8, nbf=2)
     calls, batches = [], []
     factorize, solve_batch = kernels.factorize, cem._solve_batch
@@ -2026,7 +1959,6 @@ def test_singular_patch_mid_stream_names_element(monkeypatch):
         cem.build_space(forms, P, 1)
     assert batches[-1] == [26, 27, 28, 29]
     assert sum(map(len, batches[:-1])) == 26  # element 27's is the batch's second
-    assert _g_threads() == []
     assert P.space is None
 
 
@@ -2034,13 +1966,11 @@ def test_patch_without_free_nodes_named_in_build():
     g, c, forms, P = make_setup(nx=4, NH=4, nbf=1)
     with pytest.raises(SingularLocalSystem, match="element 0, m=0: patch has no unconstrained"):
         cem.build_space(forms, P, 0, strict_zero_trace=True)
-    assert _g_threads() == []
 
 
 def test_failed_strip_raises_from_build_space():
-    # the element products fail on the worker, in their rim offsets or in a
-    # lower strip's row sums, or G's completion from the strips fails after
-    # the last one
+    # the element products fail in their rim offsets or in a lower strip's
+    # row sums, or G's completion from the strips fails after the last one
     g, c, forms, P = make_setup(nx=24, NH=6, nbf=2)
 
     def out_of_memory(*args):
@@ -2051,17 +1981,15 @@ def test_failed_strip_raises_from_build_space():
             mp.setattr(cem, step, out_of_memory)
             with pytest.raises(MemoryError, match="strip"):
                 cem.build_space(forms, P, 1)
-        assert _g_threads() == []
-        assert P.space is None
+            assert P.space is None
 
 
 @pytest.mark.parametrize("last", [False, True], ids=["mid-stream", "last-batch"])
 def test_failed_finish_raises_from_build_space(last, monkeypatch):
-    # a batch's finish (the write of its skeleton) fails on the worker
-    # while the main thread solves later rows (the 10th of 40 batches on an
-    # 8 x 8 coarse grid with m = 1), or in the last batch, whose error
-    # surfaces when G is formed; the next build on the same projection is
-    # the undisturbed one
+    # a batch's finish (the write of its skeleton) fails mid-stream (the
+    # 10th of 40 batches on an 8 x 8 coarse grid with m = 1) or in the last
+    # batch, before G is completed; the next build on the same projection
+    # is the undisturbed one
     g, c, forms, P = make_setup(nx=32, NH=8, nbf=2)
     calls, write_skeleton = [], cem._write_skeleton
     fails_at = None
@@ -2078,7 +2006,6 @@ def test_failed_finish_raises_from_build_space(last, monkeypatch):
     fails_at, calls[:] = 40 if last else 10, []
     with pytest.raises(MemoryError, match="finish"):
         cem.build_space(forms, P, 1)
-    assert _g_threads() == []
     assert P.space is None
     fails_at = None
     space = cem.build_space(forms, P, 1)

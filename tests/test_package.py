@@ -98,3 +98,16 @@ def test_dense_limit_is_read_only_by_build_space():
                         and "DENSE_LIMIT" in (getattr(n, "id", None), getattr(n, "attr", None))):
                     readers.add((path.stem, getattr(node, "name", None)))
     assert readers == {("cem", "build_space")}
+
+
+def test_no_module_starts_threads():
+    # the build runs on one thread: SuperLU waits for the interpreter lock
+    # while another thread runs Python (see `kernels`)
+    imports = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                     else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+            imports += [f"{path.name}:{node.lineno}" for name in names
+                        if name.split(".")[0] in ("threading", "concurrent")]
+    assert imports == []
