@@ -40,15 +40,17 @@ its fill-reducing order.  The skeleton is a grid of element rims, which
 nested dissection along the element lines orders from the geometry alone
 (`_dissection`), so the layout numbers the skeleton in that order and
 every patch is gathered straight into the ordered pattern and factorized
-as it is.  The patches of one class in one
-element row are solved as one batch (`_solve_batch`, then
-`_finish_batch`): one gather of all their skeleton values and one block of
-right-hand sides, so only the numeric LU, its solve and the product
-recovering the interiors are per patch.  A singular or ill-conditioned Z_e
-(k H / eps far beyond the resolution condition) raises SingularLocalSystem
-naming the element (for a kind, its lowest-index element).  Test vectors
-are the conjugates of the trial vectors, as the local systems are complex
-symmetric with real right-hand sides.
+as it is.  The patches of one class in one element row are solved as one
+batch (`_solve_batch`, then `_finish_batch`) with one block of right-hand
+sides; each patch's skeleton values are gathered just before its numeric
+LU, into the batch's one pattern, so a build holds one patch's gather at a
+time.  A class's first batch builds its layout, which goes into the
+space's plan (`_LayoutPlan`), and every later batch of the class takes it
+from there, so a build holds one full layout at a time.  A singular or
+ill-conditioned Z_e (k H / eps far beyond the resolution condition) raises
+SingularLocalSystem naming the element (for a kind, its lowest-index
+element).  Test vectors are the conjugates of the trial vectors, as the
+local systems are complex symmetric with real right-hand sides.
 
 So on each element e of its patch a trial vector is fixed by its values
 x_e on e's rim: its interior is -W_k x_e, plus the interior particular
@@ -126,7 +128,7 @@ compactly (`_LayoutPlan`), all formed once, when the trial space is built;
 A later call for the same forms object, m and strict_zero_trace returns
 that space with a new corrector, solved only on the patches whose element
 load block has a nonzero entry, one factorization and one right-hand side
-each, in the layouts of their classes rebuilt from the space's plan, so
+each, in the layouts of their classes taken from the space's plan, so
 the online solves build no layout; a load enters only through its
 element's Z_e and rim, so only the loaded elements' data are condensed.
 Skipping the other patches is exact, as the data column of a zero block is
@@ -138,8 +140,9 @@ unknowns and summed L+U fill; offline, the elements whose products formed
 G, the element rows G reaches, its stored entries and the seconds of the
 products; the layouts it built, those it took from the space's plan, the
 plan's bytes and the seconds spent ordering and building or taking the
-layouts; offline, the condensed trial's stored entries and
-bytes.  The dense LU of G logs its own line with its rcond.
+layouts; offline, the condensed trial's stored entries and bytes and the
+bytes the space keeps in its condensation, in G and in G's dense LU.  The
+dense LU of G logs its own line with its rcond.
 
 The basis vectors decay exponentially away from their element, and so do
 the entries of G.  `build_space` fixes, once, the regime the coarse system
@@ -352,6 +355,10 @@ class Condensation:
     W: np.ndarray
     trial_rim: np.ndarray
     trial_interior: np.ndarray
+
+    @property
+    def nbytes(self):
+        return sum(a.nbytes for a in vars(self).values())
 
 
 def _condense(forms, P):
@@ -624,9 +631,9 @@ def _skeleton_layout(cond, coarse, j, m, strict_zero_trace):
     shared = at[cond.rim_nodes[outside]]
     r4 = local.shape[1]
     first = elements[0]
-    kept = np.flatnonzero((local[:, :, None] >= 0) & (local[:, None, :] >= 0))
-    bits = int(kept[-1]).bit_length() if kept.size else 0
-    packed = np.sort(_entry_keys(local, n)[kept] << bits | kept)
+    kept = ((local[:, :, None] >= 0) & (local[:, None, :] >= 0)).ravel()
+    bits = kept.size.bit_length()
+    packed = np.sort(_entry_keys(local, n)[kept] << bits | np.flatnonzero(kept))
     outer = np.flatnonzero(shared >= 0)
     return _with_pattern(
         cond.rim_nodes[j, 0] - patch.nodes[0], j - first, rows - patch.nodes[0], skeleton, order,
@@ -650,7 +657,7 @@ def _with_pattern(node_shift, element_shift, rows, skeleton, order, interior, el
     diagonal terms: `take`, `starts`, `outer` and the CSC pattern follow
     from them without sorting."""
     n, r4 = skeleton.size, local.shape[1]
-    starts = np.flatnonzero(np.diff(entry, prepend=-1) != 0)
+    starts = np.flatnonzero(np.concatenate([[entry.size > 0], entry[1:] != entry[:-1]]))
     entry = entry[starts]
     indptr = np.searchsorted(entry, np.arange(n + 1) * n)
     return _Layout(
@@ -659,21 +666,17 @@ def _with_pattern(node_shift, element_shift, rows, skeleton, order, interior, el
         starts=starts,
         outer=np.searchsorted(entry, shared * (n + 1)),
         outer_take=outer_take,
-        indices=(entry - n * np.repeat(np.arange(n), np.diff(indptr))).astype(np.intc),
+        indices=(entry % n).astype(np.intc),
         indptr=indptr.astype(np.intc),
     )
 
 
-def _skeleton_values(cond, layout, firsts):
-    """The stored entries of the skeleton matrices (see `_Layout`) of the
-    patches of a class whose first elements are `firsts`, (patches,
-    entries)."""
+def _skeleton_values(cond, layout, first, out):
+    """Write to `out` the stored entries of the skeleton matrix (see
+    `_Layout`) of the patch of a class whose first element is `first`."""
     r4 = layout.local.shape[1]
-    values = np.add.reduceat(
-        cond.S.ravel()[layout.take + firsts[:, None] * (r4 * r4)], layout.starts, axis=1)
-    np.add.at(values, (slice(None), layout.outer),
-              cond.diag.ravel()[layout.outer_take + firsts[:, None] * r4])
-    return values
+    np.add.reduceat(cond.S.ravel()[first * r4 * r4:][layout.take], layout.starts, out=out)
+    np.add.at(out, layout.outer, cond.diag.ravel()[layout.outer_take + first * r4])
 
 
 def _solve_batch(cond, layout, js, m, sources, n_cols):
@@ -683,12 +686,13 @@ def _solve_batch(cond, layout, js, m, sources, n_cols):
 
     Patch p's skeleton system sums the Schur complements S_e of its elements
     on its free rim nodes (see `_skeleton_layout`), in the nested-dissection
-    order of its class, which SuperLU keeps.  The batch gathers the values
-    of all its skeletons and sets up all right-hand sides at once; the
-    factorization and its solve are per patch.  Source s of `sources` =
-    (patches, elements, columns, rim, interior) adds its condensed
-    right-hand side rim[s] on the rim nodes of elements[s] in patch
-    patches[s], column columns[s].  Returns (the solutions on the
+    order of its class, which SuperLU keeps.  The batch sets up all
+    right-hand sides at once; each patch's skeleton values are gathered
+    (`_skeleton_values`) just before its factorization, into the values of
+    the batch's one matrix, so the batch holds one patch's gather.  Source
+    s of `sources` = (patches, elements, columns, rim, interior) adds its
+    condensed right-hand side rim[s] on the rim nodes of elements[s] in
+    patch patches[s], column columns[s].  Returns (the solutions on the
     skeletons, shape (patches, unknowns + 1, n_cols), whose last row holds
     the constrained nodes' sums; the summed L+U fill of the patches' LUs).
     Each LU is dropped once solved.  A patch without free nodes or with a
@@ -699,15 +703,15 @@ def _solve_batch(cond, layout, js, m, sources, n_cols):
         raise SingularLocalSystem(f"element {js[0]}, m={m}: patch has no unconstrained nodes")
     firsts = js - layout.element_shift
     n = layout.indptr.size - 1
-    values = _skeleton_values(cond, layout, firsts)
     patches, src_elements, src_cols, src_rim, _ = sources
     e = np.searchsorted(layout.elements, src_elements - firsts[patches])
     rhs = np.zeros((js.size, n + 1, n_cols), dtype=complex)  # constrained nodes land in row n
     np.add.at(rhs, (patches[:, None], layout.local[e], src_cols[:, None]), src_rim)
     fill = 0
-    S = sp.csc_matrix((values[0], layout.indices, layout.indptr), shape=(n, n))
+    S = sp.csc_matrix((np.empty(layout.indices.size, dtype=complex), layout.indices,
+                       layout.indptr), shape=(n, n))
     for p, j in enumerate(js):
-        S.data = values[p]  # one pattern, each patch's values
+        _skeleton_values(cond, layout, firsts[p], S.data)  # one pattern, each patch's values
         try:
             F = kernels.factorize(S, ordered=True)
             rhs[p, :n] = F.solve(rhs[p, :n])
@@ -879,9 +883,10 @@ class MultiscaleSpace:
     the element condensation the patch solves read, and `layouts` the
     compact layout of each shape class (`_LayoutPlan`, ~3.3 MB at
     H = 1/10, m = 2 on 120 x 120 cells, ~0.7 MB at H = 1/40, m = 3), from
-    which the online solves take their layouts and the whole-G fallback
-    its rim offsets.  All are read-only, and the spaces `build_space`
-    returns for one (forms, P, m, strict_zero_trace) share them.
+    which every batch after a class's first, offline or online, takes its
+    layout and the whole-G fallback its rim offsets.  All are read-only,
+    and the spaces `build_space` returns for one (forms, P, m,
+    strict_zero_trace) share them.
     `corrector` is the space's own summed localized data solve (None when
     it was built without load blocks).
     """
@@ -1035,13 +1040,14 @@ class _ElementProducts:
     coordinates add z.  The offsets of a column's rim values in its CSC
     segment come from `offsets(key, NH, radius)` (see `_rim_offsets`), once
     per class of its element j, its row of `keys` (`_layout_keys` of m) as
-    a tuple.  `exceptions`
-    collects the (slots, columns, values) of `_exception_entries`.  G's
-    lower blocks within `reach` element rows (NEAR_FIELD with `near_field`)
-    are summed in double, a chunk of elements and a band of slot rows at a
-    time; `ready` adds the element rows whose columns are final and cuts
-    the strips of the G rows they complete, and `matrix` returns
-    (G, |G|_inf).
+    a tuple.  `add_exceptions` keeps the (slots, columns, values) of
+    `_exception_entries` by the element row of their slots, so each element
+    row joins only its own.  G's lower blocks within `reach` element rows
+    (NEAR_FIELD with `near_field`) are summed in double, a chunk of elements
+    and a band of slot rows at a time; `ready` adds the element rows whose
+    columns are final and cuts the strips of the G rows they complete, and
+    `matrix` returns (G, |G|_inf); `exceptions` joins the kept entries of
+    the element rows asked for.
     """
 
     def __init__(self, forms, cond, skeleton, m, reach, near_field, keys, offsets):
@@ -1065,7 +1071,7 @@ class _ElementProducts:
         self._tables = np.full((len(classes), (2 * self._ring + 1) ** 2, self._r4), -1,
                                dtype=np.intc)
         self._made = np.zeros(len(classes), dtype=bool)
-        self.exceptions = []  # (element-rim slots, columns, values), as `_exception_entries`
+        self._exceptions = [[] for _ in range(NH)]  # by the element row of their slots
         self._blocks = {}  # element row of G -> its lower blocks, being summed
         self._strips = []
         self._sums = np.zeros(skeleton.shape[1])
@@ -1149,12 +1155,25 @@ class _ElementProducts:
                 blocks[rows, :, lo - sJ + R:, tlo - sI + R:thi - sI + R] += P[
                     :, sI + radius, :, :, tlo + radius:thi + radius]
 
+    def add_exceptions(self, slots, columns, values):
+        """Keep exception entries (element-rim slots, columns, values), as
+        `_exception_entries` gives them, by the element row of their slots."""
+        rows = slots // (self._r4 * self._NH)
+        for b in np.unique(rows):
+            mine = rows == b
+            self._exceptions[b].append((slots[mine], columns[mine], values[mine]))
+
+    def exceptions(self, rows):
+        """(slots, columns, values) of the exception entries kept for the
+        element rows `rows`, row by row, each in the order they were kept."""
+        parts = [entries for b in rows for entries in self._exceptions[b]]
+        if not parts:
+            return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp), np.empty(0, complex)
+        return _join(*parts)
+
     def _add_row(self, b):
         NH, r4, nbf = self._NH, self._r4, self._nbf
-        slots, columns, values = (_join(*self.exceptions) if self.exceptions
-                                  else (np.empty(0, dtype=int),) * 3)
-        mine = slots // r4 // NH == b
-        slots, columns, values = slots[mine], columns[mine], values[mine]
+        slots, columns, values = self.exceptions([b])
         ring = np.unique(slots // r4)
         # each chunk's complex V stack within a quarter of an `_element_chunks`
         # stack, as the products hold a few such stacks; larger chunks lift
@@ -1269,13 +1288,13 @@ def _solve_patches(cond, forms, P, m, strict_zero_trace, load_blocks, plan=None,
     load block also solves its data column, whose interiors `_finish_batch`
     recovers, summed into the corrector in element order as each element
     row ends.  Every patch is factorized in the nested-dissection order of
-    its class's layout (`_skeleton_layout`): offline, the layout is built
-    for the class's first element and goes into the plan; online, it is
-    rebuilt from the plan, so online solves build no layout.  The classes
-    of an element row recur only in the rows of the same distances to the
-    bottom and top edges, which follow it, so the layouts are dropped
-    whenever those change.  Returns (the `CondensedTrial` or None, G or
-    None, |G|_inf or None, corrector or None, the plan).
+    its class's layout (`_skeleton_layout`): the class's first batch
+    builds it for its first element and packs it into the plan, and every
+    later batch of the class, offline or online, takes it from the plan
+    (`_LayoutPlan.layout`), so the loop holds one layout at a time and
+    online solves build none.  Returns (the `CondensedTrial` or None, G or
+    None, |G|_inf or None, corrector or None, the plan, the work that
+    `_log_build` logs).
     """
     coarse = forms.coarse
     n, N, NH = forms.grid.n_nodes, coarse.n_elements, coarse.NH
@@ -1299,22 +1318,18 @@ def _solve_patches(cond, forms, P, m, strict_zero_trace, load_blocks, plan=None,
                                     plan.rim_offsets)
     batches = unknowns = fill = built = taken = 0
     layout_seconds = 0.0
-    layouts, edges = {}, None
     for b in range(NH):
         row = elements[(elements >= b * NH) & (elements < (b + 1) * NH)]
         for key, js in _shape_classes(keys, row):
-            if key[2:] != edges:
-                layouts, edges = {}, key[2:]
-            if key not in layouts:
-                start = time.perf_counter()
-                if with_trial:
-                    layouts[key] = _skeleton_layout(cond, coarse, js[0], m, strict_zero_trace)
-                    plan.pack(key, layouts[key])
-                    built += 1
-                else:
-                    layouts[key], taken = plan.layout(key, cond, js[0]), taken + 1
-                layout_seconds += time.perf_counter() - start
-            layout, at = layouts[key], loaded_at[js]
+            start = time.perf_counter()
+            if key in plan:
+                layout, taken = plan.layout(key, cond, js[0]), taken + 1
+            else:
+                layout = _skeleton_layout(cond, coarse, js[0], m, strict_zero_trace)
+                plan.pack(key, layout)
+                built += 1
+            layout_seconds += time.perf_counter() - start
+            at = loaded_at[js]
             p = np.flatnonzero(at >= 0)  # the loaded patches of the batch
             sources = [_trial_sources(cond, js, np.arange(js.size))] if with_trial else []
             if p.size:
@@ -1327,13 +1342,14 @@ def _solve_patches(cond, forms, P, m, strict_zero_trace, load_blocks, plan=None,
             fill += batch_fill
             if with_trial:
                 _write_skeleton(skeleton, cond, layout, js, solved, nbf)
-                products.exceptions.append(_exception_entries(layout, js, solved, nbf))
+                products.add_exceptions(*_exception_entries(layout, js, solved, nbf))
             if p.size:
                 rows, vals = _finish_batch(
                     cond, layout, js[p],
                     (np.arange(p.size), js[p], np.zeros(p.size, dtype=int), rim, interior),
                     solved[p][:, :, nbf:])
                 data.extend(zip(js[p], rows, vals[:, :, 0]))
+            del layout, solved  # gone before the next class's layout is made
         for _, rows, column in sorted(data, key=lambda d: d[0]):
             corrector[rows] += column
         data.clear()
@@ -1341,22 +1357,34 @@ def _solve_patches(cond, forms, P, m, strict_zero_trace, load_blocks, plan=None,
             products.ready(b)
     if with_trial:
         G, G_norm = products.matrix()
-        slots, columns, values = _join(*products.exceptions)
+        slots, columns, values = products.exceptions(range(NH))
         trial = CondensedTrial(
             skeleton, sp.csc_matrix((values, (slots, columns)),
                                     shape=(cond.rim_nodes.size, N * nbf)), cond)
+    work = (elements.size, batches, unknowns, fill,
+            *((N, NEAR_FIELD if near_field else 2 * m + 1, G.nnz, products.seconds) if with_trial
+              else (0, 0, 0, 0.0)),
+            built, taken, plan.nbytes, layout_seconds,
+            *((trial.nnz, trial.nbytes) if trial else (0, 0)))
+    return trial, G, G_norm, corrector, plan, work
+
+
+def _log_build(work, space=None):
+    """Log a `build_space` call at DEBUG: the `work` of its `_solve_patches`
+    and, for the `space` of an offline build, the bytes it keeps in its
+    condensation, in G and in G's dense LU (0 without one)."""
+    kept = (0, 0, 0)
+    if space is not None:
+        G = space.G
+        kept = (space.condensation.nbytes, G.data.nbytes + G.indices.nbytes + G.indptr.nbytes,
+                sum(a.nbytes for a in space.G_lu[:2]) if space.G_lu else 0)
     log.debug(
         "build_space: %d patches factorized in %d batches, %d skeleton unknowns, L+U fill %d; "
         "G from the products of %d elements within %d element rows, %d G entries stored, "
         "%.2f s forming them; %d layouts built and %d taken from the space's plan of %d bytes "
-        "in %.3f s, ordering included; trial stored condensed in %d entries of %d bytes",
-        elements.size, batches, unknowns, fill,
-        *((N, NEAR_FIELD if near_field else 2 * m + 1, G.nnz, products.seconds) if with_trial
-          else (0, 0, 0, 0.0)),
-        built, taken, plan.nbytes, layout_seconds,
-        *((trial.nnz, trial.nbytes) if trial else (0, 0)),
-    )
-    return trial, G, G_norm, corrector, plan
+        "in %.3f s, ordering included; trial stored condensed in %d entries of %d bytes, "
+        "condensation in %d bytes, G in %d bytes and its dense LU in %d bytes",
+        *work, *kept)
 
 
 def build_space(forms, P, m, strict_zero_trace=False, load_blocks=None):
@@ -1381,18 +1409,20 @@ def build_space(forms, P, m, strict_zero_trace=False, load_blocks=None):
     space = P.space
     if (space is not None and space.forms is forms and space.m == m
             and space.strict_zero_trace == strict_zero_trace):
-        _, _, _, corrector, _ = _solve_patches(
+        _, _, _, corrector, _, work = _solve_patches(
             space.condensation, forms, P, m, strict_zero_trace, load_blocks, space.layouts
         )
+        _log_build(work)
         return replace(space, corrector=corrector)
     P.space = space = None  # the previous trial, G, LU, condensation and plan go first
     cond = _condense(forms, P)
     near_field = coarse.n_elements * P.nbf > DENSE_LIMIT  # the regime of `solve_multiscale`
-    trial, G, G_norm, corrector, layouts = _solve_patches(
+    trial, G, G_norm, corrector, layouts, work = _solve_patches(
         cond, forms, P, m, strict_zero_trace, load_blocks, near_field=near_field
     )
     P.space = _new_space(forms, m, strict_zero_trace, trial, G, G_norm, corrector, cond,
                          layouts, near_field)
+    _log_build(work, P.space)
     return P.space
 
 
@@ -1404,8 +1434,7 @@ def _whole_g(space):
                                 2 * space.m + 1, False, _layout_keys(space.forms.coarse, space.m),
                                 space.layouts.rim_offsets)
     E = space.trial.exceptions
-    products.exceptions.append(
-        (E.indices, np.repeat(np.arange(E.shape[1]), np.diff(E.indptr)), E.data))
+    products.add_exceptions(E.indices, np.repeat(np.arange(E.shape[1]), np.diff(E.indptr)), E.data)
     products.ready(space.forms.coarse.NH - 1)
     return products.matrix()[0]
 

@@ -11,6 +11,7 @@ import dataclasses
 import json
 import logging
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -26,6 +27,10 @@ from .models import instantiate
 from .reference import export_field, fine_load, solve_fine
 
 log = logging.getLogger("cemhelm")
+
+# the BLAS thread settings a report records: a field is bitwise reproducible
+# only at a fixed BLAS thread count
+_BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 __all__ = ["RunConfig", "validate_resolution", "run", "sweep", "basis_decay", "gen_medium", "main"]
 
@@ -258,6 +263,7 @@ def run(config):
         "trial_bytes": space.trial.nbytes,
         "resolution": {k: v for k, v in resolution.items()},
         "timings": pipe.timings,
+        "blas_threads": {name: os.environ.get(name) for name in _BLAS_THREADS},
     }
     if config.dump_eigs:
         spectral.dump_eigenvalues(pipe.P, config.dump_eigs)

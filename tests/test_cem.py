@@ -253,6 +253,34 @@ def test_chunked_offline_steps_stay_below_one_element_stack(setup48, step, monke
         tracemalloc.stop()
     assert peak < N * p * p * 8
 
+def test_offline_build_holds_one_patch_gather_and_one_layout(monkeypatch):
+    # beyond the bytes its space keeps, an offline build holds at most one
+    # patch's gather (its S_e values as gathered, with their int64 indices,
+    # and their sums) and one class layout, not the gathers of a whole batch
+    # nor the layouts of the classes of the element rows still to come;
+    # elements of r = 12 (as in `shots-h10`) and one element per chunk keep
+    # the condensation and G's element products below that
+    g, c, forms, P = make_setup(nx=96, NH=8, nbf=3)
+    m = 2
+    keys = cem._layout_keys(c, m)
+    rows = [cem._shape_classes(keys, range(b * c.NH, (b + 1) * c.NH)) for b in range(c.NH)]
+    assert [key for key, _ in rows[3]] == [key for key, _ in rows[4]]  # classes repeat
+    assert max(js.size for row in rows for _, js in row) == 2  # batches of two patches
+    monkeypatch.setattr(assembly, "_CHUNK_BYTES", 1)
+    tracemalloc.start()
+    try:
+        space = cem.build_space(forms, P, m)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    gather = layout = 0
+    for key, js in cem._shape_classes(keys, range(c.n_elements)):
+        L = space.layouts.layout(key, space.condensation, js[0])
+        gather = max(gather, (16 + 8) * L.take.size + 16 * L.starts.size)
+        layout = max(layout, sum(a.nbytes for a in vars(L).values() if isinstance(a, np.ndarray)))
+    assert peak - kept <= gather + layout
+
+
 def _per_element_kinds(forms, trace):
     n = forms.coarse.n_elements
     return np.arange(n), np.arange(n)
@@ -1191,9 +1219,11 @@ def test_build_space_logs_patch_work(caplog, monkeypatch):
     # online), in how many batches, their skeleton unknowns, the summed L+U
     # fill of their LUs, and the element products G was formed from with
     # their reach, the G entries stored and the seconds spent forming the
-    # products (none online); then the layouts the call built, those it took from the space's plan, the plan's bytes and
-    # the seconds spent ordering and building or taking the layouts; last,
-    # offline, the condensed trial's stored entries and bytes
+    # products (none online); then the layouts the call built, those it took
+    # from the space's plan, the plan's bytes and the seconds spent ordering
+    # and building or taking the layouts; last, offline, the condensed
+    # trial's stored entries and bytes and the bytes of the condensation, G
+    # and G's dense LU that the space keeps
     g, c, forms, P = make_setup(nx=24, NH=6, nbf=3)
     work, batches, built = [], [], []
     factorize, solve_batch, skeleton_layout = (
@@ -1227,7 +1257,8 @@ def test_build_space_logs_patch_work(caplog, monkeypatch):
         space, _, _ = _three_calls(forms, P, 1, source, zero)
         (record,) = [r for r in caplog.records if r.msg.startswith("build_space")]
         (patches, n_batches, unknowns, fill, n_products, reach, stored, busy, n_built, taken,
-         plan_bytes, layout_seconds, entries, trial_bytes) = record.args
+         plan_bytes, layout_seconds, entries, trial_bytes, cond_bytes, G_bytes,
+         lu_bytes) = record.args
         assert n_built == len(built) and plan_bytes == space.layouts.nbytes > 0
         assert (patches, unknowns, fill) == (
             len(work), sum(n for n, _, _ in work), sum(lu for _, lu, _ in work))
@@ -1243,15 +1274,22 @@ def test_build_space_logs_patch_work(caplog, monkeypatch):
         assert layout_seconds > 0.0
         # offline, all of G (108 dofs, the dense regime), reaching 2m + 1 rows
         assert (reach, stored) == ((3, space.G.nnz) if products else (0, 0))
-        if products:  # offline: 36 patches in 25 shape classes, one layout each
-            assert (n_built, taken) == (25, 0) and len(space.layouts) == 25
+        if products:
+            # offline: 36 patches in 25 shape classes, each layout built
+            # once; element rows 2 and 3 share their five classes, so row 3
+            # takes its layouts from the plan
+            assert (n_built, taken) == (25, 5) and len(space.layouts) == 25
             assert len(set(map(tuple, keys.tolist()))) == 25
             assert (entries, trial_bytes) == (space.trial.nnz, space.trial.nbytes)
             assert 0 < entries < oracles.fine_trial(space).nnz
+            lu, piv, _ = space.G_lu  # the dense regime
+            assert cond_bytes == sum(a.nbytes for a in vars(space.condensation).values())
+            assert G_bytes == space.G.data.nbytes + space.G.indices.nbytes + space.G.indptr.nbytes
+            assert lu_bytes == lu.nbytes + piv.nbytes > 0
         else:  # online: every layout taken from the plan, one per batch, none built
             assert (n_built, taken) == (0, n_batches)
             assert busy == 0.0
-            assert (entries, trial_bytes) == (0, 0)
+            assert (entries, trial_bytes, cond_bytes, G_bytes, lu_bytes) == (0,) * 5
         # the work of the build (the fill is that of this scipy's SuperLU)
         assert (n_batches, unknowns, fill) == ((30, 1604, 44398) if products
                                                else (2, 93, 2852))
@@ -1327,8 +1365,9 @@ def _class_fills(forms, P, m, strict=False):
     for key, js in cem._shape_classes(cem._layout_keys(c, m), range(c.n_elements)):
         layout = cem._skeleton_layout(cond, c, js[0], m, strict)
         n = layout.indptr.size - 1
-        values = cem._skeleton_values(cond, layout, js[:1] - layout.element_shift)[0]
-        S = sp.csc_matrix((values, layout.indices, layout.indptr), shape=(n, n))
+        S = sp.csc_matrix((np.empty(layout.indices.size, dtype=complex), layout.indices,
+                           layout.indptr), shape=(n, n))
+        cem._skeleton_values(cond, layout, js[0] - layout.element_shift, S.data)
         yield key, kernels.factorize(S, ordered=True).fill, kernels.factorize(S).fill
 
 

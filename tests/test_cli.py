@@ -96,6 +96,15 @@ def test_run_report_and_json(tmp_path):
     assert on_disk["trial_entries"] == report["trial_entries"]
 
 
+def test_run_report_records_blas_threads(monkeypatch):
+    # the BLAS thread settings the process ran with, null when unset
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setenv("OMP_NUM_THREADS", "2")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    assert run(small_config())["blas_threads"] == {
+        "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "2", "MKL_NUM_THREADS": None}
+
+
 def test_errors_solve_the_reference_before_the_space(monkeypatch):
     # the space's dense LU of G is not held through the fine solve
     pipe = cli._Pipeline(small_config())
