@@ -44,9 +44,9 @@ as it is.  The patches of one class in one element row are solved as one
 batch (`_solve_batch`, then `_finish_batch`) with one block of right-hand
 sides; each patch's skeleton values are gathered just before its numeric
 LU, into the batch's one pattern, so a build holds one patch's gather at a
-time.  A class's first batch builds its layout, which goes into the
-space's plan (`_LayoutPlan`), and every later batch of the class takes it
-from there, so a build holds one full layout at a time.  A singular or
+time.  Every batch makes its layout from the space's plan
+(`_LayoutPlan.layout`), which packs a class the first time a batch of it
+asks, so a build holds one full layout at a time.  A singular or
 ill-conditioned Z_e (k H / eps far beyond the resolution condition) raises
 SingularLocalSystem naming the element (for a kind, its lowest-index
 element).  Test vectors are the conjugates of the trial vectors, as the
@@ -76,29 +76,31 @@ element.  G is (B Psi)^T Psi to rounding (5e-15 of its largest entry at
 H = 1/10, m = 2 on 120 x 120 cells), with the product's pattern there
 and at H = 1/40, m = 3.
 
-The offline build runs on one thread, element row by element row.  Each
-batch is finished as soon as it is solved (`_solve_batch`): its trial
-columns' rim values go into the skeleton allotted in advance and into the
-exceptions, and its data columns' interiors (`_finish_batch`) are summed
-into the corrector in element order as the row ends.  A column touches
-the elements within m + 1 rows of its own, so once patch row b + m + 1 is
-written the products of element row b are added, in chunks whose V_e stay
-within a few MB, in double and in a fixed order, to the lower blocks of
-G's element rows, and G's row b - m - 1 is final.  G is complex symmetric
-and couples elements at most 2m + 1 rows apart (patches 2m + 1 elements
-apart still meet through B where a patch edge on the domain boundary
-keeps its free nodes), so only its lower blocks within 2m + 1 rows are
-summed.  Each final row's lower strip is cut from them in canonical CSR
-order, keeping the nonzero entries, and the magnitudes of its entries go,
-in double, into the row sums of |G| in G's own order.  After the last row
-G, stored CSR, is completed once as the stacked strips L plus the
-transpose of L's strict part, so G is exactly symmetric and |G|_inf is
-bitwise that of the stored double G.  Above DENSE_LIMIT coarse dofs (the
-sparse regime, see below) the blocks reach only NEAR_FIELD rows, and each
-strip is cast to complex64 once cut: the space's G is the near field alone
-in single precision, with the indices and |G|_inf of the double near
-field.  Online solves and `local_cem_solve` finish their batches the same
-way.
+The offline build runs on one thread in three steps (`build_space`).
+First the patch solves, element row by element row (`_solve_patches`):
+each batch is finished as soon as it is solved (`_solve_batch`), its
+trial columns' rim values going into the skeleton allotted in advance and
+into the exceptions, and its data columns' interiors (`_finish_batch`)
+summed into the corrector in element order as the row ends.  Online
+solves and `local_cem_solve` finish their batches the same way.  Then G
+is formed from the finished `CondensedTrial` (`_ElementProducts`): the
+products of element rows 0, 1, ... are added in turn, in chunks whose V_e
+stay within a few MB, in double and in a fixed order, to the lower blocks
+of G's element rows.  A column touches the elements within m + 1 rows of
+its own, so once element row b is added G's row b - m - 1 is final.  G
+is complex symmetric and couples elements at most 2m + 1 rows apart
+(patches 2m + 1 elements apart still meet through B where a patch edge on
+the domain boundary keeps its free nodes), so only its lower blocks within
+2m + 1 rows are summed.  Each final row's lower strip is cut from them in
+canonical CSR order, keeping the nonzero entries, and the magnitudes of
+its entries go, in double, into the row sums of |G| in G's own order.
+After the last row G, stored CSR, is completed once as the stacked strips
+L plus the transpose of L's strict part, so G is exactly symmetric and
+|G|_inf is bitwise that of the stored double G.  Above DENSE_LIMIT coarse
+dofs (the sparse regime, see below) the blocks reach only NEAR_FIELD rows,
+and each strip is cast to complex64 once cut: the space's G is the near
+field alone in single precision, with the indices and |G|_inf of the
+double near field.  Last, in the dense regime, `_new_space` factorizes G.
 
 Patch systems constrain the fine nodes on the patch boundary away from the
 domain boundary (`Patch.free_nodes`, the one free-node rule); where a patch
@@ -128,19 +130,19 @@ compactly (`_LayoutPlan`), all formed once, when the trial space is built;
 A later call for the same forms object, m and strict_zero_trace returns
 that space with a new corrector, solved only on the patches whose element
 load block has a nonzero entry, one factorization and one right-hand side
-each, in the layouts of their classes taken from the space's plan, so
-the online solves build no layout; a load enters only through its
+each, in the layouts of their classes made from the space's plan, so
+the online solves pack and order no layout; a load enters only through its
 element's Z_e and rim, so only the loaded elements' data are condensed.
 Skipping the other patches is exact, as the data column of a zero block is
 exactly zero.  `assemble_coarse`
 forms only Psi^T (b - B q), and the dense coarse solve of every source
 only back-substitutes with the space's LU.  Each `build_space` logs at
 DEBUG the patches it factorized, in how many batches, their skeleton
-unknowns and summed L+U fill; offline, the elements whose products formed
-G, the element rows G reaches, its stored entries and the seconds of the
-products; the layouts it built, those it took from the space's plan, the
-plan's bytes and the seconds spent ordering and building or taking the
-layouts; offline, the condensed trial's stored entries and bytes and the
+unknowns and summed L+U fill; the classes it packed into the space's plan,
+the plan's bytes and the seconds spent making the batches' layouts,
+packing and ordering included; offline, the elements whose products
+formed G, the element rows G reaches, its stored entries and the seconds
+of the products, the condensed trial's stored entries and bytes and the
 bytes the space keeps in its condensation, in G and in G's dense LU.  The
 dense LU of G logs its own line with its rcond.
 
@@ -172,14 +174,16 @@ whole G, formed in double by the element products at reach 2m + 1
 singular G.  The GMRES logs at DEBUG its iterations, its flag, the
 preconditioner's precision and L+U fill and its last residual estimate.
 Either regime ends with a backward error guard: a solution with
-|G c - b| > 1e-10 (|G| |c| + |b|), in max norms, raises
-SingularCoarseSystem instead of returning a field.  Its residual applies
-the whole G; its scale |G| is the space's |G|_inf of the stored G in
-double, formed once per space, which for a near-field space is
-|G_near|_inf, a lower bound of |G|_inf, so the guard can only be stricter.
-It logs at DEBUG the backward error and the relative residual
-|b - G c|_2 / |b|_2 of the same residual, the measured counterpart of
-GMRES's estimate.
+|G c - b| > 1e-10 (|G| |c| + |b|), in max norms, or with a relative
+residual |b - G c|_2 / |b|_2 above 1e-9 raises SingularCoarseSystem
+instead of returning a field.  Its residual applies the whole G; its scale
+|G| is the space's |G|_inf of the stored G in double, formed once per
+space, which for a near-field space is |G_near|_inf, a lower bound of
+|G|_inf, so the guard can only be stricter.  The relative residual, the
+measured counterpart of GMRES's estimate, refuses the GMRES coefficients
+of a G singular to working precision, whose large |c| keeps the backward
+error small; the dense regime refuses such a G by its LU's condition
+estimate.  Both are logged at DEBUG.
 """
 
 import csv
@@ -365,7 +369,7 @@ def _condense(forms, P):
     """Eliminate every element's interior and border unknowns: Z_e and C_e
     are solved once per kind (`P.kinds`), a chunk of kinds at a time; W is
     kept per kind, the rest written to the elements of each kind with their
-    own B_RR."""
+    own B_RR, a chunk of those elements at a time."""
     nodes = forms.coarse.element_nodes
     (N, p), nbf = nodes.shape, P.nbf
     first, kind = P.kinds
@@ -391,14 +395,17 @@ def _condense(forms, P):
         trial[:, :n_i] = P.sphi[first[chunk]][:, interior]
         X = _solve_elements(forms, Z, np.concatenate([C, trial], axis=2), first[chunk])
         Ct = C.transpose(0, 2, 1)
-        es = np.flatnonzero((kind >= chunk.start) & (kind < chunk.stop))  # their elements
-        of = kind[es] - chunk.start
-        B_RR = B_RR[of] - 1j * forms.k * _rim_boundary_mass(forms, es)
-        cond.S[es] = B_RR - (Ct @ X[:, :, :n_r])[of]
-        cond.diag[es] = np.diagonal(B_RR, axis1=1, axis2=2)
+        CtW, CtT = Ct @ X[:, :, :n_r], Ct @ X[:, :, n_r:]  # once per kind
         cond.W[chunk] = X[:, :n_i, :n_r]
-        cond.trial_rim[es] = P.sphi[es][:, rim] - (Ct @ X[:, :, n_r:])[of]
-        cond.trial_interior[es] = X[of, :n_i, n_r:]
+        mine = np.flatnonzero((kind >= chunk.start) & (kind < chunk.stop))  # their elements
+        for part in _element_chunks(mine.size, p):
+            es = mine[part]
+            of = kind[es] - chunk.start
+            B = B_RR[of] - 1j * forms.k * _rim_boundary_mass(forms, es)
+            cond.S[es] = B - CtW[of]
+            cond.diag[es] = np.diagonal(B, axis1=1, axis2=2)
+            cond.trial_rim[es] = P.sphi[es][:, rim] - CtT[of]
+            cond.trial_interior[es] = X[of, :n_i, n_r:]
     for arr in vars(cond).values():
         arr.flags.writeable = False
     return cond
@@ -452,29 +459,25 @@ class _Layout:
 
     `rows` are the free nodes and `skeleton` the positions in `rows` of the
     skeleton unknowns, in the nested-dissection order of the shape
-    (`_dissection`), so the skeleton matrix is factorized as it is; unknown
-    i is the order[i]-th free rim node in node order.  `interior` (elements,
-    n_I) holds the positions in `rows` of each element's interior nodes,
-    `elements` the patch's elements and `local` (elements, 4r) the skeleton
-    position of each element's rim nodes (-1 where constrained).  The
-    skeleton matrix in CSC form has the pattern (`indices`, `indptr`); its
-    stored entry q sums the flattened S at (first element) * 16 r^2 +
-    take[starts[q]:starts[q+1]], in increasing order, the patch's S_e
-    entries, whose positions in the patch's own (elements, 4r, 4r) stack are
-    `position`, and entry outer[t] also gets the flattened diag at (first
-    element) * 4r + outer_take[t], the B_RR diagonals of the elements around
-    the patch.
+    (`_dissection`), so the skeleton matrix is factorized as it is.
+    `interior` (elements, n_I) holds the positions in `rows` of each
+    element's interior nodes, `elements` the patch's elements and `local`
+    (elements, 4r) the skeleton position of each element's rim nodes (-1
+    where constrained).  The skeleton matrix in CSC form has the pattern
+    (`indices`, `indptr`); its stored entry q sums the flattened S at (first
+    element) * 16 r^2 + take[starts[q]:starts[q+1]], in increasing order,
+    the patch's S_e entries, and entry outer[t] also gets the flattened diag
+    at (first element) * 4r + outer_take[t], the B_RR diagonals of the
+    elements around the patch.
     """
 
     node_shift: int
     element_shift: int
     rows: np.ndarray
     skeleton: np.ndarray
-    order: np.ndarray
     interior: np.ndarray
     elements: np.ndarray
     local: np.ndarray
-    position: np.ndarray
     take: np.ndarray
     starts: np.ndarray
     outer: np.ndarray
@@ -493,30 +496,34 @@ def _smallest(a):
 
 
 class _LayoutPlan(dict):
-    """The layout (`_skeleton_layout`) of every shape class of an offline
-    build, by its row of `_layout_keys` as a tuple, kept compactly.
+    """The layouts of the shape classes of m-layer patches on `coarse`,
+    with or without `strict_zero_trace`, by their rows of `_layout_keys`
+    as tuples, kept compactly.
 
-    A class holds its two shifts and, each in its `_smallest` type, the
-    arrays that `_with_pattern` does not derive: `rows`, `order`,
-    `elements`, `local`, `position`, `outer_take` and the skeleton positions
-    of the outer diagonal terms.  `position` takes a sort to make and is
-    most of the plan; it is uint16 up to 65536 S_e entries per patch (a
-    patch of 25 elements with 4r = 48 has 57600), as is `order` up to 65536
-    skeleton unknowns.  The plan of H = 1/10, m = 2 on 120 x 120 cells (49
-    classes) holds ~3.3 MB, that of H = 1/40, m = 3 (81 classes) ~0.7 MB.
-    `layout` rebuilds a class's `_Layout`, array by array equal to a fresh
-    `_skeleton_layout`, without ordering or sorting.
+    A class holds its packed layout (`_skeleton_layout`): its two shifts
+    and, each in its `_smallest` type, the arrays that `_with_pattern` does
+    not derive: `rows`, the skeleton's node ranks `order`, `elements`,
+    `local`, the S_e positions `position`, `outer_take` and the skeleton
+    positions of the outer diagonal terms.  `position` takes a sort to make
+    and is most of the plan; it is uint16 up to 65536 S_e entries per patch
+    (a patch of 25 elements with 4r = 48 has 57600), as is `order` up to
+    65536 skeleton unknowns.  The plan of H = 1/10, m = 2 on 120 x 120
+    cells (49 classes) holds ~3.3 MB, that of H = 1/40, m = 3 (81 classes)
+    ~0.7 MB.  `layout` packs a class the first time it is asked for it and
+    builds its `_Layout` from the packed arrays, without ordering or
+    sorting.
     """
 
-    def pack(self, key, layout):
-        """Keep the `layout` of class `key`."""
-        arrays = (layout.rows, layout.order, layout.elements, layout.local, layout.position,
-                  layout.outer_take, layout.indices[layout.outer])
-        self[key] = (layout.node_shift, layout.element_shift, *map(_smallest, arrays))
+    def __init__(self, coarse, m, strict_zero_trace):
+        super().__init__()
+        self.coarse, self.m, self.strict_zero_trace = coarse, m, strict_zero_trace
 
     def layout(self, key, cond, j):
         """The `_Layout` of class `key`, its skeleton and interiors read from
-        `cond` on the patch of j, an element of the class."""
+        `cond` on the patch of j, an element of the class; a class not yet
+        in the plan is packed from the patch of j."""
+        if key not in self:
+            self[key] = _skeleton_layout(cond, self.coarse, j, self.m, self.strict_zero_trace)
         node_shift, element_shift, *arrays = self[key]
         # widened, as the derivation multiplies them
         rows, order, elements, local, position, outer_take, shared = (
@@ -524,7 +531,7 @@ class _LayoutPlan(dict):
         node, first = cond.rim_nodes[j, 0] - node_shift, j - element_shift
         skeleton = np.flatnonzero(cond.on_rim[rows + node])[order]
         return _with_pattern(
-            node_shift, element_shift, rows, skeleton, order,
+            node_shift, element_shift, rows, skeleton,
             np.searchsorted(rows, cond.interior_nodes[elements + first] - node), elements,
             local, position, _entry_keys(local, skeleton.size)[position], outer_take, shared)
 
@@ -602,10 +609,11 @@ def _dissection(x, y, r, size):
 
 def _skeleton_layout(cond, coarse, j, m, strict_zero_trace):
     """The skeleton layout of element j's m-layer patch (see `_Layout`), its
-    unknowns in nested-dissection order (`_dissection`).  Its S_e entries
-    are put in CSC order by one sort of words packing each entry's key
-    above its position, so the duplicates of one entry follow each other
-    by position whatever sort numpy runs.
+    unknowns in nested-dissection order (`_dissection`), packed as a class
+    of `_LayoutPlan` holds it.  Its S_e entries are put in CSC order by one
+    sort of words packing each entry's key above its position, so the
+    duplicates of one entry follow each other by position whatever sort
+    numpy runs.
 
     A free rim node on the domain boundary at the edge of the patch also
     carries the B_RR diagonal of the elements outside the patch that share
@@ -618,10 +626,9 @@ def _skeleton_layout(cond, coarse, j, m, strict_zero_trace):
     rel, width = rows[ranked] - patch.nodes[0], coarse.fine.nx + 1
     order = _dissection(rel % width, rel // width, coarse.ratio,
                         [hi - lo + 1 for lo, hi in (patch.I_range, patch.J_range)])
-    skeleton = ranked[order]
-    n = skeleton.size
+    n = ranked.size
     at = np.full(cond.on_rim.size, -1)
-    at[rows[skeleton]] = np.arange(n)
+    at[rows[ranked[order]]] = np.arange(n)
     elements = patch.elements
     (I0, I1), (J0, J1) = patch.I_range, patch.J_range
     I, J = (np.arange(max(lo - 1, 0), min(hi + 2, coarse.NH)) for lo, hi in ((I0, I1), (J0, J1)))
@@ -635,12 +642,10 @@ def _skeleton_layout(cond, coarse, j, m, strict_zero_trace):
     bits = kept.size.bit_length()
     packed = np.sort(_entry_keys(local, n)[kept] << bits | np.flatnonzero(kept))
     outer = np.flatnonzero(shared >= 0)
-    return _with_pattern(
-        cond.rim_nodes[j, 0] - patch.nodes[0], j - first, rows - patch.nodes[0], skeleton, order,
-        np.searchsorted(rows, cond.interior_nodes[elements]), elements - first, local,
-        packed & ((1 << bits) - 1), packed >> bits,
-        ((outside - first)[:, None] * r4 + np.arange(r4)).ravel()[outer], shared.ravel()[outer],
-    )
+    arrays = (rows - patch.nodes[0], order, elements - first, local, packed & ((1 << bits) - 1),
+              ((outside - first)[:, None] * r4 + np.arange(r4)).ravel()[outer],
+              shared.ravel()[outer])
+    return (cond.rim_nodes[j, 0] - patch.nodes[0], j - first, *map(_smallest, arrays))
 
 
 def _entry_keys(local, n):
@@ -649,19 +654,20 @@ def _entry_keys(local, n):
     return (local[:, None, :] * n + local[:, :, None]).ravel()
 
 
-def _with_pattern(node_shift, element_shift, rows, skeleton, order, interior, elements, local,
+def _with_pattern(node_shift, element_shift, rows, skeleton, interior, elements, local,
                   position, entry, outer_take, shared):
     """The `_Layout` of a skeleton from its geometry, the positions
-    `position` of its S_e entries in CSC order, their keys `entry`
-    (`_entry_keys`), and the skeleton positions `shared` of its outer
-    diagonal terms: `take`, `starts`, `outer` and the CSC pattern follow
-    from them without sorting."""
+    `position` of its S_e entries (in the patch's own (elements, 4r, 4r)
+    stack) in CSC order, their keys `entry` (`_entry_keys`), and the
+    skeleton positions `shared` of its outer diagonal terms: `take`,
+    `starts`, `outer` and the CSC pattern follow from them without
+    sorting."""
     n, r4 = skeleton.size, local.shape[1]
     starts = np.flatnonzero(np.concatenate([[entry.size > 0], entry[1:] != entry[:-1]]))
     entry = entry[starts]
     indptr = np.searchsorted(entry, np.arange(n + 1) * n)
     return _Layout(
-        node_shift, element_shift, rows, skeleton, order, interior, elements, local, position,
+        node_shift, element_shift, rows, skeleton, interior, elements, local,
         take=(elements[:, None] * r4 * r4 + np.arange(r4 * r4)).ravel()[position],
         starts=starts,
         outer=np.searchsorted(entry, shared * (n + 1)),
@@ -762,10 +768,9 @@ def local_cem_solve(j, m, forms, P, strict_zero_trace=False):
     """All nbf trial vectors of element j on its m-layer patch (`grid.oversample`),
     zero-extended."""
     cond = _condense(forms, P)
-    rows, vals = _solve_now(
-        cond, _skeleton_layout(cond, forms.coarse, j, m, strict_zero_trace), [j], m,
-        _trial_sources(cond, [j], [0]), P.nbf,
-    )
+    key = tuple(_layout_keys(forms.coarse, m)[j].tolist())
+    layout = _LayoutPlan(forms.coarse, m, strict_zero_trace).layout(key, cond, j)
+    rows, vals = _solve_now(cond, layout, [j], m, _trial_sources(cond, [j], [0]), P.nbf)
     psi = np.zeros((forms.grid.n_nodes, P.nbf), dtype=complex)
     psi[rows[0]] = vals[0]
     return psi
@@ -873,22 +878,21 @@ class MultiscaleSpace:
     `near_field`, fixed by `build_space` (a space of more than DENSE_LIMIT
     dofs), is the regime its coarse system is solved in (`solve_multiscale`).
     `G` is the coarse matrix Psi^T B Psi of `forms.B`, summed from element
-    products of the condensed trial (`_ElementProducts`), in complex128, or,
-    with `near_field`, only its near field, the entries between elements
-    within Chebyshev distance NEAR_FIELD, in complex64.  `G_norm` is the
-    max-norm |G|_inf of the stored G in double, so in the near-field case
-    |G_near|_inf before the cast; `G_lu` is G's dense LU (lu, piv, rcond)
-    of `_dense_lu`, formed once with G, for a space that is not
-    `near_field`, and None for one that is; `condensation` is
-    the element condensation the patch solves read, and `layouts` the
-    compact layout of each shape class (`_LayoutPlan`, ~3.3 MB at
-    H = 1/10, m = 2 on 120 x 120 cells, ~0.7 MB at H = 1/40, m = 3), from
-    which every batch after a class's first, offline or online, takes its
-    layout and the whole-G fallback its rim offsets.  All are read-only,
-    and the spaces `build_space` returns for one (forms, P, m,
-    strict_zero_trace) share them.
-    `corrector` is the space's own summed localized data solve (None when
-    it was built without load blocks).
+    products of the finished condensed trial (`_ElementProducts`), in
+    complex128, or, with `near_field`, only its near field, the entries
+    between elements within Chebyshev distance NEAR_FIELD, in complex64.
+    `G_norm` is the max-norm |G|_inf of the stored G in double, so in the
+    near-field case |G_near|_inf before the cast; `G_lu` is G's dense LU
+    (lu, piv, rcond) of `_dense_lu`, formed once with G, for a space that
+    is not `near_field`, and None for one that is; `condensation` is the
+    element condensation the patch solves read, and `layouts` the compact
+    layout of each shape class (`_LayoutPlan`, ~3.3 MB at H = 1/10, m = 2
+    on 120 x 120 cells, ~0.7 MB at H = 1/40, m = 3), from which every
+    batch, offline or online, makes its layout and G's element products,
+    offline and in the whole-G fallback, take their rim offsets.  All are
+    read-only, and the spaces `build_space` returns for one (forms, P, m,
+    strict_zero_trace) share them.  `corrector` is the space's own summed
+    localized data solve (None when it was built without load blocks).
     """
 
     forms: object
@@ -1032,7 +1036,8 @@ def _product_forms(forms, cond):
 
 class _ElementProducts:
     """G = Psi^T B Psi, or its near field, summed element row by element
-    row as sum_e V_e^T S_e V_e (see the module docstring).
+    row as sum_e V_e^T S_e V_e (see the module docstring) from the
+    `CondensedTrial` `trial` of m-layer patches.
 
     V_e holds the coordinates (x, a) of the columns in the slots within
     Chebyshev distance m of e, nbf columns per element, zero outside the
@@ -1040,19 +1045,18 @@ class _ElementProducts:
     coordinates add z.  The offsets of a column's rim values in its CSC
     segment come from `offsets(key, NH, radius)` (see `_rim_offsets`), once
     per class of its element j, its row of `keys` (`_layout_keys` of m) as
-    a tuple.  `add_exceptions` keeps the (slots, columns, values) of
-    `_exception_entries` by the element row of their slots, so each element
-    row joins only its own.  G's lower blocks within `reach` element rows
-    (NEAR_FIELD with `near_field`) are summed in double, a chunk of elements
-    and a band of slot rows at a time; `ready` adds the element rows whose
-    columns are final and cuts the strips of the G rows they complete, and
-    `matrix` returns (G, |G|_inf); `exceptions` joins the kept entries of
-    the element rows asked for.
+    a tuple.  The trial's exceptions are split by the element row of their
+    slots, so each element row joins only its own.  G's lower blocks within
+    `reach` element rows (NEAR_FIELD with `near_field`) are summed in
+    double, a chunk of elements and a band of slot rows at a time;
+    `matrix` adds the element rows in order, cuts the strip of each G row
+    once it is final and returns (G, |G|_inf).
     """
 
-    def __init__(self, forms, cond, skeleton, m, reach, near_field, keys, offsets):
+    def __init__(self, forms, cond, trial, m, reach, near_field, keys, offsets):
         coarse = forms.coarse
         NH, N = coarse.NH, coarse.n_elements
+        skeleton = trial.skeleton
         self._NH, self._cond, self._skeleton, self._k = NH, cond, skeleton, forms.k
         self._r4, self._nbf = cond.rim_nodes.shape[1], skeleton.shape[1] // N
         self._near_field, self._reach = near_field, min(reach, NH - 1)
@@ -1067,16 +1071,17 @@ class _ElementProducts:
         self._class = np.empty(N, dtype=np.intp)
         for c, (_, js) in enumerate(classes):
             self._class[js] = c
-        self._keys, self._offsets = [key for key, _ in classes], offsets
-        self._tables = np.full((len(classes), (2 * self._ring + 1) ** 2, self._r4), -1,
-                               dtype=np.intc)
-        self._made = np.zeros(len(classes), dtype=bool)
-        self._exceptions = [[] for _ in range(NH)]  # by the element row of their slots
+        self._tables = np.array([offsets(key, NH, self._ring) for key, _ in classes],
+                                dtype=np.intc)
+        E = trial.exceptions
+        slots, columns = E.indices, np.repeat(np.arange(E.shape[1]), np.diff(E.indptr))
+        rows = slots // (self._r4 * NH)
+        by_row = np.argsort(rows, kind="stable")
+        self._exceptions = slots[by_row], columns[by_row], E.data[by_row]
+        self._row_starts = np.searchsorted(rows[by_row], np.arange(NH + 1))
         self._blocks = {}  # element row of G -> its lower blocks, being summed
         self._strips = []
         self._sums = np.zeros(skeleton.shape[1])
-        self._added = 0
-        self.seconds = 0.0
 
     def _coordinates(self, elements, radius):
         """(x, a) of the columns in the slots within `radius` of `elements`,
@@ -1086,12 +1091,8 @@ class _ElementProducts:
         jI, jJ = elements[:, None] % NH + sI, elements[:, None] // NH + sJ
         valid = (jI >= 0) & (jI < NH) & (jJ >= 0) & (jJ < NH)
         j = np.where(valid, jJ * NH + jI, 0)
-        classes = self._class[j]
-        for c in np.unique(classes[valid & ~self._made[classes]]):
-            self._tables[c] = self._offsets(self._keys[c], NH, ring)
-            self._made[c] = True
         seen = (ring - sJ) * (2 * ring + 1) + ring - sI  # e seen from j, among the ring's slots
-        local = np.where(valid[:, :, None], self._tables[classes, seen], -1)
+        local = np.where(valid[:, :, None], self._tables[self._class[j], seen], -1)
         starts = self._skeleton.indptr[(j * nbf)[:, :, None] + np.arange(nbf)]
         at = starts[:, :, :, None] + local[:, :, None]
         free = local[:, :, None] >= 0
@@ -1155,25 +1156,10 @@ class _ElementProducts:
                 blocks[rows, :, lo - sJ + R:, tlo - sI + R:thi - sI + R] += P[
                     :, sI + radius, :, :, tlo + radius:thi + radius]
 
-    def add_exceptions(self, slots, columns, values):
-        """Keep exception entries (element-rim slots, columns, values), as
-        `_exception_entries` gives them, by the element row of their slots."""
-        rows = slots // (self._r4 * self._NH)
-        for b in np.unique(rows):
-            mine = rows == b
-            self._exceptions[b].append((slots[mine], columns[mine], values[mine]))
-
-    def exceptions(self, rows):
-        """(slots, columns, values) of the exception entries kept for the
-        element rows `rows`, row by row, each in the order they were kept."""
-        parts = [entries for b in rows for entries in self._exceptions[b]]
-        if not parts:
-            return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp), np.empty(0, complex)
-        return _join(*parts)
-
     def _add_row(self, b):
         NH, r4, nbf = self._NH, self._r4, self._nbf
-        slots, columns, values = self.exceptions([b])
+        mine = slice(*self._row_starts[b:b + 2])
+        slots, columns, values = (a[mine] for a in self._exceptions)
         ring = np.unique(slots // r4)
         # each chunk's complex V stack within a quarter of an `_element_chunks`
         # stack, as the products hold a few such stacks; larger chunks lift
@@ -1206,21 +1192,15 @@ class _ElementProducts:
         _add_row_sums(self._sums, L, np.abs(L.data), J * NH * nbf)
         self._strips.append(_single(L) if self._near_field else L)
 
-    def ready(self, t):
-        """Add the element rows whose columns are final once patch rows
-        0 ... t are, and cut the strips of G's rows they complete; t =
-        NH - 1 completes G."""
-        start, NH = time.perf_counter(), self._NH
-        while self._added <= (NH - 1 if t >= NH - 1 else t - self._ring):
-            self._add_row(self._added)
-            self._added += 1
-            final = NH if self._added == NH else self._added - self._ring  # G rows now final
+    def matrix(self):
+        """(G in CSR form, |G|_inf in double): the element rows added in
+        order, each G row's strip cut once no later element row reaches it."""
+        NH = self._NH
+        for b in range(NH):
+            self._add_row(b)
+            final = NH if b == NH - 1 else b + 1 - self._ring  # G rows now final
             while len(self._strips) < final:
                 self._finish(len(self._strips))
-        self.seconds += time.perf_counter() - start
-
-    def matrix(self):
-        """(G in CSR form, |G|_inf in double) once every row is ready."""
         L = sp.vstack(self._strips, format="csr")
         self._strips = None  # the strips go before G is completed
         return _symmetric(L), self._sums.max()
@@ -1273,8 +1253,7 @@ def _exception_entries(layout, js, solved, nbf):
             solved[:, layout.indices[layout.outer], :nbf].ravel())
 
 
-def _solve_patches(cond, forms, P, m, strict_zero_trace, load_blocks, plan=None,
-                   near_field=False):
+def _solve_patches(cond, forms, P, m, strict_zero_trace, load_blocks, plan=None):
     """Skeleton solves on the patches of every element (offline, without a
     `plan`) or of the loaded ones (online, with the `_LayoutPlan` of the
     offline build), element row by element row, in one batch per shape
@@ -1282,24 +1261,21 @@ def _solve_patches(cond, forms, P, m, strict_zero_trace, load_blocks, plan=None,
 
     Offline, each patch solves its nbf trial columns, whose rim values go
     into the `CondensedTrial`'s preallocated skeleton and its exceptions
-    (`_exception_entries`), and each element row's end adds the element
-    products of G whose columns are final (`_ElementProducts`, its near
-    field alone with `near_field`).  The patch of an element with a nonzero
-    load block also solves its data column, whose interiors `_finish_batch`
+    (`_exception_entries`).  The patch of an element with a nonzero load
+    block also solves its data column, whose interiors `_finish_batch`
     recovers, summed into the corrector in element order as each element
     row ends.  Every patch is factorized in the nested-dissection order of
-    its class's layout (`_skeleton_layout`): the class's first batch
-    builds it for its first element and packs it into the plan, and every
-    later batch of the class, offline or online, takes it from the plan
-    (`_LayoutPlan.layout`), so the loop holds one layout at a time and
-    online solves build none.  Returns (the `CondensedTrial` or None, G or
-    None, |G|_inf or None, corrector or None, the plan, the work that
+    its class's layout (`_LayoutPlan.layout`): the class's first batch
+    packs it into the plan, from its first element, and every later batch
+    of the class, offline or online, builds it from the plan, so the loop
+    holds one layout at a time and online solves order none.  Returns (the
+    `CondensedTrial` or None, corrector or None, the plan, the work that
     `_log_build` logs).
     """
     coarse = forms.coarse
     n, N, NH = forms.grid.n_nodes, coarse.n_elements, coarse.NH
     with_trial = plan is None
-    plan = _LayoutPlan() if with_trial else plan
+    plan = _LayoutPlan(coarse, m, strict_zero_trace) if with_trial else plan
     nbf = P.nbf if with_trial else 0
     corrector, data, loaded_at = None, [], np.full(N, -1)
     if load_blocks is not None:
@@ -1309,25 +1285,17 @@ def _solve_patches(cond, forms, P, m, strict_zero_trace, load_blocks, plan=None,
         corrector = np.zeros(n, dtype=complex)
     elements = np.arange(N) if with_trial else np.flatnonzero(loaded_at >= 0)
     keys = _layout_keys(coarse, m)
-    trial = products = G = G_norm = None
+    trial, exceptions = None, []
     if with_trial:
         skeleton = _empty_csc(
             n, _skeleton_counts(coarse, m, strict_zero_trace, nbf, cond.on_rim, keys))
-        products = _ElementProducts(forms, cond, skeleton, m,
-                                    NEAR_FIELD if near_field else 2 * m + 1, near_field, keys,
-                                    plan.rim_offsets)
-    batches = unknowns = fill = built = taken = 0
-    layout_seconds = 0.0
+    batches = unknowns = fill = 0
+    packed, layout_seconds = len(plan), 0.0
     for b in range(NH):
         row = elements[(elements >= b * NH) & (elements < (b + 1) * NH)]
         for key, js in _shape_classes(keys, row):
             start = time.perf_counter()
-            if key in plan:
-                layout, taken = plan.layout(key, cond, js[0]), taken + 1
-            else:
-                layout = _skeleton_layout(cond, coarse, js[0], m, strict_zero_trace)
-                plan.pack(key, layout)
-                built += 1
+            layout = plan.layout(key, cond, js[0])
             layout_seconds += time.perf_counter() - start
             at = loaded_at[js]
             p = np.flatnonzero(at >= 0)  # the loaded patches of the batch
@@ -1342,7 +1310,7 @@ def _solve_patches(cond, forms, P, m, strict_zero_trace, load_blocks, plan=None,
             fill += batch_fill
             if with_trial:
                 _write_skeleton(skeleton, cond, layout, js, solved, nbf)
-                products.add_exceptions(*_exception_entries(layout, js, solved, nbf))
+                exceptions.append(_exception_entries(layout, js, solved, nbf))
             if p.size:
                 rows, vals = _finish_batch(
                     cond, layout, js[p],
@@ -1353,38 +1321,37 @@ def _solve_patches(cond, forms, P, m, strict_zero_trace, load_blocks, plan=None,
         for _, rows, column in sorted(data, key=lambda d: d[0]):
             corrector[rows] += column
         data.clear()
-        if with_trial:
-            products.ready(b)
     if with_trial:
-        G, G_norm = products.matrix()
-        slots, columns, values = products.exceptions(range(NH))
+        slots, columns, values = _join(*exceptions)
         trial = CondensedTrial(
             skeleton, sp.csc_matrix((values, (slots, columns)),
                                     shape=(cond.rim_nodes.size, N * nbf)), cond)
-    work = (elements.size, batches, unknowns, fill,
-            *((N, NEAR_FIELD if near_field else 2 * m + 1, G.nnz, products.seconds) if with_trial
-              else (0, 0, 0, 0.0)),
-            built, taken, plan.nbytes, layout_seconds,
-            *((trial.nnz, trial.nbytes) if trial else (0, 0)))
-    return trial, G, G_norm, corrector, plan, work
+    work = (elements.size, batches, unknowns, fill, len(plan) - packed, plan.nbytes,
+            layout_seconds)
+    return trial, corrector, plan, work
 
 
-def _log_build(work, space=None):
+def _log_build(work, space=None, reach=0, seconds=0.0):
     """Log a `build_space` call at DEBUG: the `work` of its `_solve_patches`
-    and, for the `space` of an offline build, the bytes it keeps in its
+    and, for the `space` of an offline build, the element products that
+    formed its G within `reach` element rows in `seconds`, its condensed
+    trial's stored entries and bytes and the bytes it keeps in its
     condensation, in G and in G's dense LU (0 without one)."""
-    kept = (0, 0, 0)
+    products, kept = (0, 0, 0, 0.0), (0, 0, 0, 0, 0)
     if space is not None:
-        G = space.G
-        kept = (space.condensation.nbytes, G.data.nbytes + G.indices.nbytes + G.indptr.nbytes,
+        G, trial = space.G, space.trial
+        products = (space.forms.coarse.n_elements, reach, G.nnz, seconds)
+        kept = (trial.nnz, trial.nbytes, space.condensation.nbytes,
+                G.data.nbytes + G.indices.nbytes + G.indptr.nbytes,
                 sum(a.nbytes for a in space.G_lu[:2]) if space.G_lu else 0)
     log.debug(
         "build_space: %d patches factorized in %d batches, %d skeleton unknowns, L+U fill %d; "
-        "G from the products of %d elements within %d element rows, %d G entries stored, "
-        "%.2f s forming them; %d layouts built and %d taken from the space's plan of %d bytes "
-        "in %.3f s, ordering included; trial stored condensed in %d entries of %d bytes, "
-        "condensation in %d bytes, G in %d bytes and its dense LU in %d bytes",
-        *work, *kept)
+        "%d classes packed into the space's plan of %d bytes, %.3f s making the batches' "
+        "layouts, packing and ordering included; G from the products of %d elements within "
+        "%d element rows, %d G entries stored, %.2f s forming them; trial stored condensed in "
+        "%d entries of %d bytes, condensation in %d bytes, G in %d bytes and its dense LU in "
+        "%d bytes",
+        *work, *products, *kept)
 
 
 def build_space(forms, P, m, strict_zero_trace=False, load_blocks=None):
@@ -1396,7 +1363,11 @@ def build_space(forms, P, m, strict_zero_trace=False, load_blocks=None):
     the data: P keeps the space it last built, and a call for the same
     forms object, m and strict_zero_trace reuses its trial, G, element
     condensation and class layouts and solves only the loaded patches (see
-    the module docstring).
+    the module docstring).  A new space is built in three steps: the
+    element condensation and the patch solves write the condensed trial
+    (`_solve_patches`), the element products form G from it
+    (`_ElementProducts`), and `_new_space` factorizes G in the dense
+    regime.
     """
     coarse = forms.coarse
     if load_blocks is not None:
@@ -1409,20 +1380,24 @@ def build_space(forms, P, m, strict_zero_trace=False, load_blocks=None):
     space = P.space
     if (space is not None and space.forms is forms and space.m == m
             and space.strict_zero_trace == strict_zero_trace):
-        _, _, _, corrector, _, work = _solve_patches(
+        _, corrector, _, work = _solve_patches(
             space.condensation, forms, P, m, strict_zero_trace, load_blocks, space.layouts
         )
         _log_build(work)
         return replace(space, corrector=corrector)
     P.space = space = None  # the previous trial, G, LU, condensation and plan go first
     cond = _condense(forms, P)
+    trial, corrector, plan, work = _solve_patches(cond, forms, P, m, strict_zero_trace,
+                                                  load_blocks)
     near_field = coarse.n_elements * P.nbf > DENSE_LIMIT  # the regime of `solve_multiscale`
-    trial, G, G_norm, corrector, layouts, work = _solve_patches(
-        cond, forms, P, m, strict_zero_trace, load_blocks, near_field=near_field
-    )
-    P.space = _new_space(forms, m, strict_zero_trace, trial, G, G_norm, corrector, cond,
-                         layouts, near_field)
-    _log_build(work, P.space)
+    reach = NEAR_FIELD if near_field else 2 * m + 1
+    start = time.perf_counter()
+    G, G_norm = _ElementProducts(forms, cond, trial, m, reach, near_field,
+                                 _layout_keys(coarse, m), plan.rim_offsets).matrix()
+    seconds = time.perf_counter() - start
+    P.space = _new_space(forms, m, strict_zero_trace, trial, G, G_norm, corrector, cond, plan,
+                         near_field)
+    _log_build(work, P.space, reach, seconds)
     return P.space
 
 
@@ -1430,13 +1405,9 @@ def _whole_g(space):
     """All of G of a space built by `build_space`, in CSR form, from the
     element products of its condensed trial (`_ElementProducts`) at reach
     2m + 1, in double."""
-    products = _ElementProducts(space.forms, space.condensation, space.trial.skeleton, space.m,
-                                2 * space.m + 1, False, _layout_keys(space.forms.coarse, space.m),
-                                space.layouts.rim_offsets)
-    E = space.trial.exceptions
-    products.add_exceptions(E.indices, np.repeat(np.arange(E.shape[1]), np.diff(E.indptr)), E.data)
-    products.ready(space.forms.coarse.NH - 1)
-    return products.matrix()[0]
+    return _ElementProducts(space.forms, space.condensation, space.trial, space.m,
+                            2 * space.m + 1, False, _layout_keys(space.forms.coarse, space.m),
+                            space.layouts.rim_offsets).matrix()[0]
 
 
 class _MatrixFreeG:
@@ -1461,10 +1432,6 @@ class CoarseSystem:
 
     G: sp.csr_matrix
     b: np.ndarray
-
-    @property
-    def n(self):
-        return self.G.shape[0]
 
 
 def assemble_coarse(space, forms, loads):
@@ -1548,9 +1515,10 @@ def _dense_solve(G_lu, b):
 
 def _check_backward_error(A, b, c, scale, diag):
     """Raise SingularCoarseSystem unless the normwise backward error
-    |A c - b| / (|G| |c| + |b|), in max norms, is at most 1e-10; `scale` is
-    |G|_inf of the stored G, a lower bound of |A|_inf when G holds only
-    A's near field.  Logs it with the relative residual |b - A c|_2 / |b|_2."""
+    |A c - b| / (|G| |c| + |b|), in max norms, is at most 1e-10 and the
+    relative residual |b - A c|_2 / |b|_2 at most 1e-9; `scale` is |G|_inf
+    of the stored G, a lower bound of |A|_inf when G holds only A's near
+    field.  Logs both."""
     r = A @ c - b
     residual = np.abs(r).max()
     eta = residual / (scale * np.abs(c).max() + np.abs(b).max()) if residual else 0.0
@@ -1561,6 +1529,11 @@ def _check_backward_error(A, b, c, scale, diag):
         raise SingularCoarseSystem(
             f"coarse solve of {A.shape[0]} dofs has backward error {eta:.2e} "
             f"> 1e-10{diag}"
+        )
+    if not relative <= 1e-9:
+        raise SingularCoarseSystem(
+            f"coarse solve of {A.shape[0]} dofs has relative residual {relative:.2e} "
+            f"> 1e-9{diag}"
         )
 
 
@@ -1580,13 +1553,15 @@ def solve_multiscale(system, space, forms):
       single-precision sparse LU of its stored near field.  If GMRES does
       not converge, or that LU cannot be formed or applied, the whole G is
       formed by element products (`_whole_g`) and solved by its double
-      sparse LU, which refuses an exactly singular G.  GMRES does not check,
-      and returns coefficients of the one field.
+      sparse LU, which refuses an exactly singular G.  GMRES does not check
+      for a G singular to working precision; the guard below refuses its
+      coefficients by their relative residual.
 
     Either regime ends with the backward error guard: SingularCoarseSystem
     is raised for a solution whose |G c - b| / (|G| |c| + |b|), in max
     norms, exceeds 1e-10, with |G| the space's `G_norm` (|G_near|_inf for a
-    near-field space, which only makes the guard stricter).  That refusal
+    near-field space, which only makes the guard stricter), or whose
+    relative residual |b - G c|_2 / |b|_2 exceeds 1e-9.  These refusals
     and a singular G's name k*H/eps.  The dense LU's reciprocal condition
     estimate, the GMRES iteration count, its preconditioner's precision and
     fill, its residual estimate, the backward error and the relative

@@ -160,6 +160,13 @@ def broken_s_norm_sq(P, v):
     return float(np.real(np.vdot(b, P.S @ b)))
 
 
+def patch_layout(cond, coarse, j, m, strict_zero_trace=False):
+    """The `cem._Layout` of element j's m-layer patch, from a layout plan of
+    its own (`cem._LayoutPlan`), which packs j's class from j's patch."""
+    plan = cem._LayoutPlan(coarse, m, strict_zero_trace)
+    return plan.layout(tuple(cem._layout_keys(coarse, m)[j].tolist()), cond, j)
+
+
 def build_global_space(forms, P, loads=None, strict_zero_trace=False):
     """The space of the unlocalized bases (`cem.MultiscaleSpace` with m = -1
     and no layouts): the constrained problem on the domain patch
@@ -183,7 +190,8 @@ def build_global_space(forms, P, loads=None, strict_zero_trace=False):
         blocks = (loads / shares)[coarse.element_nodes]
         sources.append((np.zeros(N, dtype=int), np.arange(N), np.full(N, N * nbf),
                         *cem._load_sources(forms, P, np.arange(N), blocks)))
-    layout = cem._skeleton_layout(cond, coarse, 0, NH - 1, strict_zero_trace)
+    plan, key = cem._LayoutPlan(coarse, NH - 1, strict_zero_trace), (0, NH - 1, 0, NH - 1)
+    layout = plan.layout(key, cond, 0)
     solved, _ = cem._solve_batch(cond, layout, [0], NH - 1, cem._join(*sources),
                                  N * nbf + (loads is not None))
     corrector = None
@@ -196,12 +204,11 @@ def build_global_space(forms, P, loads=None, strict_zero_trace=False):
     cem._write_skeleton(skeleton, cond, layout, np.zeros(1, dtype=int), solved, N * nbf)
     trial = cem.CondensedTrial(
         skeleton, sp.csc_matrix((cond.rim_nodes.size, N * nbf), dtype=complex), cond)
-    products = cem._ElementProducts(  # each element its own class, its distances to the edges
-        forms, cond, skeleton, NH - 1, NH - 1, False, cem._layout_keys(coarse, NH - 1),
-        lambda key, NH, radius: cem._rim_offsets(np.arange(N), layout.local, layout.order,
-                                                 key[2] * NH + key[0], key, NH, radius))
-    products.ready(NH - 1)
-    G, G_norm = products.matrix()
+    order = plan[key][3].astype(np.intp)  # the skeleton's node ranks
+    G, G_norm = cem._ElementProducts(  # each element its own class, its distances to the edges
+        forms, cond, trial, NH - 1, NH - 1, False, cem._layout_keys(coarse, NH - 1),
+        lambda key, NH, radius: cem._rim_offsets(np.arange(N), layout.local, order,
+                                                 key[2] * NH + key[0], key, NH, radius)).matrix()
     return cem._new_space(forms, -1, strict_zero_trace, trial, G, G_norm, corrector, cond, None,
                           False)
 
@@ -224,9 +231,8 @@ def adjoint_cem_solve(j, m, forms, P, strict_zero_trace=False):
     conjugate test vectors (`cem.local_cem_solve` solves that of B)."""
     cond = cem._condense(forms, P)
     rows, vals = cem._solve_now(
-        conjugate_condensation(cond),
-        cem._skeleton_layout(cond, forms.coarse, j, m, strict_zero_trace), [j], m,
-        cem._trial_sources(cond, [j], [0]), P.nbf,
+        conjugate_condensation(cond), patch_layout(cond, forms.coarse, j, m, strict_zero_trace),
+        [j], m, cem._trial_sources(cond, [j], [0]), P.nbf,
     )
     psi = np.zeros((forms.grid.n_nodes, P.nbf), dtype=complex)
     psi[rows[0]] = vals[0]

@@ -236,11 +236,16 @@ def test_chunked_condensation_is_bitwise_one_chunk(setup48, monkeypatch):
     assert all(_same_bytes(a, b) for a, b in zip(loads_one, loads_whole))
 
 
-@pytest.mark.parametrize("step", ["projection", "condensation"])
-def test_chunked_offline_steps_stay_below_one_element_stack(setup48, step, monkeypatch):
+@pytest.mark.parametrize("step, medium", [("projection", "setup48"),
+                                          ("condensation", "setup48"),
+                                          ("condensation", "constant")],
+                         ids=["projection", "condensation", "condensation-one-kind"])
+def test_chunked_offline_steps_stay_below_one_element_stack(setup48, step, medium, monkeypatch):
     # with one element per chunk the traced peak stays below one (N, p, p)
-    # float64 stack, which the unchunked steps held whole
-    g, c, forms, P = setup48
+    # float64 stack, which the unchunked steps held whole; on a constant
+    # medium all 64 elements are of one kind, which the condensation writes
+    # a chunk of elements at a time
+    g, c, forms, P = setup48 if medium == "setup48" else make_setup(nx=64, NH=8)
     N, p = c.element_nodes.shape
     monkeypatch.setattr(assembly, "_CHUNK_BYTES", 1)
     run = {"projection": lambda: spectral.build_projection(forms, P.nbf),
@@ -659,7 +664,7 @@ def test_singular_coarse_system_raises(setup32, dense_limit, monkeypatch):
     # fails, and so does the fallback's LU of the whole G
     g, c, forms, P = setup32
     space, system = _plane_wave_system(forms, P, 1, near_field=dense_limit == 0)
-    keep = np.ones(system.n)
+    keep = np.ones(system.G.shape[0])
     keep[3] = 0.0
     D = sp.diags(keep)
 
@@ -703,6 +708,24 @@ def test_dependent_trial_vectors_refused_by_dense_solve():
     assert np.linalg.norm(resid) <= 1e-10 * np.linalg.norm(near.trial.T @ loads)
 
 
+def test_singular_g_refused_in_both_regimes():
+    # two 2 x 2-cell elements under the strict zero trace, m = 1: their trial
+    # vectors are linearly dependent and G is singular to working precision;
+    # the dense LU refuses it by its condition estimate, and the near-field
+    # GMRES's coefficients (|c| ~ 4e7) by their relative residual
+    cfg = dict(nx=4, NH=2, nbf=2, contrast=1.0, k=1.0, strict=True, seed=0)
+    rng, g, c, forms, P = _generated_setup(cfg)
+    f, gd = _random_complex(rng, g.n_nodes), _random_complex(rng, g.n_nodes)
+    loads, blocks = forms.M @ f + forms.Mb @ gd, element_loads(g, c, f, gd)
+    dense = cem.build_space(forms, P, 1, True, load_blocks=blocks)
+    near = _near_field_space(forms, P, 1, True, load_blocks=blocks)
+    for space, refusal in ((dense, r"reciprocal condition estimate 1\.\d\de-17"),
+                           (near, r"relative residual \d\.\d\de-0[5-8] > 1e-9")):
+        with pytest.raises(SingularCoarseSystem, match=refusal) as refused:
+            cem.solve_multiscale(cem.assemble_coarse(space, forms, loads), space, forms=forms)
+        assert "k*H/eps" in str(refused.value)
+
+
 def test_solve_multiscale_rejects_foreign_forms(system_nh6):
     # the solve belongs to the forms the space was built from; an equal copy
     # is refused
@@ -717,7 +740,7 @@ def test_solve_multiscale_rejects_foreign_system(system_nh6):
     forms, space, system = system_nh6
     other = cem.build_space(forms, spectral.build_projection(forms, space.nbf), 1)
     foreign = cem.assemble_coarse(other, forms, np.ones(forms.grid.n_nodes))
-    assert foreign.n == system.n
+    assert foreign.G.shape[0] == system.G.shape[0]
     with pytest.raises(DimensionMismatch, match="not assembled from this space"):
         cem.solve_multiscale(foreign, space, forms)
 
@@ -744,7 +767,7 @@ def test_near_field_matches_dense_mask(system_nh6):
     assert near.format == G.format == "csr"
     near_csc = oracles.near_field(G.tocsc(), 6, 2)
     assert near_csc.format == "csc" and np.array_equal(near_csc.toarray(), near.toarray())
-    mask = _element_distance(system.n, 6, 2) <= cem.NEAR_FIELD
+    mask = _element_distance(system.G.shape[0], 6, 2) <= cem.NEAR_FIELD
     coo = G.tocoo()
     stored = np.zeros(G.shape, dtype=bool)
     stored[coo.row, coo.col] = True
@@ -805,7 +828,7 @@ def test_coarse_backward_error_guard(regime, request, monkeypatch):
         return c if regime == "dense" else (c, *out[1:])
 
     monkeypatch.setattr(owner, name, perturbed)
-    with pytest.raises(SingularCoarseSystem, match=f"{system.n} dofs has backward error"):
+    with pytest.raises(SingularCoarseSystem, match=f"{system.G.shape[0]} dofs has backward error"):
         cem.solve_multiscale(system, space, forms=forms)
 
 
@@ -860,7 +883,7 @@ def _condensed_solve(forms, P, patch, strict, j, block, adjoint=False):
     sources = cem._join(
         cem._trial_sources(cond, [j], [0]), ([0], [j], [P.nbf], rim, interior)
     )
-    layout = cem._skeleton_layout(cond, patch.coarse, j, patch.m, strict)
+    layout = oracles.patch_layout(cond, patch.coarse, j, patch.m, strict)
     rows, vals = cem._solve_now(
         oracles.conjugate_condensation(cond) if adjoint else cond, layout, [j], patch.m,
         sources, P.nbf + 1,
@@ -1038,7 +1061,8 @@ def test_generated_sparse_coarse_solve(cfg, data):
     assert np.abs(G - G.T).max() <= 1e-12 * np.abs(G).max()
     # so do linearly dependent trial vectors, which the count above does not
     # rule out (nx = 8, NH = 4, nbf = 3, strict, m = 1: rank 45 of 48): the
-    # dense regime refuses such a G, GMRES returns coefficients of its field
+    # dense regime refuses such a G; GMRES returns coefficients of its field,
+    # unless the relative residual guard refuses them
     singular = np.linalg.matrix_rank(oracles.fine_trial(space).toarray()) < space.n_basis
     if singular:
         with pytest.raises(SingularCoarseSystem, match="reciprocal condition estimate"):
@@ -1064,11 +1088,15 @@ def test_generated_sparse_coarse_solve(cfg, data):
         near = _near_field_space(forms, P, m, cfg["strict"], load_blocks=element_loads(g, c, f, gd))
     assert finished and all(finished)
     system = cem.assemble_coarse(near, forms, loads)
-    u, c_near = cem.solve_multiscale(system, near, forms=forms)
-    if not singular:
-        assert np.linalg.norm(c_near - c_dense) <= 1e-10 * np.linalg.norm(c_dense)
-    resid = near.trial.T @ (loads - forms.B @ u)
-    assert np.linalg.norm(resid) <= 1e-10 * np.linalg.norm(near.trial.T @ loads)
+    try:
+        u, c_near = cem.solve_multiscale(system, near, forms=forms)
+    except SingularCoarseSystem as refusal:
+        assert singular and "relative residual" in str(refusal)
+    else:
+        if not singular:
+            assert np.linalg.norm(c_near - c_dense) <= 1e-10 * np.linalg.norm(c_dense)
+        resid = near.trial.T @ (loads - forms.B @ u)
+        assert np.linalg.norm(resid) <= 1e-10 * np.linalg.norm(near.trial.T @ loads)
     # (stored in complex64: the near field is cast, and G_norm is the
     # largest row sum of the double near field, checked below)
     G, ref = near.G, _g_oracle(forms, near)
@@ -1217,13 +1245,13 @@ def test_cached_call_factors_only_loaded_patches(counted_factorize):
 def test_build_space_logs_patch_work(caplog, monkeypatch):
     # one DEBUG line per call: the patches it factorized (the loaded ones
     # online), in how many batches, their skeleton unknowns, the summed L+U
-    # fill of their LUs, and the element products G was formed from with
-    # their reach, the G entries stored and the seconds spent forming the
-    # products (none online); then the layouts the call built, those it took
-    # from the space's plan, the plan's bytes and the seconds spent ordering
-    # and building or taking the layouts; last, offline, the condensed
-    # trial's stored entries and bytes and the bytes of the condensation, G
-    # and G's dense LU that the space keeps
+    # fill of their LUs; then the classes the call packed into the space's
+    # plan, the plan's bytes and the seconds spent making the batches'
+    # layouts; then the element products G was formed from with their
+    # reach, the G entries stored and the seconds spent forming the
+    # products (none online); last, offline, the condensed trial's stored
+    # entries and bytes and the bytes of the condensation, G and G's dense
+    # LU that the space keeps
     g, c, forms, P = make_setup(nx=24, NH=6, nbf=3)
     work, batches, built = [], [], []
     factorize, solve_batch, skeleton_layout = (
@@ -1256,9 +1284,8 @@ def test_build_space_logs_patch_work(caplog, monkeypatch):
         del work[:], batches[:], built[:], caplog.records[:]
         space, _, _ = _three_calls(forms, P, 1, source, zero)
         (record,) = [r for r in caplog.records if r.msg.startswith("build_space")]
-        (patches, n_batches, unknowns, fill, n_products, reach, stored, busy, n_built, taken,
-         plan_bytes, layout_seconds, entries, trial_bytes, cond_bytes, G_bytes,
-         lu_bytes) = record.args
+        (patches, n_batches, unknowns, fill, n_built, plan_bytes, layout_seconds, n_products,
+         reach, stored, busy, entries, trial_bytes, cond_bytes, G_bytes, lu_bytes) = record.args
         assert n_built == len(built) and plan_bytes == space.layouts.nbytes > 0
         assert (patches, unknowns, fill) == (
             len(work), sum(n for n, _, _ in work), sum(lu for _, lu, _ in work))
@@ -1275,10 +1302,10 @@ def test_build_space_logs_patch_work(caplog, monkeypatch):
         # offline, all of G (108 dofs, the dense regime), reaching 2m + 1 rows
         assert (reach, stored) == ((3, space.G.nnz) if products else (0, 0))
         if products:
-            # offline: 36 patches in 25 shape classes, each layout built
-            # once; element rows 2 and 3 share their five classes, so row 3
-            # takes its layouts from the plan
-            assert (n_built, taken) == (25, 5) and len(space.layouts) == 25
+            # offline: 36 patches in 30 batches of 25 shape classes, each
+            # class packed once; element rows 2 and 3 share their five
+            # classes, so row 3 makes its layouts from the plan
+            assert n_built == 25 and len(space.layouts) == 25
             assert len(set(map(tuple, keys.tolist()))) == 25
             assert (entries, trial_bytes) == (space.trial.nnz, space.trial.nbytes)
             assert 0 < entries < oracles.fine_trial(space).nnz
@@ -1286,8 +1313,8 @@ def test_build_space_logs_patch_work(caplog, monkeypatch):
             assert cond_bytes == sum(a.nbytes for a in vars(space.condensation).values())
             assert G_bytes == space.G.data.nbytes + space.G.indices.nbytes + space.G.indptr.nbytes
             assert lu_bytes == lu.nbytes + piv.nbytes > 0
-        else:  # online: every layout taken from the plan, one per batch, none built
-            assert (n_built, taken) == (0, n_batches)
+        else:  # online: every layout made from the plan, none packed
+            assert n_built == 0
             assert busy == 0.0
             assert (entries, trial_bytes, cond_bytes, G_bytes, lu_bytes) == (0,) * 5
         # the work of the build (the fill is that of this scipy's SuperLU)
@@ -1311,9 +1338,10 @@ def _assert_same_layout(a, b):
 @seed(9)
 @given(cfg=configurations(), data=st.data())
 def test_generated_plan_layouts_equal_fresh_layouts(cfg, data):
-    # the offline space keeps each shape class's plain layout compactly;
-    # rebuilt for any element of the class it is the fresh layout of that
-    # element, array by array, and an online build builds no layout
+    # the offline space keeps each shape class's layout compactly, packed
+    # from the class's first element; made for any element of the class it
+    # is the layout packed from that element, array by array, and an online
+    # build packs no layout
     c = _generated_coarse(cfg)
     m = data.draw(st.integers(0, cfg["NH"]), label="m")  # up to patches clipped on every side
     assume(all(oversample(c, j, m).free_nodes(cfg["strict"]).size for j in range(c.n_elements)))
@@ -1324,7 +1352,7 @@ def test_generated_plan_layouts_equal_fresh_layouts(cfg, data):
     assert set(space.layouts) == {key for key, _ in classes}
     for key, js in classes:
         for j in js:
-            fresh = cem._skeleton_layout(cond, c, j, m, cfg["strict"])
+            fresh = oracles.patch_layout(cond, c, j, m, cfg["strict"])
             _assert_same_layout(space.layouts.layout(key, cond, j), fresh)
     blocks = element_loads(g, c, _random_complex(rng, g.n_nodes), _random_complex(rng, g.n_nodes))
     blocks[rng.random(c.n_elements) < 0.5] = 0.0
@@ -1341,8 +1369,9 @@ def test_generated_plan_layouts_equal_fresh_layouts(cfg, data):
 @given(cfg=configurations(), data=st.data())
 def test_generated_layouts_sum_duplicates_in_position_order(cfg, data):
     # the S_e entries that one stored skeleton entry sums are taken in
-    # increasing position, in a fresh layout and in one rebuilt from the
-    # plan alike, so the sums do not depend on the sort that made them
+    # increasing position, in a layout packed from the class's first element
+    # and in one made from the plan for its last alike, so the sums do not
+    # depend on the sort that made them
     c = _generated_coarse(cfg)
     m = data.draw(st.integers(0, cfg["NH"]), label="m")
     assume(all(oversample(c, j, m).free_nodes(cfg["strict"]).size for j in range(c.n_elements)))
@@ -1350,7 +1379,7 @@ def test_generated_layouts_sum_duplicates_in_position_order(cfg, data):
     space = cem.build_space(forms, P, m, cfg["strict"])
     cond = space.condensation
     for key, js in cem._shape_classes(cem._layout_keys(c, m), range(c.n_elements)):
-        for layout in (cem._skeleton_layout(cond, c, js[0], m, cfg["strict"]),
+        for layout in (oracles.patch_layout(cond, c, js[0], m, cfg["strict"]),
                        space.layouts.layout(key, cond, js[-1])):
             within = np.ones(layout.take.size, dtype=bool)
             within[layout.starts] = False  # the first S_e entry of each stored entry
@@ -1363,7 +1392,7 @@ def _class_fills(forms, P, m, strict=False):
     order of that matrix."""
     c, cond = forms.coarse, cem._condense(forms, P)
     for key, js in cem._shape_classes(cem._layout_keys(c, m), range(c.n_elements)):
-        layout = cem._skeleton_layout(cond, c, js[0], m, strict)
+        layout = oracles.patch_layout(cond, c, js[0], m, strict)
         n = layout.indptr.size - 1
         S = sp.csc_matrix((np.empty(layout.indices.size, dtype=complex), layout.indices,
                            layout.indptr), shape=(n, n))
@@ -1598,7 +1627,7 @@ def test_trial_and_coarse_matrix_freed_with_projection_and_spaces():
     assert all(ref() is None for ref in kept)
 
 
-# --- the streamed offline build: G from element products, row by row
+# --- G from the element products of the finished condensed trial, row by row
 
 
 def _g_oracle(forms, space):
@@ -1803,7 +1832,7 @@ def test_near_field_build_and_solve_log_their_operator(caplog):
     _, coefficients = cem.solve_multiscale(system, space, forms=forms)
     (build,) = [r for r in caplog.records if r.msg.startswith("build_space")]
     (gmres,) = [r for r in caplog.records if r.msg.startswith("coarse GMRES")]
-    assert build.args[4:7] == (c.n_elements, cem.NEAR_FIELD, space.G.nnz)
+    assert build.args[7:10] == (c.n_elements, cem.NEAR_FIELD, space.G.nnz)
     assert "the matrix-free Psi^T B Psi" in gmres.msg
     # the preconditioner's precision and L+U fill, and the Arnoldi estimate
     # of the relative residual, which met the target
@@ -1814,7 +1843,7 @@ def test_near_field_build_and_solve_log_their_operator(caplog):
     # |b - A c|_2 / |b|_2 of the residual it formed, near the target
     (guard,) = [r for r in caplog.records if r.msg.startswith("coarse solve on")]
     r = cem._MatrixFreeG(space) @ coefficients - system.b
-    assert guard.args[0] == system.n and guard.args[1] <= 1e-10
+    assert guard.args[0] == system.G.shape[0] and guard.args[1] <= 1e-10
     assert guard.args[2] == np.linalg.norm(r) / np.linalg.norm(system.b) <= 2e-13
 
 
@@ -1863,7 +1892,7 @@ def test_near_field_preconditioner_failure_assembles_whole_g(near_field_nh6, tri
     _, c = cem.solve_multiscale(system, space, forms=forms)
     assert np.array_equal(c, factorize(ref).solve(system.b))
     failed = [r for r in caplog.records if r.msg.startswith("coarse near-field preconditioner")]
-    assert [r.args[0] for r in failed] == [system.n]
+    assert [r.args[0] for r in failed] == [system.G.shape[0]]
     assert not [r for r in caplog.records if r.msg.startswith("coarse GMRES")]
 
 
@@ -1878,7 +1907,7 @@ def test_near_field_backward_error_guard(near_field_nh6, monkeypatch):
         return c
 
     monkeypatch.setattr(cem, "_near_field_solve", perturbed)
-    with pytest.raises(SingularCoarseSystem, match=f"{system.n} dofs has backward error"):
+    with pytest.raises(SingularCoarseSystem, match=f"{system.G.shape[0]} dofs has backward error"):
         cem.solve_multiscale(system, space, forms=forms)
 
 
@@ -1977,7 +2006,8 @@ def test_coarse_matrix_norm_computed_once_per_space(system_nh6, near_field_nh6, 
 def test_singular_patch_mid_stream_names_element(monkeypatch):
     # on an 8 x 8 coarse grid with m = 1, elements 26 ... 29 of element row 3
     # form one batch; the 28th factorization, element 27's, fails in the
-    # middle of it, after element row 0's products went into G's blocks
+    # middle of it, after three element rows' trial columns went into the
+    # skeleton and before G's element products start
     g, c, forms, P = make_setup(nx=32, NH=8, nbf=2)
     calls, batches = [], []
     factorize, solve_batch = kernels.factorize, cem._solve_batch

@@ -111,3 +111,23 @@ def test_no_module_starts_threads():
             imports += [f"{path.name}:{node.lineno}" for name in names
                         if name.split(".")[0] in ("threading", "concurrent")]
     assert imports == []
+
+
+def test_only_the_layout_plan_makes_layouts():
+    # a skeleton layout is made one way: `_LayoutPlan.layout` packs a class
+    # (`_skeleton_layout`) the first time it is asked for it and builds
+    # every `_Layout` from the packed arrays (`_with_pattern`)
+    callers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        scopes = [(f"{node.name}.{f.name}", f) for node in tree.body
+                  if isinstance(node, ast.ClassDef) for f in node.body
+                  if isinstance(f, ast.FunctionDef)]
+        scopes += [(node.name, node) for node in tree.body if isinstance(node, ast.FunctionDef)]
+        for name, scope in scopes:
+            for n in ast.walk(scope):
+                if (isinstance(n, ast.Call) and getattr(n.func, "id", None)
+                        in ("_with_pattern", "_skeleton_layout")):
+                    callers.add((path.stem, name, n.func.id))
+    assert callers == {("cem", "_LayoutPlan.layout", "_with_pattern"),
+                       ("cem", "_LayoutPlan.layout", "_skeleton_layout")}
